@@ -3,8 +3,8 @@
 The hot kernels in ``_kernels`` are written as plain numpy code and wrapped
 with ``numba.njit`` when numba is importable.  Setting the environment
 variable ``SDEDISC_NO_NUMBA=1`` (before import) forces the pure-numpy path,
-which runs the identical source uncompiled.  ``benchmarks/kernel_speed.py``
-compares the two paths.
+which runs the identical source uncompiled.  The benchmark in
+``perfbench/`` reads ``USE_NUMBA`` to record which path it measured.
 """
 
 import os

@@ -77,7 +77,9 @@ def run_benchmark(cfg: BenchConfig) -> list:
 
     Systems are generated in binary64, downcast to ``cfg.width``, and each
     method runs entirely at that width.  The truth Q is quadrature at
-    binary64, computed once per (system, t) and shared across methods.
+    binary64, computed once per (system, t) and shared across methods; if
+    the quadrature fails, every method's cell at that (system, t) is an
+    error record.
     Record order is (system_id, t, method); identical configs yield
     identical records.
     """
@@ -86,9 +88,17 @@ def run_benchmark(cfg: BenchConfig) -> list:
         model = gen_random_system(cfg.ensemble, stream=sid)
         model_w = model.astype(cfg.width)
         for t in cfg.t_grid:
-            if cfg.methods:
+            if not cfg.methods:
+                continue
+            try:
                 q_true = q_oracle(model, t, rel_tol=cfg.oracle_tol)
-                q_true_norm = spectral_norm(q_true)
+            except SdeDiscError:
+                # no truth to score against: every cell at this t fails
+                records.extend(BenchRecord(sid, method, t, None,
+                                           CellStatus.ERROR)
+                               for method in cfg.methods)
+                continue
+            q_true_norm = spectral_norm(q_true)
             for method in cfg.methods:
                 eps, status = _run_cell(model_w, t, method,
                                         q_true, q_true_norm)

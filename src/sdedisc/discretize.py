@@ -30,6 +30,7 @@ from .errors import (
     UnsupportedSpectrumError,
 )
 from .linalg import (
+    _eig_sum_guard,
     check_square,
     eps_of,
     mat_exp,
@@ -44,6 +45,8 @@ from .linalg import (
 from .models import ContinuousModel, DiscreteModel, Method, MethodReport
 
 _TINY = 1e-300
+# Richardson levels of q_oracle before it gives up (2^23 nodes at the last)
+_ORACLE_MAX_DEPTH = 24
 
 
 def _sym(x: np.ndarray) -> np.ndarray:
@@ -52,8 +55,8 @@ def _sym(x: np.ndarray) -> np.ndarray:
 
 def _check_horizon(t: float) -> float:
     t = float(t)
-    if not t >= 0.0:
-        raise ValueError(f"sampling interval must be >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"sampling interval must be finite and >= 0, got {t}")
     return t
 
 
@@ -71,10 +74,13 @@ def _drift_eigvalues(m: ContinuousModel) -> np.ndarray:
     return quasi_tri_eigvalues(tt)
 
 
-def _lyap_residual(a, x, rhs) -> float:
-    num = np.linalg.norm(a @ x + x @ a.T - rhs)
-    den = 2.0 * np.linalg.norm(a) * np.linalg.norm(x) + _TINY
-    return float(num / den)
+def _sylv_residual(a, b, x, rhs) -> float:
+    """Relative residual of a @ x + x @ b.T = rhs (b = a for Lyapunov).
+    The floor is the width's smallest normal number, so that an empty or
+    zero x gives 0 at binary32 too."""
+    num = np.linalg.norm(a @ x + x @ b.T - rhs)
+    den = (np.linalg.norm(a) + np.linalg.norm(b)) * np.linalg.norm(x)
+    return float(num / (den + np.finfo(x.dtype).tiny))
 
 
 def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
@@ -96,7 +102,7 @@ def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
     f = mat_exp(m.a, t)
     q = _sym(p - f @ p @ f.T)
     diag = {
-        "sylvester_residual": _lyap_residual(m.a, p, -m.s),
+        "sylvester_residual": _sylv_residual(m.a, m.a, p, -m.s),
         "lemma2_residual": lemma2_residual(m, f, q),
     }
     return MethodReport(DiscreteModel(f, q, t), Method.LYAP_P, diag)
@@ -111,13 +117,14 @@ def discretize_lyap_q(m: ContinuousModel, t: float) -> MethodReport:
     if t == 0.0:
         return _trivial_report(m, Method.LYAP_Q)
     evs = _drift_eigvalues(m)
-    sums = np.abs(evs[:, None] + evs[None, :])
-    if float(sums.min()) <= 2.0 * tau_zero_default(m.a):
-        i, j = np.unravel_index(np.argmin(sums), sums.shape)
+    try:
+        _eig_sum_guard(evs, evs, 2.0 * tau_zero_default(m.a))
+    except NearSingularError as exc:
+        i, j = exc.pair
         raise MethodNotApplicableError(
             "lyap-q not applicable: eigenvalue pair "
-            f"({evs[i]:.3e}, {evs[j]:.3e}) sums to ~0 (integrator or "
-            "mirrored poles); unique-solution condition violated")
+            f"({i:.3e}, {j:.3e}) sums to ~0 (integrator or "
+            "mirrored poles); unique-solution condition violated") from exc
     f = mat_exp(m.a, t)
     v = _sym(m.s - f @ m.s @ f.T)
     try:
@@ -127,28 +134,29 @@ def discretize_lyap_q(m: ContinuousModel, t: float) -> MethodReport:
             f"lyap-q not applicable: {exc}") from exc
     q = _sym(q)
     diag = {
-        "sylvester_residual": _lyap_residual(m.a, q, -v),
+        "sylvester_residual": _sylv_residual(m.a, m.a, q, -v),
         "lemma2_residual": lemma2_residual(m, f, q),
     }
     return MethodReport(DiscreteModel(f, q, t), Method.LYAP_Q, diag)
 
 
-def q_nilpotent(a22: np.ndarray, s22: np.ndarray, t: float,
-                nil_tol: float | None = None) -> np.ndarray:
+def q_nilpotent(a22: np.ndarray, s22: np.ndarray, t: float) -> np.ndarray:
     """Closed-form noise covariance for a nilpotent drift block:
-    sum_{i,j<p} T^(i+j+1) / (i! j! (i+j+1)) * A^i S (A^j)^T."""
+    sum_{i,j<p} T^(i+j+1) / (i! j! (i+j+1)) * A^i S (A^j)^T.
+
+    Raises NilpotencyError when |A^p| exceeds a tolerance that allows
+    for the eps^(1/p) spread of a perturbed index-p chain."""
     a22 = check_square(a22, "nilpotent block")
     s22 = check_square(s22, "nilpotent noise block")
     if s22.shape != a22.shape:
         raise ValueError("drift and noise blocks must have equal shape")
-    t = float(t)
+    t = _check_horizon(t)
     p = a22.shape[0]
     powers = [np.eye(p, dtype=a22.dtype)]
     for _ in range(p):
         powers.append(powers[-1] @ a22)
     anorm = float(np.linalg.norm(a22))
-    if nil_tol is None:
-        nil_tol = math.sqrt(100.0 * p * eps_of(a22)) * max(anorm, 1.0) ** p
+    nil_tol = math.sqrt(100.0 * p * eps_of(a22)) * max(anorm, 1.0) ** p
     if float(np.linalg.norm(powers[p])) > nil_tol:
         raise NilpotencyError(
             f"block is not nilpotent of index {p}: |A^p| = "
@@ -177,7 +185,11 @@ def discretize_proposed(m: ContinuousModel, t: float,
                         tau_zero: float | None = None) -> MethodReport:
     """Combined method: Schur-reorder integrators into the trailing block,
     solve that block in closed form, the rest via Sylvester/Lyapunov
-    equations, and transform back."""
+    equations, and transform back.
+
+    One block formula for every integrator count: the leading block a11
+    is 0 x 0 when every eigenvalue is an integrator, and the trailing
+    block a22 is 0 x 0 when there are none."""
     t = _check_horizon(t)
     if t == 0.0:
         return _trivial_report(m, Method.PROPOSED)
@@ -186,79 +198,57 @@ def discretize_proposed(m: ContinuousModel, t: float,
     if tau_zero is None:
         tau_zero = tau_zero_default(m.a)
     u, at, k = order_schur_zeros_last(u0, t0, tau_zero)
-    p = n - k
+    a11 = np.ascontiguousarray(at[:k, :k])
+    a12 = at[:k, k:]
+    a22 = np.ascontiguousarray(at[k:, k:])
     # mirrored non-zero poles make the leading Lyapunov/Sylvester solves
     # singular; fail fast with a spectrum diagnosis
-    ev1 = quasi_tri_eigvalues(at[:k, :k])
-    if k > 0:
-        sums = np.abs(ev1[:, None] + ev1[None, :])
-        i, j = np.unravel_index(np.argmin(sums), sums.shape)
-        if float(sums[i, j]) <= 200.0 * eps_of(m.a) * float(np.linalg.norm(m.a)):
-            raise UnsupportedSpectrumError(
-                f"non-zero poles mirrored in the imaginary axis: "
-                f"{ev1[i]:.3e} and {ev1[j]:.3e}")
+    ev1 = quasi_tri_eigvalues(a11)
+    try:
+        _eig_sum_guard(ev1, ev1,
+                       200.0 * eps_of(m.a) * float(np.linalg.norm(m.a)))
+    except NearSingularError as exc:
+        i, j = exc.pair
+        raise UnsupportedSpectrumError(
+            f"non-zero poles mirrored in the imaginary axis: "
+            f"{i:.3e} and {j:.3e}") from exc
     # computed inverse rather than transpose: u is only orthogonal to
     # rounding, and the back-transform error is smaller with the inverse
     u_inv = np.linalg.inv(u)
     st = _sym(u_inv @ m.s @ u_inv.T)
-    sylvester_residual = float("nan")
-    if p == 0:
-        ft = mat_exp(at, t)
-        vt = _sym(st - ft @ st @ ft.T)
-        try:
-            qt = solve_lyapunov(at, -vt)
-        except NearSingularError as exc:
-            raise UnsupportedSpectrumError(
-                f"proposed method not applicable: {exc}") from exc
-        sylvester_residual = _lyap_residual(at, qt, -vt)
-    elif k == 0:
-        ft = _nilpotent_exp(at, t)
-        qt = q_nilpotent(at, st, t)
-    else:
-        a11 = np.ascontiguousarray(at[:k, :k])
-        a12 = at[:k, k:]
-        a22 = np.ascontiguousarray(at[k:, k:])
-        # assemble exp(at * t) blockwise: the whole-matrix exponential
-        # loses accuracy for large t * |A| through repeated squaring,
-        # while the leading block decays and the trailing block has a
-        # terminating series; the coupling block follows from the
-        # commutation identity A f - f A = 0 of f = exp(A t)
-        f11 = mat_exp(a11, t)
-        f22 = _nilpotent_exp(a22, t)
-        try:
-            f12 = solve_sylvester(a11, -a22, f11 @ a12 - a12 @ f22)
-        except NearSingularError as exc:
-            raise UnsupportedSpectrumError(
-                f"proposed method not applicable: {exc}") from exc
-        ft = np.zeros((n, n), dtype=m.dtype)
-        ft[:k, :k] = f11
-        ft[:k, k:] = f12
-        ft[k:, k:] = f22
+    # assemble exp(at * t) blockwise: the whole-matrix exponential
+    # loses accuracy for large t * |A| through repeated squaring,
+    # while the leading block decays and the trailing block has a
+    # terminating series; the coupling block follows from the
+    # commutation identity A f - f A = 0 of f = exp(A t)
+    f11 = mat_exp(a11, t)
+    f22 = _nilpotent_exp(a22, t)
+    ft = np.zeros((n, n), dtype=m.dtype)
+    ft[:k, :k] = f11
+    ft[k:, k:] = f22
+    try:
+        ft[:k, k:] = solve_sylvester(a11, -a22, f11 @ a12 - a12 @ f22)
         vt = _sym(st - ft @ st @ ft.T)
         q22 = q_nilpotent(a22, np.ascontiguousarray(st[k:, k:]), t)
         rhs12 = -vt[:k, k:] - a12 @ q22
-        try:
-            q12 = solve_sylvester(a11, a22.T, rhs12)
-            q11 = solve_lyapunov(
-                a11, -vt[:k, :k] - a12 @ q12.T - q12 @ a12.T)
-        except NearSingularError as exc:
-            raise UnsupportedSpectrumError(
-                f"proposed method not applicable: {exc}") from exc
-        num = np.linalg.norm(a11 @ q12 + q12 @ a22.T - rhs12)
-        den = ((np.linalg.norm(a11) + np.linalg.norm(a22))
-               * np.linalg.norm(q12) + _TINY)
-        sylvester_residual = float(num / den)
-        qt = np.empty((n, n), dtype=m.dtype)
-        qt[:k, :k] = q11
-        qt[:k, k:] = q12
-        qt[k:, :k] = q12.T
-        qt[k:, k:] = q22
+        q12 = solve_sylvester(a11, a22.T, rhs12)
+        rhs11 = -vt[:k, :k] - a12 @ q12.T - q12 @ a12.T
+        q11 = solve_lyapunov(a11, rhs11)
+    except NearSingularError as exc:
+        raise UnsupportedSpectrumError(
+            f"proposed method not applicable: {exc}") from exc
+    qt = np.empty((n, n), dtype=m.dtype)
+    qt[:k, :k] = q11
+    qt[:k, k:] = q12
+    qt[k:, :k] = q12.T
+    qt[k:, k:] = q22
     f = u @ ft @ u_inv
     q = _sym(u @ qt @ u.T)
     diag = {
         "split_index": float(k),
-        "integrator_count": float(p),
-        "sylvester_residual": sylvester_residual,
+        "integrator_count": float(n - k),
+        "sylvester_residual": max(_sylv_residual(a11, a22, q12, rhs12),
+                                  _sylv_residual(a11, a11, q11, rhs11)),
         "lemma2_residual": lemma2_residual(m, f, q),
     }
     return MethodReport(DiscreteModel(f, q, t), Method.PROPOSED, diag)
@@ -305,8 +295,8 @@ def naive_q_b(m: ContinuousModel, t: float) -> np.ndarray:
     return m.s * m.dtype.type(t)
 
 
-def q_oracle(m: ContinuousModel, t: float, rel_tol: float = 1e-12,
-             max_depth: int = 24) -> np.ndarray:
+def q_oracle(m: ContinuousModel, t: float,
+             rel_tol: float = 1e-12) -> np.ndarray:
     """Reference covariance by composite-trapezoid quadrature of
     exp(A tau) S exp(A^T tau) with interval doubling and Richardson
     extrapolation, always in binary64."""
@@ -326,7 +316,7 @@ def q_oracle(m: ContinuousModel, t: float, rel_tol: float = 1e-12,
     # the achievable answer, acceptable down to this relative level
     noise_floor = 1e-10
     best_diff, best_est, worse_streak = math.inf, None, 0
-    for level in range(1, max_depth + 1):
+    for level in range(1, _ORACLE_MAX_DEPTH + 1):
         h = t / 2.0 ** level
         e_half = mat_exp(a, h)
         acc = _kernels.propagated_outer_sum(e_half, e_step, s,
@@ -355,28 +345,8 @@ def q_oracle(m: ContinuousModel, t: float, rel_tol: float = 1e-12,
         return _sym(best_est)
     raise ConvergenceError(
         f"quadrature did not reach rel_tol={rel_tol:g} within "
-        f"{max_depth} doublings (best {best_diff:.2e})", sweeps=max_depth)
-
-
-def transform_model(m: ContinuousModel, u: np.ndarray,
-                    u_inv: np.ndarray) -> ContinuousModel:
-    """State transformation x = U z: drift U^-1 A U, noise U^-1 S U^-T."""
-    u = check_square(u, "transform u")
-    u_inv = check_square(u_inv, "transform u_inv")
-    if u.shape != m.a.shape or u_inv.shape != m.a.shape:
-        raise ValueError("transform dimensions must match the model")
-    return ContinuousModel(u_inv @ m.a @ u, _sym(u_inv @ m.s @ u_inv.T))
-
-
-def transform_result(d: DiscreteModel, u: np.ndarray,
-                     u_inv: np.ndarray) -> DiscreteModel:
-    """Back-transform of a discretization computed in z coordinates:
-    F = U F~ U^-1 (similarity), Q = U Q~ U^T (congruence)."""
-    u = check_square(u, "transform u")
-    u_inv = check_square(u_inv, "transform u_inv")
-    if u.shape != d.f.shape or u_inv.shape != d.f.shape:
-        raise ValueError("transform dimensions must match the model")
-    return DiscreteModel(u @ d.f @ u_inv, _sym(u @ d.q @ u.T), d.horizon)
+        f"{_ORACLE_MAX_DEPTH} doublings (best {best_diff:.2e})",
+        sweeps=_ORACLE_MAX_DEPTH)
 
 
 def lemma2_residual(m: ContinuousModel, f: np.ndarray,

@@ -90,7 +90,10 @@ def mat_exp(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     if norm1 > _THETA13:
         squarings = int(np.ceil(np.log2(norm1 / _THETA13)))
         at = at / dtype.type(2.0) ** squarings
-    result = _kernels.pade13_expm(at, squarings)
+    # an overflowing squaring is reported below as MatrixOverflowError,
+    # not as numpy's RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = _kernels.pade13_expm(at, squarings)
     if not np.isfinite(result).all():
         raise MatrixOverflowError(
             f"matrix exponential overflowed (|a*t|_1 = {norm1:.3g}, "
@@ -98,7 +101,7 @@ def mat_exp(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     return result
 
 
-def real_schur(a: np.ndarray, max_sweeps: int = _MAX_QR_SWEEPS):
+def real_schur(a: np.ndarray):
     """Real Schur decomposition a = u @ t @ u.T with u orthogonal and t
     quasi-upper triangular (standardized 1x1/2x2 diagonal blocks)."""
     a = check_square(a, "real_schur input")
@@ -108,7 +111,8 @@ def real_schur(a: np.ndarray, max_sweeps: int = _MAX_QR_SWEEPS):
     u = np.eye(n, dtype=dtype)
     anorm = float(np.linalg.norm(t))
     _kernels.hessenberg(t, u)
-    sweeps, ok = _kernels.francis_qr(t, u, eps_of(dtype), anorm, max_sweeps)
+    sweeps, ok = _kernels.francis_qr(t, u, eps_of(dtype), anorm,
+                                     _MAX_QR_SWEEPS)
     if not ok:
         raise ConvergenceError(
             f"QR iteration did not converge within {sweeps} sweeps",
@@ -144,14 +148,23 @@ def quasi_tri_eigvalues(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _diag_blocks(t: np.ndarray):
-    """(start, size) pairs for the diagonal blocks of a quasi-triangular t."""
+def _classify_blocks(t: np.ndarray, tau_zero: float):
+    """(start, size, is_zero) for each diagonal block of a quasi-triangular
+    t, where is_zero means every eigenvalue of the block has modulus
+    <= tau_zero.  A 2x2 block whose pair straddles tau_zero raises
+    ClassificationError."""
     n = t.shape[0]
     blocks = []
     i = 0
     while i < n:
         size = 2 if (i < n - 1 and t[i + 1, i] != 0.0) else 1
-        blocks.append((i, size))
+        evs = quasi_tri_eigvalues(t[i:i + size, i:i + size])
+        zero = np.abs(evs) <= tau_zero
+        if size == 2 and zero[0] != zero[1]:
+            raise ClassificationError(
+                f"2x2 block at {i} straddles tau_zero={tau_zero:.3g}: "
+                f"|ev| = {np.abs(evs)}")
+        blocks.append((i, size, bool(zero.all())))
         i += size
     return blocks
 
@@ -178,45 +191,35 @@ def _swap_adjacent_blocks(u, t, i, p1, p2):
 def order_schur_zeros_last(u: np.ndarray, t: np.ndarray,
                            tau_zero: float) -> OrderedSchur:
     """Reorder a real Schur pair so all eigenvalues with modulus <= tau_zero
-    trail, returning the reordered factors and the split index."""
+    trail, returning the reordered factors and the split index.
+
+    One stable pass over the blocks, classified once: each non-zero block
+    moves up past the run of zero blocks above it by adjacent swaps, so the
+    non-zero blocks keep their order and so do the zero blocks."""
     u = np.array(u, copy=True)
     t = np.array(t, copy=True)
-
-    def classify():
-        flags = []
-        for start, size in _diag_blocks(t):
-            evs = quasi_tri_eigvalues(t[start:start + size, start:start + size])
-            zero = np.abs(evs) <= tau_zero
-            if size == 2 and zero[0] != zero[1]:
-                raise ClassificationError(
-                    f"2x2 block at {start} straddles tau_zero={tau_zero:.3g}: "
-                    f"|ev| = {np.abs(evs)}")
-            flags.append((start, size, bool(zero.all())))
-        return flags
-
-    changed = True
-    while changed:
-        changed = False
-        flags = classify()
-        for b in range(len(flags) - 1):
-            s1, p1, z1 = flags[b]
-            _, p2, z2 = flags[b + 1]
-            if z1 and not z2:
-                _swap_adjacent_blocks(u, t, s1, p1, p2)
-                changed = True
-                break
+    # swaps never move a block below the current one, so the starts found
+    # by the first classification stay valid through the pass
+    zero_run = []  # sizes of the zero blocks seen so far, top to bottom
+    for start, size, zero in _classify_blocks(t, tau_zero):
+        if zero:
+            zero_run.append(size)
+            continue
+        row = start
+        for zsize in reversed(zero_run):
+            row -= zsize
+            _swap_adjacent_blocks(u, t, row, zsize, size)
     _kernels.standardize_quasi_triangular(t, u)
-    flags = classify()
+    blocks = _classify_blocks(t, tau_zero)
     split = 0
-    for _, size, zero in flags:
+    for _, size, zero in blocks:
         if zero:
             break
         split += size
     # all zero blocks must now trail
-    for start, size, zero in flags:
-        if start >= split and not zero:
-            raise ClassificationError(
-                "eigenvalue reordering failed to cluster the zero block")
+    if any(start >= split and not zero for start, _, zero in blocks):
+        raise ClassificationError(
+            "eigenvalue reordering failed to cluster the zero block")
     return OrderedSchur(u=u, t=t, split=split)
 
 
@@ -238,6 +241,10 @@ def _schur_or_passthrough(a: np.ndarray):
 
 
 def _eig_sum_guard(ev_a, ev_b, threshold):
+    """Raise NearSingularError when some lambda_i(a) + lambda_j(b) has
+    modulus <= threshold; an empty spectrum on either side passes."""
+    if not (ev_a.size and ev_b.size):
+        return
     sums = np.abs(ev_a[:, None] + ev_b[None, :])
     i, j = np.unravel_index(np.argmin(sums), sums.shape)
     if sums[i, j] <= threshold:
@@ -248,8 +255,8 @@ def _eig_sum_guard(ev_a, ev_b, threshold):
             pair=(complex(ev_a[i]), complex(ev_b[j])))
 
 
-def solve_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                    sing_threshold: float | None = None) -> np.ndarray:
+def solve_sylvester(a: np.ndarray, b: np.ndarray,
+                    c: np.ndarray) -> np.ndarray:
     """Solve a @ X + X @ b = c by Bartels-Stewart.
 
     Inputs that are already quasi-upper triangular (a, or b transposed) are
@@ -266,18 +273,15 @@ def solve_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     ub, tb = _schur_or_passthrough(b.T)  # b = ub @ tb.T @ ub.T
     ev_a = quasi_tri_eigvalues(ta)
     ev_b = quasi_tri_eigvalues(tb)
-    if sing_threshold is None:
-        sing_threshold = 100.0 * eps_of(a) * float(
-            np.linalg.norm(a) + np.linalg.norm(b))
-    _eig_sum_guard(ev_a, ev_b, sing_threshold)
+    _eig_sum_guard(ev_a, ev_b, 100.0 * eps_of(a) * float(
+        np.linalg.norm(a) + np.linalg.norm(b)))
     cc = np.ascontiguousarray(ua.T @ c @ ub)
     y = _kernels.trsylv(np.ascontiguousarray(ta),
                         np.ascontiguousarray(tb.T), cc)
     return ua @ y @ ub.T
 
 
-def solve_lyapunov(a: np.ndarray, c: np.ndarray,
-                   sing_threshold: float | None = None) -> np.ndarray:
+def solve_lyapunov(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Solve a @ X + X @ a.T = c for symmetric c; the result is explicitly
     symmetrized.  Shares a single Schur factorization between both sides."""
     a = check_square(a, "lyapunov a")
@@ -286,9 +290,7 @@ def solve_lyapunov(a: np.ndarray, c: np.ndarray,
         raise DimensionError(f"rhs shape {c.shape} != {a.shape}")
     ua, ta = _schur_or_passthrough(a)
     ev = quasi_tri_eigvalues(ta)
-    if sing_threshold is None:
-        sing_threshold = 100.0 * eps_of(a) * 2.0 * float(np.linalg.norm(a))
-    _eig_sum_guard(ev, ev, sing_threshold)
+    _eig_sum_guard(ev, ev, 100.0 * eps_of(a) * 2.0 * float(np.linalg.norm(a)))
     cc = np.ascontiguousarray(ua.T @ c @ ua)
     ta = np.ascontiguousarray(ta)
     y = _kernels.trsylv(ta, np.ascontiguousarray(ta.T), cc)
@@ -306,12 +308,8 @@ def symmetric_eigvalues(m: np.ndarray) -> np.ndarray:
 
 
 def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value, from the Jacobi eigenvalues of m.T @ m."""
+    """Largest singular value (LAPACK SVD at the width of m)."""
     m = check_finite(np.asarray(m), "spectral_norm input")
     if m.size == 0:
         return 0.0
-    if m.ndim == 1:
-        m = m[:, None]
-    gram = m.T @ m if m.shape[0] >= m.shape[1] else m @ m.T
-    vals = symmetric_eigvalues(gram)
-    return float(np.sqrt(max(float(vals[-1]), 0.0)))
+    return float(np.linalg.norm(m, 2))

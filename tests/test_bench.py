@@ -4,9 +4,11 @@ and determinism."""
 import numpy as np
 import pytest
 
+from sdedisc import bench
 from sdedisc.bench import (BenchConfig, BenchRecord, CellStatus,
                            run_benchmark, summarize, records_to_csv,
                            summary_to_csv, default_t_grid)
+from sdedisc.errors import ConvergenceError
 from sdedisc.modelgen import EnsembleSpec
 from sdedisc.models import Method
 
@@ -85,6 +87,24 @@ def test_lyap_q_not_applicable_on_integrators():
                       t_grid=(1.0,), methods=(Method.LYAP_Q,), runs=2)
     records = run_benchmark(cfg)
     assert all(r.status is CellStatus.NOT_APPLICABLE for r in records)
+
+
+def test_oracle_failure_recorded_not_raised(monkeypatch):
+    def failing_oracle(model, t, rel_tol):
+        if t == 1.0:
+            raise ConvergenceError("quadrature did not converge", sweeps=24)
+        return real_oracle(model, t, rel_tol=rel_tol)
+
+    real_oracle = bench.q_oracle
+    monkeypatch.setattr(bench, "q_oracle", failing_oracle)
+    cfg = small_cfg(methods=(Method.PROPOSED, Method.VANLOAN))
+    records = run_benchmark(cfg)
+    assert len(records) == 2 * 2 * 2
+    for rec in records:
+        if rec.t == 1.0:
+            assert rec.status is CellStatus.ERROR and rec.epsilon is None
+        else:
+            assert rec.status is CellStatus.OK
 
 
 def test_summarize_single_record():

@@ -82,9 +82,12 @@ def test_constant_velocity_lyap_methods_not_applicable():
 
 
 def test_proposed_reports_integrator_count():
-    report = discretize_proposed(constant_velocity(), 1.0)
-    assert report.diagnostics["integrator_count"] == 2.0
-    assert report.diagnostics["split_index"] == 0.0
+    for width in (np.float64, np.float32):
+        report = discretize_proposed(constant_velocity().astype(width), 1.0)
+        assert report.diagnostics["integrator_count"] == 2.0
+        assert report.diagnostics["split_index"] == 0.0
+        # no leading block: both leading-block solves are empty
+        assert report.diagnostics["sylvester_residual"] == 0.0
 
 
 # ---------------------------------------------------------- t = 0 and t
@@ -99,9 +102,26 @@ def test_zero_horizon_is_identity_and_zero(method):
     assert np.array_equal(report.model.q, np.zeros((1, 1)))
 
 
-def test_negative_horizon_rejected():
-    with pytest.raises(ValueError):
-        discretize_proposed(SCALAR, -1.0)
+HORIZON_TAKERS = {
+    "discretize_lyap_p": lambda t: discretize_lyap_p(SCALAR, t),
+    "discretize_lyap_q": lambda t: discretize_lyap_q(SCALAR, t),
+    "discretize_proposed": lambda t: discretize_proposed(SCALAR, t),
+    "discretize_vanloan": lambda t: discretize_vanloan(SCALAR, t),
+    "naive_q_a": lambda t: naive_q_a(SCALAR, t),
+    "naive_q_b": lambda t: naive_q_b(SCALAR, t),
+    "q_oracle": lambda t: q_oracle(SCALAR, t),
+    "q_nilpotent": lambda t: q_nilpotent(np.zeros((1, 1)), np.eye(1), t),
+    "run_method": lambda t: run_method(SCALAR, t, Method.ORACLE),
+    "semigroup_residual": lambda t: semigroup_residual(
+        SCALAR, Method.PROPOSED, 1.0, t),
+}
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("func", list(HORIZON_TAKERS))
+def test_bad_horizon_rejected(func, t):
+    with pytest.raises(ValueError, match="sampling interval"):
+        HORIZON_TAKERS[func](t)
 
 
 # ------------------------------------------------------------ nilpotent

@@ -2,10 +2,12 @@
 eigenvalue reordering, and the Sylvester/Lyapunov solvers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from sdedisc import linalg
 from sdedisc.errors import (MatrixOverflowError, NearSingularError,
                             DimensionError, NonFiniteError)
 from sdedisc.linalg import (mat_exp, real_schur, order_schur_zeros_last,
@@ -92,6 +94,11 @@ def test_mat_exp_overflow_raises():
         mat_exp(np.array([[1.0]], dtype=np.float32), 100.0)
     with pytest.raises(MatrixOverflowError):
         mat_exp(np.array([[1.0]]), 1e6)
+    # the typed error, not numpy's overflow warning, reaches the caller
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MatrixOverflowError):
+            mat_exp(np.array([[1.0]], dtype=np.float32), 100.0)
 
 
 def test_mat_exp_rejects_bad_input():
@@ -169,6 +176,26 @@ def test_order_schur_preserves_complex_pairs():
     assert k == 2
     ev = quasi_tri_eigvalues(t)
     assert abs(ev[0].imag) > 1.0  # pair stayed together in the lead block
+
+
+def test_order_schur_one_stable_pass(monkeypatch):
+    # diagonal blocks: 0, -1, 0, (-0.5 +- 2i), 0, -3 on a random upper part
+    rng = np.random.default_rng(14)
+    t0 = np.triu(rng.standard_normal((7, 7)), 1)
+    np.fill_diagonal(t0, [0.0, -1.0, 0.0, -0.5, -0.5, 0.0, -3.0])
+    t0[3, 4], t0[4, 3] = 2.0, -2.0
+    calls = []
+    classify = linalg._classify_blocks
+    monkeypatch.setattr(linalg, "_classify_blocks",
+                        lambda *args: calls.append(1) or classify(*args))
+    u, t, k = order_schur_zeros_last(np.eye(7), t0, 1e-8)
+    assert len(calls) == 2  # once before the swaps, once to check them
+    assert k == 4
+    assert np.allclose(u @ t @ u.T, t0, atol=1e-13)
+    ev = quasi_tri_eigvalues(t)
+    # the non-zero blocks keep their order
+    assert np.allclose(ev[:4], [-1.0, -0.5 + 2j, -0.5 - 2j, -3.0])
+    assert np.all(np.abs(ev[4:]) <= 1e-8)
 
 
 # ---------------------------------------------------------------- solvers
