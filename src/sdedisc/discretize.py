@@ -31,14 +31,14 @@ from .errors import (
 )
 from .linalg import (
     _eig_sum_guard,
+    _LyapunovFactor,
+    _SylvesterFactor,
     check_square,
     eps_of,
     mat_exp,
     order_schur_zeros_last,
     quasi_tri_eigvalues,
     real_schur,
-    solve_lyapunov,
-    solve_sylvester,
     spectral_norm,
     tau_zero_default,
 )
@@ -69,11 +69,6 @@ def _trivial_report(m: ContinuousModel, method: Method) -> MethodReport:
                                      "lemma2_residual": 0.0})
 
 
-def _drift_eigvalues(m: ContinuousModel) -> np.ndarray:
-    _, tt = real_schur(m.a)
-    return quasi_tri_eigvalues(tt)
-
-
 def _sylv_residual(a, b, x, rhs) -> float:
     """Relative residual of a @ x + x @ b.T = rhs (b = a for Lyapunov).
     The floor is the width's smallest normal number, so that an empty or
@@ -89,13 +84,15 @@ def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
     t = _check_horizon(t)
     if t == 0.0:
         return _trivial_report(m, Method.LYAP_P)
-    evs = _drift_eigvalues(m)
+    # one Schur factorization serves the stability check and the solve
+    lyap = _LyapunovFactor(m.a)
+    evs = lyap.ev_a
     if float(evs.real.max()) >= -tau_zero_default(m.a):
         raise MethodNotApplicableError(
             "lyap-p requires a strictly stable drift; max Re(lambda) = "
             f"{evs.real.max():.3e}")
     try:
-        p = solve_lyapunov(m.a, -m.s)
+        p = lyap.guard().solve(-m.s)
     except NearSingularError as exc:
         raise MethodNotApplicableError(
             f"lyap-p not applicable: {exc}") from exc
@@ -116,7 +113,9 @@ def discretize_lyap_q(m: ContinuousModel, t: float) -> MethodReport:
     t = _check_horizon(t)
     if t == 0.0:
         return _trivial_report(m, Method.LYAP_Q)
-    evs = _drift_eigvalues(m)
+    # one Schur factorization serves the pre-check and the solve
+    lyap = _LyapunovFactor(m.a)
+    evs = lyap.ev_a
     try:
         _eig_sum_guard(evs, evs, 2.0 * tau_zero_default(m.a))
     except NearSingularError as exc:
@@ -128,7 +127,7 @@ def discretize_lyap_q(m: ContinuousModel, t: float) -> MethodReport:
     f = mat_exp(m.a, t)
     v = _sym(m.s - f @ m.s @ f.T)
     try:
-        q = solve_lyapunov(m.a, -v)
+        q = lyap.guard().solve(-v)
     except NearSingularError as exc:
         raise MethodNotApplicableError(
             f"lyap-q not applicable: {exc}") from exc
@@ -181,6 +180,54 @@ def _nilpotent_exp(a22: np.ndarray, t: float) -> np.ndarray:
     return acc
 
 
+class _ProposedPlan:
+    """Everything discretize_proposed needs that depends on (A, S) and
+    tau_zero only, never on the horizon: the real Schur form with the
+    integrators reordered last, its blocks, u^-1, the transformed S, and
+    the three block equations factored and guarded."""
+
+    def __init__(self, m: ContinuousModel, tau_zero: float | None, key):
+        self.key = key
+        u0, t0 = real_schur(m.a)
+        if tau_zero is None:
+            tau_zero = tau_zero_default(m.a)
+        u, at, k = order_schur_zeros_last(u0, t0, tau_zero)
+        a11 = np.ascontiguousarray(at[:k, :k])
+        a22 = np.ascontiguousarray(at[k:, k:])
+        # mirrored non-zero poles make the leading Lyapunov/Sylvester solves
+        # singular; fail fast with a spectrum diagnosis
+        ev1 = quasi_tri_eigvalues(a11)
+        try:
+            _eig_sum_guard(ev1, ev1,
+                           200.0 * eps_of(m.a) * float(np.linalg.norm(m.a)))
+        except NearSingularError as exc:
+            i, j = exc.pair
+            raise UnsupportedSpectrumError(
+                f"non-zero poles mirrored in the imaginary axis: "
+                f"{i:.3e} and {j:.3e}") from exc
+        try:
+            # f12: a11 X - X a22 = f11 a12 - a12 f22
+            self.f12 = _SylvesterFactor(a11, -a22).guard()
+            # q12: a11 X + X a22^T = rhs12;  q11: a11 X + X a11^T = rhs11
+            self.q12 = _SylvesterFactor(a11, a22.T).guard()
+            self.q11 = _LyapunovFactor(a11).guard()
+        except NearSingularError as exc:
+            raise UnsupportedSpectrumError(
+                f"proposed method not applicable: {exc}") from exc
+        self.u, self.k = u, k
+        self.a11, self.a12, self.a22 = a11, at[:k, k:], a22
+        # computed inverse rather than transpose: u is only orthogonal to
+        # rounding, and the back-transform error is smaller with the inverse
+        self.u_inv = np.linalg.inv(u)
+        self.st = _sym(self.u_inv @ m.s @ self.u_inv.T)
+        self.s22 = np.ascontiguousarray(self.st[k:, k:])
+
+
+# the plan of the last model discretize_proposed saw; replaced, never
+# mutated, so a call that reads it sees a whole plan
+_last_plan = None
+
+
 def discretize_proposed(m: ContinuousModel, t: float,
                         tau_zero: float | None = None) -> MethodReport:
     """Combined method: Schur-reorder integrators into the trailing block,
@@ -189,33 +236,23 @@ def discretize_proposed(m: ContinuousModel, t: float,
 
     One block formula for every integrator count: the leading block a11
     is 0 x 0 when every eigenvalue is an integrator, and the trailing
-    block a22 is 0 x 0 when there are none."""
+    block a22 is 0 x 0 when there are none.
+
+    The work that does not depend on t (Schur form, reordering, guards)
+    is kept from the last call and reused when this call's model has
+    byte-equal ``a`` and ``s`` of the same dtypes and the same
+    ``tau_zero``; any other model, or an edit to the arrays in place,
+    makes it factor afresh.  Results are the same either way."""
+    global _last_plan
     t = _check_horizon(t)
     if t == 0.0:
         return _trivial_report(m, Method.PROPOSED)
-    n = m.n
-    u0, t0 = real_schur(m.a)
-    if tau_zero is None:
-        tau_zero = tau_zero_default(m.a)
-    u, at, k = order_schur_zeros_last(u0, t0, tau_zero)
-    a11 = np.ascontiguousarray(at[:k, :k])
-    a12 = at[:k, k:]
-    a22 = np.ascontiguousarray(at[k:, k:])
-    # mirrored non-zero poles make the leading Lyapunov/Sylvester solves
-    # singular; fail fast with a spectrum diagnosis
-    ev1 = quasi_tri_eigvalues(a11)
-    try:
-        _eig_sum_guard(ev1, ev1,
-                       200.0 * eps_of(m.a) * float(np.linalg.norm(m.a)))
-    except NearSingularError as exc:
-        i, j = exc.pair
-        raise UnsupportedSpectrumError(
-            f"non-zero poles mirrored in the imaginary axis: "
-            f"{i:.3e} and {j:.3e}") from exc
-    # computed inverse rather than transpose: u is only orthogonal to
-    # rounding, and the back-transform error is smaller with the inverse
-    u_inv = np.linalg.inv(u)
-    st = _sym(u_inv @ m.s @ u_inv.T)
+    key = (m.a.dtype, m.s.dtype, m.a.tobytes(), m.s.tobytes(), tau_zero)
+    plan = _last_plan
+    if plan is None or plan.key != key:
+        plan = _last_plan = _ProposedPlan(m, tau_zero, key)
+    n, k = m.n, plan.k
+    a11, a12, a22, st = plan.a11, plan.a12, plan.a22, plan.st
     # assemble exp(at * t) blockwise: the whole-matrix exponential
     # loses accuracy for large t * |A| through repeated squaring,
     # while the leading block decays and the trailing block has a
@@ -226,24 +263,20 @@ def discretize_proposed(m: ContinuousModel, t: float,
     ft = np.zeros((n, n), dtype=m.dtype)
     ft[:k, :k] = f11
     ft[k:, k:] = f22
-    try:
-        ft[:k, k:] = solve_sylvester(a11, -a22, f11 @ a12 - a12 @ f22)
-        vt = _sym(st - ft @ st @ ft.T)
-        q22 = q_nilpotent(a22, np.ascontiguousarray(st[k:, k:]), t)
-        rhs12 = -vt[:k, k:] - a12 @ q22
-        q12 = solve_sylvester(a11, a22.T, rhs12)
-        rhs11 = -vt[:k, :k] - a12 @ q12.T - q12 @ a12.T
-        q11 = solve_lyapunov(a11, rhs11)
-    except NearSingularError as exc:
-        raise UnsupportedSpectrumError(
-            f"proposed method not applicable: {exc}") from exc
+    ft[:k, k:] = plan.f12.solve(f11 @ a12 - a12 @ f22)
+    vt = _sym(st - ft @ st @ ft.T)
+    q22 = q_nilpotent(a22, plan.s22, t)
+    rhs12 = -vt[:k, k:] - a12 @ q22
+    q12 = plan.q12.solve(rhs12)
+    rhs11 = -vt[:k, :k] - a12 @ q12.T - q12 @ a12.T
+    q11 = plan.q11.solve(rhs11)
     qt = np.empty((n, n), dtype=m.dtype)
     qt[:k, :k] = q11
     qt[:k, k:] = q12
     qt[k:, :k] = q12.T
     qt[k:, k:] = q22
-    f = u @ ft @ u_inv
-    q = _sym(u @ qt @ u.T)
+    f = plan.u @ ft @ plan.u_inv
+    q = _sym(plan.u @ qt @ plan.u.T)
     diag = {
         "split_index": float(k),
         "integrator_count": float(n - k),

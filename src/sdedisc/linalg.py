@@ -226,10 +226,8 @@ def order_schur_zeros_last(u: np.ndarray, t: np.ndarray,
 def is_quasi_upper_triangular(a: np.ndarray) -> bool:
     """True if a already has real Schur zero structure (entries below the
     first subdiagonal all zero, no two consecutive nonzero subdiagonals)."""
-    n = a.shape[0]
-    for i in range(2, n):
-        if np.any(a[i, :i - 1] != 0.0):
-            return False
+    if np.tril(a, -2).any():
+        return False
     sub = np.diagonal(a, -1) != 0.0
     return not np.any(sub[:-1] & sub[1:])
 
@@ -255,6 +253,65 @@ def _eig_sum_guard(ev_a, ev_b, threshold):
             pair=(complex(ev_a[i]), complex(ev_b[j])))
 
 
+class _SylvesterFactor:
+    """The coefficients of a @ X + X @ b = c reduced to real Schur form once,
+    so that each right-hand side costs one quasi-triangular back-substitution
+    (Bartels-Stewart).  Inputs that are already quasi-upper triangular (a,
+    or b transposed) are used as-is without re-factorization.
+
+    ``guard`` raises NearSingularError when min |lambda_i(a) + lambda_j(b)|
+    falls below the singularity threshold; call it before ``solve``.  The
+    eigenvalues it tests are kept as ``ev_a`` and ``ev_b``."""
+
+    kind = "sylvester"
+
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        a = check_square(a, "sylvester a")
+        b = check_square(b, "sylvester b")
+        self.ua, ta = _schur_or_passthrough(a)
+        self.ub, tb = _schur_or_passthrough(b.T)  # b = ub @ tb.T @ ub.T
+        self.ta = np.ascontiguousarray(ta)
+        self.tb = np.ascontiguousarray(tb.T)
+        self.ev_a = quasi_tri_eigvalues(ta)
+        self.ev_b = quasi_tri_eigvalues(tb)
+        self.threshold = 100.0 * eps_of(a) * float(
+            np.linalg.norm(a) + np.linalg.norm(b))
+
+    def guard(self):
+        _eig_sum_guard(self.ev_a, self.ev_b, self.threshold)
+        return self
+
+    def solve(self, c: np.ndarray) -> np.ndarray:
+        c = check_finite(np.asarray(c), f"{self.kind} c")
+        shape = (self.ta.shape[0], self.tb.shape[0])
+        if c.shape != shape:
+            raise DimensionError(
+                f"rhs shape {c.shape} incompatible with {shape}")
+        cc = np.ascontiguousarray(self.ua.T @ c @ self.ub)
+        y = _kernels.trsylv(self.ta, self.tb, cc)
+        return self.ua @ y @ self.ub.T
+
+
+class _LyapunovFactor(_SylvesterFactor):
+    """a @ X + X @ a.T = c for symmetric c, with a single Schur factorization
+    shared between both sides; ``solve`` symmetrizes its result."""
+
+    kind = "lyapunov"
+
+    def __init__(self, a: np.ndarray):
+        a = check_square(a, "lyapunov a")
+        self.ua, ta = _schur_or_passthrough(a)
+        self.ub = self.ua
+        self.ta = np.ascontiguousarray(ta)
+        self.tb = np.ascontiguousarray(ta.T)
+        self.ev_a = self.ev_b = quasi_tri_eigvalues(ta)
+        self.threshold = 100.0 * eps_of(a) * 2.0 * float(np.linalg.norm(a))
+
+    def solve(self, c: np.ndarray) -> np.ndarray:
+        x = super().solve(c)
+        return (x + x.T) / x.dtype.type(2)
+
+
 def solve_sylvester(a: np.ndarray, b: np.ndarray,
                     c: np.ndarray) -> np.ndarray:
     """Solve a @ X + X @ b = c by Bartels-Stewart.
@@ -263,39 +320,13 @@ def solve_sylvester(a: np.ndarray, b: np.ndarray,
     used as-is without re-factorization.  Raises NearSingularError when
     min |lambda_i(a) + lambda_j(b)| falls below the singularity threshold.
     """
-    a = check_square(a, "sylvester a")
-    b = check_square(b, "sylvester b")
-    c = check_finite(np.asarray(c), "sylvester c")
-    if c.shape != (a.shape[0], b.shape[0]):
-        raise DimensionError(
-            f"rhs shape {c.shape} incompatible with ({a.shape[0]}, {b.shape[0]})")
-    ua, ta = _schur_or_passthrough(a)
-    ub, tb = _schur_or_passthrough(b.T)  # b = ub @ tb.T @ ub.T
-    ev_a = quasi_tri_eigvalues(ta)
-    ev_b = quasi_tri_eigvalues(tb)
-    _eig_sum_guard(ev_a, ev_b, 100.0 * eps_of(a) * float(
-        np.linalg.norm(a) + np.linalg.norm(b)))
-    cc = np.ascontiguousarray(ua.T @ c @ ub)
-    y = _kernels.trsylv(np.ascontiguousarray(ta),
-                        np.ascontiguousarray(tb.T), cc)
-    return ua @ y @ ub.T
+    return _SylvesterFactor(a, b).guard().solve(c)
 
 
 def solve_lyapunov(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Solve a @ X + X @ a.T = c for symmetric c; the result is explicitly
     symmetrized.  Shares a single Schur factorization between both sides."""
-    a = check_square(a, "lyapunov a")
-    c = check_finite(np.asarray(c), "lyapunov c")
-    if c.shape != a.shape:
-        raise DimensionError(f"rhs shape {c.shape} != {a.shape}")
-    ua, ta = _schur_or_passthrough(a)
-    ev = quasi_tri_eigvalues(ta)
-    _eig_sum_guard(ev, ev, 100.0 * eps_of(a) * 2.0 * float(np.linalg.norm(a)))
-    cc = np.ascontiguousarray(ua.T @ c @ ua)
-    ta = np.ascontiguousarray(ta)
-    y = _kernels.trsylv(ta, np.ascontiguousarray(ta.T), cc)
-    x = ua @ y @ ua.T
-    return (x + x.T) / x.dtype.type(2)
+    return _LyapunovFactor(a).guard().solve(c)
 
 
 def symmetric_eigvalues(m: np.ndarray) -> np.ndarray:

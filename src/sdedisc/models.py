@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, NonFiniteError
-from .linalg import eps_of, symmetric_eigvalues
+from .linalg import eps_of
 
 
 class Method(enum.Enum):
@@ -52,10 +52,11 @@ class ContinuousModel:
         snorm = float(np.linalg.norm(s))
         if snorm > 0.0:
             tau_psd = 100.0 * a.shape[0] * eps_of(s) * snorm
-            if float(symmetric_eigvalues(s)[0]) < -tau_psd:
+            lowest = float(np.linalg.eigvalsh(s)[0])
+            if lowest < -tau_psd:
                 raise ValueError(
                     "noise intensity is not positive semidefinite "
-                    f"(min eigenvalue {symmetric_eigvalues(s)[0]:.3e})")
+                    f"(min eigenvalue {lowest:.3e})")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "s", s)
 

@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sdedisc import _kernels, discretize
 from sdedisc.errors import (MatrixOverflowError, MethodNotApplicableError,
                             NilpotencyError, UnsupportedSpectrumError)
 from sdedisc.models import ContinuousModel, Method, EXACT_METHODS
@@ -303,6 +305,103 @@ def test_proposed_float32_error_flat_in_horizon():
         errs[t] = rel_err(q32, q_oracle(m, t))
     assert errs[100.0] < 50.0 * errs[1.0]
     assert errs[100.0] < 1e-3
+
+
+# ------------------------------------------------- factor once, many t
+
+
+HORIZONS = (1e-3, 0.05, 0.7, 3.0, 10.0)
+
+
+def cold(m, t):
+    """discretize_proposed with no plan kept from an earlier call."""
+    discretize._last_plan = None
+    return discretize_proposed(m, t)
+
+
+def same_bits(r1, r2):
+    return (r1.model.f.tobytes() == r2.model.f.tobytes()
+            and r1.model.q.tobytes() == r2.model.q.tobytes()
+            and r1.diagnostics == r2.diagnostics)
+
+
+@pytest.fixture
+def schur_count(monkeypatch):
+    """Counts real Schur factorizations through the Francis QR kernel."""
+    calls = []
+    francis = _kernels.francis_qr
+    monkeypatch.setattr(_kernels, "francis_qr",
+                        lambda *args: calls.append(1) or francis(*args))
+    return calls
+
+
+@pytest.mark.parametrize("model", [
+    stable_system(0),                            # p = 0
+    constant_velocity(),                         # k = 0
+    mixed_system(2),
+    mixed_system(3).astype(np.float32),
+], ids=["p0", "k0", "mixed", "binary32"])
+def test_proposed_warm_equals_cold(model):
+    want = [cold(model, t) for t in HORIZONS]
+    discretize._last_plan = None
+    for t, r in zip(HORIZONS, want):
+        assert same_bits(discretize_proposed(model, t), r), t
+
+
+def test_proposed_factors_once_for_many_horizons(schur_count):
+    m = mixed_system(4)
+    ts = np.geomspace(1e-3, 10.0, 16)
+    for t in ts:
+        discretize_proposed(m, t)
+    assert len(schur_count) == 1
+    # a model equal in value but built afresh reuses the factorization
+    discretize_proposed(mixed_system(4), 1.0)
+    assert len(schur_count) == 1
+
+
+def test_proposed_refactors_on_any_change(schur_count):
+    m = mixed_system(0)
+    discretize_proposed(m, 1.0)
+    assert len(schur_count) == 1
+    m.a[...] = 1.5 * m.a  # edited in place: the kept plan is stale
+    assert same_bits(discretize_proposed(m, 1.0),
+                     cold(ContinuousModel(m.a.copy(), m.s.copy()), 1.0))
+    m.s[...] = 2.0 * m.s
+    assert same_bits(discretize_proposed(m, 1.0),
+                     cold(ContinuousModel(m.a.copy(), m.s.copy()), 1.0))
+    discretize._last_plan = None
+    schur_count.clear()
+    discretize_proposed(m, 1.0)
+    discretize_proposed(m, 1.0, tau_zero=1e-3)
+    discretize_proposed(m.astype(np.float32), 1.0)
+    assert len(schur_count) == 3
+
+
+def test_proposed_plan_failure_raises_every_call(schur_count):
+    m = ContinuousModel(np.diag([1.0, -1.0]), np.eye(2))
+    for t in (1.0, 2.0, 1.0):
+        with pytest.raises(UnsupportedSpectrumError):
+            discretize_proposed(m, t)
+    assert len(schur_count) == 3  # a failed plan is not kept
+
+
+@pytest.mark.parametrize("method", [discretize_lyap_p, discretize_lyap_q])
+def test_lyap_methods_factor_once_per_call(method, schur_count):
+    m = stable_system(1)
+    for t in (0.5, 2.0):
+        method(m, t)
+    assert len(schur_count) == 2
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), p=st.integers(0, 2),
+       ts=st.lists(st.floats(1e-3, 10.0), min_size=2, max_size=4))
+def test_proposed_warm_equals_cold_property(seed, p, ts):
+    m = gen_random_system(EnsembleSpec(n=5, m=5 - p, p=p, seed=seed))
+    want = [cold(m, t) for t in ts]
+    discretize._last_plan = None
+    for t, r in zip(ts, want):
+        assert same_bits(discretize_proposed(m, t), r)
 
 
 # ------------------------------------------------------------ dispatch

@@ -133,6 +133,32 @@ def test_real_schur_symmetric_gives_diagonal():
     assert np.linalg.norm(off) < 1e-11 * np.linalg.norm(a)
 
 
+def _quasi_upper_loop(a):
+    """Row-by-row reference for is_quasi_upper_triangular."""
+    for i in range(2, a.shape[0]):
+        if np.any(a[i, :i - 1] != 0.0):
+            return False
+    sub = np.diagonal(a, -1) != 0.0
+    return not np.any(sub[:-1] & sub[1:])
+
+
+def test_is_quasi_upper_triangular_cases():
+    assert is_quasi_upper_triangular(np.zeros((0, 0)))
+    assert is_quasi_upper_triangular(np.array([[3.0]]))
+    assert not is_quasi_upper_triangular(np.tril(np.ones((4, 4))))
+    two_subdiagonals = np.triu(np.ones((4, 4)), -1)
+    two_subdiagonals[3, 2] = 0.0  # nonzero at (1, 0) and (2, 1)
+    assert not is_quasi_upper_triangular(two_subdiagonals)
+    two_subdiagonals[2, 1] = 0.0
+    assert is_quasi_upper_triangular(two_subdiagonals)
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        n = int(rng.integers(0, 6))
+        a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
+        a += np.triu(rng.standard_normal((n, n)))
+        assert is_quasi_upper_triangular(a) == _quasi_upper_loop(a)
+
+
 # --------------------------------------------------------------- ordering
 
 

@@ -4,6 +4,7 @@ observer-canonical builder."""
 import numpy as np
 import pytest
 
+from sdedisc.models import ContinuousModel
 from sdedisc.modelgen import (EnsembleSpec, gen_random_system,
                               constant_velocity, observer_canonical,
                               observer_canonical_output)
@@ -101,3 +102,13 @@ def test_observer_canonical_validation():
         observer_canonical([], [])
     with pytest.raises(ValueError):
         observer_canonical([1.0], [1.0], p=-1)
+
+
+@pytest.mark.parametrize("width", [np.float64, np.float32])
+def test_model_rejects_indefinite_noise(width):
+    a = -np.eye(3, dtype=width)
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        ContinuousModel(a, np.diag([1.0, 0.5, -0.1]).astype(width))
+    # rank-deficient but semidefinite to rounding: accepted
+    v = np.array([[1.0], [2.0], [3.0]], dtype=width)
+    ContinuousModel(a, v @ v.T)
