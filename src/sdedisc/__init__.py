@@ -6,6 +6,7 @@ covariance Q = int_0^T exp(A tau) S exp(A^T tau) dtau without
 quadrature, including systems with integrators (zero eigenvalues).
 """
 
+from . import _backend  # noqa: F401  (read by perfbench/run.py)
 from .errors import (SdeDiscError, DimensionError, NonFiniteError,
                      MatrixOverflowError, ConvergenceError,
                      NearSingularError, ClassificationError,

@@ -1,69 +1,54 @@
 """Hot numeric kernels.
 
-Every function here is plain numpy code compiled with ``numba.njit`` when
-available (see ``_backend``).  All kernels mutate or allocate arrays in the
-dtype of their inputs, so the same code serves binary32 and binary64.
-Scalar temporaries may be evaluated in double precision by the compiler;
-all array stores and matrix products stay in the input width.
+Every kernel is plain numpy.  Reflectors and rotations are applied as
+whole-row and whole-column slice updates whose sums are added term by term
+in a fixed order, not by BLAS products, so their rounding does not depend
+on the BLAS build.  All kernels mutate or allocate arrays in the dtype of
+their inputs, so the same code serves binary32 and binary64.
 """
 
 import numpy as np
 
-from ._backend import njit
+# Pade coefficients b_0 .. b_13 of the degree-13 diagonal approximant
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
 
 
-@njit
 def hessenberg(h, u):
     """Reduce h to upper Hessenberg form in place by Householder
     reflections, accumulating the orthogonal transform into u."""
     n = h.shape[0]
     for k in range(n - 2):
-        xnorm = 0.0
-        for i in range(k + 1, n):
-            xnorm += h[i, k] * h[i, k]
-        xnorm = np.sqrt(xnorm)
+        col = h[k + 1:, k]
+        xnorm = np.sqrt(np.add.accumulate(col * col)[-1])
         if xnorm == 0.0:
             continue
         alpha = -xnorm if h[k + 1, k] >= 0.0 else xnorm
-        v = np.empty(n - k - 1, dtype=h.dtype)
-        for i in range(k + 1, n):
-            v[i - k - 1] = h[i, k]
+        v = col.copy()
         v[0] -= alpha
-        vnorm2 = 0.0
-        for i in range(v.shape[0]):
-            vnorm2 += v[i] * v[i]
+        vnorm2 = np.add.accumulate(v * v)[-1]
         if vnorm2 == 0.0:
             continue
         beta = 2.0 / vnorm2
         # rows k+1..n-1
-        for j in range(k, n):
-            s = 0.0
-            for i in range(v.shape[0]):
-                s += v[i] * h[k + 1 + i, j]
-            s *= beta
-            for i in range(v.shape[0]):
-                h[k + 1 + i, j] -= s * v[i]
+        rows = h[k + 1:, k:]
+        s = np.zeros(n - k, dtype=h.dtype)
+        for i in range(v.shape[0]):
+            s += v[i] * rows[i]
+        rows -= np.outer(v, s * beta)
         # columns k+1..n-1
-        for i in range(n):
-            s = 0.0
+        for w in (h, u):
+            cols = w[:, k + 1:]
+            s = np.zeros(n, dtype=h.dtype)
             for j in range(v.shape[0]):
-                s += h[i, k + 1 + j] * v[j]
-            s *= beta
-            for j in range(v.shape[0]):
-                h[i, k + 1 + j] -= s * v[j]
-        for i in range(n):
-            s = 0.0
-            for j in range(v.shape[0]):
-                s += u[i, k + 1 + j] * v[j]
-            s *= beta
-            for j in range(v.shape[0]):
-                u[i, k + 1 + j] -= s * v[j]
+                s += cols[:, j] * v[j]
+            cols -= np.outer(s * beta, v)
         h[k + 1, k] = alpha
-        for i in range(k + 2, n):
-            h[i, k] = 0.0
+        h[k + 2:, k] = 0.0
 
 
-@njit
 def francis_qr(h, u, eps, anorm, max_sweeps):
     """Francis implicit double-shift QR on an upper Hessenberg h, in place.
 
@@ -134,33 +119,16 @@ def francis_qr(h, u, eps, anorm, max_sweeps):
                 continue
             beta = 2.0 / vnorm2
             rr = 3 if three else 2
-            for j in range(n):
-                s = v0 * h[k, j] + v1 * h[k + 1, j]
-                if rr == 3:
-                    s += v2 * h[k + 2, j]
+            # rows k.., then columns k.. of h, then columns k.. of u
+            for w in (h[k:k + rr], h[:, k:k + rr].T, u[:, k:k + rr].T):
+                s = v0 * w[0] + v1 * w[1]
+                if three:
+                    s += v2 * w[2]
                 s *= beta
-                h[k, j] -= s * v0
-                h[k + 1, j] -= s * v1
-                if rr == 3:
-                    h[k + 2, j] -= s * v2
-            for i in range(n):
-                s = v0 * h[i, k] + v1 * h[i, k + 1]
-                if rr == 3:
-                    s += v2 * h[i, k + 2]
-                s *= beta
-                h[i, k] -= s * v0
-                h[i, k + 1] -= s * v1
-                if rr == 3:
-                    h[i, k + 2] -= s * v2
-            for i in range(n):
-                s = v0 * u[i, k] + v1 * u[i, k + 1]
-                if rr == 3:
-                    s += v2 * u[i, k + 2]
-                s *= beta
-                u[i, k] -= s * v0
-                u[i, k + 1] -= s * v1
-                if rr == 3:
-                    u[i, k + 2] -= s * v2
+                w[0] -= s * v0
+                w[1] -= s * v1
+                if three:
+                    w[2] -= s * v2
             if k > lo:
                 h[k + 1, k - 1] = 0.0
                 if three:
@@ -168,29 +136,14 @@ def francis_qr(h, u, eps, anorm, max_sweeps):
     return total, True
 
 
-@njit
 def _rotate(t, u, i, cs, sn):
     """Orthogonal similarity with G = [[cs, -sn], [sn, cs]] acting on
     rows/columns i, i+1 of t, and on columns i, i+1 of u."""
-    n = t.shape[0]
-    for j in range(n):
-        p = t[i, j]
-        q = t[i + 1, j]
-        t[i, j] = cs * p + sn * q
-        t[i + 1, j] = cs * q - sn * p
-    for r in range(n):
-        p = t[r, i]
-        q = t[r, i + 1]
-        t[r, i] = cs * p + sn * q
-        t[r, i + 1] = cs * q - sn * p
-    for r in range(n):
-        p = u[r, i]
-        q = u[r, i + 1]
-        u[r, i] = cs * p + sn * q
-        u[r, i + 1] = cs * q - sn * p
+    for w in (t[i:i + 2], t[:, i:i + 2].T, u[:, i:i + 2].T):
+        p, q = w
+        w[0], w[1] = cs * p + sn * q, cs * q - sn * p
 
 
-@njit
 def standardize_quasi_triangular(t, u):
     """Normalize the 2x2 diagonal blocks of a quasi-triangular t in place.
 
@@ -233,7 +186,6 @@ def standardize_quasi_triangular(t, u):
             i += 2
 
 
-@njit
 def trsylv(ta, r, c):
     """Solve ta @ Y + Y @ r = c where ta is quasi-upper triangular and r
     is quasi-lower triangular, by block back-substitution."""
@@ -285,26 +237,11 @@ def trsylv(ta, r, c):
     return y
 
 
-@njit
 def pade13_expm(a, squarings):
     """Degree-13 diagonal Pade approximant of exp(a) followed by repeated
     squaring; a must already be scaled so the approximant is accurate."""
     n = a.shape[0]
-    b = np.empty(14, dtype=a.dtype)
-    b[0] = 64764752532480000.0
-    b[1] = 32382376266240000.0
-    b[2] = 7771770303897600.0
-    b[3] = 1187353796428800.0
-    b[4] = 129060195264000.0
-    b[5] = 10559470521600.0
-    b[6] = 670442572800.0
-    b[7] = 33522128640.0
-    b[8] = 1323241920.0
-    b[9] = 40840800.0
-    b[10] = 960960.0
-    b[11] = 16380.0
-    b[12] = 182.0
-    b[13] = 1.0
+    b = _PADE13
     ident = np.eye(n, dtype=a.dtype)
     a2 = np.dot(a, a)
     a4 = np.dot(a2, a2)
@@ -320,7 +257,6 @@ def pade13_expm(a, squarings):
     return r
 
 
-@njit
 def jacobi_symm_eigvals(a, eps, max_sweeps):
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
     Mutates a (pass a copy).  Returns the diagonal, unsorted."""
@@ -368,7 +304,6 @@ def jacobi_symm_eigvals(a, eps, max_sweeps):
     return diag
 
 
-@njit
 def propagated_outer_sum(e_start, e_step, s, count):
     """sum_{i<count} E_i @ s @ E_i^T with E_0 = e_start, E_{i+1} = E_i @ e_step.
 

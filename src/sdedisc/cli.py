@@ -3,6 +3,7 @@ checks, run the mixed-precision benchmark, and generate system files."""
 
 import argparse
 import logging
+import math
 import os
 import sys
 
@@ -12,7 +13,7 @@ from . import sysfile
 from .bench import (BenchConfig, run_benchmark, summarize,
                     records_to_csv, summary_to_csv, write_csv)
 from .discretize import run_method, semigroup_residual
-from .errors import SdeDiscError, MatrixOverflowError, MethodNotApplicableError
+from .errors import SdeDiscError
 from .modelgen import EnsembleSpec, gen_random_system, FIXTURES
 from .models import Method, EXACT_METHODS
 from .sysfile import SystemFileError
@@ -53,8 +54,7 @@ def cmd_discretize(args) -> int:
     method = Method(args.method)
     try:
         report = run_method(model, args.t, method, oracle_tol=args.tol)
-    except (MethodNotApplicableError, MatrixOverflowError,
-            SdeDiscError) as exc:
+    except SdeDiscError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_METHOD
     _print_matrix("f", report.model.f)
@@ -76,8 +76,7 @@ def cmd_check(args) -> int:
         try:
             report = run_method(model, args.t, method)
             semi = semigroup_residual(model, method, args.t / 2, args.t / 2)
-        except (MethodNotApplicableError, MatrixOverflowError,
-                SdeDiscError) as exc:
+        except SdeDiscError as exc:
             log.info("%s failed: %s", method.value, exc)
             print(f"{method.value},,,not-applicable")
             continue
@@ -91,9 +90,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    ensemble = EnsembleSpec(n=args.n, m=args.m, p=args.p, seed=args.seed)
-    cfg = BenchConfig(ensemble=ensemble, runs=args.runs, width=args.width,
-                      oracle_tol=args.tol)
+    try:
+        ensemble = EnsembleSpec(n=args.n, m=args.m, p=args.p, seed=args.seed)
+        cfg = BenchConfig(ensemble=ensemble, runs=args.runs,
+                          width=args.width, oracle_tol=args.tol)
+    except ValueError as exc:
+        args.parser.error(str(exc))
     log.info("running %d systems x %d times x %d methods",
              cfg.runs, len(cfg.t_grid), len(cfg.methods))
     records = run_benchmark(cfg)
@@ -120,7 +122,10 @@ def cmd_gen(args) -> int:
         model = FIXTURES[args.fixture]()
         name = args.fixture
     else:
-        spec = EnsembleSpec(n=args.n, m=args.m, p=args.p, seed=args.seed)
+        try:
+            spec = EnsembleSpec(n=args.n, m=args.m, p=args.p, seed=args.seed)
+        except ValueError as exc:
+            args.parser.error(str(exc))
         model = gen_random_system(spec, stream=args.stream)
         name = f"ensemble-n{args.n}-m{args.m}-p{args.p}-seed{args.seed}"
     try:
@@ -129,6 +134,17 @@ def cmd_gen(args) -> int:
         print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     return EXIT_OK
+
+
+def _sampling_time(text: str) -> float:
+    try:
+        t = float(text)
+    except ValueError:
+        t = math.nan
+    if not 0.0 <= t < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}")
+    return t
 
 
 def _add_width_flags(parser, default=np.float64) -> None:
@@ -149,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discretize",
                        help="discretize a system file at one horizon")
     p.add_argument("file")
-    p.add_argument("--t", type=float, required=True, help="sampling time")
+    p.add_argument("--t", type=_sampling_time, required=True,
+                   help="sampling time")
     p.add_argument("--method", default=Method.PROPOSED.value,
                    choices=[m.value for m in Method])
     p.add_argument("--tol", type=float, default=1e-12,
@@ -160,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check",
                        help="print correctness residuals for all methods")
     p.add_argument("file")
-    p.add_argument("--t", type=float, required=True, help="sampling time")
+    p.add_argument("--t", type=_sampling_time, required=True,
+                   help="sampling time")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="residual threshold that flags an exact method")
     p.set_defaults(func=cmd_check)
@@ -177,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-12,
                    help="oracle quadrature tolerance")
     _add_width_flags(p, default=np.float32)  # the experiment runs binary32
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, parser=p)
 
     p = sub.add_parser("gen", help="write a system file")
     p.add_argument("--out", required=True)
@@ -189,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--stream", type=int, default=0,
                    help="substream index within the seed")
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, parser=p)
     return parser
 
 

@@ -8,6 +8,9 @@ import numpy as np
 from .models import ContinuousModel
 from .linalg import spectral_norm
 
+# real parts of the stable poles are drawn uniformly from this interval
+_POLE_REAL_RANGE = (-1.0, -0.05)
+
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -19,16 +22,11 @@ class EnsembleSpec:
     m: int
     p: int
     seed: int = 0
-    pole_real_range: tuple = (-1.0, -0.05)
-    coupling_scale: float = 1.0
 
     def __post_init__(self):
         if self.m < 0 or self.p < 0 or self.n != self.m + self.p:
             raise ValueError(f"need n = m + p with m, p >= 0, got "
                              f"n={self.n}, m={self.m}, p={self.p}")
-        lo, hi = self.pole_real_range
-        if not (lo <= hi < 0.0):
-            raise ValueError("pole_real_range must lie strictly left of 0")
 
 
 def _rng_for(spec: EnsembleSpec, stream: int = 0) -> np.random.Generator:
@@ -44,7 +42,7 @@ def gen_random_system(spec: EnsembleSpec, stream: int = 0) -> ContinuousModel:
     """
     rng = _rng_for(spec, stream)
     n, m, p = spec.n, spec.m, spec.p
-    lo, hi = spec.pole_real_range
+    lo, hi = _POLE_REAL_RANGE
 
     core = np.zeros((m, m))
     reals = []
@@ -66,7 +64,7 @@ def gen_random_system(spec: EnsembleSpec, stream: int = 0) -> ContinuousModel:
     for j in range(p - 1):
         a[m + j, m + j + 1] = 1.0  # single nilpotent chain
     if m and p:
-        a[:m, m:] = spec.coupling_scale * rng.standard_normal((m, p))
+        a[:m, m:] = rng.standard_normal((m, p))
 
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     q = q * np.sign(np.diagonal(r))  # deterministic sign convention
@@ -116,13 +114,6 @@ def observer_canonical(a_coeffs, b_coeffs, p: int = 0) -> ContinuousModel:
     for k in range(m):
         b[p + k, 0] = b_coeffs[k]
     return ContinuousModel(a, b @ b.T)
-
-
-def observer_canonical_output(n: int) -> np.ndarray:
-    """The measurement row vector of the observer canonical form."""
-    c = np.zeros((1, n))
-    c[0, 0] = 1.0
-    return c
 
 
 FIXTURES = {

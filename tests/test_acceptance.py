@@ -49,7 +49,7 @@ _A3_REPORTS = {}
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    """Trigger one-time jit compilation before any timed criterion."""
+    """Run the kernels once at both widths before any timed criterion."""
     m = gen_random_system(EnsembleSpec(n=3, m=2, p=1, seed=0))
     for width in (np.float64, np.float32):
         discretize_proposed(m.astype(width), 1.0)

@@ -6,8 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sdedisc import linalg
+from sdedisc import _kernels, linalg
 from sdedisc.errors import (MatrixOverflowError, NearSingularError,
                             DimensionError, NonFiniteError)
 from sdedisc.linalg import (mat_exp, real_schur, order_schur_zeros_last,
@@ -111,17 +112,59 @@ def test_mat_exp_rejects_bad_input():
 # ------------------------------------------------------------- real_schur
 
 
+def check_real_schur(a):
+    """real_schur(a) against its contract, to 64 n eps ||a|| (times each
+    eigenvalue's condition number for the eigenvalues): u orthogonal,
+    u t u^T = a, t quasi-upper triangular whose 2x2 blocks hold complex
+    pairs with equal diagonal, and the eigenvalues of np.linalg.eig."""
+    n = a.shape[0]
+    u, t = real_schur(a)
+    assert u.dtype == t.dtype == a.dtype
+    a64, u64, t64 = (x.astype(np.float64) for x in (a, u, t))
+    tol = 64 * n * np.finfo(a.dtype).eps
+    norm = np.linalg.norm(a64, 2)
+    assert np.linalg.norm(u64.T @ u64 - np.eye(n), 2) <= tol
+    assert np.linalg.norm(u64 @ t64 @ u64.T - a64, 2) <= tol * norm
+    assert is_quasi_upper_triangular(t)
+    for i in np.flatnonzero(np.diagonal(t, -1)):
+        assert t[i, i] == t[i + 1, i + 1]
+        assert t[i, i + 1] * t[i + 1, i] < 0.0
+    want, x = np.linalg.eig(a64)
+    kappa = np.linalg.norm(x, axis=0) * np.linalg.norm(np.linalg.inv(x),
+                                                       axis=1)
+    dist = np.abs(want[:, None] - quasi_tri_eigvalues(t)[None, :])
+    assert np.all(dist.min(axis=1) <= kappa * tol * norm)
+    assert np.all(dist.min(axis=0) <= kappa.max() * tol * norm)
+
+
 def test_real_schur_reconstruction_and_eigenvalues():
     rng = np.random.default_rng(10)
-    for n in (1, 2, 3, 5, 8, 12):
+    for n in (1, 2, 3, 5, 8, 12, 16, 24, 48):
         a = random_matrix(rng, n)
-        u, t = real_schur(a)
-        assert np.allclose(u @ u.T, np.eye(n), atol=1e-13)
-        assert np.allclose(u @ t @ u.T, a, atol=1e-12 * max(1, n))
-        assert is_quasi_upper_triangular(t)
-        got = np.sort_complex(quasi_tri_eigvalues(t))
-        want = np.sort_complex(np.linalg.eigvals(a))
-        assert np.allclose(got, want, rtol=1e-8, atol=1e-8)
+        for dtype in (np.float64, np.float32):
+            check_real_schur(a.astype(dtype))
+
+
+# derandomized so that tier-1 is repeatable; the known loss in the 2x2
+# standardization (xfail below) breaks it on about one binary64 draw in 1500
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 32),
+       dtype=st.sampled_from([np.float64, np.float32]))
+def test_real_schur_property(seed, n, dtype):
+    rng = np.random.default_rng(seed)
+    check_real_schur(random_matrix(rng, n).astype(dtype))
+
+
+@pytest.mark.xfail(strict=True, reason="the rotation angle of a complex "
+                   "2x2 block is taken from a root formed with cancellation")
+def test_standardize_near_equal_diagonal_backward_stable():
+    # a - d = 5.7e-9 = 0.4 sqrt(eps): the backward error reaches 3e7 eps
+    t0 = np.array([[0.5 + 5.746434968715974e-09, 1.0], [-0.25, 0.5]])
+    t, u = t0.copy(), np.eye(2)
+    _kernels.standardize_quasi_triangular(t, u)
+    assert t[0, 0] == t[1, 1] and t[1, 0] != 0.0
+    err = np.linalg.norm(u @ t @ u.T - t0, 2)
+    assert err <= 64 * 2 * np.finfo(np.float64).eps * np.linalg.norm(t0, 2)
 
 
 def test_real_schur_symmetric_gives_diagonal():

@@ -6,8 +6,7 @@ import pytest
 
 from sdedisc.models import ContinuousModel
 from sdedisc.modelgen import (EnsembleSpec, gen_random_system,
-                              constant_velocity, observer_canonical,
-                              observer_canonical_output)
+                              constant_velocity, observer_canonical)
 from sdedisc.linalg import (real_schur, order_schur_zeros_last,
                             tau_zero_default, spectral_norm)
 
@@ -23,8 +22,6 @@ def test_spec_validation():
         EnsembleSpec(n=5, m=4, p=2)
     with pytest.raises(ValueError):
         EnsembleSpec(n=4, m=-1, p=5)
-    with pytest.raises(ValueError):
-        EnsembleSpec(n=2, m=2, p=0, pole_real_range=(-1.0, 0.5))
 
 
 def test_reference_spec_eigenstructure():
@@ -83,8 +80,6 @@ def test_observer_canonical_structure():
     b = np.array([[0.0], [1.0], [4.0]])
     assert np.array_equal(m.s, b @ b.T)
     assert classify_integrators(m.a) == 1
-    c = observer_canonical_output(3)
-    assert np.array_equal(c, [[1.0, 0.0, 0.0]])
 
 
 def test_observer_canonical_poles():

@@ -111,6 +111,30 @@ def test_cli_parse_failure_exit_2(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["discretize", "{cv}", "--t", "-1"], "finite number >= 0"),
+    (["discretize", "{cv}", "--t", "nan"], "finite number >= 0"),
+    (["discretize", "{cv}", "--t", "inf"], "finite number >= 0"),
+    (["discretize", "{cv}", "--t", "soon"], "finite number >= 0"),
+    (["check", "{cv}", "--t", "-1"], "finite number >= 0"),
+    (["check", "{cv}", "--t", "nan"], "finite number >= 0"),
+    (["check", "{cv}", "--t", "inf"], "finite number >= 0"),
+    (["bench", "--out", "{out}", "--runs", "0"], "runs must be >= 1"),
+    (["bench", "--out", "{out}", "--n", "3", "--m", "4", "--p", "2"],
+     "need n = m + p"),
+    (["gen", "--out", "{out}", "--n", "3", "--m", "4", "--p", "2"],
+     "need n = m + p"),
+])
+def test_cli_bad_arguments_exit_2(args, message, cv_file, tmp_path, capsys):
+    args = [a.format(cv=cv_file, out=str(tmp_path / "run")) for a in args]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert list(tmp_path.glob("run*")) == []
+
+
 def test_cli_check_scalar_all_ok(scalar_file, capsys):
     assert main(["check", scalar_file, "--t", "1"]) == 0
     out = capsys.readouterr().out
