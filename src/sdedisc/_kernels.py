@@ -1,10 +1,12 @@
 """Hot numeric kernels.
 
-Every kernel is plain numpy.  Reflectors and rotations are applied as
-whole-row and whole-column slice updates whose sums are added term by term
-in a fixed order, not by BLAS products, so their rounding does not depend
-on the BLAS build.  All kernels mutate or allocate arrays in the dtype of
-their inputs, so the same code serves binary32 and binary64.
+Every kernel is plain numpy.  In ``hessenberg``, ``francis_qr`` and
+``_rotate`` the reflectors and rotations are applied as whole-row and
+whole-column slice updates whose sums are added term by term in a fixed
+order, not by BLAS products, so their rounding does not depend on the BLAS
+build.  ``trsylv`` makes one LAPACK solve and one product per column block.
+All kernels mutate or allocate arrays in the dtype of their inputs, so the
+same code serves binary32 and binary64.
 """
 
 import numpy as np
@@ -174,10 +176,9 @@ def standardize_quasi_triangular(t, u):
         else:
             if a != d:
                 tau = (b + c) / (a - d)
+                # the smaller root of w^2 - 2 tau w - 1, without cancellation
                 off = np.sqrt(tau * tau + 1.0)
-                w0 = tau - off
-                w1 = tau + off
-                w = w0 if abs(w0) < abs(w1) else w1
+                w = -1.0 / (tau + off if tau >= 0.0 else tau - off)
                 cs = 1.0 / np.sqrt(1.0 + w * w)
                 _rotate(t, u, i, cs, w * cs)
                 mid = 0.5 * (t[i, i] + t[i + 1, i + 1])
@@ -187,52 +188,29 @@ def standardize_quasi_triangular(t, u):
 
 
 def trsylv(ta, r, c):
-    """Solve ta @ Y + Y @ r = c where ta is quasi-upper triangular and r
-    is quasi-lower triangular, by block back-substitution."""
+    """Solve ta @ Y + Y @ r = c for quasi-lower triangular r, one column
+    block of Y at a time, last first: the solved columns are folded in with
+    one product, then one LAPACK solve of (ta + r_jj I) y = rhs, or for a
+    2-column block of [[ta + r00 I, r10 I], [r01 I, ta + r11 I]]."""
     p = ta.shape[0]
-    q = r.shape[0]
     y = c.copy()
-    j = q
+    d = np.arange(p)
+    pair = np.zeros((2 * p, 2 * p), dtype=y.dtype)
+    j = r.shape[0]
     while j > 0:
-        qj = 2 if (j >= 2 and r[j - 2, j - 1] != 0.0) else 1
-        j0 = j - qj
-        # remove contributions of solved column blocks (l >= j)
-        for col in range(j0, j):
-            for l in range(j, q):
-                rl = r[l, col]
-                if rl != 0.0:
-                    for row in range(p):
-                        y[row, col] -= y[row, l] * rl
-        i = p
-        while i > 0:
-            pi = 2 if (i >= 2 and ta[i - 1, i - 2] != 0.0) else 1
-            i0 = i - pi
-            for row in range(i0, i):
-                for col in range(j0, j):
-                    s = 0.0
-                    for l in range(i, p):
-                        s += ta[row, l] * y[l, col]
-                    y[row, col] -= s
-            # small (<= 4x4) Kronecker system for the diagonal block
-            m = pi * qj
-            mat = np.zeros((m, m), dtype=y.dtype)
-            rhs = np.empty(m, dtype=y.dtype)
-            for c2 in range(qj):
-                for r2 in range(pi):
-                    rhs[c2 * pi + r2] = y[i0 + r2, j0 + c2]
-                    for c1 in range(qj):
-                        for r1 in range(pi):
-                            val = 0.0
-                            if c1 == c2:
-                                val += ta[i0 + r2, i0 + r1]
-                            if r1 == r2:
-                                val += r[j0 + c1, j0 + c2]
-                            mat[c2 * pi + r2, c1 * pi + r1] = val
-            sol = np.linalg.solve(mat, rhs)
-            for c2 in range(qj):
-                for r2 in range(pi):
-                    y[i0 + r2, j0 + c2] = sol[c2 * pi + r2]
-            i = i0
+        j0 = j - 2 if (j >= 2 and r[j - 2, j - 1] != 0.0) else j - 1
+        rhs = y[:, j0:j] - y[:, j:] @ r[j:, j0:j]
+        pair[:p, :p] = ta
+        pair[d, d] += r[j0, j0]
+        if j0 == j - 1:
+            y[:, j0] = np.linalg.solve(pair[:p, :p], rhs[:, 0])
+        else:
+            pair[p:, p:] = ta
+            pair[d + p, d + p] += r[j0 + 1, j0 + 1]
+            pair[d, d + p] = r[j0 + 1, j0]
+            pair[d + p, d] = r[j0, j0 + 1]
+            sol = np.linalg.solve(pair, rhs.reshape(-1, order="F"))
+            y[:, j0:j] = sol.reshape((p, 2), order="F")
         j = j0
     return y
 

@@ -124,9 +124,9 @@ def cmd_gen(args) -> int:
     else:
         try:
             spec = EnsembleSpec(n=args.n, m=args.m, p=args.p, seed=args.seed)
+            model = gen_random_system(spec, stream=args.stream)
         except ValueError as exc:
             args.parser.error(str(exc))
-        model = gen_random_system(spec, stream=args.stream)
         name = f"ensemble-n{args.n}-m{args.m}-p{args.p}-seed{args.seed}"
     try:
         sysfile.write(args.out, model, name=name)

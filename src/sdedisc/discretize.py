@@ -78,6 +78,22 @@ def _sylv_residual(a, b, x, rhs) -> float:
     return float(num / (den + np.finfo(x.dtype).tiny))
 
 
+def _exp_and_integral(a: np.ndarray, t: float):
+    """(exp(a t), int_0^t exp(a tau) dtau) from one exponential of the
+    augmented matrix [[a, I], [0, 0]] (Van Loan, 1978)."""
+    n = a.shape[0]
+    big = mat_exp(np.block([[a, np.eye(n, dtype=a.dtype)],
+                            [np.zeros((n, 2 * n), dtype=a.dtype)]]), t)
+    return big[:n, :n], big[:n, n:]
+
+
+def _x_minus_fxft(fm1: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x - f x f^T for symmetric x, from fm1 = f - I without subtracting
+    nearly equal terms: -(w + w^T) - w fm1^T with w = fm1 x."""
+    w = fm1 @ x
+    return _sym(-(w + w.T) - w @ fm1.T)
+
+
 def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
     """Stationary-covariance method: A P + P A^T = -S, then
     Q = P - F P F^T.  Requires a strictly stable drift."""
@@ -96,8 +112,8 @@ def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
     except NearSingularError as exc:
         raise MethodNotApplicableError(
             f"lyap-p not applicable: {exc}") from exc
-    f = mat_exp(m.a, t)
-    q = _sym(p - f @ p @ f.T)
+    f, g = _exp_and_integral(m.a, t)
+    q = _x_minus_fxft(m.a @ g, p)
     diag = {
         "sylvester_residual": _sylv_residual(m.a, m.a, p, -m.s),
         "lemma2_residual": lemma2_residual(m, f, q),
@@ -124,8 +140,8 @@ def discretize_lyap_q(m: ContinuousModel, t: float) -> MethodReport:
             "lyap-q not applicable: eigenvalue pair "
             f"({i:.3e}, {j:.3e}) sums to ~0 (integrator or "
             "mirrored poles); unique-solution condition violated") from exc
-    f = mat_exp(m.a, t)
-    v = _sym(m.s - f @ m.s @ f.T)
+    f, g = _exp_and_integral(m.a, t)
+    v = _x_minus_fxft(m.a @ g, m.s)
     try:
         q = lyap.guard().solve(-v)
     except NearSingularError as exc:
@@ -169,11 +185,11 @@ def q_nilpotent(a22: np.ndarray, s22: np.ndarray, t: float) -> np.ndarray:
     return _sym(q)
 
 
-def _nilpotent_exp(a22: np.ndarray, t: float) -> np.ndarray:
-    """exp(A t) for a nilpotent block as the terminating power series."""
+def _nilpotent_expm1(a22: np.ndarray, t: float) -> np.ndarray:
+    """exp(A t) - I for a nilpotent block as the terminating power series."""
     p = a22.shape[0]
     term = np.eye(p, dtype=a22.dtype)
-    acc = term
+    acc = np.zeros((p, p), dtype=a22.dtype)
     for i in range(1, p):
         term = (term @ a22) * (t / i)
         acc = acc + term
@@ -253,18 +269,19 @@ def discretize_proposed(m: ContinuousModel, t: float,
         plan = _last_plan = _ProposedPlan(m, tau_zero, key)
     n, k = m.n, plan.k
     a11, a12, a22, st = plan.a11, plan.a12, plan.a22, plan.st
-    # assemble exp(at * t) blockwise: the whole-matrix exponential
-    # loses accuracy for large t * |A| through repeated squaring,
-    # while the leading block decays and the trailing block has a
-    # terminating series; the coupling block follows from the
-    # commutation identity A f - f A = 0 of f = exp(A t)
-    f11 = mat_exp(a11, t)
-    f22 = _nilpotent_exp(a22, t)
-    ft = np.zeros((n, n), dtype=m.dtype)
+    # assemble mt = exp(at * t) - I blockwise (the whole-matrix exponential
+    # loses accuracy for large t * |A| through repeated squaring; the
+    # coupling block follows from A f - f A = 0).  At short horizons f is I
+    # plus small entries: st - f st f^T would cancel their digits, while
+    # f - I keeps them.  f11 itself comes from the exponential.
+    f11, g11 = _exp_and_integral(a11, t)
+    mt = np.zeros((n, n), dtype=m.dtype)
+    mt[:k, :k] = a11 @ g11
+    mt[k:, k:] = _nilpotent_expm1(a22, t)
+    mt[:k, k:] = plan.f12.solve(mt[:k, :k] @ a12 - a12 @ mt[k:, k:])
+    ft = mt + np.eye(n, dtype=m.dtype)
     ft[:k, :k] = f11
-    ft[k:, k:] = f22
-    ft[:k, k:] = plan.f12.solve(f11 @ a12 - a12 @ f22)
-    vt = _sym(st - ft @ st @ ft.T)
+    vt = _x_minus_fxft(mt, st)
     q22 = q_nilpotent(a22, plan.s22, t)
     rhs12 = -vt[:k, k:] - a12 @ q22
     q12 = plan.q12.solve(rhs12)
@@ -314,11 +331,7 @@ def naive_q_a(m: ContinuousModel, t: float) -> np.ndarray:
     t = _check_horizon(t)
     if t == 0.0:
         raise ValueError("naive_q_a requires t > 0")
-    n = m.n
-    aug = np.zeros((2 * n, 2 * n), dtype=m.dtype)
-    aug[:n, :n] = m.a
-    aug[:n, n:] = np.eye(n, dtype=m.dtype)
-    g = mat_exp(aug, t)[:n, n:]
+    g = _exp_and_integral(m.a, t)[1]
     return _sym((g @ m.s @ g.T) / m.dtype.type(t))
 
 

@@ -172,14 +172,12 @@ def _classify_blocks(t: np.ndarray, tau_zero: float):
 def _swap_adjacent_blocks(u, t, i, p1, p2):
     """Exchange the adjacent diagonal blocks of sizes p1, p2 starting at
     row i via the direct (Bai-Demmel) orthogonal swap."""
-    dtype = t.dtype
     b1 = t[i:i + p1, i:i + p1]
     b2 = t[i + p1:i + p1 + p2, i + p1:i + p1 + p2]
     t12 = t[i:i + p1, i + p1:i + p1 + p2]
-    # b1 @ X - X @ b2 = t12, via the (<=4x4) Kronecker system
-    m = np.kron(np.eye(p2, dtype=dtype), b1) - np.kron(b2.T, np.eye(p1, dtype=dtype))
-    x = np.linalg.solve(m, t12.reshape(-1, order="F")).reshape((p1, p2), order="F")
-    q, _ = np.linalg.qr(np.vstack([-x, np.eye(p2, dtype=dtype)]), mode="complete")
+    x = _kernels.trsylv(b1, -b2, t12)  # b1 @ X - X @ b2 = t12
+    q, _ = np.linalg.qr(np.vstack([-x, np.eye(p2, dtype=t.dtype)]),
+                        mode="complete")
     sl = slice(i, i + p1 + p2)
     t[:, sl] = t[:, sl] @ q
     t[sl, :] = q.T @ t[sl, :]

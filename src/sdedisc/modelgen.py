@@ -27,6 +27,8 @@ class EnsembleSpec:
         if self.m < 0 or self.p < 0 or self.n != self.m + self.p:
             raise ValueError(f"need n = m + p with m, p >= 0, got "
                              f"n={self.n}, m={self.m}, p={self.p}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _rng_for(spec: EnsembleSpec, stream: int = 0) -> np.random.Generator:
@@ -40,6 +42,8 @@ def gen_random_system(spec: EnsembleSpec, stream: int = 0) -> ContinuousModel:
     ``stream`` selects an independent substream (the benchmark uses the
     system index) so systems can be generated in any order.
     """
+    if stream < 0:
+        raise ValueError(f"stream must be >= 0, got {stream}")
     rng = _rng_for(spec, stream)
     n, m, p = spec.n, spec.m, spec.p
     lo, hi = _POLE_REAL_RANGE

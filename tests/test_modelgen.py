@@ -22,6 +22,10 @@ def test_spec_validation():
         EnsembleSpec(n=5, m=4, p=2)
     with pytest.raises(ValueError):
         EnsembleSpec(n=4, m=-1, p=5)
+    with pytest.raises(ValueError):
+        EnsembleSpec(n=6, m=4, p=2, seed=-1)
+    with pytest.raises(ValueError):
+        gen_random_system(EnsembleSpec(n=6, m=4, p=2), stream=-1)
 
 
 def test_reference_spec_eigenstructure():

@@ -1,8 +1,13 @@
 """System file serialization and command-line interface tests."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import sdedisc
 from sdedisc import sysfile
 from sdedisc.cli import main
 from sdedisc.models import ContinuousModel
@@ -124,6 +129,9 @@ def test_cli_parse_failure_exit_2(tmp_path, capsys):
      "need n = m + p"),
     (["gen", "--out", "{out}", "--n", "3", "--m", "4", "--p", "2"],
      "need n = m + p"),
+    (["gen", "--out", "{out}", "--seed", "-1"], "seed must be >= 0"),
+    (["gen", "--out", "{out}", "--stream", "-1"], "stream must be >= 0"),
+    (["bench", "--out", "{out}", "--seed", "-1"], "seed must be >= 0"),
 ])
 def test_cli_bad_arguments_exit_2(args, message, cv_file, tmp_path, capsys):
     args = [a.format(cv=cv_file, out=str(tmp_path / "run")) for a in args]
@@ -187,3 +195,15 @@ def test_cli_width_flags(scalar_file, capsys):
     q64 = float(out64.splitlines()[3])
     assert q32 == pytest.approx(q64, rel=1e-5)
     assert q32 != q64  # binary32 rounding is visible at 17 digits
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test-only dependency: importing the package and its CLI
+    # must not pull it in
+    src = os.path.dirname(os.path.dirname(sdedisc.__file__))
+    code = ("import sys, sdedisc, sdedisc.cli; "
+            "print('scipy' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"
