@@ -1,10 +1,10 @@
 """Hot numeric kernels.
 
-Every kernel is plain numpy.  In ``hessenberg``, ``francis_qr`` and
-``_rotate`` the reflectors and rotations are applied as whole-row and
-whole-column slice updates whose sums are added term by term in a fixed
-order, not by BLAS products, so their rounding does not depend on the BLAS
-build.  ``trsylv`` makes one LAPACK solve and one product per column block.
+Every kernel is plain numpy.  ``hessenberg`` and ``francis_qr`` apply
+each Householder reflector as one BLAS product and one rank-one update of
+the rows and of the columns; ``_rotate`` updates two rows and two columns
+as slices.  ``trsylv`` makes one LAPACK solve and one product per column
+block.
 All kernels mutate or allocate arrays in the dtype of their inputs, so the
 same code serves binary32 and binary64.
 """
@@ -24,31 +24,26 @@ def hessenberg(h, u):
     n = h.shape[0]
     for k in range(n - 2):
         col = h[k + 1:, k]
-        xnorm = np.sqrt(np.add.accumulate(col * col)[-1])
+        xnorm = np.linalg.norm(col)
         if xnorm == 0.0:
             continue
         alpha = -xnorm if h[k + 1, k] >= 0.0 else xnorm
         v = col.copy()
         v[0] -= alpha
-        vnorm2 = np.add.accumulate(v * v)[-1]
+        vnorm2 = v @ v
         if vnorm2 == 0.0:
             continue
-        beta = 2.0 / vnorm2
-        # rows k+1..n-1
-        rows = h[k + 1:, k:]
-        s = np.zeros(n - k, dtype=h.dtype)
-        for i in range(v.shape[0]):
-            s += v[i] * rows[i]
-        rows -= np.outer(v, s * beta)
-        # columns k+1..n-1
-        for w in (h, u):
-            cols = w[:, k + 1:]
-            s = np.zeros(n, dtype=h.dtype)
-            for j in range(v.shape[0]):
-                s += cols[:, j] * v[j]
-            cols -= np.outer(s * beta, v)
+        _reflect(v, 2.0 / vnorm2, h[k + 1:, k:], h[:, k + 1:], u[:, k + 1:])
         h[k + 1, k] = alpha
         h[k + 2:, k] = 0.0
+
+
+def _reflect(v, beta, rows, *cols):
+    """Apply the reflector I - beta v v^T from the left to rows and from
+    the right to each of cols, in place."""
+    rows -= np.outer(v, beta * (v @ rows))
+    for c in cols:
+        c -= np.outer(beta * (c @ v), v)
 
 
 def francis_qr(h, u, eps, anorm, max_sweeps):
@@ -99,42 +94,26 @@ def francis_qr(h, u, eps, anorm, max_sweeps):
             det = (h[hi - 1, hi - 1] * h[hi, hi]
                    - h[hi - 1, hi] * h[hi, hi - 1])
         # first column of (H - aI)(H - bI) in the active window
-        x = (h[lo, lo] * h[lo, lo] + h[lo, lo + 1] * h[lo + 1, lo]
-             - trc * h[lo, lo] + det)
-        y = h[lo + 1, lo] * (h[lo, lo] + h[lo + 1, lo + 1] - trc)
-        z = h[lo + 2, lo + 1] * h[lo + 1, lo]
+        v = np.array([
+            h[lo, lo] * h[lo, lo] + h[lo, lo + 1] * h[lo + 1, lo]
+            - trc * h[lo, lo] + det,
+            h[lo + 1, lo] * (h[lo, lo] + h[lo + 1, lo + 1] - trc),
+            h[lo + 2, lo + 1] * h[lo + 1, lo]], dtype=h.dtype)
         for k in range(lo, hi):
-            three = k <= hi - 2
+            # the reflector spans rows k..end-1: three, or two at the bottom
+            end = min(k + 3, hi + 1)
             if k > lo:
-                x = h[k, k - 1]
-                y = h[k + 1, k - 1]
-                z = h[k + 2, k - 1] if three else 0.0
-            wnorm = np.sqrt(x * x + y * y + z * z)
+                v = h[k:end, k - 1].copy()
+            wnorm = np.linalg.norm(v)
             if wnorm == 0.0:
                 continue
-            alpha = -wnorm if x >= 0.0 else wnorm
-            v0 = x - alpha
-            v1 = y
-            v2 = z
-            vnorm2 = v0 * v0 + v1 * v1 + v2 * v2
+            v[0] -= -wnorm if v[0] >= 0.0 else wnorm
+            vnorm2 = v @ v
             if vnorm2 == 0.0:
                 continue
-            beta = 2.0 / vnorm2
-            rr = 3 if three else 2
-            # rows k.., then columns k.. of h, then columns k.. of u
-            for w in (h[k:k + rr], h[:, k:k + rr].T, u[:, k:k + rr].T):
-                s = v0 * w[0] + v1 * w[1]
-                if three:
-                    s += v2 * w[2]
-                s *= beta
-                w[0] -= s * v0
-                w[1] -= s * v1
-                if three:
-                    w[2] -= s * v2
+            _reflect(v, 2.0 / vnorm2, h[k:end], h[:, k:end], u[:, k:end])
             if k > lo:
-                h[k + 1, k - 1] = 0.0
-                if three:
-                    h[k + 2, k - 1] = 0.0
+                h[k + 1:end, k - 1] = 0.0
     return total, True
 
 
@@ -282,18 +261,8 @@ def jacobi_symm_eigvals(a, eps, max_sweeps):
     return diag
 
 
-def propagated_outer_sum(e_start, e_step, s, count):
-    """sum_{i<count} E_i @ s @ E_i^T with E_0 = e_start, E_{i+1} = E_i @ e_step.
-
-    Inner loop of the quadrature oracle: evaluates the integrand at a run
-    of equally spaced nodes without recomputing matrix exponentials.
-    """
-    n = s.shape[0]
-    acc = np.zeros((n, n), dtype=s.dtype)
-    e = e_start.copy()
-    for i in range(count):
-        m = np.dot(np.dot(e, s), np.ascontiguousarray(e.T))
-        acc += m
-        if i + 1 < count:
-            e = np.dot(e, e_step)
-    return acc
+def propagated_outer_sum(left, e_half):
+    """left + E left E^T with E = e_half: one level of the quadrature
+    oracle.  If left sums the integrand exp(A tau) S exp(A^T tau) at the
+    nodes i 2h, the result sums it at the nodes i h, for E = exp(A h)."""
+    return left + e_half @ left @ e_half.T

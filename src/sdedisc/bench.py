@@ -37,8 +37,12 @@ class BenchConfig:
 
     def __post_init__(self):
         ts = list(self.t_grid)
-        if not ts or any(t <= 0.0 for t in ts) or sorted(set(ts)) != ts:
-            raise ValueError("t_grid must be strictly increasing and positive")
+        if (not ts or not all(0.0 < t < math.inf for t in ts)
+                or sorted(set(ts)) != ts):
+            raise ValueError(
+                "t_grid must be strictly increasing, positive and finite")
+        if not 0.0 < self.oracle_tol < math.inf:
+            raise ValueError("oracle_tol must be positive and finite")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         object.__setattr__(self, "t_grid", tuple(ts))

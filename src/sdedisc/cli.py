@@ -2,6 +2,7 @@
 checks, run the mixed-precision benchmark, and generate system files."""
 
 import argparse
+import functools
 import logging
 import math
 import os
@@ -136,15 +137,21 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _sampling_time(text: str) -> float:
+def _finite_number(text: str, positive: bool) -> float:
+    """argparse type: a finite number >= 0, or > 0 if positive."""
     try:
-        t = float(text)
+        x = float(text)
     except ValueError:
-        t = math.nan
-    if not 0.0 <= t < math.inf:
+        x = math.nan
+    if not (0.0 < x < math.inf or (x == 0.0 and not positive)):
         raise argparse.ArgumentTypeError(
-            f"must be a finite number >= 0, got {text!r}")
-    return t
+            f"must be a finite number {'>' if positive else '>='} 0, "
+            f"got {text!r}")
+    return x
+
+
+_sampling_time = functools.partial(_finite_number, positive=False)
+_tolerance = functools.partial(_finite_number, positive=True)
 
 
 def _add_width_flags(parser, default=np.float64) -> None:
@@ -169,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sampling time")
     p.add_argument("--method", default=Method.PROPOSED.value,
                    choices=[m.value for m in Method])
-    p.add_argument("--tol", type=float, default=1e-12,
+    p.add_argument("--tol", type=_tolerance, default=1e-12,
                    help="oracle quadrature tolerance")
     _add_width_flags(p)
     p.set_defaults(func=cmd_discretize)
@@ -179,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--t", type=_sampling_time, required=True,
                    help="sampling time")
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=_tolerance, default=1e-8,
                    help="residual threshold that flags an exact method")
     p.set_defaults(func=cmd_check)
 
@@ -192,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--p", type=int, default=2)
-    p.add_argument("--tol", type=float, default=1e-12,
+    p.add_argument("--tol", type=_tolerance, default=1e-12,
                    help="oracle quadrature tolerance")
     _add_width_flags(p, default=np.float32)  # the experiment runs binary32
     p.set_defaults(func=cmd_bench, parser=p)

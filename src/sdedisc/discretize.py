@@ -45,7 +45,8 @@ from .linalg import (
 from .models import ContinuousModel, DiscreteModel, Method, MethodReport
 
 _TINY = 1e-300
-# Richardson levels of q_oracle before it gives up (2^23 nodes at the last)
+# Richardson levels of q_oracle before it gives up; each level costs one
+# exponential and two products
 _ORACLE_MAX_DEPTH = 24
 
 
@@ -344,19 +345,24 @@ def naive_q_b(m: ContinuousModel, t: float) -> np.ndarray:
 def q_oracle(m: ContinuousModel, t: float,
              rel_tol: float = 1e-12) -> np.ndarray:
     """Reference covariance by composite-trapezoid quadrature of
-    exp(A tau) S exp(A^T tau) with interval doubling and Richardson
-    extrapolation, always in binary64."""
+    f(tau) = exp(A tau) S exp(A^T tau) with interval doubling and
+    Richardson extrapolation, always in binary64.  Each level gets f at its
+    new nodes from the last level's node sum by the semigroup identity
+    f(tau + h) = exp(A h) f(tau) exp(A h)^T."""
     t = _check_horizon(t)
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
+    if not 0.0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     a = np.ascontiguousarray(m.a, dtype=np.float64)
     s = np.ascontiguousarray(m.s, dtype=np.float64)
     n = m.n
     if t == 0.0:
         return np.zeros((n, n))
     e_t = mat_exp(a, t)
-    row = [0.5 * t * (s + e_t @ s @ e_t.T)]
-    e_step = e_t  # the step matrix at each level is the previous half-step
+    # the trapezoid's endpoint correction: f(T) - f(0) halved
+    ends = 0.5 * (e_t @ s @ e_t.T - s)
+    # left = sum_{i<2^level} f(i h), the trapezoid's nodes but the last
+    left = s
+    row = [t * (left + ends)]
     # rounding noise in the propagated nodes eventually dominates the
     # diagonal differences; past that point the best estimate so far is
     # the achievable answer, acceptable down to this relative level
@@ -364,11 +370,8 @@ def q_oracle(m: ContinuousModel, t: float,
     best_diff, best_est, worse_streak = math.inf, None, 0
     for level in range(1, _ORACLE_MAX_DEPTH + 1):
         h = t / 2.0 ** level
-        e_half = mat_exp(a, h)
-        acc = _kernels.propagated_outer_sum(e_half, e_step, s,
-                                            2 ** (level - 1))
-        e_step = e_half
-        new_row = [0.5 * row[0] + h * acc]
+        left = _kernels.propagated_outer_sum(left, mat_exp(a, h))
+        new_row = [h * (left + ends)]
         weight = 1.0
         for prev in row:
             weight *= 4.0

@@ -1,6 +1,8 @@
 """Benchmark harness tests: record semantics, aggregation, CSV shape,
 and determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,12 @@ def test_config_validation():
         small_cfg(t_grid=(-1.0, 0.5))
     with pytest.raises(ValueError):
         small_cfg(runs=0)
+    for grid in [(math.nan,), (1.0, math.inf), (0.0, 1.0)]:
+        with pytest.raises(ValueError, match="t_grid"):
+            small_cfg(t_grid=grid)
+    for tol in [0.0, -1e-12, math.nan, math.inf]:
+        with pytest.raises(ValueError, match="oracle_tol"):
+            small_cfg(oracle_tol=tol)
 
 
 def test_single_scalar_cell():

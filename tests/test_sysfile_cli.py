@@ -132,6 +132,16 @@ def test_cli_parse_failure_exit_2(tmp_path, capsys):
     (["gen", "--out", "{out}", "--seed", "-1"], "seed must be >= 0"),
     (["gen", "--out", "{out}", "--stream", "-1"], "stream must be >= 0"),
     (["bench", "--out", "{out}", "--seed", "-1"], "seed must be >= 0"),
+    (["discretize", "{cv}", "--t", "1", "--method", "oracle", "--tol", "-1"],
+     "finite number > 0"),
+    (["discretize", "{cv}", "--t", "1", "--method", "oracle", "--tol", "0"],
+     "finite number > 0"),
+    (["discretize", "{cv}", "--t", "1", "--method", "oracle", "--tol", "nan"],
+     "finite number > 0"),
+    (["check", "{cv}", "--t", "1", "--tol", "nan"], "finite number > 0"),
+    (["check", "{cv}", "--t", "1", "--tol", "inf"], "finite number > 0"),
+    (["bench", "--out", "{out}", "--tol", "-1"], "finite number > 0"),
+    (["bench", "--out", "{out}", "--tol", "tight"], "finite number > 0"),
 ])
 def test_cli_bad_arguments_exit_2(args, message, cv_file, tmp_path, capsys):
     args = [a.format(cv=cv_file, out=str(tmp_path / "run")) for a in args]
