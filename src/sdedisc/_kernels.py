@@ -1,13 +1,17 @@
 """Hot numeric kernels.
 
-Every kernel is plain numpy.  ``hessenberg`` and ``francis_qr`` apply
-each Householder reflector as one BLAS product and one rank-one update of
-the rows and of the columns; ``_rotate`` updates two rows and two columns
-as slices.  ``trsylv`` makes one LAPACK solve and one product per column
-block.
+Every kernel is plain numpy.  The Schur kernels work on one stacked
+``(2n, n)`` buffer ``hu``: its top half is the matrix T being reduced, its
+bottom half the accumulated orthogonal factor U.  ``similarity`` applies
+each orthogonal similarity -- a Householder reflector, a Givens rotation or
+a block-swap factor -- as two small matrix products: one on T's rows, one
+on the columns of T and U together.  ``trsylv`` makes one LAPACK solve and
+one product per column block.
 All kernels mutate or allocate arrays in the dtype of their inputs, so the
 same code serves binary32 and binary64.
 """
+
+import math
 
 import numpy as np
 
@@ -18,44 +22,68 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            960960.0, 16380.0, 182.0, 1.0)
 
 
-def hessenberg(h, u):
-    """Reduce h to upper Hessenberg form in place by Householder
-    reflections, accumulating the orthogonal transform into u."""
-    n = h.shape[0]
+def similarity(hu, i, q):
+    """Replace T by diag(I, q, I)^T T diag(I, q, I) and U by
+    U diag(I, q, I) in the stacked hu = [T; U], with q's block at rows and
+    columns i .. i+m-1."""
+    m = q.shape[0]
+    hu[i:i + m] = q.T @ hu[i:i + m]
+    hu[:, i:i + m] = hu[:, i:i + m] @ q
+
+
+def _householder(hu, i, x):
+    """Apply at row and column i of hu the Householder reflector
+    I - 2 v v^T / v^T v that maps the vector x onto alpha e_1; return
+    alpha (0 for a zero x, which is left alone)."""
+    v = x.copy()
+    xnorm = math.sqrt(v @ v)
+    if xnorm == 0.0:
+        return 0.0
+    alpha = -xnorm if v[0] >= 0.0 else xnorm
+    v[0] -= alpha
+    q = v[:, None] * ((-2.0 / (v @ v)) * v)
+    q.ravel()[::v.size + 1] += 1.0
+    similarity(hu, i, q)
+    return alpha
+
+
+def hessenberg(hu):
+    """Reduce the top half T of hu to upper Hessenberg form in place by
+    Householder reflections, accumulating them into the bottom half U."""
+    n = hu.shape[1]
     for k in range(n - 2):
-        col = h[k + 1:, k]
-        xnorm = np.linalg.norm(col)
-        if xnorm == 0.0:
-            continue
-        alpha = -xnorm if h[k + 1, k] >= 0.0 else xnorm
-        v = col.copy()
-        v[0] -= alpha
-        vnorm2 = v @ v
-        if vnorm2 == 0.0:
-            continue
-        _reflect(v, 2.0 / vnorm2, h[k + 1:, k:], h[:, k + 1:], u[:, k + 1:])
-        h[k + 1, k] = alpha
-        h[k + 2:, k] = 0.0
+        hu[k + 1, k] = _householder(hu, k + 1, hu[k + 1:n, k])
+        hu[k + 2:n, k] = 0.0
 
 
-def _reflect(v, beta, rows, *cols):
-    """Apply the reflector I - beta v v^T from the left to rows and from
-    the right to each of cols, in place."""
-    rows -= np.outer(v, beta * (v @ rows))
-    for c in cols:
-        c -= np.outer(beta * (c @ v), v)
+def _deflate(h, hi, eps, anorm):
+    """Zero each subdiagonal h[i, i-1], 1 <= i <= hi, of the C-contiguous
+    Hessenberg h with |h[i, i-1]| <= eps (|h[i-1, i-1]| + |h[i, i]|), or
+    <= eps anorm where both diagonals are 0; return the start of the
+    unreduced block that ends at row hi."""
+    step = h.shape[1] + 1
+    flat = h.reshape(-1)
+    diag = np.abs(flat[:(hi + 1) * step:step])
+    sub = flat[step - 1:hi * step:step]  # h[i, i-1] for i = 1 .. hi
+    tst = diag[:-1] + diag[1:]
+    tst[tst == 0.0] = anorm
+    small = np.flatnonzero(np.abs(sub) <= eps * tst)
+    sub[small] = 0.0
+    return int(small[-1]) + 1 if small.size else 0
 
 
-def francis_qr(h, u, eps, anorm, max_sweeps):
-    """Francis implicit double-shift QR on an upper Hessenberg h, in place.
+def francis_qr(hu, eps, anorm, max_sweeps):
+    """Francis implicit double-shift QR on the upper Hessenberg top half T
+    of hu, in place.
 
-    Returns (iterations, converged).  On exit h is real quasi-upper
-    triangular (2x2 blocks not yet standardized) and u accumulates the
-    orthogonal similarity.
+    Returns (iterations, converged).  On exit T is real quasi-upper
+    triangular (2x2 blocks not yet standardized) and the bottom half U
+    accumulates the orthogonal similarity.
     """
-    n = h.shape[0]
+    n = hu.shape[1]
     if n <= 2:
         return 0, True
+    h = hu[:n]
     hi = n - 1
     total = 0
     stall = 0
@@ -64,93 +92,59 @@ def francis_qr(h, u, eps, anorm, max_sweeps):
         total += 1
         if total > limit:
             return total, False
-        # annihilate negligible subdiagonals
-        for i in range(1, hi + 1):
-            tst = abs(h[i - 1, i - 1]) + abs(h[i, i])
-            if tst == 0.0:
-                tst = anorm
-            if abs(h[i, i - 1]) <= eps * tst:
-                h[i, i - 1] = 0.0
-        lo = hi
-        while lo > 0 and h[lo, lo - 1] != 0.0:
-            lo -= 1
-        if lo == hi:
-            hi -= 1
-            stall = 0
-            continue
-        if lo == hi - 1:
-            hi -= 2
+        lo = _deflate(h, hi, eps, anorm)
+        if lo >= hi - 1:
+            hi = lo - 1
             stall = 0
             continue
         stall += 1
+        (h10, h11, h12), (_, h21, h22) = h[hi - 1:hi + 1, hi - 2:hi + 1]
         if stall % 10 == 0:
             # exceptional (ad hoc) shift to break limit cycles
-            sx = abs(h[hi, hi - 1]) + abs(h[hi - 1, hi - 2])
-            h11 = 0.75 * sx + h[hi, hi]
-            trc = h11 + h11
-            det = h11 * h11 + 0.4375 * sx * sx
+            sx = abs(h21) + abs(h10)
+            s = 0.75 * sx + h22
+            trc = s + s
+            det = s * s + 0.4375 * sx * sx
         else:
-            trc = h[hi - 1, hi - 1] + h[hi, hi]
-            det = (h[hi - 1, hi - 1] * h[hi, hi]
-                   - h[hi - 1, hi] * h[hi, hi - 1])
+            trc = h11 + h22
+            det = h11 * h22 - h12 * h21
         # first column of (H - aI)(H - bI) in the active window
-        v = np.array([
-            h[lo, lo] * h[lo, lo] + h[lo, lo + 1] * h[lo + 1, lo]
-            - trc * h[lo, lo] + det,
-            h[lo + 1, lo] * (h[lo, lo] + h[lo + 1, lo + 1] - trc),
-            h[lo + 2, lo + 1] * h[lo + 1, lo]], dtype=h.dtype)
-        for k in range(lo, hi):
+        (a, b), (c, d), (_, e) = h[lo:lo + 3, lo:lo + 2]
+        _householder(hu, lo, np.array([a * a + b * c - trc * a + det,
+                                       c * (a + d - trc), e * c],
+                                      dtype=hu.dtype))
+        for k in range(lo + 1, hi):
             # the reflector spans rows k..end-1: three, or two at the bottom
             end = min(k + 3, hi + 1)
-            if k > lo:
-                v = h[k:end, k - 1].copy()
-            wnorm = np.linalg.norm(v)
-            if wnorm == 0.0:
-                continue
-            v[0] -= -wnorm if v[0] >= 0.0 else wnorm
-            vnorm2 = v @ v
-            if vnorm2 == 0.0:
-                continue
-            _reflect(v, 2.0 / vnorm2, h[k:end], h[:, k:end], u[:, k:end])
-            if k > lo:
-                h[k + 1:end, k - 1] = 0.0
+            _householder(hu, k, h[k:end, k - 1])
+            h[k + 1:end, k - 1] = 0.0
     return total, True
 
 
-def _rotate(t, u, i, cs, sn):
-    """Orthogonal similarity with G = [[cs, -sn], [sn, cs]] acting on
-    rows/columns i, i+1 of t, and on columns i, i+1 of u."""
-    for w in (t[i:i + 2], t[:, i:i + 2].T, u[:, i:i + 2].T):
-        p, q = w
-        w[0], w[1] = cs * p + sn * q, cs * q - sn * p
-
-
-def standardize_quasi_triangular(t, u):
-    """Normalize the 2x2 diagonal blocks of a quasi-triangular t in place.
+def standardize_quasi_triangular(hu):
+    """Normalize the 2x2 diagonal blocks of the quasi-triangular top half T
+    of hu in place, accumulating the rotations into the bottom half U.
 
     Blocks with real eigenvalues are rotated to upper triangular form;
     complex-pair blocks are rotated so both diagonal entries are equal.
     """
-    n = t.shape[0]
+    n = hu.shape[1]
     i = 0
     while i < n - 1:
-        if t[i + 1, i] == 0.0:
+        if hu[i + 1, i] == 0.0:
             i += 1
             continue
-        a = t[i, i]
-        b = t[i, i + 1]
-        c = t[i + 1, i]
-        d = t[i + 1, i + 1]
+        (a, b), (c, d) = hu[i:i + 2, i:i + 2]
         half = 0.5 * (a - d)
         disc = half * half + b * c
         if disc >= 0.0:
-            # real pair: first column of G becomes an eigenvector
+            # real pair: the rotation's first column becomes an eigenvector
             rt = np.sqrt(disc)
             lmd = half + rt if half >= 0.0 else half - rt
             nv = np.sqrt(lmd * lmd + c * c)
             if nv > 0.0:
-                _rotate(t, u, i, lmd / nv, c / nv)
-            t[i + 1, i] = 0.0
+                similarity(hu, i, np.array([[lmd, -c], [c, lmd]]) / nv)
+            hu[i + 1, i] = 0.0
             i += 1
         else:
             if a != d:
@@ -159,10 +153,10 @@ def standardize_quasi_triangular(t, u):
                 off = np.sqrt(tau * tau + 1.0)
                 w = -1.0 / (tau + off if tau >= 0.0 else tau - off)
                 cs = 1.0 / np.sqrt(1.0 + w * w)
-                _rotate(t, u, i, cs, w * cs)
-                mid = 0.5 * (t[i, i] + t[i + 1, i + 1])
-                t[i, i] = mid
-                t[i + 1, i + 1] = mid
+                similarity(hu, i, np.array([[cs, -w * cs], [w * cs, cs]]))
+                mid = 0.5 * (hu[i, i] + hu[i + 1, i + 1])
+                hu[i, i] = mid
+                hu[i + 1, i + 1] = mid
             i += 2
 
 

@@ -106,19 +106,17 @@ def real_schur(a: np.ndarray):
     quasi-upper triangular (standardized 1x1/2x2 diagonal blocks)."""
     a = check_square(a, "real_schur input")
     dtype = a.dtype if a.dtype in (np.float32, np.float64) else np.float64
-    t = np.array(a, dtype=dtype, order="C", copy=True)
-    n = t.shape[0]
-    u = np.eye(n, dtype=dtype)
-    anorm = float(np.linalg.norm(t))
-    _kernels.hessenberg(t, u)
-    sweeps, ok = _kernels.francis_qr(t, u, eps_of(dtype), anorm,
-                                     _MAX_QR_SWEEPS)
+    n = a.shape[0]
+    hu = np.concatenate([np.asarray(a, dtype=dtype), np.eye(n, dtype=dtype)])
+    _kernels.hessenberg(hu)
+    sweeps, ok = _kernels.francis_qr(hu, eps_of(dtype),
+                                     float(np.linalg.norm(a)), _MAX_QR_SWEEPS)
     if not ok:
         raise ConvergenceError(
             f"QR iteration did not converge within {sweeps} sweeps",
             sweeps=sweeps)
-    _kernels.standardize_quasi_triangular(t, u)
-    return u, t
+    _kernels.standardize_quasi_triangular(hu)
+    return hu[n:], hu[:n]
 
 
 def quasi_tri_eigvalues(t: np.ndarray) -> np.ndarray:
@@ -169,21 +167,18 @@ def _classify_blocks(t: np.ndarray, tau_zero: float):
     return blocks
 
 
-def _swap_adjacent_blocks(u, t, i, p1, p2):
+def _swap_adjacent_blocks(hu, i, p1, p2):
     """Exchange the adjacent diagonal blocks of sizes p1, p2 starting at
-    row i via the direct (Bai-Demmel) orthogonal swap."""
-    b1 = t[i:i + p1, i:i + p1]
-    b2 = t[i + p1:i + p1 + p2, i + p1:i + p1 + p2]
-    t12 = t[i:i + p1, i + p1:i + p1 + p2]
-    x = _kernels.trsylv(b1, -b2, t12)  # b1 @ X - X @ b2 = t12
-    q, _ = np.linalg.qr(np.vstack([-x, np.eye(p2, dtype=t.dtype)]),
+    row i of the top half T of hu = [T; U] via the direct (Bai-Demmel)
+    orthogonal swap."""
+    j, k = i + p1, i + p1 + p2
+    # b1 @ X - X @ b2 = t12 for the blocks b1, b2 and their coupling t12
+    x = _kernels.trsylv(hu[i:j, i:j], -hu[j:k, j:k], hu[i:j, j:k])
+    q, _ = np.linalg.qr(np.vstack([-x, np.eye(p2, dtype=hu.dtype)]),
                         mode="complete")
-    sl = slice(i, i + p1 + p2)
-    t[:, sl] = t[:, sl] @ q
-    t[sl, :] = q.T @ t[sl, :]
-    u[:, sl] = u[:, sl] @ q
+    _kernels.similarity(hu, i, q)
     # enforce the block-triangular zero pattern restored by the swap
-    t[i + p2:i + p1 + p2, i:i + p2] = 0.0
+    hu[i + p2:k, i:i + p2] = 0.0
 
 
 def order_schur_zeros_last(u: np.ndarray, t: np.ndarray,
@@ -194,21 +189,21 @@ def order_schur_zeros_last(u: np.ndarray, t: np.ndarray,
     One stable pass over the blocks, classified once: each non-zero block
     moves up past the run of zero blocks above it by adjacent swaps, so the
     non-zero blocks keep their order and so do the zero blocks."""
-    u = np.array(u, copy=True)
-    t = np.array(t, copy=True)
+    n = t.shape[0]
+    hu = np.concatenate([t, u])
     # swaps never move a block below the current one, so the starts found
     # by the first classification stay valid through the pass
     zero_run = []  # sizes of the zero blocks seen so far, top to bottom
-    for start, size, zero in _classify_blocks(t, tau_zero):
+    for start, size, zero in _classify_blocks(hu[:n], tau_zero):
         if zero:
             zero_run.append(size)
             continue
         row = start
         for zsize in reversed(zero_run):
             row -= zsize
-            _swap_adjacent_blocks(u, t, row, zsize, size)
-    _kernels.standardize_quasi_triangular(t, u)
-    blocks = _classify_blocks(t, tau_zero)
+            _swap_adjacent_blocks(hu, row, zsize, size)
+    _kernels.standardize_quasi_triangular(hu)
+    blocks = _classify_blocks(hu[:n], tau_zero)
     split = 0
     for _, size, zero in blocks:
         if zero:
@@ -218,7 +213,7 @@ def order_schur_zeros_last(u: np.ndarray, t: np.ndarray,
     if any(start >= split and not zero for start, _, zero in blocks):
         raise ClassificationError(
             "eigenvalue reordering failed to cluster the zero block")
-    return OrderedSchur(u=u, t=t, split=split)
+    return OrderedSchur(u=hu[n:], t=hu[:n], split=split)
 
 
 def is_quasi_upper_triangular(a: np.ndarray) -> bool:

@@ -26,21 +26,29 @@ EXACT_METHODS = (Method.LYAP_P, Method.LYAP_Q, Method.PROPOSED,
                  Method.VANLOAN, Method.ORACLE)
 
 
+def _float_width(x: np.ndarray) -> np.ndarray:
+    if x.dtype.kind in "biu":
+        return x.astype(np.float64)
+    if x.dtype not in (np.float32, np.float64):
+        raise TypeError(f"model dtype {x.dtype} is not float32 or float64")
+    return x
+
+
 @dataclass(frozen=True)
 class ContinuousModel:
     """Continuous-time linear stochastic system dx = A x dt + d(beta),
     with E[d(beta) d(beta)^T] = S dt.
 
     ``s`` is symmetrized on construction and must be positive
-    semidefinite within rounding tolerance.
+    semidefinite within rounding tolerance.  Integer and bool matrices
+    become float64; any other dtype but float32/float64 raises TypeError.
     """
 
     a: np.ndarray
     s: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a)
-        s = np.asarray(self.s)
+        a, s = (_float_width(np.asarray(x)) for x in (self.a, self.s))
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"drift must be square, got {a.shape}")
         if s.shape != a.shape:

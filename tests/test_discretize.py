@@ -84,6 +84,19 @@ def test_constant_velocity_lyap_methods_not_applicable():
         discretize_lyap_q(cv, 1.0)
 
 
+def test_integer_constant_velocity_model():
+    # integer matrices become float64 on construction, so the methods that
+    # read the width (np.finfo) work on them as on float input
+    cv = ContinuousModel(np.array([[0, 1], [0, 0]]),
+                         np.array([[0, 0], [0, 1]]))
+    assert cv.a.dtype == cv.s.dtype == np.float64
+    _, qref = cv_reference(1.0)
+    assert rel_err(discretize_proposed(cv, 1.0).model.q, qref) < 1e-12
+    for method in (discretize_lyap_p, discretize_lyap_q):
+        with pytest.raises(MethodNotApplicableError):
+            method(cv, 1.0)
+
+
 def test_proposed_reports_integrator_count():
     for width in (np.float64, np.float32):
         report = discretize_proposed(constant_velocity().astype(width), 1.0)

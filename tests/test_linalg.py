@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdedisc import _kernels, linalg
-from sdedisc.errors import (MatrixOverflowError, NearSingularError,
-                            DimensionError, NonFiniteError)
+from sdedisc.errors import (ConvergenceError, MatrixOverflowError,
+                            NearSingularError, DimensionError, NonFiniteError)
 from sdedisc.linalg import (mat_exp, real_schur, order_schur_zeros_last,
                             quasi_tri_eigvalues, is_quasi_upper_triangular,
                             solve_sylvester, solve_lyapunov, spectral_norm,
@@ -155,12 +155,85 @@ def test_real_schur_property(seed, n, dtype):
     check_real_schur(random_matrix(rng, n).astype(dtype))
 
 
+# francis_qr iterations on the cyclic shift of order n, (binary64, binary32)
+CYCLIC_QR_ITERATIONS = {3: (16, 15), 4: (19, 19), 5: (21, 19), 8: (28, 25)}
+
+
+@pytest.mark.parametrize("n", sorted(CYCLIC_QR_ITERATIONS))
+def test_real_schur_cyclic_shift_needs_exceptional_shift(n, monkeypatch):
+    # every eigenvalue of the cyclic shift lies on the unit circle and the
+    # standard double shift leaves it unchanged, so only the exceptional
+    # shift (taken every 10th stalled iteration) gets the QR going
+    results = []
+    francis = _kernels.francis_qr
+    monkeypatch.setattr(_kernels, "francis_qr",
+                        lambda *args: results.append(francis(*args)) or
+                        results[-1])
+    for dtype, want in zip((np.float64, np.float32),
+                           CYCLIC_QR_ITERATIONS[n]):
+        check_real_schur(np.roll(np.eye(n, dtype=dtype), 1, axis=0))
+        iterations, converged = results[-1]
+        assert converged and 10 < iterations <= 1.25 * want
+
+
+def test_real_schur_not_converged_raises(monkeypatch):
+    monkeypatch.setattr(linalg, "_MAX_QR_SWEEPS", 0)
+    with pytest.raises(ConvergenceError) as info:
+        real_schur(random_matrix(np.random.default_rng(21), 8))
+    assert info.value.sweeps is not None and info.value.sweeps > 0
+
+
+def _deflate_loop(h, hi, eps, anorm):
+    """Index-by-index reference for _kernels._deflate."""
+    for i in range(1, hi + 1):
+        tst = abs(h[i - 1, i - 1]) + abs(h[i, i])
+        if tst == 0.0:
+            tst = anorm
+        if abs(h[i, i - 1]) <= eps * tst:
+            h[i, i - 1] = 0.0
+    lo = hi
+    while lo > 0 and h[lo, lo - 1] != 0.0:
+        lo -= 1
+    return lo
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 12),
+       dtype=st.sampled_from([np.float64, np.float32]), data=st.data())
+def test_deflate_matches_scalar_loop(seed, n, dtype, data):
+    rng = np.random.default_rng(seed)
+    h = np.triu(rng.standard_normal((n, n)), -1).astype(dtype)
+    eps = float(np.finfo(dtype).eps)
+    for i in range(1, n):
+        # plant subdiagonals under, at and over the deflation bound, and
+        # zero diagonal pairs, where the bound falls back to anorm
+        kind = data.draw(st.sampled_from(["keep", "under", "at", "over",
+                                          "zero"]))
+        tst = abs(h[i - 1, i - 1]) + abs(h[i, i])
+        if kind == "under":
+            h[i, i - 1] = 0.5 * eps * tst
+        elif kind == "at":
+            h[i, i - 1] = eps * tst
+        elif kind == "over":
+            h[i, i - 1] = 2.0 * eps * tst
+        elif kind == "zero":
+            h[i - 1, i - 1] = h[i, i] = 0.0
+            h[i, i - 1] = data.draw(st.sampled_from([0.5, 2.0, 1e6])) * eps
+    hi = data.draw(st.integers(0, n - 1))
+    anorm = float(np.linalg.norm(h))
+    want = h.copy()
+    lo = _deflate_loop(want, hi, eps, anorm)
+    assert _kernels._deflate(h, hi, eps, anorm) == lo
+    assert np.array_equal(h, want)
+
+
 def test_standardize_near_equal_diagonal_backward_stable():
     # a - d = 5.7e-9 = 0.4 sqrt(eps): the rotation's root, formed with
     # cancellation, once gave a backward error of 3e7 eps here
     t0 = np.array([[0.5 + 5.746434968715974e-09, 1.0], [-0.25, 0.5]])
-    t, u = t0.copy(), np.eye(2)
-    _kernels.standardize_quasi_triangular(t, u)
+    hu = np.concatenate([t0, np.eye(2)])
+    _kernels.standardize_quasi_triangular(hu)
+    t, u = hu[:2], hu[2:]
     assert t[0, 0] == t[1, 1] and t[1, 0] != 0.0
     err = np.linalg.norm(u @ t @ u.T - t0, 2)
     assert err <= 64 * 2 * np.finfo(np.float64).eps * np.linalg.norm(t0, 2)
@@ -281,8 +354,9 @@ def test_swap_adjacent_blocks(p1, p2):
             blocks[p2][0])
         t0[0, 0], t0[-1, -1] = 3.0, 4.0
         t0 = t0.astype(dtype)
-        u, t = np.eye(n, dtype=dtype), t0.copy()
-        linalg._swap_adjacent_blocks(u, t, 1, p1, p2)
+        hu = np.concatenate([t0, np.eye(n, dtype=dtype)])
+        linalg._swap_adjacent_blocks(hu, 1, p1, p2)
+        t, u = hu[:n], hu[n:]
         tol = 64 * n * np.finfo(dtype).eps * np.linalg.norm(t0, 2)
         assert u.dtype == t.dtype == dtype
         assert np.linalg.norm(u @ t @ u.T - t0, 2) <= tol

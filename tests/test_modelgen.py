@@ -111,3 +111,15 @@ def test_model_rejects_indefinite_noise(width):
     # rank-deficient but semidefinite to rounding: accepted
     v = np.array([[1.0], [2.0], [3.0]], dtype=width)
     ContinuousModel(a, v @ v.T)
+
+
+@pytest.mark.parametrize("width", [np.float16, np.complex128, np.longdouble])
+def test_model_rejects_other_widths(width):
+    with pytest.raises(TypeError, match="float32 or float64"):
+        ContinuousModel(-np.eye(2, dtype=width), np.eye(2, dtype=width))
+
+
+def test_model_converts_integer_and_bool():
+    m = ContinuousModel(np.array([[0, 1], [0, 0]]), np.eye(2, dtype=bool))
+    assert m.a.dtype == m.s.dtype == np.float64
+    assert np.array_equal(m.s, np.eye(2))
