@@ -31,8 +31,9 @@ from .errors import (
 )
 from .linalg import (
     _eig_sum_guard,
-    _LyapunovFactor,
-    _SylvesterFactor,
+    _schur_lyapunov,
+    _sym,
+    check_finite,
     check_square,
     eps_of,
     mat_exp,
@@ -48,10 +49,6 @@ _TINY = 1e-300
 # Richardson levels of q_oracle before it gives up; each level costs one
 # exponential and two products
 _ORACLE_MAX_DEPTH = 24
-
-
-def _sym(x: np.ndarray) -> np.ndarray:
-    return (x + x.T) / x.dtype.type(2)
 
 
 def _check_horizon(t: float) -> float:
@@ -101,18 +98,15 @@ def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
     t = _check_horizon(t)
     if t == 0.0:
         return _trivial_report(m, Method.LYAP_P)
-    # one Schur factorization serves the stability check and the solve
-    lyap = _LyapunovFactor(m.a)
-    evs = lyap.ev_a
-    if float(evs.real.max()) >= -tau_zero_default(m.a):
+    # one Schur factorization serves the stability check and the solve;
+    # Re(lambda) < -tau_zero keeps every lambda_i + lambda_j off zero
+    u, ta = real_schur(m.a)
+    max_re = float(quasi_tri_eigvalues(ta).real.max(initial=-math.inf))
+    if max_re >= -tau_zero_default(m.a):
         raise MethodNotApplicableError(
             "lyap-p requires a strictly stable drift; max Re(lambda) = "
-            f"{evs.real.max():.3e}")
-    try:
-        p = lyap.guard().solve(-m.s)
-    except NearSingularError as exc:
-        raise MethodNotApplicableError(
-            f"lyap-p not applicable: {exc}") from exc
+            f"{max_re:.3e}")
+    p = _schur_lyapunov(u, ta, -m.s)
     f, g = _exp_and_integral(m.a, t)
     q = _x_minus_fxft(m.a @ g, p)
     diag = {
@@ -131,8 +125,8 @@ def discretize_lyap_q(m: ContinuousModel, t: float) -> MethodReport:
     if t == 0.0:
         return _trivial_report(m, Method.LYAP_Q)
     # one Schur factorization serves the pre-check and the solve
-    lyap = _LyapunovFactor(m.a)
-    evs = lyap.ev_a
+    u, ta = real_schur(m.a)
+    evs = quasi_tri_eigvalues(ta)
     try:
         _eig_sum_guard(evs, evs, 2.0 * tau_zero_default(m.a))
     except NearSingularError as exc:
@@ -143,12 +137,7 @@ def discretize_lyap_q(m: ContinuousModel, t: float) -> MethodReport:
             "mirrored poles); unique-solution condition violated") from exc
     f, g = _exp_and_integral(m.a, t)
     v = _x_minus_fxft(m.a @ g, m.s)
-    try:
-        q = lyap.guard().solve(-v)
-    except NearSingularError as exc:
-        raise MethodNotApplicableError(
-            f"lyap-q not applicable: {exc}") from exc
-    q = _sym(q)
+    q = _schur_lyapunov(u, ta, -v)
     diag = {
         "sylvester_residual": _sylv_residual(m.a, m.a, q, -v),
         "lemma2_residual": lemma2_residual(m, f, q),
@@ -200,8 +189,9 @@ def _nilpotent_expm1(a22: np.ndarray, t: float) -> np.ndarray:
 class _ProposedPlan:
     """Everything discretize_proposed needs that depends on (A, S) and
     tau_zero only, never on the horizon: the real Schur form with the
-    integrators reordered last, its blocks, u^-1, the transformed S, and
-    the three block equations factored and guarded."""
+    integrators reordered last, its blocks and the triangular coefficients
+    of the three block equations, u^-1, and the transformed S, after
+    guarding the spectra those equations need apart."""
 
     def __init__(self, m: ContinuousModel, tau_zero: float | None, key):
         self.key = key
@@ -211,8 +201,8 @@ class _ProposedPlan:
         u, at, k = order_schur_zeros_last(u0, t0, tau_zero)
         a11 = np.ascontiguousarray(at[:k, :k])
         a22 = np.ascontiguousarray(at[k:, k:])
-        # mirrored non-zero poles make the leading Lyapunov/Sylvester solves
-        # singular; fail fast with a spectrum diagnosis
+        # mirrored non-zero poles make the q11 Lyapunov solve singular;
+        # fail fast with a spectrum diagnosis
         ev1 = quasi_tri_eigvalues(a11)
         try:
             _eig_sum_guard(ev1, ev1,
@@ -222,17 +212,22 @@ class _ProposedPlan:
             raise UnsupportedSpectrumError(
                 f"non-zero poles mirrored in the imaginary axis: "
                 f"{i:.3e} and {j:.3e}") from exc
+        # the f12 and q12 solves couple a11 with -a22 and with a22^T
+        ev2 = quasi_tri_eigvalues(a22)
         try:
-            # f12: a11 X - X a22 = f11 a12 - a12 f22
-            self.f12 = _SylvesterFactor(a11, -a22).guard()
-            # q12: a11 X + X a22^T = rhs12;  q11: a11 X + X a11^T = rhs11
-            self.q12 = _SylvesterFactor(a11, a22.T).guard()
-            self.q11 = _LyapunovFactor(a11).guard()
+            _eig_sum_guard(ev1, np.concatenate([-ev2, ev2]),
+                           100.0 * eps_of(m.a) * float(np.linalg.norm(a11)
+                                                       + np.linalg.norm(a22)))
         except NearSingularError as exc:
             raise UnsupportedSpectrumError(
                 f"proposed method not applicable: {exc}") from exc
         self.u, self.k = u, k
         self.a11, self.a12, self.a22 = a11, at[:k, k:], a22
+        # quasi-lower triangular coefficients for trsylv: a11^T, a22^T, and
+        # -a22 with its row and column order reversed
+        self.a11_t = np.ascontiguousarray(a11.T)
+        self.a22_t = np.ascontiguousarray(a22.T)
+        self.neg_a22_rev = np.ascontiguousarray(-a22[::-1, ::-1])
         # computed inverse rather than transpose: u is only orthogonal to
         # rounding, and the back-transform error is smaller with the inverse
         self.u_inv = np.linalg.inv(u)
@@ -262,6 +257,8 @@ def discretize_proposed(m: ContinuousModel, t: float,
     makes it factor afresh.  Results are the same either way."""
     global _last_plan
     t = _check_horizon(t)
+    if tau_zero is not None and not tau_zero >= 0.0:
+        raise ValueError(f"tau_zero must be >= 0 or None, got {tau_zero}")
     if t == 0.0:
         return _trivial_report(m, Method.PROPOSED)
     key = (m.a.dtype, m.s.dtype, m.a.tobytes(), m.s.tobytes(), tau_zero)
@@ -279,15 +276,21 @@ def discretize_proposed(m: ContinuousModel, t: float,
     mt = np.zeros((n, n), dtype=m.dtype)
     mt[:k, :k] = a11 @ g11
     mt[k:, k:] = _nilpotent_expm1(a22, t)
-    mt[:k, k:] = plan.f12.solve(mt[:k, :k] @ a12 - a12 @ mt[k:, k:])
+    # f12: a11 X - X a22 = c, solved as a11 Y - Y (J a22 J) = c J with
+    # X = Y J, J the column reversal, so that trsylv's coefficient is
+    # quasi-lower triangular for every integrator count
+    c12 = check_finite(mt[:k, :k] @ a12 - a12 @ mt[k:, k:], "sylvester c")
+    mt[:k, k:] = _kernels.trsylv(a11, plan.neg_a22_rev,
+                                 c12[:, ::-1])[:, ::-1]
     ft = mt + np.eye(n, dtype=m.dtype)
     ft[:k, :k] = f11
     vt = _x_minus_fxft(mt, st)
     q22 = q_nilpotent(a22, plan.s22, t)
     rhs12 = -vt[:k, k:] - a12 @ q22
-    q12 = plan.q12.solve(rhs12)
+    q12 = _kernels.trsylv(a11, plan.a22_t, check_finite(rhs12, "sylvester c"))
     rhs11 = -vt[:k, :k] - a12 @ q12.T - q12 @ a12.T
-    q11 = plan.q11.solve(rhs11)
+    q11 = _sym(_kernels.trsylv(a11, plan.a11_t,
+                               check_finite(rhs11, "lyapunov c")))
     qt = np.empty((n, n), dtype=m.dtype)
     qt[:k, :k] = q11
     qt[:k, k:] = q12

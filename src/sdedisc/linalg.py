@@ -216,21 +216,6 @@ def order_schur_zeros_last(u: np.ndarray, t: np.ndarray,
     return OrderedSchur(u=hu[n:], t=hu[:n], split=split)
 
 
-def is_quasi_upper_triangular(a: np.ndarray) -> bool:
-    """True if a already has real Schur zero structure (entries below the
-    first subdiagonal all zero, no two consecutive nonzero subdiagonals)."""
-    if np.tril(a, -2).any():
-        return False
-    sub = np.diagonal(a, -1) != 0.0
-    return not np.any(sub[:-1] & sub[1:])
-
-
-def _schur_or_passthrough(a: np.ndarray):
-    if is_quasi_upper_triangular(a):
-        return np.eye(a.shape[0], dtype=a.dtype), np.array(a, copy=True)
-    return real_schur(a)
-
-
 def _eig_sum_guard(ev_a, ev_b, threshold):
     """Raise NearSingularError when some lambda_i(a) + lambda_j(b) has
     modulus <= threshold; an empty spectrum on either side passes."""
@@ -246,80 +231,52 @@ def _eig_sum_guard(ev_a, ev_b, threshold):
             pair=(complex(ev_a[i]), complex(ev_b[j])))
 
 
-class _SylvesterFactor:
-    """The coefficients of a @ X + X @ b = c reduced to real Schur form once,
-    so that each right-hand side costs one quasi-triangular back-substitution
-    (Bartels-Stewart).  Inputs that are already quasi-upper triangular (a,
-    or b transposed) are used as-is without re-factorization.
-
-    ``guard`` raises NearSingularError when min |lambda_i(a) + lambda_j(b)|
-    falls below the singularity threshold; call it before ``solve``.  The
-    eigenvalues it tests are kept as ``ev_a`` and ``ev_b``."""
-
-    kind = "sylvester"
-
-    def __init__(self, a: np.ndarray, b: np.ndarray):
-        a = check_square(a, "sylvester a")
-        b = check_square(b, "sylvester b")
-        self.ua, ta = _schur_or_passthrough(a)
-        self.ub, tb = _schur_or_passthrough(b.T)  # b = ub @ tb.T @ ub.T
-        self.ta = np.ascontiguousarray(ta)
-        self.tb = np.ascontiguousarray(tb.T)
-        self.ev_a = quasi_tri_eigvalues(ta)
-        self.ev_b = quasi_tri_eigvalues(tb)
-        self.threshold = 100.0 * eps_of(a) * float(
-            np.linalg.norm(a) + np.linalg.norm(b))
-
-    def guard(self):
-        _eig_sum_guard(self.ev_a, self.ev_b, self.threshold)
-        return self
-
-    def solve(self, c: np.ndarray) -> np.ndarray:
-        c = check_finite(np.asarray(c), f"{self.kind} c")
-        shape = (self.ta.shape[0], self.tb.shape[0])
-        if c.shape != shape:
-            raise DimensionError(
-                f"rhs shape {c.shape} incompatible with {shape}")
-        cc = np.ascontiguousarray(self.ua.T @ c @ self.ub)
-        y = _kernels.trsylv(self.ta, self.tb, cc)
-        return self.ua @ y @ self.ub.T
+def _sym(x: np.ndarray) -> np.ndarray:
+    return (x + x.T) / x.dtype.type(2)
 
 
-class _LyapunovFactor(_SylvesterFactor):
-    """a @ X + X @ a.T = c for symmetric c, with a single Schur factorization
-    shared between both sides; ``solve`` symmetrizes its result."""
+def _schur_sylvester(ua, ta, ub, r, c, kind="sylvester"):
+    """Bartels-Stewart from given Schur factors: X with a @ X + X @ b = c,
+    where a = ua @ ta @ ua.T with ta quasi-upper triangular and
+    b = ub @ r @ ub.T with r quasi-lower triangular."""
+    c = check_finite(np.asarray(c), f"{kind} c")
+    shape = (ta.shape[0], r.shape[0])
+    if c.shape != shape:
+        raise DimensionError(f"rhs shape {c.shape} incompatible with {shape}")
+    return ua @ _kernels.trsylv(ta, r, ua.T @ c @ ub) @ ub.T
 
-    kind = "lyapunov"
 
-    def __init__(self, a: np.ndarray):
-        a = check_square(a, "lyapunov a")
-        self.ua, ta = _schur_or_passthrough(a)
-        self.ub = self.ua
-        self.ta = np.ascontiguousarray(ta)
-        self.tb = np.ascontiguousarray(ta.T)
-        self.ev_a = self.ev_b = quasi_tri_eigvalues(ta)
-        self.threshold = 100.0 * eps_of(a) * 2.0 * float(np.linalg.norm(a))
-
-    def solve(self, c: np.ndarray) -> np.ndarray:
-        x = super().solve(c)
-        return (x + x.T) / x.dtype.type(2)
+def _schur_lyapunov(u, t, c):
+    """a @ X + X @ a.T = c for a = u @ t @ u.T, symmetrized."""
+    return _sym(_schur_sylvester(u, t, u, np.ascontiguousarray(t.T), c,
+                                 "lyapunov"))
 
 
 def solve_sylvester(a: np.ndarray, b: np.ndarray,
                     c: np.ndarray) -> np.ndarray:
     """Solve a @ X + X @ b = c by Bartels-Stewart.
 
-    Inputs that are already quasi-upper triangular (a, or b transposed) are
-    used as-is without re-factorization.  Raises NearSingularError when
-    min |lambda_i(a) + lambda_j(b)| falls below the singularity threshold.
+    Raises NearSingularError when min |lambda_i(a) + lambda_j(b)| falls
+    below the singularity threshold.
     """
-    return _SylvesterFactor(a, b).guard().solve(c)
+    a = check_square(a, "sylvester a")
+    b = check_square(b, "sylvester b")
+    ua, ta = real_schur(a)
+    ub, tb = real_schur(b.T)  # b = ub @ tb.T @ ub.T
+    _eig_sum_guard(quasi_tri_eigvalues(ta), quasi_tri_eigvalues(tb),
+                   100.0 * eps_of(a) * float(np.linalg.norm(a)
+                                             + np.linalg.norm(b)))
+    return _schur_sylvester(ua, ta, ub, np.ascontiguousarray(tb.T), c)
 
 
 def solve_lyapunov(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Solve a @ X + X @ a.T = c for symmetric c; the result is explicitly
     symmetrized.  Shares a single Schur factorization between both sides."""
-    return _LyapunovFactor(a).guard().solve(c)
+    a = check_square(a, "lyapunov a")
+    u, t = real_schur(a)
+    ev = quasi_tri_eigvalues(t)
+    _eig_sum_guard(ev, ev, 100.0 * eps_of(a) * 2.0 * float(np.linalg.norm(a)))
+    return _schur_lyapunov(u, t, c)
 
 
 def symmetric_eigvalues(m: np.ndarray) -> np.ndarray:

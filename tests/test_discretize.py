@@ -140,6 +140,33 @@ def test_bad_horizon_rejected(func, t):
         HORIZON_TAKERS[func](t)
 
 
+@pytest.mark.parametrize("method", list(Method))
+def test_empty_model_gives_empty_f_and_q(method):
+    # an empty spectrum is vacuously stable, so lyap-p applies as well
+    empty = ContinuousModel(np.zeros((0, 0)), np.zeros((0, 0)))
+    report = run_method(empty, 1.0, method)
+    assert report.model.f.shape == report.model.q.shape == (0, 0)
+
+
+@pytest.mark.parametrize("tau_zero", [math.nan, -1.0])
+def test_bad_tau_zero_rejected(tau_zero):
+    m = constant_velocity()
+    with pytest.raises(ValueError, match="tau_zero"):
+        discretize_proposed(m, 1.0, tau_zero=tau_zero)
+    with pytest.raises(ValueError, match="tau_zero"):
+        run_method(m, 1.0, Method.PROPOSED, tau_zero=tau_zero)
+
+
+def test_tau_zero_bounds_accepted():
+    # no eigenvalue modulus is <= 0 here, and every one is <= inf
+    report = discretize_proposed(stable_system(0), 1.0, tau_zero=0.0)
+    assert report.diagnostics["integrator_count"] == 0.0
+    report = run_method(constant_velocity(), 1.0, Method.PROPOSED,
+                        tau_zero=math.inf)
+    assert report.diagnostics["integrator_count"] == 2.0
+    assert rel_err(report.model.q, cv_reference(1.0)[1]) < 1e-15
+
+
 # ------------------------------------------------------------ nilpotent
 
 
@@ -215,6 +242,15 @@ def test_mirrored_poles_unsupported_by_proposed():
     # the quadrature oracle still works there
     q = q_oracle(m, 1.0)
     assert q[0, 0] == pytest.approx((math.exp(2.0) - 1.0) / 2.0, rel=1e-10)
+
+
+def test_coupled_poles_unsupported_by_proposed():
+    # tau_zero = 1 splits -(1 + 2 eps) from +1: the leading and trailing
+    # blocks then hold poles that sum to ~0, and f12 and q12 are singular
+    a = np.diag([-(1.0 + 2 * np.finfo(float).eps), 1.0])
+    m = ContinuousModel(a, np.eye(2))
+    with pytest.raises(UnsupportedSpectrumError, match="not applicable"):
+        discretize_proposed(m, 1.0, tau_zero=1.0)
 
 
 # ----------------------------------------------------------- stationary
@@ -365,6 +401,34 @@ def test_short_horizon_q_without_cancellation(method, spec):
     m = gen_random_system(spec)
     for t in (1e-6, 1e-4, 1e-3, 1e-2):
         assert rel_err(method(m, t).model.q, scipy_vanloan_q(m, t)) < 1e-11, t
+
+
+def _triangular_chain3():
+    """Unrotated quasi-upper-triangular A: a complex pair above a 3-chain."""
+    a = np.zeros((5, 5))
+    a[:2, :2] = [[-0.5, 2.0], [-0.5, -0.5]]
+    a[2, 3] = a[3, 4] = 1.0
+    a[:2, 2:] = [[0.3, -1.2, 0.5], [0.8, 0.4, -0.7]]
+    g = np.arange(1.0, 26.0).reshape(5, 5) % 7 - 3
+    return ContinuousModel(a, g @ g.T / spectral_norm(g @ g.T))
+
+
+@pytest.mark.parametrize("m, tau_zero, p", [
+    (_triangular_chain3(), None, 3),
+    (observer_canonical([1.5, 0.7], [1.0, 0.2], p=3), None, 3),
+    (gen_random_system(EnsembleSpec(6, 3, 3, seed=0), stream=3), 1e-4, 3),
+    (gen_random_system(EnsembleSpec(7, 3, 4, seed=1)), 2e-3, 4),
+], ids=["triangular-p3", "observer-p3", "rotated-p3", "rotated-p4"])
+def test_proposed_deep_integrator_chains(m, tau_zero, p):
+    # the coupling block f12 of three or more integrators: a22 is then
+    # upper triangular beyond its first superdiagonal, which the
+    # back-substitution has to meet as a quasi-lower triangular coefficient
+    expm = pytest.importorskip("scipy.linalg").expm
+    for t in (0.1, 1.0, 10.0):
+        report = discretize_proposed(m, t, tau_zero=tau_zero)
+        assert report.diagnostics["integrator_count"] == p
+        assert rel_err(report.model.f, expm(m.a * t)) <= 1e-12, t
+        assert rel_err(report.model.q, scipy_vanloan_q(m, t)) <= 1e-9, t
 
 
 @pytest.mark.parametrize("seed", [
