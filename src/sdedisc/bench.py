@@ -31,7 +31,6 @@ class BenchConfig:
     ensemble: EnsembleSpec = EnsembleSpec(n=6, m=4, p=2, seed=42)
     t_grid: tuple = field(default_factory=default_t_grid)
     methods: tuple = (Method.PROPOSED, Method.VANLOAN)
-    oracle_tol: float = 1e-12
     runs: int = 100
     width: type = np.float32  # float width the methods run at
 
@@ -41,8 +40,6 @@ class BenchConfig:
                 or sorted(set(ts)) != ts):
             raise ValueError(
                 "t_grid must be strictly increasing, positive and finite")
-        if not 0.0 < self.oracle_tol < math.inf:
-            raise ValueError("oracle_tol must be positive and finite")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         object.__setattr__(self, "t_grid", tuple(ts))
@@ -95,7 +92,7 @@ def run_benchmark(cfg: BenchConfig) -> list:
             if not cfg.methods:
                 continue
             try:
-                q_true = q_oracle(model, t, rel_tol=cfg.oracle_tol)
+                q_true = q_oracle(model, t)
             except SdeDiscError:
                 # no truth to score against: every cell at this t fails
                 records.extend(BenchRecord(sid, method, t, None,

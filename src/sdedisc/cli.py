@@ -3,9 +3,7 @@ checks, run the mixed-precision benchmark, and generate system files."""
 
 import argparse
 import functools
-import logging
 import math
-import os
 import sys
 
 import numpy as np
@@ -22,15 +20,6 @@ from .sysfile import SystemFileError
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_METHOD = 3
-
-log = logging.getLogger("sdedisc")
-
-
-def _configure_logging() -> None:
-    level = os.environ.get("DISCRETIZE_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(name)s %(levelname)s: %(message)s")
-
 
 def _print_matrix(label: str, mat) -> None:
     print(label)
@@ -54,7 +43,7 @@ def cmd_discretize(args) -> int:
     model = _load_model(args.file, args.width)
     method = Method(args.method)
     try:
-        report = run_method(model, args.t, method, oracle_tol=args.tol)
+        report = run_method(model, args.t, method)
     except SdeDiscError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_METHOD
@@ -78,7 +67,8 @@ def cmd_check(args) -> int:
             report = run_method(model, args.t, method)
             semi = semigroup_residual(model, method, args.t / 2, args.t / 2)
         except SdeDiscError as exc:
-            log.info("%s failed: %s", method.value, exc)
+            print(f"{method.value}: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
             print(f"{method.value},,,not-applicable")
             continue
         lemma = report.diagnostics["lemma2_residual"]
@@ -94,11 +84,9 @@ def cmd_bench(args) -> int:
     try:
         ensemble = EnsembleSpec(n=args.n, m=args.m, p=args.p, seed=args.seed)
         cfg = BenchConfig(ensemble=ensemble, runs=args.runs,
-                          width=args.width, oracle_tol=args.tol)
+                          width=args.width)
     except ValueError as exc:
         args.parser.error(str(exc))
-    log.info("running %d systems x %d times x %d methods",
-             cfg.runs, len(cfg.t_grid), len(cfg.methods))
     records = run_benchmark(cfg)
     rows = summarize(records)
     prefix = args.out
@@ -176,8 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sampling time")
     p.add_argument("--method", default=Method.PROPOSED.value,
                    choices=[m.value for m in Method])
-    p.add_argument("--tol", type=_tolerance, default=1e-12,
-                   help="oracle quadrature tolerance")
     _add_width_flags(p)
     p.set_defaults(func=cmd_discretize)
 
@@ -199,8 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--p", type=int, default=2)
-    p.add_argument("--tol", type=_tolerance, default=1e-12,
-                   help="oracle quadrature tolerance")
     _add_width_flags(p, default=np.float32)  # the experiment runs binary32
     p.set_defaults(func=cmd_bench, parser=p)
 
@@ -219,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     args = build_parser().parse_args(argv)
     return args.func(args)
 

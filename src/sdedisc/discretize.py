@@ -49,6 +49,9 @@ _TINY = 1e-300
 # Richardson levels of q_oracle before it gives up; each level costs one
 # exponential and two products
 _ORACLE_MAX_DEPTH = 24
+# q_oracle stops when successive Richardson estimates differ by this much,
+# relative to their norm
+_ORACLE_REL_TOL = 1e-12
 
 
 def _check_horizon(t: float) -> float:
@@ -196,31 +199,35 @@ class _ProposedPlan:
     def __init__(self, m: ContinuousModel, tau_zero: float | None, key):
         self.key = key
         u0, t0 = real_schur(m.a)
+        tau_default = tau_zero_default(m.a)
         if tau_zero is None:
-            tau_zero = tau_zero_default(m.a)
+            tau_zero = tau_default
         u, at, k = order_schur_zeros_last(u0, t0, tau_zero)
         a11 = np.ascontiguousarray(at[:k, :k])
         a22 = np.ascontiguousarray(at[k:, k:])
-        # mirrored non-zero poles make the q11 Lyapunov solve singular;
-        # fail fast with a spectrum diagnosis
-        ev1 = quasi_tri_eigvalues(a11)
+        # mirrored non-zero poles make the q11 Lyapunov solve singular, and
+        # the f12 and q12 solves couple a11 with -a22 and with a22^T
+        ev1, ev2 = quasi_tri_eigvalues(a11), quasi_tri_eigvalues(a22)
+        eps = eps_of(m.a)
+        mirrored = True
         try:
-            _eig_sum_guard(ev1, ev1,
-                           200.0 * eps_of(m.a) * float(np.linalg.norm(m.a)))
+            _eig_sum_guard(ev1, ev1, 200.0 * eps * float(np.linalg.norm(m.a)))
+            mirrored = False
+            _eig_sum_guard(ev1, np.concatenate([-ev2, ev2]),
+                           100.0 * eps * float(np.linalg.norm(a11)
+                                               + np.linalg.norm(a22)))
         except NearSingularError as exc:
             i, j = exc.pair
-            raise UnsupportedSpectrumError(
-                f"non-zero poles mirrored in the imaginary axis: "
-                f"{i:.3e} and {j:.3e}") from exc
-        # the f12 and q12 solves couple a11 with -a22 and with a22^T
-        ev2 = quasi_tri_eigvalues(a22)
-        try:
-            _eig_sum_guard(ev1, np.concatenate([-ev2, ev2]),
-                           100.0 * eps_of(m.a) * float(np.linalg.norm(a11)
-                                                       + np.linalg.norm(a22)))
-        except NearSingularError as exc:
-            raise UnsupportedSpectrumError(
-                f"proposed method not applicable: {exc}") from exc
+            if abs(i) <= tau_default:
+                # an integrator by the default threshold: tau_zero was small
+                msg = (f"tau_zero={tau_zero:.3e} left integrators in the "
+                       f"leading block (eigenvalue {i:.3e})")
+            elif mirrored:
+                msg = ("non-zero poles mirrored in the imaginary axis: "
+                       f"{i:.3e} and {j:.3e}")
+            else:
+                msg = f"proposed method not applicable: {exc}"
+            raise UnsupportedSpectrumError(msg) from exc
         self.u, self.k = u, k
         self.a11, self.a12, self.a22 = a11, at[:k, k:], a22
         # quasi-lower triangular coefficients for trsylv: a11^T, a22^T, and
@@ -345,16 +352,13 @@ def naive_q_b(m: ContinuousModel, t: float) -> np.ndarray:
     return m.s * m.dtype.type(t)
 
 
-def q_oracle(m: ContinuousModel, t: float,
-             rel_tol: float = 1e-12) -> np.ndarray:
+def q_oracle(m: ContinuousModel, t: float) -> np.ndarray:
     """Reference covariance by composite-trapezoid quadrature of
     f(tau) = exp(A tau) S exp(A^T tau) with interval doubling and
     Richardson extrapolation, always in binary64.  Each level gets f at its
     new nodes from the last level's node sum by the semigroup identity
     f(tau + h) = exp(A h) f(tau) exp(A h)^T."""
     t = _check_horizon(t)
-    if not 0.0 < rel_tol < math.inf:
-        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     a = np.ascontiguousarray(m.a, dtype=np.float64)
     s = np.ascontiguousarray(m.s, dtype=np.float64)
     n = m.n
@@ -384,7 +388,7 @@ def q_oracle(m: ContinuousModel, t: float,
         if level >= 2:
             scale = max(float(np.linalg.norm(est)), _TINY)
             diff = float(np.linalg.norm(est - prev_est)) / scale
-            if diff <= rel_tol:
+            if diff <= _ORACLE_REL_TOL:
                 return _sym(est)
             if diff < best_diff:
                 best_diff, best_est, worse_streak = diff, est, 0
@@ -396,7 +400,7 @@ def q_oracle(m: ContinuousModel, t: float,
     if best_diff <= noise_floor:
         return _sym(best_est)
     raise ConvergenceError(
-        f"quadrature did not reach rel_tol={rel_tol:g} within "
+        f"quadrature did not reach {_ORACLE_REL_TOL=:g} within "
         f"{_ORACLE_MAX_DEPTH} doublings (best {best_diff:.2e})",
         sweeps=_ORACLE_MAX_DEPTH)
 
@@ -419,9 +423,7 @@ def lemma2_residual(m: ContinuousModel, f: np.ndarray,
     return float(spectral_norm(defect) / max(snorm * scale, floor))
 
 
-def run_method(m: ContinuousModel, t: float, method: Method,
-               oracle_tol: float = 1e-12,
-               tau_zero: float | None = None) -> MethodReport:
+def run_method(m: ContinuousModel, t: float, method: Method) -> MethodReport:
     """Uniform dispatcher.  Foils and the oracle are wrapped into a
     MethodReport using the true transition matrix F = exp(A t)."""
     if not isinstance(method, Method):
@@ -431,7 +433,7 @@ def run_method(m: ContinuousModel, t: float, method: Method,
     if method is Method.LYAP_Q:
         return discretize_lyap_q(m, t)
     if method is Method.PROPOSED:
-        return discretize_proposed(m, t, tau_zero=tau_zero)
+        return discretize_proposed(m, t)
     if method is Method.VANLOAN:
         return discretize_vanloan(m, t)
     t = _check_horizon(t)
@@ -445,7 +447,7 @@ def run_method(m: ContinuousModel, t: float, method: Method,
     if method is Method.ORACLE:
         if t == 0.0:
             return _trivial_report(m, method)
-        q = q_oracle(m, t, rel_tol=oracle_tol)
+        q = q_oracle(m, t)
         f = mat_exp(m.a.astype(np.float64), t)
         diag = {"lemma2_residual": lemma2_residual(m, f, q)}
         return MethodReport(DiscreteModel(f, q, t), method, diag)

@@ -84,7 +84,7 @@ def test_a2_cross_method_oracle_equivalence():
             reps = {meth: run_method(m, t, meth) for meth in methods}
             for meth, rep in reps.items():
                 _A2_REPORTS[(id(m), t, meth)] = (m, rep)
-            q_true = q_oracle(m, t, rel_tol=1e-11)
+            q_true = q_oracle(m, t)
             qs = [rep.model.q for rep in reps.values()]
             for i in range(len(qs)):
                 for j in range(i + 1, len(qs)):

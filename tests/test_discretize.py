@@ -153,18 +153,23 @@ def test_bad_tau_zero_rejected(tau_zero):
     m = constant_velocity()
     with pytest.raises(ValueError, match="tau_zero"):
         discretize_proposed(m, 1.0, tau_zero=tau_zero)
-    with pytest.raises(ValueError, match="tau_zero"):
-        run_method(m, 1.0, Method.PROPOSED, tau_zero=tau_zero)
 
 
 def test_tau_zero_bounds_accepted():
     # no eigenvalue modulus is <= 0 here, and every one is <= inf
     report = discretize_proposed(stable_system(0), 1.0, tau_zero=0.0)
     assert report.diagnostics["integrator_count"] == 0.0
-    report = run_method(constant_velocity(), 1.0, Method.PROPOSED,
-                        tau_zero=math.inf)
+    report = discretize_proposed(constant_velocity(), 1.0, tau_zero=math.inf)
     assert report.diagnostics["integrator_count"] == 2.0
     assert rel_err(report.model.q, cv_reference(1.0)[1]) < 1e-15
+
+
+@pytest.mark.parametrize("tau_zero", [0.0, 1e-8])
+def test_small_tau_zero_blamed_for_leftover_integrators(tau_zero):
+    # the rounding spread of the integrator pair (1.8e-8) is above these
+    # thresholds, so the pair stays in the leading block and trips a guard
+    with pytest.raises(UnsupportedSpectrumError, match="tau_zero"):
+        discretize_proposed(mixed_system(0), 1.0, tau_zero=tau_zero)
 
 
 # ------------------------------------------------------------ nilpotent
@@ -208,7 +213,7 @@ def test_stable_methods_agree(stream):
     qs = {meth: run_method(m, t, meth).model.q
           for meth in (Method.LYAP_P, Method.LYAP_Q, Method.PROPOSED,
                        Method.VANLOAN)}
-    q_ref = q_oracle(m, t, rel_tol=1e-12)
+    q_ref = q_oracle(m, t)
     for meth, q in qs.items():
         assert rel_err(q, q_ref) < 1e-9, meth
 
@@ -305,12 +310,6 @@ def test_q_oracle_scalar_closed_form():
     for t in (0.01, 1.0, 25.0):
         got = q_oracle(SCALAR, t)[0, 0]
         assert got == pytest.approx(1.0 - math.exp(-2.0 * t), rel=1e-11)
-
-
-def test_q_oracle_rejects_bad_tolerance():
-    for tol in [0.0, -1.0, math.nan, math.inf]:
-        with pytest.raises(ValueError, match="rel_tol"):
-            q_oracle(SCALAR, 1.0, rel_tol=tol)
 
 
 def test_q_oracle_symmetric_output():

@@ -132,16 +132,18 @@ def test_cli_parse_failure_exit_2(tmp_path, capsys):
     (["gen", "--out", "{out}", "--seed", "-1"], "seed must be >= 0"),
     (["gen", "--out", "{out}", "--stream", "-1"], "stream must be >= 0"),
     (["bench", "--out", "{out}", "--seed", "-1"], "seed must be >= 0"),
-    (["discretize", "{cv}", "--t", "1", "--method", "oracle", "--tol", "-1"],
-     "finite number > 0"),
-    (["discretize", "{cv}", "--t", "1", "--method", "oracle", "--tol", "0"],
-     "finite number > 0"),
-    (["discretize", "{cv}", "--t", "1", "--method", "oracle", "--tol", "nan"],
-     "finite number > 0"),
+    (["check", "{cv}", "--t", "1", "--tol", "-1"], "finite number > 0"),
+    (["check", "{cv}", "--t", "1", "--tol", "0"], "finite number > 0"),
     (["check", "{cv}", "--t", "1", "--tol", "nan"], "finite number > 0"),
     (["check", "{cv}", "--t", "1", "--tol", "inf"], "finite number > 0"),
-    (["bench", "--out", "{out}", "--tol", "-1"], "finite number > 0"),
-    (["bench", "--out", "{out}", "--tol", "tight"], "finite number > 0"),
+    (["check", "{cv}", "--t", "1", "--tol", "tight"], "finite number > 0"),
+    # the oracle tolerance is a constant: only check takes --tol
+    (["discretize", "{cv}", "--t", "1", "--method", "oracle", "--tol", "1e-8"],
+     "unrecognized arguments: --tol 1e-8"),
+    (["bench", "--out", "{out}", "--tol", "1e-8"],
+     "unrecognized arguments: --tol 1e-8"),
+    (["discretize", "{cv}", "--t", "1", "--tol", "1e-12"],
+     "unrecognized arguments: --tol 1e-12"),
 ])
 def test_cli_bad_arguments_exit_2(args, message, cv_file, tmp_path, capsys):
     args = [a.format(cv=cv_file, out=str(tmp_path / "run")) for a in args]
@@ -162,9 +164,18 @@ def test_cli_check_scalar_all_ok(scalar_file, capsys):
 
 def test_cli_check_mixed_marks_not_applicable(cv_file, capsys):
     assert main(["check", cv_file, "--t", "1"]) == 0
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert out[0] == "method,lemma2_residual,semigroup_residual,status"
+    assert [line.split(",")[0] for line in out[1:]] == [
+        "lyap-p", "lyap-q", "proposed", "vanloan", "naive-a", "naive-b"]
+    assert "lyap-p,,,not-applicable" in out
     assert "lyap-q,,,not-applicable" in out
-    assert "proposed" in out and "vanloan" in out
+    # each refusal's type and message go to stderr, one line per method
+    err = captured.err.splitlines()
+    assert len(err) == 2
+    assert err[0].startswith("lyap-p: MethodNotApplicableError: ")
+    assert err[1].startswith("lyap-q: MethodNotApplicableError: ")
 
 
 def test_cli_gen_fixture_and_discretize(tmp_path, capsys):
