@@ -11,6 +11,7 @@ All kernels mutate or allocate arrays in the dtype of their inputs, so the
 same code serves binary32 and binary64.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -188,23 +189,50 @@ def trsylv(ta, r, c):
     return y
 
 
+@functools.lru_cache(maxsize=16)
+def _pade13_terms(dtype, n, ndim):
+    """pade13_expm's constants for one width, size and rank: for each of
+    a6, a4 and a2 its four coefficients (in w1, w2, z1 and vv) as a
+    (4, 1, ..., 1) array that broadcasts over the power, then b1 I and
+    b0 I.  Cached, because building them costs more than using them."""
+    b = np.array(_PADE13, dtype=dtype)
+    ident = np.eye(n, dtype=dtype)
+    terms = tuple(b[list(rows)].reshape((4,) + (1,) * ndim)
+                  for rows in ((13, 7, 12, 6), (11, 5, 10, 4), (9, 3, 8, 2)))
+    terms += (b[1] * ident, b[0] * ident)
+    for x in terms:
+        x.flags.writeable = False
+    return terms
+
+
 def pade13_expm(a, squarings):
     """Degree-13 diagonal Pade approximant of exp(a) followed by repeated
-    squaring; a must already be scaled so the approximant is accurate."""
-    n = a.shape[0]
-    b = _PADE13
-    ident = np.eye(n, dtype=a.dtype)
-    a2 = np.dot(a, a)
-    a4 = np.dot(a2, a2)
-    a6 = np.dot(a2, a4)
-    w1 = b[13] * a6 + b[11] * a4 + b[9] * a2
-    w2 = b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident
-    uu = np.dot(a, np.dot(a6, w1) + w2)
-    z1 = b[12] * a6 + b[10] * a4 + b[8] * a2
-    vv = np.dot(a6, z1) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    squaring; a must already be scaled so the approximant is accurate.
+    a is one matrix with an int squarings, or a stack (k, n, n) with a
+    list of k ints."""
+    c6, c4, c2, b1_i, b0_i = _pade13_terms(a.dtype, a.shape[-1], a.ndim)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    # each coefficient times each power in one product per power; the sums
+    # keep the association order of the scalar form term by term
+    p6, p4, p2 = c6 * a6, c4 * a4, c2 * a2
+    w1, w2, z1 = p6[:3] + p4[:3] + p2[:3]
+    uu = a @ (a6 @ w1 + (w2 + b1_i))
+    vv = a6 @ z1 + p6[3] + p4[3] + p2[3] + b0_i
     r = np.ascontiguousarray(np.linalg.solve(vv - uu, vv + uu))
-    for _ in range(squarings):
-        r = np.dot(r, r)
+    if a.ndim == 2:
+        for _ in range(squarings):
+            r = r @ r
+        return r
+    # every matrix squares as often as the fewest count asks, then only
+    # the matrices that ask for more
+    fewest = min(squarings, default=0)
+    for _ in range(fewest):
+        r = r @ r
+    for step in range(fewest, max(squarings, default=0)):
+        live = [i for i, count in enumerate(squarings) if count > step]
+        r[live] = r[live] @ r[live]
     return r
 
 
@@ -258,5 +286,6 @@ def jacobi_symm_eigvals(a, eps, max_sweeps):
 def propagated_outer_sum(left, e_half):
     """left + E left E^T with E = e_half: one level of the quadrature
     oracle.  If left sums the integrand exp(A tau) S exp(A^T tau) at the
-    nodes i 2h, the result sums it at the nodes i h, for E = exp(A h)."""
-    return left + e_half @ left @ e_half.T
+    nodes i 2h, the result sums it at the nodes i h, for E = exp(A h).
+    Either argument may be a stack of matrices."""
+    return left + e_half @ left @ np.swapaxes(e_half, -1, -2)

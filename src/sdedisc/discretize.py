@@ -24,13 +24,16 @@ import numpy as np
 from . import _kernels
 from .errors import (
     ConvergenceError,
+    MatrixOverflowError,
     MethodNotApplicableError,
     NearSingularError,
     NilpotencyError,
+    SdeDiscError,
     UnsupportedSpectrumError,
 )
 from .linalg import (
     _eig_sum_guard,
+    _mat_exp_many,
     _schur_lyapunov,
     _sym,
     check_finite,
@@ -357,27 +360,71 @@ def q_oracle(m: ContinuousModel, t: float) -> np.ndarray:
     f(tau) = exp(A tau) S exp(A^T tau) with interval doubling and
     Richardson extrapolation, always in binary64.  Each level gets f at its
     new nodes from the last level's node sum by the semigroup identity
-    f(tau + h) = exp(A h) f(tau) exp(A h)^T."""
-    t = _check_horizon(t)
+    f(tau + h) = exp(A h) f(tau) exp(A h)^T.  The one-horizon case of
+    _q_oracle_many, raising the error it reports."""
+    (q,) = _q_oracle_many(m, (t,))
+    if isinstance(q, SdeDiscError):
+        raise q
+    return q
+
+
+def _q_oracle_many(m: ContinuousModel, ts) -> list:
+    """q_oracle at every horizon of ts in one pass: entry i is Q at ts[i],
+    or the SdeDiscError that horizon raised.  The horizons' Romberg tables
+    advance in lockstep, one stacked exponential per level; each horizon
+    keeps its own stop test and leaves the stack once it converges, stops
+    at the noise floor or fails, so entry i is what q_oracle(m, ts[i])
+    computes alone."""
+    ts = [_check_horizon(t) for t in ts]
     a = np.ascontiguousarray(m.a, dtype=np.float64)
     s = np.ascontiguousarray(m.s, dtype=np.float64)
     n = m.n
-    if t == 0.0:
-        return np.zeros((n, n))
-    e_t = mat_exp(a, t)
+    out = [np.zeros((n, n)) if t == 0.0 else None for t in ts]
+    # the live horizons: their indices in ts, and the horizons themselves
+    # as a (k, 1, 1) stack that scales the matching node sums
+    live = [i for i, t in enumerate(ts) if t > 0.0]
+    t_live = np.array([ts[i] for i in live]).reshape(-1, 1, 1)
+
+    def exp_stack(h):
+        """exp(A h) for the live steps h, and which slices are finite; an
+        overflowed slice is its horizon's error and is replaced by 0."""
+        e, ok = _mat_exp_many(a, h[:, 0, 0])
+        ok = ok.tolist()
+        for j, i in enumerate(live):
+            if not ok[j]:
+                out[i] = MatrixOverflowError(
+                    f"exp(A h) overflowed binary64 at h = {h[j, 0, 0]:.3g} "
+                    f"(horizon {ts[i]:.3g})")
+                e[j] = 0.0
+        return e, ok
+
+    e_t, keep = exp_stack(t_live)
     # the trapezoid's endpoint correction: f(T) - f(0) halved
-    ends = 0.5 * (e_t @ s @ e_t.T - s)
+    ends = 0.5 * (e_t @ s @ np.swapaxes(e_t, 1, 2) - s)
     # left = sum_{i<2^level} f(i h), the trapezoid's nodes but the last
-    left = s
-    row = [t * (left + ends)]
+    left = np.repeat(s[None], len(live), axis=0)
+    row = [t_live * (left + ends)]
     # rounding noise in the propagated nodes eventually dominates the
     # diagonal differences; past that point the best estimate so far is
     # the achievable answer, acceptable down to this relative level
     noise_floor = 1e-10
-    best_diff, best_est, worse_streak = math.inf, None, 0
+    best_diff = [math.inf] * len(live)
+    best_est = [None] * len(live)
+    worse_streak = [0] * len(live)
     for level in range(1, _ORACLE_MAX_DEPTH + 1):
-        h = t / 2.0 ** level
-        left = _kernels.propagated_outer_sum(left, mat_exp(a, h))
+        if not any(keep):
+            break
+        if not all(keep):
+            # drop the horizons that finished or failed at the last level
+            js = [j for j, k in enumerate(keep) if k]
+            t_live, left, ends = t_live[js], left[js], ends[js]
+            row = [r[js] for r in row]
+            live, best_diff, best_est, worse_streak = (
+                [x[j] for j in js]
+                for x in (live, best_diff, best_est, worse_streak))
+        h = t_live / 2.0 ** level
+        e_h, keep = exp_stack(h)
+        left = _kernels.propagated_outer_sum(left, e_h)
         new_row = [h * (left + ends)]
         weight = 1.0
         for prev in row:
@@ -385,24 +432,33 @@ def q_oracle(m: ContinuousModel, t: float) -> np.ndarray:
             new_row.append((weight * new_row[-1] - prev) / (weight - 1.0))
         est, prev_est = new_row[-1], row[-1]
         row = new_row
-        if level >= 2:
-            scale = max(float(np.linalg.norm(est)), _TINY)
-            diff = float(np.linalg.norm(est - prev_est)) / scale
+        if level < 2:
+            continue
+        for j, i in enumerate(live):
+            if not keep[j]:
+                continue
+            scale = max(float(np.linalg.norm(est[j])), _TINY)
+            diff = float(np.linalg.norm(est[j] - prev_est[j])) / scale
             if diff <= _ORACLE_REL_TOL:
-                return _sym(est)
-            if diff < best_diff:
-                best_diff, best_est, worse_streak = diff, est, 0
-            elif diff > 2.0 * best_diff:
-                worse_streak += 1
-                if (worse_streak >= 2 and level >= 6
-                        and best_diff <= noise_floor):
-                    return _sym(best_est)
-    if best_diff <= noise_floor:
-        return _sym(best_est)
-    raise ConvergenceError(
-        f"quadrature did not reach {_ORACLE_REL_TOL=:g} within "
-        f"{_ORACLE_MAX_DEPTH} doublings (best {best_diff:.2e})",
-        sweeps=_ORACLE_MAX_DEPTH)
+                out[i], keep[j] = _sym(est[j]), False
+            elif diff < best_diff[j]:
+                best_diff[j], best_est[j], worse_streak[j] = diff, est[j], 0
+            elif diff > 2.0 * best_diff[j]:
+                worse_streak[j] += 1
+                if (worse_streak[j] >= 2 and level >= 6
+                        and best_diff[j] <= noise_floor):
+                    out[i], keep[j] = _sym(best_est[j]), False
+    for j, i in enumerate(live):
+        if not keep[j]:
+            continue
+        if best_diff[j] <= noise_floor:
+            out[i] = _sym(best_est[j])
+        else:
+            out[i] = ConvergenceError(
+                f"quadrature did not reach {_ORACLE_REL_TOL=:g} within "
+                f"{_ORACLE_MAX_DEPTH} doublings (best {best_diff[j]:.2e})",
+                sweeps=_ORACLE_MAX_DEPTH)
+    return out
 
 
 def lemma2_residual(m: ContinuousModel, f: np.ndarray,

@@ -101,6 +101,34 @@ def mat_exp(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     return result
 
 
+def _mat_exp_many(a: np.ndarray, ts) -> tuple:
+    """exp(a * t) for every t in ts as one (len(ts), n, n) stack, and a
+    boolean array that is False where that exponential is not finite.  a
+    must be square and finite.  Each slice is scaled and squared as mat_exp
+    scales and squares it, so a finite slice i equals mat_exp(a, ts[i]) bit
+    for bit."""
+    dtype = np.dtype(a.dtype if a.dtype in (np.float32, np.float64)
+                     else np.float64)
+    # an overflowing slice is reported in the returned flags, not as
+    # numpy's RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        at = np.asarray(a, dtype=dtype) * np.asarray(ts, dtype=dtype)[
+            :, None, None]
+        norm1 = np.abs(at).sum(axis=1).max(axis=1, initial=0.0).astype(
+            np.float64)
+        # where a * t overflowed the slice comes out non-finite; it is
+        # flagged and not squared
+        ok = np.isfinite(norm1)
+        norm1[~ok] = 0.0
+        squarings = np.ceil(np.log2(np.maximum(norm1, _THETA13)
+                                    / _THETA13)).astype(np.intp)
+        counts = squarings.tolist()
+        if any(counts):
+            at /= (2.0 ** squarings).astype(dtype)[:, None, None]
+        result = _kernels.pade13_expm(at, counts)
+    return result, ok & np.isfinite(result).all(axis=(1, 2))
+
+
 def real_schur(a: np.ndarray):
     """Real Schur decomposition a = u @ t @ u.T with u orthogonal and t
     quasi-upper triangular (standardized 1x1/2x2 diagonal blocks)."""

@@ -10,8 +10,10 @@ from sdedisc import bench
 from sdedisc.bench import (BenchConfig, BenchRecord, CellStatus,
                            run_benchmark, summarize, records_to_csv,
                            summary_to_csv, default_t_grid)
-from sdedisc.errors import ConvergenceError
-from sdedisc.modelgen import EnsembleSpec
+from sdedisc.discretize import q_oracle, run_method
+from sdedisc.errors import ConvergenceError, MatrixOverflowError
+from sdedisc.linalg import spectral_norm
+from sdedisc.modelgen import EnsembleSpec, gen_random_system
 from sdedisc.models import Method
 
 
@@ -95,13 +97,12 @@ def test_lyap_q_not_applicable_on_integrators():
 
 
 def test_oracle_failure_recorded_not_raised(monkeypatch):
-    def failing_oracle(model, t):
-        if t == 1.0:
-            raise ConvergenceError("quadrature did not converge", sweeps=24)
-        return real_oracle(model, t)
+    def failing_oracle(model, ts):
+        return [ConvergenceError("quadrature did not converge", sweeps=24)
+                if t == 1.0 else q for t, q in zip(ts, real_oracle(model, ts))]
 
-    real_oracle = bench.q_oracle
-    monkeypatch.setattr(bench, "q_oracle", failing_oracle)
+    real_oracle = bench._q_oracle_many
+    monkeypatch.setattr(bench, "_q_oracle_many", failing_oracle)
     cfg = small_cfg(methods=(Method.PROPOSED, Method.VANLOAN))
     records = run_benchmark(cfg)
     assert len(records) == 2 * 2 * 2
@@ -110,6 +111,32 @@ def test_oracle_failure_recorded_not_raised(monkeypatch):
             assert rec.status is CellStatus.ERROR and rec.epsilon is None
         else:
             assert rec.status is CellStatus.OK
+
+
+def test_records_match_per_cell_definition():
+    # one truth per (system, t) from q_oracle, each method through
+    # run_method, scored as relative spectral-norm error
+    cfg = small_cfg(ensemble=EnsembleSpec(n=6, m=4, p=2, seed=3),
+                    t_grid=(0.01, 1.0, 100.0),
+                    methods=(Method.PROPOSED, Method.VANLOAN))
+    want = []
+    for sid in range(cfg.runs):
+        model = gen_random_system(cfg.ensemble, stream=sid)
+        model_w = model.astype(cfg.width)
+        for t in cfg.t_grid:
+            q_true = q_oracle(model, t)
+            for method in cfg.methods:
+                try:
+                    q_hat = run_method(model_w, t, method).model.q
+                except MatrixOverflowError:
+                    want.append(BenchRecord(sid, method, t, None,
+                                            CellStatus.OVERFLOW))
+                    continue
+                eps = (spectral_norm(q_hat.astype(np.float64) - q_true)
+                       / spectral_norm(q_true))
+                want.append(BenchRecord(sid, method, t, eps, CellStatus.OK))
+    assert CellStatus.OVERFLOW in {r.status for r in want}
+    assert run_benchmark(cfg) == want
 
 
 def test_summarize_single_record():

@@ -2,6 +2,7 @@
 invariant certificates, and failure modes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -377,6 +378,36 @@ def scipy_doubling_q(m, t):
 def test_q_oracle_matches_scipy_doubling(m):
     for t in (1e-4, 1e-2, 1.0, 10.0, 100.0):
         assert rel_err(q_oracle(m, t), scipy_doubling_q(m, t)) < 1e-8, t
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_q_oracle_many_is_q_oracle_per_horizon(seed):
+    m = gen_random_system(EnsembleSpec(6, 4, 2, seed=seed), stream=0)
+    grid = default_t_grid()
+    for t, q in zip(grid, discretize._q_oracle_many(m, grid)):
+        assert q.tobytes() == q_oracle(m, t).tobytes(), t
+
+
+def test_q_oracle_many_isolates_failures():
+    # exp(10 T) overflows binary64 at T = 100 but not at T = 1
+    m = ContinuousModel(np.array([[10.0]]), np.array([[1.0]]))
+    q1, q100 = discretize._q_oracle_many(m, (1.0, 100.0))
+    assert isinstance(q100, MatrixOverflowError)
+    assert q1.tobytes() == q_oracle(m, 1.0).tobytes()
+    assert q1[0, 0] == pytest.approx(math.expm1(20.0) / 20.0, rel=1e-11)
+    with pytest.raises(MatrixOverflowError):
+        q_oracle(m, 100.0)
+    q0, q2 = discretize._q_oracle_many(m, (0.0, 2.0))
+    assert q0.tolist() == [[0.0]]
+    assert q2.tobytes() == q_oracle(m, 2.0).tobytes()
+    assert discretize._q_oracle_many(m, ()) == []
+    # the failed horizon's inf and 0 entries leave no NaN warning behind
+    m2 = ContinuousModel(np.diag([10.0, -1.0]), np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q1, q100 = discretize._q_oracle_many(m2, (1.0, 100.0))
+    assert isinstance(q100, MatrixOverflowError)
+    assert q1.tobytes() == q_oracle(m2, 1.0).tobytes()
 
 
 def test_q_oracle_converges_on_seed_840():

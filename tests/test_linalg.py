@@ -109,6 +109,52 @@ def test_mat_exp_rejects_bad_input():
         mat_exp(np.array([[np.nan]]), 1.0)
 
 
+def _squarings(a, t):
+    norm1 = float(np.abs(a * a.dtype.type(t)).sum(axis=0).max())
+    return max(0, math.ceil(math.log2(norm1 / linalg._THETA13)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mat_exp_many_is_mat_exp_slice_by_slice(dtype):
+    rng = np.random.default_rng(12)
+    a = random_matrix(rng, 6) - 2.0 * np.eye(6)
+    s = random_matrix(rng, 6)
+    van_loan = np.block([[a, s @ s.T], [np.zeros((6, 6)), -a.T]])
+    ts = (1e-3, 0.3, 2.0, 11.0, 40.0, 100.0)
+    for m in (a.astype(dtype), van_loan.astype(dtype)):
+        assert len({_squarings(m, t) for t in ts}) >= 4
+        stack, ok = linalg._mat_exp_many(m, ts)
+        assert stack.dtype == dtype and ok.shape == (len(ts),)
+        for t, got, finite in zip(ts, stack, ok):
+            try:
+                want = mat_exp(m, t)
+            except MatrixOverflowError:
+                assert not finite
+                continue
+            assert finite and got.tobytes() == want.tobytes()
+    # binary32 Van Loan overflows at the longest horizons
+    assert ok.all() == (dtype is np.float64)
+
+
+def test_mat_exp_many_empty_matrix_and_stack():
+    stack, ok = linalg._mat_exp_many(np.zeros((0, 0)), [0.5, 2.0])
+    assert stack.shape == (2, 0, 0) and ok.tolist() == [True, True]
+    assert mat_exp(np.zeros((0, 0)), 2.0).shape == (0, 0)
+    stack, ok = linalg._mat_exp_many(np.eye(3), [])
+    assert stack.shape == (0, 3, 3) and ok.shape == (0,)
+
+
+def test_mat_exp_many_flags_overflow_without_warning():
+    # exp(10 t) overflows binary64 at t = 100; 10 t itself at t = 1e308
+    a = np.array([[10.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stack, ok = linalg._mat_exp_many(a, [1.0, 100.0, 1e308, 2.0])
+    assert ok.tolist() == [True, False, False, True]
+    assert stack[0].tobytes() == mat_exp(a, 1.0).tobytes()
+    assert stack[3].tobytes() == mat_exp(a, 2.0).tobytes()
+
+
 # ------------------------------------------------------------- real_schur
 
 
@@ -442,6 +488,13 @@ def test_spectral_norm_matches_svd():
         a = random_matrix(rng, int(rng.integers(1, 9)))
         want = np.linalg.norm(a, 2)
         assert spectral_norm(a) == pytest.approx(want, rel=1e-12)
+
+
+def test_stacked_spectral_norms_are_spectral_norm():
+    # run_benchmark takes the truths' norms in one stacked call
+    stack = np.random.default_rng(19).standard_normal((2000, 6, 6))
+    got = np.linalg.norm(stack, 2, axis=(1, 2))
+    assert got.tolist() == [spectral_norm(a) for a in stack]
 
 
 def test_symmetric_eigvalues_sorted_and_correct():
