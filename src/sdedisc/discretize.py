@@ -68,18 +68,7 @@ def _trivial_report(m: ContinuousModel, method: Method) -> MethodReport:
     n = m.n
     model = DiscreteModel(f=np.eye(n, dtype=m.dtype),
                           q=np.zeros((n, n), dtype=m.dtype), horizon=0.0)
-    return MethodReport(model=model, method=method,
-                        diagnostics={"sylvester_residual": 0.0,
-                                     "lemma2_residual": 0.0})
-
-
-def _sylv_residual(a, b, x, rhs) -> float:
-    """Relative residual of a @ x + x @ b.T = rhs (b = a for Lyapunov).
-    The floor is the width's smallest normal number, so that an empty or
-    zero x gives 0 at binary32 too."""
-    num = np.linalg.norm(a @ x + x @ b.T - rhs)
-    den = (np.linalg.norm(a) + np.linalg.norm(b)) * np.linalg.norm(x)
-    return float(num / (den + np.finfo(x.dtype).tiny))
+    return MethodReport(model=model, method=method)
 
 
 def _exp_and_integral(a: np.ndarray, t: float):
@@ -115,11 +104,7 @@ def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
     p = _schur_lyapunov(u, ta, -m.s)
     f, g = _exp_and_integral(m.a, t)
     q = _x_minus_fxft(m.a @ g, p)
-    diag = {
-        "sylvester_residual": _sylv_residual(m.a, m.a, p, -m.s),
-        "lemma2_residual": lemma2_residual(m, f, q),
-    }
-    return MethodReport(DiscreteModel(f, q, t), Method.LYAP_P, diag)
+    return MethodReport(DiscreteModel(f, q, t), Method.LYAP_P)
 
 
 def discretize_lyap_q(m: ContinuousModel, t: float) -> MethodReport:
@@ -144,11 +129,7 @@ def discretize_lyap_q(m: ContinuousModel, t: float) -> MethodReport:
     f, g = _exp_and_integral(m.a, t)
     v = _x_minus_fxft(m.a @ g, m.s)
     q = _schur_lyapunov(u, ta, -v)
-    diag = {
-        "sylvester_residual": _sylv_residual(m.a, m.a, q, -v),
-        "lemma2_residual": lemma2_residual(m, f, q),
-    }
-    return MethodReport(DiscreteModel(f, q, t), Method.LYAP_Q, diag)
+    return MethodReport(DiscreteModel(f, q, t), Method.LYAP_Q)
 
 
 def q_nilpotent(a22: np.ndarray, s22: np.ndarray, t: float) -> np.ndarray:
@@ -308,13 +289,7 @@ def discretize_proposed(m: ContinuousModel, t: float,
     qt[k:, k:] = q22
     f = plan.u @ ft @ plan.u_inv
     q = _sym(plan.u @ qt @ plan.u.T)
-    diag = {
-        "split_index": float(k),
-        "integrator_count": float(n - k),
-        "sylvester_residual": max(_sylv_residual(a11, a22, q12, rhs12),
-                                  _sylv_residual(a11, a11, q11, rhs11)),
-        "lemma2_residual": lemma2_residual(m, f, q),
-    }
+    diag = {"split_index": float(k), "integrator_count": float(n - k)}
     return MethodReport(DiscreteModel(f, q, t), Method.PROPOSED, diag)
 
 
@@ -335,8 +310,7 @@ def discretize_vanloan(m: ContinuousModel, t: float) -> MethodReport:
     big = mat_exp(h, t)
     f = np.ascontiguousarray(big[:n, :n])
     q = _sym(big[:n, n:] @ f.T)
-    diag = {"lemma2_residual": lemma2_residual(m, f, q)}
-    return MethodReport(DiscreteModel(f, q, t), Method.VANLOAN, diag)
+    return MethodReport(DiscreteModel(f, q, t), Method.VANLOAN)
 
 
 def naive_q_a(m: ContinuousModel, t: float) -> np.ndarray:
@@ -465,7 +439,9 @@ def lemma2_residual(m: ContinuousModel, f: np.ndarray,
                     q: np.ndarray) -> float:
     """Universal correctness certificate: the exact covariance satisfies
     A Q + Q A^T = -S + F S F^T for any A (stable or not).  Returns the
-    relative spectral-norm defect."""
+    relative spectral-norm defect, computed in binary64.  No method
+    computes it; a caller that wants it passes a result's
+    ``report.model.f`` and ``report.model.q``."""
     if f.shape != m.a.shape or q.shape != m.a.shape:
         raise ValueError("shape mismatch in lemma2_residual")
     a = m.a.astype(np.float64)
@@ -498,15 +474,13 @@ def run_method(m: ContinuousModel, t: float, method: Method) -> MethodReport:
             return _trivial_report(m, method)
         q = naive_q_a(m, t) if method is Method.NAIVE_A else naive_q_b(m, t)
         f = mat_exp(m.a, t)
-        diag = {"lemma2_residual": lemma2_residual(m, f, q)}
-        return MethodReport(DiscreteModel(f, q, t), method, diag)
+        return MethodReport(DiscreteModel(f, q, t), method)
     if method is Method.ORACLE:
         if t == 0.0:
             return _trivial_report(m, method)
         q = q_oracle(m, t)
         f = mat_exp(m.a.astype(np.float64), t)
-        diag = {"lemma2_residual": lemma2_residual(m, f, q)}
-        return MethodReport(DiscreteModel(f, q, t), method, diag)
+        return MethodReport(DiscreteModel(f, q, t), method)
     raise ValueError(f"unknown method {method!r}")
 
 

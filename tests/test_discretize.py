@@ -11,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 from sdedisc import _kernels, discretize
 from sdedisc.bench import default_t_grid
 from sdedisc.errors import (MatrixOverflowError, MethodNotApplicableError,
-                            NilpotencyError, UnsupportedSpectrumError)
-from sdedisc.models import ContinuousModel, Method, EXACT_METHODS
+                            NilpotencyError, NonFiniteError,
+                            UnsupportedSpectrumError)
+from sdedisc.models import (ContinuousModel, DiscreteModel, Method,
+                            EXACT_METHODS)
 from sdedisc.modelgen import (EnsembleSpec, gen_random_system,
                               constant_velocity, observer_canonical)
 from sdedisc.discretize import (discretize_lyap_p, discretize_lyap_q,
@@ -103,8 +105,6 @@ def test_proposed_reports_integrator_count():
         report = discretize_proposed(constant_velocity().astype(width), 1.0)
         assert report.diagnostics["integrator_count"] == 2.0
         assert report.diagnostics["split_index"] == 0.0
-        # no leading block: both leading-block solves are empty
-        assert report.diagnostics["sylvester_residual"] == 0.0
 
 
 # ---------------------------------------------------------- t = 0 and t
@@ -279,6 +279,26 @@ def test_vanloan_float32_overflows_at_large_horizon():
         discretize_vanloan(m, 100.0)
 
 
+def test_vanloan_float32_non_finite_q_raises():
+    # exp(46) fits binary32 but the product forming Q, about exp(92) / 2,
+    # does not; the exponential itself stays finite
+    m = ContinuousModel(np.array([[1.0]], dtype=np.float32),
+                        np.array([[1.0]], dtype=np.float32))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        discretize_vanloan(m, 46.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_discrete_model_rejects_non_finite(bad):
+    good = np.eye(2)
+    worse = np.array([[1.0, bad], [0.0, 1.0]])
+    with pytest.raises(NonFiniteError, match="discrete model f"):
+        DiscreteModel(worse, good, 1.0)
+    with pytest.raises(NonFiniteError, match="discrete model q"):
+        DiscreteModel(good, worse, 1.0)
+    DiscreteModel(good, good, 1.0)
+
+
 # ---------------------------------------------------------------- foils
 
 
@@ -332,7 +352,7 @@ def test_lemma2_residual_detects_wrong_q():
 def test_reports_carry_lemma2_residual():
     for meth in EXACT_METHODS:
         report = run_method(SCALAR, 1.0, meth)
-        assert report.diagnostics["lemma2_residual"] < 1e-12
+        assert lemma2_residual(SCALAR, report.model.f, report.model.q) < 1e-12
 
 
 # ------------------------------------------------------ short horizons

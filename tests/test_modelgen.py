@@ -119,6 +119,18 @@ def test_model_rejects_other_widths(width):
         ContinuousModel(-np.eye(2, dtype=width), np.eye(2, dtype=width))
 
 
+def test_model_keeps_binary32_noise_near_the_width_maximum():
+    # 3e38 + 3e38 overflows binary32, so s + s^T must never be formed
+    a = -np.eye(2, dtype=np.float32)
+    s = np.diag([3e38, 1.0]).astype(np.float32)
+    m = ContinuousModel(a, s)
+    assert m.s.dtype == np.float32
+    assert np.array_equal(m.s, s)
+    # an overflowed norm would make the PSD tolerance inf and pass anything
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        ContinuousModel(a, np.diag([3e38, -3e38]).astype(np.float32))
+
+
 def test_model_converts_integer_and_bool():
     m = ContinuousModel(np.array([[0, 1], [0, 0]]), np.eye(2, dtype=bool))
     assert m.a.dtype == m.s.dtype == np.float64

@@ -89,6 +89,9 @@ def test_cli_discretize_golden(cv_file, capsys):
                   for r in (1, 2)])
     assert np.allclose(q, [[1.0 / 3.0, 0.5], [0.5, 1.0]], rtol=1e-12)
     assert "integrator_count 2" in out
+    lemma = [line for line in lines if line.startswith("lemma2_residual ")]
+    assert len(lemma) == 1 and float(lemma[0].split()[1]) < 1e-12
+    assert "sylvester_residual" not in out
 
 
 def test_cli_discretize_zero_horizon(scalar_file, capsys):
