@@ -5,8 +5,9 @@ Every kernel is plain numpy.  The Schur kernels work on one stacked
 bottom half the accumulated orthogonal factor U.  ``similarity`` applies
 each orthogonal similarity -- a Householder reflector, a Givens rotation or
 a block-swap factor -- as two small matrix products: one on T's rows, one
-on the columns of T and U together.  ``trsylv`` makes one LAPACK solve and
-one product per column block.
+on the columns of T and U together.  ``sylv_blocks`` builds the
+coefficient matrices of a quasi-triangular Sylvester equation once, and
+``trsylv`` then makes one product and one LAPACK solve per column block.
 All kernels mutate or allocate arrays in the dtype of their inputs, so the
 same code serves binary32 and binary64.
 """
@@ -161,31 +162,46 @@ def standardize_quasi_triangular(hu):
             i += 2
 
 
-def trsylv(ta, r, c):
-    """Solve ta @ Y + Y @ r = c for quasi-lower triangular r, one column
-    block of Y at a time, last first: the solved columns are folded in with
-    one product, then one LAPACK solve of (ta + r_jj I) y = rhs, or for a
-    2-column block of [[ta + r00 I, r10 I], [r01 I, ta + r11 I]]."""
+def sylv_blocks(ta, r):
+    """The coefficient matrices trsylv solves with for ta @ Y + Y @ r = c,
+    r quasi-lower triangular: one (j0, j, matrix) per column block j0 .. j-1
+    of Y, last block first, the matrix being ta + r_jj I for a 1-column
+    block and [[ta + r00 I, r10 I], [r01 I, ta + r11 I]] for a 2-column
+    block.  They depend on ta and r only, so a caller that solves with the
+    same pair again builds them once."""
     p = ta.shape[0]
-    y = c.copy()
     d = np.arange(p)
-    pair = np.zeros((2 * p, 2 * p), dtype=y.dtype)
+    blocks = []
     j = r.shape[0]
     while j > 0:
         j0 = j - 2 if (j >= 2 and r[j - 2, j - 1] != 0.0) else j - 1
-        rhs = y[:, j0:j] - y[:, j:] @ r[j:, j0:j]
-        pair[:p, :p] = ta
-        pair[d, d] += r[j0, j0]
-        if j0 == j - 1:
-            y[:, j0] = np.linalg.solve(pair[:p, :p], rhs[:, 0])
-        else:
-            pair[p:, p:] = ta
-            pair[d + p, d + p] += r[j0 + 1, j0 + 1]
-            pair[d, d + p] = r[j0 + 1, j0]
-            pair[d + p, d] = r[j0, j0 + 1]
-            sol = np.linalg.solve(pair, rhs.reshape(-1, order="F"))
-            y[:, j0:j] = sol.reshape((p, 2), order="F")
+        mat = np.zeros((p * (j - j0), p * (j - j0)),
+                       dtype=np.result_type(ta, r))
+        mat[:p, :p] = ta
+        mat[d, d] += r[j0, j0]
+        if j0 == j - 2:
+            mat[p:, p:] = ta
+            mat[d + p, d + p] += r[j0 + 1, j0 + 1]
+            mat[d, d + p] = r[j0 + 1, j0]
+            mat[d + p, d] = r[j0, j0 + 1]
+        blocks.append((j0, j, mat))
         j = j0
+    return blocks
+
+
+def trsylv(blocks, r, c):
+    """Solve ta @ Y + Y @ r = c for quasi-lower triangular r, given
+    blocks = sylv_blocks(ta, r): one column block of Y at a time, last
+    first, the solved columns folded in with one product, then one LAPACK
+    solve with the block's matrix."""
+    y = c.copy()
+    for j0, j, mat in blocks:
+        rhs = y[:, j0:j] - y[:, j:] @ r[j:, j0:j]
+        if j0 == j - 1:
+            y[:, j0] = np.linalg.solve(mat, rhs[:, 0])
+        else:
+            sol = np.linalg.solve(mat, rhs.reshape(-1, order="F"))
+            y[:, j0:j] = sol.reshape((-1, 2), order="F")
     return y
 
 

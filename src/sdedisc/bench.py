@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SdeDiscError, MatrixOverflowError, MethodNotApplicableError
+from .errors import (SdeDiscError, MatrixOverflowError,
+                     MethodNotApplicableError, NonFiniteError)
 from .linalg import spectral_norm
 from .models import Method
 from .modelgen import EnsembleSpec, gen_random_system
@@ -60,7 +61,8 @@ def _run_cell(model_w, t, method, q_true, q_true_norm):
     binary64 truth.  Failures become statuses, never exceptions."""
     try:
         report = run_method(model_w, t, method)
-    except MatrixOverflowError:
+    except (MatrixOverflowError, NonFiniteError):
+        # the model is finite, so a non-finite result overflowed the width
         return None, CellStatus.OVERFLOW
     except MethodNotApplicableError:
         return None, CellStatus.NOT_APPLICABLE

@@ -71,12 +71,18 @@ def _trivial_report(m: ContinuousModel, method: Method) -> MethodReport:
     return MethodReport(model=model, method=method)
 
 
-def _exp_and_integral(a: np.ndarray, t: float):
-    """(exp(a t), int_0^t exp(a tau) dtau) from one exponential of the
-    augmented matrix [[a, I], [0, 0]] (Van Loan, 1978)."""
+def _augmented(a: np.ndarray) -> np.ndarray:
+    """The augmented matrix [[a, I], [0, 0]] of _exp_and_integral."""
     n = a.shape[0]
-    big = mat_exp(np.block([[a, np.eye(n, dtype=a.dtype)],
-                            [np.zeros((n, 2 * n), dtype=a.dtype)]]), t)
+    return np.block([[a, np.eye(n, dtype=a.dtype)],
+                     [np.zeros((n, 2 * n), dtype=a.dtype)]])
+
+
+def _exp_and_integral(aug: np.ndarray, t: float):
+    """(exp(a t), int_0^t exp(a tau) dtau) from one exponential of the
+    augmented matrix aug = _augmented(a) (Van Loan, 1978)."""
+    n = aug.shape[0] // 2
+    big = mat_exp(aug, t)
     return big[:n, :n], big[:n, n:]
 
 
@@ -102,7 +108,7 @@ def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
             "lyap-p requires a strictly stable drift; max Re(lambda) = "
             f"{max_re:.3e}")
     p = _schur_lyapunov(u, ta, -m.s)
-    f, g = _exp_and_integral(m.a, t)
+    f, g = _exp_and_integral(_augmented(m.a), t)
     q = _x_minus_fxft(m.a @ g, p)
     return MethodReport(DiscreteModel(f, q, t), Method.LYAP_P)
 
@@ -126,7 +132,7 @@ def discretize_lyap_q(m: ContinuousModel, t: float) -> MethodReport:
             "lyap-q not applicable: eigenvalue pair "
             f"({i:.3e}, {j:.3e}) sums to ~0 (integrator or "
             "mirrored poles); unique-solution condition violated") from exc
-    f, g = _exp_and_integral(m.a, t)
+    f, g = _exp_and_integral(_augmented(m.a), t)
     v = _x_minus_fxft(m.a @ g, m.s)
     q = _schur_lyapunov(u, ta, -v)
     return MethodReport(DiscreteModel(f, q, t), Method.LYAP_Q)
@@ -138,11 +144,17 @@ def q_nilpotent(a22: np.ndarray, s22: np.ndarray, t: float) -> np.ndarray:
 
     Raises NilpotencyError when |A^p| exceeds a tolerance that allows
     for the eps^(1/p) spread of a perturbed index-p chain."""
+    return _nilpotent_sum(_nilpotent_terms(a22, s22), _check_horizon(t))
+
+
+def _nilpotent_terms(a22: np.ndarray, s22: np.ndarray) -> np.ndarray:
+    """q_nilpotent's horizon-free part: check that a22 is nilpotent and
+    return the products A^i S (A^j)^T, i, j < p, as a (p*p, p, p) stack in
+    the order (i, j) = (0, 0), (0, 1), .., (p-1, p-1)."""
     a22 = check_square(a22, "nilpotent block")
     s22 = check_square(s22, "nilpotent noise block")
     if s22.shape != a22.shape:
         raise ValueError("drift and noise blocks must have equal shape")
-    t = _check_horizon(t)
     p = a22.shape[0]
     powers = [np.eye(p, dtype=a22.dtype)]
     for _ in range(p):
@@ -153,12 +165,22 @@ def q_nilpotent(a22: np.ndarray, s22: np.ndarray, t: float) -> np.ndarray:
         raise NilpotencyError(
             f"block is not nilpotent of index {p}: |A^p| = "
             f"{np.linalg.norm(powers[p]):.3e} > {nil_tol:.3e}")
-    q = np.zeros((p, p), dtype=a22.dtype)
+    terms = np.empty((p * p, p, p), dtype=a22.dtype)
+    for i in range(p):
+        for j in range(p):
+            terms[i * p + j] = powers[i] @ s22 @ powers[j].T
+    return terms
+
+
+def _nilpotent_sum(terms: np.ndarray, t: float) -> np.ndarray:
+    """q_nilpotent at horizon t from the products of _nilpotent_terms."""
+    p = terms.shape[-1]
+    q = np.zeros((p, p), dtype=terms.dtype)
     for i in range(p):
         for j in range(p):
             coef = t ** (i + j + 1) / (
                 math.factorial(i) * math.factorial(j) * (i + j + 1))
-            q = q + coef * (powers[i] @ s22 @ powers[j].T)
+            q = q + coef * terms[i * p + j]
     return _sym(q)
 
 
@@ -176,9 +198,12 @@ def _nilpotent_expm1(a22: np.ndarray, t: float) -> np.ndarray:
 class _ProposedPlan:
     """Everything discretize_proposed needs that depends on (A, S) and
     tau_zero only, never on the horizon: the real Schur form with the
-    integrators reordered last, its blocks and the triangular coefficients
-    of the three block equations, u^-1, and the transformed S, after
-    guarding the spectra those equations need apart."""
+    integrators reordered last, its blocks, u^-1 and the transformed S,
+    after guarding the spectra the block equations need apart; the
+    augmented matrix of a11's exponential; the column-block matrices of
+    the three Bartels-Stewart solves (sylv_blocks); and the integrator
+    block's products A^i S (A^j)^T, after checking that it is nilpotent.
+    A model that fails a guard or the check raises here."""
 
     def __init__(self, m: ContinuousModel, tau_zero: float | None, key):
         self.key = key
@@ -214,16 +239,19 @@ class _ProposedPlan:
             raise UnsupportedSpectrumError(msg) from exc
         self.u, self.k = u, k
         self.a11, self.a12, self.a22 = a11, at[:k, k:], a22
-        # quasi-lower triangular coefficients for trsylv: a11^T, a22^T, and
-        # -a22 with its row and column order reversed
-        self.a11_t = np.ascontiguousarray(a11.T)
-        self.a22_t = np.ascontiguousarray(a22.T)
-        self.neg_a22_rev = np.ascontiguousarray(-a22[::-1, ::-1])
+        self.aug11 = _augmented(a11)
+        # trsylv's (blocks, r) for the three solves, r quasi-lower
+        # triangular: -a22 with its row and column order reversed (f12),
+        # a22^T (q12) and a11^T (q11)
+        self.f12_sylv, self.q12_sylv, self.q11_sylv = (
+            (_kernels.sylv_blocks(a11, r), r) for r in map(
+                np.ascontiguousarray, (-a22[::-1, ::-1], a22.T, a11.T)))
         # computed inverse rather than transpose: u is only orthogonal to
         # rounding, and the back-transform error is smaller with the inverse
         self.u_inv = np.linalg.inv(u)
         self.st = _sym(self.u_inv @ m.s @ self.u_inv.T)
-        self.s22 = np.ascontiguousarray(self.st[k:, k:])
+        self.q22_terms = _nilpotent_terms(
+            a22, np.ascontiguousarray(self.st[k:, k:]))
 
 
 # the plan of the last model discretize_proposed saw; replaced, never
@@ -241,11 +269,14 @@ def discretize_proposed(m: ContinuousModel, t: float,
     is 0 x 0 when every eigenvalue is an integrator, and the trailing
     block a22 is 0 x 0 when there are none.
 
-    The work that does not depend on t (Schur form, reordering, guards)
-    is kept from the last call and reused when this call's model has
-    byte-equal ``a`` and ``s`` of the same dtypes and the same
-    ``tau_zero``; any other model, or an edit to the arrays in place,
-    makes it factor afresh.  Results are the same either way."""
+    The work that does not depend on t (Schur form, reordering, guards,
+    the augmented matrix of a11, the solvers' column-block matrices, the
+    integrator block's nilpotency check and noise products) is kept from
+    the last call and reused when this call's model has byte-equal ``a``
+    and ``s`` of the same dtypes and the same ``tau_zero``; any other
+    model, or an edit to the arrays in place, makes it factor afresh.  A
+    call therefore evaluates only the horizon.  Results are the same
+    either way."""
     global _last_plan
     t = _check_horizon(t)
     if tau_zero is not None and not tau_zero >= 0.0:
@@ -263,7 +294,7 @@ def discretize_proposed(m: ContinuousModel, t: float,
     # coupling block follows from A f - f A = 0).  At short horizons f is I
     # plus small entries: st - f st f^T would cancel their digits, while
     # f - I keeps them.  f11 itself comes from the exponential.
-    f11, g11 = _exp_and_integral(a11, t)
+    f11, g11 = _exp_and_integral(plan.aug11, t)
     mt = np.zeros((n, n), dtype=m.dtype)
     mt[:k, :k] = a11 @ g11
     mt[k:, k:] = _nilpotent_expm1(a22, t)
@@ -271,16 +302,15 @@ def discretize_proposed(m: ContinuousModel, t: float,
     # X = Y J, J the column reversal, so that trsylv's coefficient is
     # quasi-lower triangular for every integrator count
     c12 = check_finite(mt[:k, :k] @ a12 - a12 @ mt[k:, k:], "sylvester c")
-    mt[:k, k:] = _kernels.trsylv(a11, plan.neg_a22_rev,
-                                 c12[:, ::-1])[:, ::-1]
+    mt[:k, k:] = _kernels.trsylv(*plan.f12_sylv, c12[:, ::-1])[:, ::-1]
     ft = mt + np.eye(n, dtype=m.dtype)
     ft[:k, :k] = f11
     vt = _x_minus_fxft(mt, st)
-    q22 = q_nilpotent(a22, plan.s22, t)
+    q22 = _nilpotent_sum(plan.q22_terms, t)
     rhs12 = -vt[:k, k:] - a12 @ q22
-    q12 = _kernels.trsylv(a11, plan.a22_t, check_finite(rhs12, "sylvester c"))
+    q12 = _kernels.trsylv(*plan.q12_sylv, check_finite(rhs12, "sylvester c"))
     rhs11 = -vt[:k, :k] - a12 @ q12.T - q12 @ a12.T
-    q11 = _sym(_kernels.trsylv(a11, plan.a11_t,
+    q11 = _sym(_kernels.trsylv(*plan.q11_sylv,
                                check_finite(rhs11, "lyapunov c")))
     qt = np.empty((n, n), dtype=m.dtype)
     qt[:k, :k] = q11
@@ -319,7 +349,7 @@ def naive_q_a(m: ContinuousModel, t: float) -> np.ndarray:
     t = _check_horizon(t)
     if t == 0.0:
         raise ValueError("naive_q_a requires t > 0")
-    g = _exp_and_integral(m.a, t)[1]
+    g = _exp_and_integral(_augmented(m.a), t)[1]
     return _sym((g @ m.s @ g.T) / m.dtype.type(t))
 
 

@@ -201,7 +201,9 @@ def _swap_adjacent_blocks(hu, i, p1, p2):
     orthogonal swap."""
     j, k = i + p1, i + p1 + p2
     # b1 @ X - X @ b2 = t12 for the blocks b1, b2 and their coupling t12
-    x = _kernels.trsylv(hu[i:j, i:j], -hu[j:k, j:k], hu[i:j, j:k])
+    r = -hu[j:k, j:k]
+    x = _kernels.trsylv(_kernels.sylv_blocks(hu[i:j, i:j], r), r,
+                        hu[i:j, j:k])
     q, _ = np.linalg.qr(np.vstack([-x, np.eye(p2, dtype=hu.dtype)]),
                         mode="complete")
     _kernels.similarity(hu, i, q)
@@ -260,7 +262,9 @@ def _eig_sum_guard(ev_a, ev_b, threshold):
 
 
 def _sym(x: np.ndarray) -> np.ndarray:
-    return (x + x.T) / x.dtype.type(2)
+    # halves first, so that entries near the width's maximum do not overflow
+    half = x.dtype.type(0.5)
+    return half * x + half * x.T
 
 
 def _schur_sylvester(ua, ta, ub, r, c, kind="sylvester"):
@@ -271,7 +275,11 @@ def _schur_sylvester(ua, ta, ub, r, c, kind="sylvester"):
     shape = (ta.shape[0], r.shape[0])
     if c.shape != shape:
         raise DimensionError(f"rhs shape {c.shape} incompatible with {shape}")
-    return ua @ _kernels.trsylv(ta, r, ua.T @ c @ ub) @ ub.T
+    rhs = ua.T @ c @ ub
+    # the coefficients at the width of the right-hand side, which may be
+    # wider than the factors'
+    ta, r = (x.astype(rhs.dtype, copy=False) for x in (ta, r))
+    return ua @ _kernels.trsylv(_kernels.sylv_blocks(ta, r), r, rhs) @ ub.T
 
 
 def _schur_lyapunov(u, t, c):

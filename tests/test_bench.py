@@ -14,7 +14,7 @@ from sdedisc.discretize import q_oracle, run_method
 from sdedisc.errors import ConvergenceError, MatrixOverflowError
 from sdedisc.linalg import spectral_norm
 from sdedisc.modelgen import EnsembleSpec, gen_random_system
-from sdedisc.models import Method
+from sdedisc.models import ContinuousModel, Method
 
 
 def small_cfg(**kw):
@@ -87,6 +87,17 @@ def test_vanloan_overflow_recorded_not_raised():
     assert all(r.status in (CellStatus.OK, CellStatus.OVERFLOW)
                for r in records)
     assert any(r.status is CellStatus.OVERFLOW for r in records)
+
+
+def test_vanloan_non_finite_q_recorded_as_overflow():
+    # exp(46) fits binary32 but Q, about exp(92) / 2, does not: the model
+    # refuses the covariance, and the cell is an overflow
+    m = ContinuousModel(np.array([[1.0]], dtype=np.float32),
+                        np.array([[1.0]], dtype=np.float32))
+    q_true = np.array([[math.expm1(92.0) / 2.0]])
+    with np.errstate(over="ignore"):
+        cell = bench._run_cell(m, 46.0, Method.VANLOAN, q_true, q_true[0, 0])
+    assert cell == (None, CellStatus.OVERFLOW)
 
 
 def test_lyap_q_not_applicable_on_integrators():

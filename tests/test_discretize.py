@@ -288,6 +288,15 @@ def test_vanloan_float32_non_finite_q_raises():
         discretize_vanloan(m, 46.0)
 
 
+def test_vanloan_float32_q_near_the_width_maximum():
+    # Q = (exp(89) - 1) / 2 = 2.24e38 fits binary32, but 2 Q does not, so
+    # making Q symmetric must not form Q + Q^T
+    m = ContinuousModel(np.array([[1.0]], dtype=np.float32),
+                        np.array([[1.0]], dtype=np.float32))
+    q = discretize_vanloan(m, 44.5).model.q
+    assert float(q[0, 0]) == pytest.approx(math.expm1(89.0) / 2.0, rel=1e-5)
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_discrete_model_rejects_non_finite(bad):
     good = np.eye(2)
@@ -541,10 +550,10 @@ def test_proposed_float32_error_flat_in_horizon():
 HORIZONS = (1e-3, 0.05, 0.7, 3.0, 10.0)
 
 
-def cold(m, t):
+def cold(m, t, tau_zero=None):
     """discretize_proposed with no plan kept from an earlier call."""
     discretize._last_plan = None
-    return discretize_proposed(m, t)
+    return discretize_proposed(m, t, tau_zero)
 
 
 def same_bits(r1, r2):
@@ -563,17 +572,40 @@ def schur_count(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("model", [
-    stable_system(0),                            # p = 0
-    constant_velocity(),                         # k = 0
-    mixed_system(2),
-    mixed_system(3).astype(np.float32),
-], ids=["p0", "k0", "mixed", "binary32"])
-def test_proposed_warm_equals_cold(model):
-    want = [cold(model, t) for t in HORIZONS]
+@pytest.fixture
+def sylv_calls(monkeypatch):
+    """The first argument of every column-block preparation of a Sylvester
+    solve, in the order made."""
+    calls = []
+    blocks = _kernels.sylv_blocks
+    monkeypatch.setattr(_kernels, "sylv_blocks",
+                        lambda *args: calls.append(args[0]) or blocks(*args))
+    return calls
+
+
+def column_block_sizes(r):
+    """The widths of trsylv's column blocks for a quasi-lower triangular r."""
+    return {j - j0 for j0, j, _ in _kernels.sylv_blocks(np.eye(1), r)}
+
+
+@pytest.mark.parametrize("model, tau_zero, a22_widths", [
+    (stable_system(0), None, set()),             # p = 0
+    (constant_velocity(), None, {1}),            # k = 0
+    (mixed_system(2), None, {2}),
+    (mixed_system(3).astype(np.float32), None, {1}),
+    (mixed_system(1), None, {2}),                # a22 one 2x2 pair block
+    # a rotated index-3 chain: a22 is a 1x1 and a 2x2 block
+    (gen_random_system(EnsembleSpec(6, 3, 3, seed=0), stream=3), 1e-3,
+     {1, 2}),
+], ids=["p0", "k0", "mixed", "binary32", "a22-pair", "chain3-tau"])
+def test_proposed_warm_equals_cold(model, tau_zero, a22_widths):
+    want = [cold(model, t, tau_zero) for t in HORIZONS]
     discretize._last_plan = None
     for t, r in zip(HORIZONS, want):
-        assert same_bits(discretize_proposed(model, t), r), t
+        assert same_bits(discretize_proposed(model, t, tau_zero), r), t
+    # the f12 and q12 solves take column blocks as wide as a22's blocks
+    assert column_block_sizes(discretize._last_plan.q12_sylv[1]) == \
+        a22_widths
 
 
 def test_proposed_factors_once_for_many_horizons(schur_count):
@@ -611,6 +643,35 @@ def test_proposed_plan_failure_raises_every_call(schur_count):
         with pytest.raises(UnsupportedSpectrumError):
             discretize_proposed(m, t)
     assert len(schur_count) == 3  # a failed plan is not kept
+
+
+def test_proposed_plan_checks_nilpotency(schur_count):
+    # tau_zero puts the pole at -1e-3 in the integrator block, which is
+    # then not nilpotent: the plan fails and is not kept
+    m = ContinuousModel(np.diag([-1.0, -1e-3]), np.eye(2))
+    messages = set()
+    for t in (1.0, 2.0, 1.0):
+        with pytest.raises(NilpotencyError,
+                           match="not nilpotent of index 1") as info:
+            discretize_proposed(m, t, tau_zero=1e-2)
+        messages.add(str(info.value))
+    assert len(messages) == 1
+    assert len(schur_count) == 3
+
+
+def test_proposed_prepares_solvers_once_per_plan(sylv_calls):
+    m = mixed_system(4)
+    discretize_proposed(m, 1.0)
+    # the f12, q12 and q11 solves; the others are the reordering's swaps
+    a11 = discretize._last_plan.a11
+    assert sum(ta is a11 for ta in sylv_calls) == 3
+    count = len(sylv_calls)
+    for t in np.geomspace(1e-3, 10.0, 15):
+        discretize_proposed(m, t)
+    assert len(sylv_calls) == count
+    discretize_proposed(mixed_system(5), 1.0)
+    a11 = discretize._last_plan.a11
+    assert sum(ta is a11 for ta in sylv_calls[count:]) == 3
 
 
 @pytest.mark.parametrize("method", [discretize_lyap_p, discretize_lyap_q])
