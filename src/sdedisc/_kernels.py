@@ -7,7 +7,8 @@ each orthogonal similarity -- a Householder reflector, a Givens rotation or
 a block-swap factor -- as two small matrix products: one on T's rows, one
 on the columns of T and U together.  ``sylv_blocks`` builds the
 coefficient matrices of a quasi-triangular Sylvester equation once, and
-``trsylv`` then makes one product and one LAPACK solve per column block.
+``trsylv`` then makes one product and one LAPACK solve per column block,
+for one right-hand side or a stack of them.
 All kernels mutate or allocate arrays in the dtype of their inputs, so the
 same code serves binary32 and binary64.
 """
@@ -193,27 +194,33 @@ def trsylv(blocks, r, c):
     """Solve ta @ Y + Y @ r = c for quasi-lower triangular r, given
     blocks = sylv_blocks(ta, r): one column block of Y at a time, last
     first, the solved columns folded in with one product, then one LAPACK
-    solve with the block's matrix."""
+    solve with the block's matrix.  c may be a stack of right-hand sides,
+    each solved as it would be alone: every slice's column block is one
+    single-column right-hand side of its own solve."""
     y = c.copy()
+    stack, (p, m) = c.shape[:-2], c.shape[-2:]
     for j0, j, mat in blocks:
-        rhs = y[:, j0:j] - y[:, j:] @ r[j:, j0:j]
+        rhs = y[..., j0:j]
+        if j < m:  # fold in the columns solved so far
+            rhs = rhs - y[..., j:] @ r[j:, j0:j]
         if j0 == j - 1:
-            y[:, j0] = np.linalg.solve(mat, rhs[:, 0])
+            y[..., j0:j] = np.linalg.solve(mat, rhs)
         else:
-            sol = np.linalg.solve(mat, rhs.reshape(-1, order="F"))
-            y[:, j0:j] = sol.reshape((-1, 2), order="F")
+            # the block's two columns stacked into one
+            sol = np.linalg.solve(mat, rhs.mT.reshape(stack + (2 * p, 1)))
+            y[..., j0:j] = sol.reshape(stack + (2, p)).mT
     return y
 
 
 @functools.lru_cache(maxsize=16)
-def _pade13_terms(dtype, n, ndim):
-    """pade13_expm's constants for one width, size and rank: for each of
-    a6, a4 and a2 its four coefficients (in w1, w2, z1 and vv) as a
-    (4, 1, ..., 1) array that broadcasts over the power, then b1 I and
-    b0 I.  Cached, because building them costs more than using them."""
+def _pade13_terms(dtype, n):
+    """pade13_expm's constants for one width and size: for each of a6, a4
+    and a2 its four coefficients (in w1, w2, z1 and vv) as a (4, 1, 1, 1)
+    array that broadcasts over the stack of powers, then b1 I and b0 I.
+    Cached, because building them costs more than using them."""
     b = np.array(_PADE13, dtype=dtype)
     ident = np.eye(n, dtype=dtype)
-    terms = tuple(b[list(rows)].reshape((4,) + (1,) * ndim)
+    terms = tuple(b[list(rows)].reshape(4, 1, 1, 1)
                   for rows in ((13, 7, 12, 6), (11, 5, 10, 4), (9, 3, 8, 2)))
     terms += (b[1] * ident, b[0] * ident)
     for x in terms:
@@ -223,10 +230,10 @@ def _pade13_terms(dtype, n, ndim):
 
 def pade13_expm(a, squarings):
     """Degree-13 diagonal Pade approximant of exp(a) followed by repeated
-    squaring; a must already be scaled so the approximant is accurate.
-    a is one matrix with an int squarings, or a stack (k, n, n) with a
-    list of k ints."""
-    c6, c4, c2, b1_i, b0_i = _pade13_terms(a.dtype, a.shape[-1], a.ndim)
+    squaring, for a stack a of shape (k, n, n) and a list of k squaring
+    counts; each matrix must already be scaled so the approximant is
+    accurate."""
+    c6, c4, c2, b1_i, b0_i = _pade13_terms(a.dtype, a.shape[-1])
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a2 @ a4
@@ -237,10 +244,6 @@ def pade13_expm(a, squarings):
     uu = a @ (a6 @ w1 + (w2 + b1_i))
     vv = a6 @ z1 + p6[3] + p4[3] + p2[3] + b0_i
     r = np.ascontiguousarray(np.linalg.solve(vv - uu, vv + uu))
-    if a.ndim == 2:
-        for _ in range(squarings):
-            r = r @ r
-        return r
     # every matrix squares as often as the fewest count asks, then only
     # the matrices that ask for more
     fewest = min(squarings, default=0)
@@ -304,4 +307,4 @@ def propagated_outer_sum(left, e_half):
     oracle.  If left sums the integrand exp(A tau) S exp(A^T tau) at the
     nodes i 2h, the result sums it at the nodes i h, for E = exp(A h).
     Either argument may be a stack of matrices."""
-    return left + e_half @ left @ np.swapaxes(e_half, -1, -2)
+    return left + e_half @ left @ e_half.mT

@@ -17,6 +17,7 @@ the process-noise covariance Q = int_0^T exp(A tau) S exp(A^T tau) dtau:
   always computed in binary64.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -28,15 +29,16 @@ from .errors import (
     MethodNotApplicableError,
     NearSingularError,
     NilpotencyError,
+    NonFiniteError,
     SdeDiscError,
     UnsupportedSpectrumError,
 )
 from .linalg import (
     _eig_sum_guard,
+    _exp_overflow,
     _mat_exp_many,
     _schur_lyapunov,
     _sym,
-    check_finite,
     check_square,
     eps_of,
     mat_exp,
@@ -88,9 +90,17 @@ def _exp_and_integral(aug: np.ndarray, t: float):
 
 def _x_minus_fxft(fm1: np.ndarray, x: np.ndarray) -> np.ndarray:
     """x - f x f^T for symmetric x, from fm1 = f - I without subtracting
-    nearly equal terms: -(w + w^T) - w fm1^T with w = fm1 x."""
+    nearly equal terms: -(w + w^T) - w fm1^T with w = fm1 x.  fm1 may be a
+    stack."""
     w = fm1 @ x
-    return _sym(-(w + w.T) - w @ fm1.T)
+    return _sym(-(w + w.mT) - w @ fm1.mT)
+
+
+def _unwrap(out):
+    """out, or raised if it is an error: one entry of a stacked result."""
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
@@ -133,8 +143,13 @@ def discretize_lyap_q(m: ContinuousModel, t: float) -> MethodReport:
             f"({i:.3e}, {j:.3e}) sums to ~0 (integrator or "
             "mirrored poles); unique-solution condition violated") from exc
     f, g = _exp_and_integral(_augmented(m.a), t)
-    v = _x_minus_fxft(m.a @ g, m.s)
-    q = _schur_lyapunov(u, ta, -v)
+    # the solve takes V/2 and returns Q/2: for an unstable drift V is
+    # about -2 Q, and would overflow the width before Q does.  What still
+    # overflows is refused as non-finite, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_half = _x_minus_fxft(m.a @ g, m.dtype.type(0.5) * m.s)
+        q_half = _schur_lyapunov(u, ta, -v_half)
+        q = q_half + q_half
     return MethodReport(DiscreteModel(f, q, t), Method.LYAP_Q)
 
 
@@ -144,7 +159,8 @@ def q_nilpotent(a22: np.ndarray, s22: np.ndarray, t: float) -> np.ndarray:
 
     Raises NilpotencyError when |A^p| exceeds a tolerance that allows
     for the eps^(1/p) spread of a perturbed index-p chain."""
-    return _nilpotent_sum(_nilpotent_terms(a22, s22), _check_horizon(t))
+    (q,) = _nilpotent_sum(_nilpotent_terms(a22, s22), (_check_horizon(t),))
+    return q
 
 
 def _nilpotent_terms(a22: np.ndarray, s22: np.ndarray) -> np.ndarray:
@@ -172,25 +188,32 @@ def _nilpotent_terms(a22: np.ndarray, s22: np.ndarray) -> np.ndarray:
     return terms
 
 
-def _nilpotent_sum(terms: np.ndarray, t: float) -> np.ndarray:
-    """q_nilpotent at horizon t from the products of _nilpotent_terms."""
+def _nilpotent_sum(terms: np.ndarray, ts) -> np.ndarray:
+    """q_nilpotent at every horizon of ts, as a (len(ts), p, p) stack, from
+    the products of _nilpotent_terms."""
     p = terms.shape[-1]
-    q = np.zeros((p, p), dtype=terms.dtype)
-    for i in range(p):
-        for j in range(p):
-            coef = t ** (i + j + 1) / (
-                math.factorial(i) * math.factorial(j) * (i + j + 1))
-            q = q + coef * terms[i * p + j]
+    # the coefficients in Python floats, as for one horizon, then rounded
+    # to the width once each
+    powers = [(i + j + 1, math.factorial(i) * math.factorial(j) * (i + j + 1))
+              for i in range(p) for j in range(p)]
+    coefs = np.array([[t ** e / d for e, d in powers] for t in ts],
+                     dtype=terms.dtype).reshape(len(ts), p * p, 1, 1)
+    products = coefs * terms
+    q = np.zeros((len(ts), p, p), dtype=terms.dtype)
+    for ij in range(p * p):
+        q = q + products[:, ij]
     return _sym(q)
 
 
-def _nilpotent_expm1(a22: np.ndarray, t: float) -> np.ndarray:
-    """exp(A t) - I for a nilpotent block as the terminating power series."""
+def _nilpotent_expm1(a22: np.ndarray, ts) -> np.ndarray:
+    """exp(A t) - I for a nilpotent block at every horizon of ts, as the
+    terminating power series: a (len(ts), p, p) stack."""
     p = a22.shape[0]
     term = np.eye(p, dtype=a22.dtype)
-    acc = np.zeros((p, p), dtype=a22.dtype)
+    acc = np.zeros((len(ts), p, p), dtype=a22.dtype)
     for i in range(1, p):
-        term = (term @ a22) * (t / i)
+        scale = np.array([t / i for t in ts], dtype=a22.dtype)
+        term = (term @ a22) * scale[:, None, None]
         acc = acc + term
     return acc
 
@@ -198,12 +221,13 @@ def _nilpotent_expm1(a22: np.ndarray, t: float) -> np.ndarray:
 class _ProposedPlan:
     """Everything discretize_proposed needs that depends on (A, S) and
     tau_zero only, never on the horizon: the real Schur form with the
-    integrators reordered last, its blocks, u^-1 and the transformed S,
-    after guarding the spectra the block equations need apart; the
+    integrators reordered last, its blocks, u^-1 and half the transformed
+    S, after guarding the spectra the block equations need apart; the
     augmented matrix of a11's exponential; the column-block matrices of
     the three Bartels-Stewart solves (sylv_blocks); and the integrator
-    block's products A^i S (A^j)^T, after checking that it is nilpotent.
-    A model that fails a guard or the check raises here."""
+    block's products A^i (S/2) (A^j)^T, after checking that it is
+    nilpotent.  A model that fails a guard or the check raises here;
+    ``reports`` evaluates horizons."""
 
     def __init__(self, m: ContinuousModel, tau_zero: float | None, key):
         self.key = key
@@ -249,14 +273,95 @@ class _ProposedPlan:
         # computed inverse rather than transpose: u is only orthogonal to
         # rounding, and the back-transform error is smaller with the inverse
         self.u_inv = np.linalg.inv(u)
-        self.st = _sym(self.u_inv @ m.s @ self.u_inv.T)
+        # the block equations carry V/2 and Q/2, V = S - F S F^T: for an
+        # unstable drift V is about -2 Q and would overflow the width before
+        # Q does; halving is exact, so no other bit changes
+        self.st_half = m.dtype.type(0.5) * _sym(
+            self.u_inv @ m.s @ self.u_inv.T)
         self.q22_terms = _nilpotent_terms(
-            a22, np.ascontiguousarray(self.st[k:, k:]))
+            a22, np.ascontiguousarray(self.st_half[k:, k:]))
+
+    def reports(self, ts) -> list:
+        """discretize_proposed at every positive horizon of ts in one pass:
+        entry i is the MethodReport at ts[i], or the SdeDiscError that
+        horizon raised.  Each step is stacked over the horizons and makes,
+        slice by slice, the products and solves of one horizon, so entry i
+        is bit for bit what ts[i] alone gives; a horizon whose numbers
+        overflow fails alone."""
+        n, k = self.u.shape[0], self.k
+        a11, a12, a22 = self.a11, self.a12, self.a22
+        with np.errstate(over="ignore", invalid="ignore"):
+            # assemble mt = exp(at * t) - I blockwise (the whole-matrix
+            # exponential loses accuracy for large t * |A| through repeated
+            # squaring; the coupling block follows from A f - f A = 0).  At
+            # short horizons f is I plus small entries: st - f st f^T would
+            # cancel their digits, while f - I keeps them.  f11 itself comes
+            # from the exponential of aug11, with its integral g11.
+            big, exp_ok = _mat_exp_many(self.aug11, ts)
+            mt = np.zeros((len(ts), n, n), dtype=self.u.dtype)
+            mt[:, :k, :k] = a11 @ big[:, :k, k:]
+            mt[:, k:, k:] = _nilpotent_expm1(a22, ts)
+            # f12: a11 X - X a22 = c, solved as a11 Y - Y (J a22 J) = c J
+            # with X = Y J, J the column reversal, so that trsylv's
+            # coefficient is quasi-lower triangular for every integrator count
+            c12 = mt[:, :k, :k] @ a12 - a12 @ mt[:, k:, k:]
+            mt[:, :k, k:] = _kernels.trsylv(*self.f12_sylv,
+                                            c12[..., ::-1])[..., ::-1]
+            ft = mt + np.eye(n, dtype=mt.dtype)
+            ft[:, :k, :k] = big[:, :k, :k]
+            vt = _x_minus_fxft(mt, self.st_half)
+            q22 = _nilpotent_sum(self.q22_terms, ts)
+            rhs12 = -vt[:, :k, k:] - a12 @ q22
+            q12 = _kernels.trsylv(*self.q12_sylv, rhs12)
+            rhs11 = -vt[:, :k, :k] - a12 @ q12.mT - q12 @ a12.T
+            q11 = _sym(_kernels.trsylv(*self.q11_sylv, rhs11))
+            qt = np.empty_like(mt)
+            qt[:, :k, :k] = q11
+            qt[:, :k, k:] = q12
+            qt[:, k:, :k] = q12.mT
+            qt[:, k:, k:] = q22
+            f = self.u @ ft @ self.u_inv
+            # qt is Q/2 in Schur coordinates: Q = x + x^T is Q symmetrized
+            x = self.u @ qt @ self.u.T
+            q = x + x.mT
+        # a right-hand side that overflowed leaves f or q non-finite, which
+        # the report refuses
+        return [_report(f[i], q[i], t, Method.PROPOSED,
+                        {"split_index": float(k),
+                         "integrator_count": float(n - k)})
+                if exp_ok[i] else _exp_overflow(big.dtype, t)
+                for i, t in enumerate(ts)]
+
+
+def _report(f, q, t, method, diagnostics=None):
+    """The MethodReport of (f, q) at horizon t, or the NonFiniteError the
+    model raises for it."""
+    try:
+        return MethodReport(DiscreteModel(f, q, t), method,
+                            diagnostics or {})
+    except NonFiniteError as exc:
+        return exc
 
 
 # the plan of the last model discretize_proposed saw; replaced, never
 # mutated, so a call that reads it sees a whole plan
 _last_plan = None
+
+
+def _model_key(m: ContinuousModel) -> tuple:
+    """The dtypes and bytes of a model's arrays: equal keys, equal models."""
+    return (m.a.dtype, m.s.dtype, m.a.tobytes(), m.s.tobytes())
+
+
+def _proposed_plan(m: ContinuousModel, tau_zero: float | None):
+    """The kept plan if it was made for m and tau_zero, else a new one,
+    which is then kept."""
+    global _last_plan
+    key = _model_key(m) + (tau_zero,)
+    plan = _last_plan
+    if plan is None or plan.key != key:
+        plan = _last_plan = _ProposedPlan(m, tau_zero, key)
+    return plan
 
 
 def discretize_proposed(m: ContinuousModel, t: float,
@@ -275,52 +380,15 @@ def discretize_proposed(m: ContinuousModel, t: float,
     the last call and reused when this call's model has byte-equal ``a``
     and ``s`` of the same dtypes and the same ``tau_zero``; any other
     model, or an edit to the arrays in place, makes it factor afresh.  A
-    call therefore evaluates only the horizon.  Results are the same
-    either way."""
-    global _last_plan
+    call therefore evaluates only the horizon, as the one-horizon case of
+    the plan's stacked evaluation.  Results are the same either way."""
     t = _check_horizon(t)
     if tau_zero is not None and not tau_zero >= 0.0:
         raise ValueError(f"tau_zero must be >= 0 or None, got {tau_zero}")
     if t == 0.0:
         return _trivial_report(m, Method.PROPOSED)
-    key = (m.a.dtype, m.s.dtype, m.a.tobytes(), m.s.tobytes(), tau_zero)
-    plan = _last_plan
-    if plan is None or plan.key != key:
-        plan = _last_plan = _ProposedPlan(m, tau_zero, key)
-    n, k = m.n, plan.k
-    a11, a12, a22, st = plan.a11, plan.a12, plan.a22, plan.st
-    # assemble mt = exp(at * t) - I blockwise (the whole-matrix exponential
-    # loses accuracy for large t * |A| through repeated squaring; the
-    # coupling block follows from A f - f A = 0).  At short horizons f is I
-    # plus small entries: st - f st f^T would cancel their digits, while
-    # f - I keeps them.  f11 itself comes from the exponential.
-    f11, g11 = _exp_and_integral(plan.aug11, t)
-    mt = np.zeros((n, n), dtype=m.dtype)
-    mt[:k, :k] = a11 @ g11
-    mt[k:, k:] = _nilpotent_expm1(a22, t)
-    # f12: a11 X - X a22 = c, solved as a11 Y - Y (J a22 J) = c J with
-    # X = Y J, J the column reversal, so that trsylv's coefficient is
-    # quasi-lower triangular for every integrator count
-    c12 = check_finite(mt[:k, :k] @ a12 - a12 @ mt[k:, k:], "sylvester c")
-    mt[:k, k:] = _kernels.trsylv(*plan.f12_sylv, c12[:, ::-1])[:, ::-1]
-    ft = mt + np.eye(n, dtype=m.dtype)
-    ft[:k, :k] = f11
-    vt = _x_minus_fxft(mt, st)
-    q22 = _nilpotent_sum(plan.q22_terms, t)
-    rhs12 = -vt[:k, k:] - a12 @ q22
-    q12 = _kernels.trsylv(*plan.q12_sylv, check_finite(rhs12, "sylvester c"))
-    rhs11 = -vt[:k, :k] - a12 @ q12.T - q12 @ a12.T
-    q11 = _sym(_kernels.trsylv(*plan.q11_sylv,
-                               check_finite(rhs11, "lyapunov c")))
-    qt = np.empty((n, n), dtype=m.dtype)
-    qt[:k, :k] = q11
-    qt[:k, k:] = q12
-    qt[k:, :k] = q12.T
-    qt[k:, k:] = q22
-    f = plan.u @ ft @ plan.u_inv
-    q = _sym(plan.u @ qt @ plan.u.T)
-    diag = {"split_index": float(k), "integrator_count": float(n - k)}
-    return MethodReport(DiscreteModel(f, q, t), Method.PROPOSED, diag)
+    (report,) = _proposed_plan(m, tau_zero).reports((t,))
+    return _unwrap(report)
 
 
 def discretize_vanloan(m: ContinuousModel, t: float) -> MethodReport:
@@ -328,19 +396,30 @@ def discretize_vanloan(m: ContinuousModel, t: float) -> MethodReport:
 
     For large t * |Re(lambda)| the lower-right block grows like
     exp(+|lambda| t); the exponential then loses all accuracy or
-    overflows, which is surfaced as MatrixOverflowError."""
+    overflows, which is surfaced as MatrixOverflowError.  The one-horizon
+    case of _vanloan_reports."""
     t = _check_horizon(t)
     if t == 0.0:
         return _trivial_report(m, Method.VANLOAN)
+    (report,) = _vanloan_reports(m, (t,))
+    return _unwrap(report)
+
+
+def _vanloan_reports(m: ContinuousModel, ts) -> list:
+    """discretize_vanloan at every positive horizon of ts, from one stacked
+    exponential: entry i is the MethodReport at ts[i], or the SdeDiscError
+    that horizon raised, bit for bit what ts[i] alone gives."""
     n = m.n
     h = np.zeros((2 * n, 2 * n), dtype=m.dtype)
     h[:n, :n] = m.a
     h[:n, n:] = m.s
     h[n:, n:] = -m.a.T
-    big = mat_exp(h, t)
-    f = np.ascontiguousarray(big[:n, :n])
-    q = _sym(big[:n, n:] @ f.T)
-    return MethodReport(DiscreteModel(f, q, t), Method.VANLOAN)
+    big, ok = _mat_exp_many(h, ts)
+    f = np.ascontiguousarray(big[:, :n, :n])
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = _sym(big[:, :n, n:] @ f.mT)
+    return [_report(f[i], q[i], t, Method.VANLOAN) if ok[i]
+            else _exp_overflow(big.dtype, t) for i, t in enumerate(ts)]
 
 
 def naive_q_a(m: ContinuousModel, t: float) -> np.ndarray:
@@ -367,9 +446,7 @@ def q_oracle(m: ContinuousModel, t: float) -> np.ndarray:
     f(tau + h) = exp(A h) f(tau) exp(A h)^T.  The one-horizon case of
     _q_oracle_many, raising the error it reports."""
     (q,) = _q_oracle_many(m, (t,))
-    if isinstance(q, SdeDiscError):
-        raise q
-    return q
+    return _unwrap(q)
 
 
 def _q_oracle_many(m: ContinuousModel, ts) -> list:
@@ -404,7 +481,7 @@ def _q_oracle_many(m: ContinuousModel, ts) -> list:
 
     e_t, keep = exp_stack(t_live)
     # the trapezoid's endpoint correction: f(T) - f(0) halved
-    ends = 0.5 * (e_t @ s @ np.swapaxes(e_t, 1, 2) - s)
+    ends = 0.5 * (e_t @ s @ e_t.mT - s)
     # left = sum_{i<2^level} f(i h), the trapezoid's nodes but the last
     left = np.repeat(s[None], len(live), axis=0)
     row = [t_live * (left + ends)]
@@ -485,11 +562,48 @@ def lemma2_residual(m: ContinuousModel, f: np.ndarray,
     return float(spectral_norm(defect) / max(snorm * scale, floor))
 
 
+# reports of one model computed ahead by _reports_ahead: the model's key
+# and {(method, t): MethodReport or error}, each handed out once by
+# run_method; None outside the block
+_ahead = None
+
+
+@contextlib.contextmanager
+def _reports_ahead(m: ContinuousModel, ts, methods):
+    """Within the block, run_method(m, t, method) for a positive horizon t
+    of ts and method proposed or vanloan returns, or raises, an entry
+    computed here, where each of the two methods evaluates all of ts in
+    one stacked pass.  Each entry is handed out once; a model that fails
+    the proposed plan has that error at every horizon."""
+    global _ahead
+    stacked = {Method.PROPOSED: lambda: _proposed_plan(m, None).reports(ts),
+               Method.VANLOAN: lambda: _vanloan_reports(m, ts)}
+    entries = {}
+    for method in stacked.keys() & set(methods):
+        try:
+            outs = stacked[method]()
+        except (SdeDiscError, np.linalg.LinAlgError) as exc:
+            outs = [exc] * len(ts)
+        entries.update(((method, t), out) for t, out in zip(ts, outs))
+    _ahead = (_model_key(m), entries)
+    try:
+        yield
+    finally:
+        _ahead = None
+
+
 def run_method(m: ContinuousModel, t: float, method: Method) -> MethodReport:
     """Uniform dispatcher.  Foils and the oracle are wrapped into a
-    MethodReport using the true transition matrix F = exp(A t)."""
+    MethodReport using the true transition matrix F = exp(A t).  Inside
+    _reports_ahead for m, a cell computed ahead is handed out instead of
+    computed again."""
     if not isinstance(method, Method):
         method = Method(method)
+    ahead = _ahead
+    if ahead is not None and ahead[0] == _model_key(m):
+        out = ahead[1].pop((method, t), None)
+        if out is not None:
+            return _unwrap(out)
     if method is Method.LYAP_P:
         return discretize_lyap_p(m, t)
     if method is Method.LYAP_Q:

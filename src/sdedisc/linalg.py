@@ -5,6 +5,7 @@ Everything is parameterized by float width: pass float32 arrays and the
 whole computation stays in binary32, pass float64 and it stays in binary64.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -75,38 +76,28 @@ def check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 def mat_exp(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     """exp(a * t) by scaling and squaring with a degree-13 diagonal Pade
-    approximant.  Raises MatrixOverflowError if the result overflows the
-    float width of ``a``."""
+    approximant: the one-slice case of _mat_exp_many.  Raises
+    MatrixOverflowError if the result overflows the float width of ``a``."""
     a = check_square(a, "mat_exp input")
-    if not np.isfinite(t):
+    if not math.isfinite(t):
         raise NonFiniteError("time scalar must be finite")
-    dtype = np.dtype(a.dtype if a.dtype in (np.float32, np.float64)
-                     else np.float64)
-    at = np.ascontiguousarray(np.asarray(a, dtype=dtype) * dtype.type(t))
-    if not np.isfinite(at).all():
-        raise MatrixOverflowError("a * t overflows the working precision")
-    norm1 = float(np.abs(at).sum(axis=0).max()) if at.size else 0.0
-    squarings = 0
-    if norm1 > _THETA13:
-        squarings = int(np.ceil(np.log2(norm1 / _THETA13)))
-        at = at / dtype.type(2.0) ** squarings
-    # an overflowing squaring is reported below as MatrixOverflowError,
-    # not as numpy's RuntimeWarning
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = _kernels.pade13_expm(at, squarings)
-    if not np.isfinite(result).all():
-        raise MatrixOverflowError(
-            f"matrix exponential overflowed (|a*t|_1 = {norm1:.3g}, "
-            f"width {np.dtype(dtype).name})")
+    (result,), (ok,) = _mat_exp_many(a, (t,))
+    if not ok:
+        raise _exp_overflow(result.dtype, t)
     return result
+
+
+def _exp_overflow(dtype, t: float) -> MatrixOverflowError:
+    return MatrixOverflowError(
+        f"matrix exponential overflowed {np.dtype(dtype).name} at t = {t:.3g}")
 
 
 def _mat_exp_many(a: np.ndarray, ts) -> tuple:
     """exp(a * t) for every t in ts as one (len(ts), n, n) stack, and a
     boolean array that is False where that exponential is not finite.  a
-    must be square and finite.  Each slice is scaled and squared as mat_exp
-    scales and squares it, so a finite slice i equals mat_exp(a, ts[i]) bit
-    for bit."""
+    must be square and finite.  Each slice is scaled by its own power of
+    two, the least that brings |a t|_1 to _THETA13 or below, and squared
+    back as often, so slice i does not depend on the other horizons."""
     dtype = np.dtype(a.dtype if a.dtype in (np.float32, np.float64)
                      else np.float64)
     # an overflowing slice is reported in the returned flags, not as
@@ -114,19 +105,21 @@ def _mat_exp_many(a: np.ndarray, ts) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         at = np.asarray(a, dtype=dtype) * np.asarray(ts, dtype=dtype)[
             :, None, None]
-        norm1 = np.abs(at).sum(axis=1).max(axis=1, initial=0.0).astype(
-            np.float64)
-        # where a * t overflowed the slice comes out non-finite; it is
-        # flagged and not squared
-        ok = np.isfinite(norm1)
-        norm1[~ok] = 0.0
-        squarings = np.ceil(np.log2(np.maximum(norm1, _THETA13)
-                                    / _THETA13)).astype(np.intp)
-        counts = squarings.tolist()
+        norm1 = np.abs(at).sum(axis=1).max(axis=1, initial=0.0).tolist()
+        counts = [math.ceil(math.log2(x / _THETA13))
+                  if _THETA13 < x < math.inf else 0 for x in norm1]
         if any(counts):
-            at /= (2.0 ** squarings).astype(dtype)[:, None, None]
+            at /= np.array([2.0 ** c for c in counts], dtype=dtype)[
+                :, None, None]
+        # where a * t overflowed, the slice is flagged and replaced by 0
+        bad = [i for i, x in enumerate(norm1) if not x < math.inf]
+        if bad:
+            at[bad] = 0.0
         result = _kernels.pade13_expm(at, counts)
-    return result, ok & np.isfinite(result).all(axis=(1, 2))
+    ok = np.isfinite(result).all(axis=(1, 2))
+    if bad:
+        ok[bad] = False
+    return result, ok
 
 
 def real_schur(a: np.ndarray):
@@ -264,7 +257,7 @@ def _eig_sum_guard(ev_a, ev_b, threshold):
 def _sym(x: np.ndarray) -> np.ndarray:
     # halves first, so that entries near the width's maximum do not overflow
     half = x.dtype.type(0.5)
-    return half * x + half * x.T
+    return half * x + half * x.mT
 
 
 def _schur_sylvester(ua, ta, ub, r, c, kind="sylvester"):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sdedisc import bench
+from sdedisc import bench, discretize
 from sdedisc.bench import (BenchConfig, BenchRecord, CellStatus,
                            run_benchmark, summarize, records_to_csv,
                            summary_to_csv, default_t_grid)
@@ -14,7 +14,8 @@ from sdedisc.discretize import q_oracle, run_method
 from sdedisc.errors import ConvergenceError, MatrixOverflowError
 from sdedisc.linalg import spectral_norm
 from sdedisc.modelgen import EnsembleSpec, gen_random_system
-from sdedisc.models import ContinuousModel, Method
+from sdedisc.models import (ContinuousModel, DiscreteModel, Method,
+                            MethodReport)
 
 
 def small_cfg(**kw):
@@ -94,10 +95,54 @@ def test_vanloan_non_finite_q_recorded_as_overflow():
     # refuses the covariance, and the cell is an overflow
     m = ContinuousModel(np.array([[1.0]], dtype=np.float32),
                         np.array([[1.0]], dtype=np.float32))
-    q_true = np.array([[math.expm1(92.0) / 2.0]])
-    with np.errstate(over="ignore"):
-        cell = bench._run_cell(m, 46.0, Method.VANLOAN, q_true, q_true[0, 0])
+    cell = bench._run_cell(m, 46.0, Method.VANLOAN)
     assert cell == (None, CellStatus.OVERFLOW)
+
+
+def test_each_cell_is_one_run_method_call_and_scores_its_report(monkeypatch):
+    # a benchmark that wraps run_method sees one call per cell, in record
+    # order, and the record scores the report the call returned
+    cfg = small_cfg(ensemble=EnsembleSpec(n=6, m=4, p=2, seed=3),
+                    t_grid=(0.01, 1.0, 100.0), runs=1,
+                    methods=(Method.PROPOSED, Method.VANLOAN, Method.LYAP_Q))
+    inner, calls = bench.run_method, []
+
+    def doubling(m, t, method):
+        assert discretize._ahead is not None
+        calls.append((t, method))
+        r = inner(m, t, method)
+        return MethodReport(DiscreteModel(r.model.f, 2 * r.model.q, t),
+                            method)
+
+    monkeypatch.setattr(bench, "run_method", doubling)
+    records = run_benchmark(cfg)
+    assert discretize._ahead is None
+    assert calls == [(r.t, r.method) for r in records]
+    model = gen_random_system(cfg.ensemble, stream=0)
+    for rec in records:
+        if rec.status is not CellStatus.OK:
+            assert rec.method is not Method.PROPOSED
+            continue
+        q_true = q_oracle(model, rec.t)
+        q_hat = 2 * run_method(model.astype(cfg.width), rec.t,
+                               rec.method).model.q
+        assert rec.epsilon == spectral_norm(q_hat - q_true) / \
+            spectral_norm(q_true)
+
+
+def test_reports_ahead_emptied_when_a_cell_raises(monkeypatch):
+    inner, calls = bench.run_method, []
+
+    def failing(m, t, method):
+        calls.append(t)
+        if len(calls) == 3:
+            raise RuntimeError("stop in the middle of a system")
+        return inner(m, t, method)
+
+    monkeypatch.setattr(bench, "run_method", failing)
+    with pytest.raises(RuntimeError, match="middle"):
+        run_benchmark(small_cfg(methods=(Method.PROPOSED, Method.VANLOAN)))
+    assert discretize._ahead is None
 
 
 def test_lyap_q_not_applicable_on_integrators():

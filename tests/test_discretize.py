@@ -297,6 +297,23 @@ def test_vanloan_float32_q_near_the_width_maximum():
     assert float(q[0, 0]) == pytest.approx(math.expm1(89.0) / 2.0, rel=1e-5)
 
 
+@pytest.mark.parametrize("method", [discretize_proposed, discretize_lyap_q,
+                                    discretize_vanloan])
+def test_float32_q_at_the_width_maximum_fits_or_raises(method):
+    # V = S - F S F^T = 1 - exp(2 T) is about -2 Q: at T = 44.5 Q fits
+    # binary32 and V does not, so the solves must carry V/2
+    m = ContinuousModel(np.array([[1.0]], dtype=np.float32),
+                        np.array([[1.0]], dtype=np.float32))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = method(m, 44.5).model.q
+        assert float(q[0, 0]) == pytest.approx(math.expm1(89.0) / 2.0,
+                                               rel=1e-5)
+        # at T = 45 Q = 6.1e38 does not fit: the typed error, no warning
+        with pytest.raises(NonFiniteError):
+            method(m, 45.0)
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_discrete_model_rejects_non_finite(bad):
     good = np.eye(2)
@@ -603,6 +620,8 @@ def test_proposed_warm_equals_cold(model, tau_zero, a22_widths):
     discretize._last_plan = None
     for t, r in zip(HORIZONS, want):
         assert same_bits(discretize_proposed(model, t, tau_zero), r), t
+    stacked = discretize._last_plan.reports(HORIZONS)
+    assert all(same_bits(s, r) for s, r in zip(stacked, want, strict=True))
     # the f12 and q12 solves take column blocks as wide as a22's blocks
     assert column_block_sizes(discretize._last_plan.q12_sylv[1]) == \
         a22_widths
@@ -672,6 +691,52 @@ def test_proposed_prepares_solvers_once_per_plan(sylv_calls):
     discretize_proposed(mixed_system(5), 1.0)
     a11 = discretize._last_plan.a11
     assert sum(ta is a11 for ta in sylv_calls[count:]) == 3
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_vanloan_stacked_equals_one_horizon(dtype):
+    m = mixed_system(2).astype(dtype)
+    grid = default_t_grid()
+    stacked = discretize._vanloan_reports(m, grid)
+    overflowed = []
+    for t, r in zip(grid, stacked, strict=True):
+        try:
+            want = discretize_vanloan(m, t)
+        except MatrixOverflowError:
+            assert isinstance(r, MatrixOverflowError)
+            overflowed.append(t)
+            continue
+        assert same_bits(r, want), t
+    # binary32 overflows at the longest horizons alone
+    assert 0 < len(overflowed) < len(grid) if dtype is np.float32 \
+        else not overflowed
+
+
+def test_reports_ahead_hand_out_each_cell_once():
+    m, grid = mixed_system(3), (0.5, 2.0)
+    methods = (Method.PROPOSED, Method.VANLOAN, Method.LYAP_Q)
+    with discretize._reports_ahead(m, grid, methods):
+        _, entries = discretize._ahead
+        assert set(entries) == {(method, t) for t in grid
+                                for method in methods[:2]}
+        stored = entries[(Method.PROPOSED, 2.0)]
+        assert run_method(m, 2.0, Method.PROPOSED) is stored
+        again = run_method(m, 2.0, Method.PROPOSED)
+        assert again is not stored and same_bits(again, stored)
+        # another model is computed, not looked up
+        other = run_method(mixed_system(4), 0.5, Method.VANLOAN)
+        assert same_bits(other, discretize_vanloan(mixed_system(4), 0.5))
+        assert (Method.VANLOAN, 0.5) in entries
+    assert discretize._ahead is None
+    # a model that fails the proposed plan has its error at every horizon,
+    # while Van Loan's cells stand
+    bad = ContinuousModel(np.diag([1.0, -1.0]), np.eye(2))
+    with discretize._reports_ahead(bad, grid, methods):
+        for t in grid:
+            with pytest.raises(UnsupportedSpectrumError):
+                run_method(bad, t, Method.PROPOSED)
+            assert same_bits(run_method(bad, t, Method.VANLOAN),
+                             discretize_vanloan(bad, t))
 
 
 @pytest.mark.parametrize("method", [discretize_lyap_p, discretize_lyap_q])

@@ -1,5 +1,6 @@
-"""Print one SHA-256 per benchmark workload over every F, every Q and every
-exception type name its operations produce, each input run once:
+"""Print one SHA-256 per benchmark workload over every F, every Q, every
+exception type name and every benchmark record (method, horizon, score and
+status) its operations produce, each input run once:
 ``python3 tools/fingerprint.py --seed 1``.  Inputs come from
 perfbench/workloads.py and the package from this checkout's src/, so two
 checkouts that print the same lines compute the same bits on those inputs.
@@ -22,11 +23,16 @@ from workloads import WORKLOADS  # noqa: E402
 
 
 def feed(h, out):
-    """Hash the arrays and exception names in one operation's output."""
+    """Hash the arrays, exception names and bench records in one
+    operation's output."""
     if isinstance(out, Exception):
         h.update(type(out).__name__.encode())
     elif isinstance(out, np.ndarray):
         h.update(out.dtype.str.encode() + out.tobytes())
+    elif isinstance(out, sdedisc.BenchRecord):
+        eps = "" if out.epsilon is None else out.epsilon.hex()
+        h.update(f"{out.method.value} {out.t.hex()} {eps} "
+                 f"{out.status.value}".encode())
     elif hasattr(out, "model"):  # a MethodReport
         feed(h, (out.model.f, out.model.q))
     elif isinstance(out, (tuple, list)):
