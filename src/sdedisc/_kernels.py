@@ -75,13 +75,44 @@ def _deflate(h, hi, eps, anorm):
     return int(small[-1]) + 1 if small.size else 0
 
 
-def francis_qr(hu, eps, anorm, max_sweeps):
+def _snapped_shift(h11, h12, h21, h22, shifts):
+    """(trace, determinant) of the Wilkinson pair -- the eigenvalues of the
+    trailing 2x2 block [[h11, h12], [h21, h22]] -- snapped to the nearest
+    of the given eigenvalues: a root that snaps to a complex eigenvalue
+    brings that eigenvalue's conjugate as the other shift, and two real
+    hits are kept one by one."""
+    half = 0.5 * (h11 - h22)
+    disc = complex(half * half + h12 * h21)
+    mid = 0.5 * (h11 + h22)
+    root = disc ** 0.5
+    pair = []
+    for r in (mid + root, mid - root):
+        hit = min(shifts, key=lambda z: abs(z - r))
+        if hit.imag != 0.0:
+            return 2.0 * hit.real, hit.real * hit.real + hit.imag * hit.imag
+        pair.append(hit.real)
+    return pair[0] + pair[1], pair[0] * pair[1]
+
+
+def francis_qr(hu, eps, anorm, max_sweeps, zeros=0, shifts=()):
     """Francis implicit double-shift QR on the upper Hessenberg top half T
     of hu, in place.
 
     Returns (iterations, converged).  On exit T is real quasi-upper
     triangular (2x2 blocks not yet standardized) and the bottom half U
     accumulates the orthogonal similarity.
+
+    Each iteration's double shift is, in this order of precedence: the
+    exceptional shift on every 10th iteration without a deflation at the
+    bottom of the active window; while fewer than 10 such iterations have
+    passed, a double shift at 0 if the window's bottom row is one of the
+    last ``zeros`` rows, else the Wilkinson pair snapped to the nearest of
+    ``shifts`` (the eigenvalues of T, as Python complex numbers) if any
+    are given; otherwise the Wilkinson pair itself.  With the defaults
+    every shift is the Wilkinson or the exceptional one.  Zero shifts
+    deflate the eigenvalues near 0 at the bottom, so integrators finish
+    last; a window whose hinted shifts stall falls back to the standard
+    shifts from its first exceptional shift on.
     """
     n = hu.shape[1]
     if n <= 2:
@@ -108,6 +139,11 @@ def francis_qr(hu, eps, anorm, max_sweeps):
             s = 0.75 * sx + h22
             trc = s + s
             det = s * s + 0.4375 * sx * sx
+        elif stall < 10 and hi >= n - zeros:
+            trc = det = 0.0
+        elif stall < 10 and shifts:
+            trc, det = _snapped_shift(float(h11), float(h12), float(h21),
+                                      float(h22), shifts)
         else:
             trc = h11 + h22
             det = h11 * h22 - h12 * h21

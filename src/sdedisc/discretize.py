@@ -205,15 +205,17 @@ def _nilpotent_sum(terms: np.ndarray, ts) -> np.ndarray:
     return _sym(q)
 
 
-def _nilpotent_expm1(a22: np.ndarray, ts) -> np.ndarray:
-    """exp(A t) - I for a nilpotent block at every horizon of ts, as the
-    terminating power series: a (len(ts), p, p) stack."""
+def _nilpotent_expm1(a22: np.ndarray, a22_once: np.ndarray,
+                     ts) -> np.ndarray:
+    """exp(A t) - I for a nilpotent block A = a22 at every horizon of ts,
+    as the terminating power series: a (len(ts), p, p) stack.  a22_once is
+    the product I @ a22, which the plan keeps; it is a22 but for the sign
+    of a zero, so the first term is built from it and not from a22."""
     p = a22.shape[0]
-    term = np.eye(p, dtype=a22.dtype)
     acc = np.zeros((len(ts), p, p), dtype=a22.dtype)
     for i in range(1, p):
         scale = np.array([t / i for t in ts], dtype=a22.dtype)
-        term = (term @ a22) * scale[:, None, None]
+        term = (a22_once if i == 1 else term @ a22) * scale[:, None, None]
         acc = acc + term
     return acc
 
@@ -231,11 +233,13 @@ class _ProposedPlan:
 
     def __init__(self, m: ContinuousModel, tau_zero: float | None, key):
         self.key = key
-        u0, t0 = real_schur(m.a)
         tau_default = tau_zero_default(m.a)
         if tau_zero is None:
             tau_zero = tau_default
-        u, at, k = order_schur_zeros_last(u0, t0, tau_zero)
+        # shifted so that the integrators finish last: the reordering then
+        # only classifies, unless rounding left one behind
+        u, at, k = order_schur_zeros_last(*real_schur(m.a, tau_zero),
+                                          tau_zero)
         a11 = np.ascontiguousarray(at[:k, :k])
         a22 = np.ascontiguousarray(at[k:, k:])
         # mirrored non-zero poles make the q11 Lyapunov solve singular, and
@@ -263,6 +267,10 @@ class _ProposedPlan:
             raise UnsupportedSpectrumError(msg) from exc
         self.u, self.k = u, k
         self.a11, self.a12, self.a22 = a11, at[:k, k:], a22
+        # the horizon-free parts of exp(at t): I @ a22, the first term of
+        # the integrator block's series, and the identity ft adds back
+        self.a22_once = np.eye(a22.shape[0], dtype=u.dtype) @ a22
+        self.eye = np.eye(m.n, dtype=u.dtype)
         self.aug11 = _augmented(a11)
         # trsylv's (blocks, r) for the three solves, r quasi-lower
         # triangular: -a22 with its row and column order reversed (f12),
@@ -300,14 +308,14 @@ class _ProposedPlan:
             big, exp_ok = _mat_exp_many(self.aug11, ts)
             mt = np.zeros((len(ts), n, n), dtype=self.u.dtype)
             mt[:, :k, :k] = a11 @ big[:, :k, k:]
-            mt[:, k:, k:] = _nilpotent_expm1(a22, ts)
+            mt[:, k:, k:] = _nilpotent_expm1(a22, self.a22_once, ts)
             # f12: a11 X - X a22 = c, solved as a11 Y - Y (J a22 J) = c J
             # with X = Y J, J the column reversal, so that trsylv's
             # coefficient is quasi-lower triangular for every integrator count
             c12 = mt[:, :k, :k] @ a12 - a12 @ mt[:, k:, k:]
             mt[:, :k, k:] = _kernels.trsylv(*self.f12_sylv,
                                             c12[..., ::-1])[..., ::-1]
-            ft = mt + np.eye(n, dtype=mt.dtype)
+            ft = mt + self.eye
             ft[:, :k, :k] = big[:, :k, :k]
             vt = _x_minus_fxft(mt, self.st_half)
             q22 = _nilpotent_sum(self.q22_terms, ts)

@@ -58,20 +58,18 @@ def tau_zero_default(a: np.ndarray) -> float:
     return float(np.sqrt(100.0 * n * eps_of(a)) * np.linalg.norm(a))
 
 
-def check_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {a.shape}")
-    if a.size and not np.isfinite(a).all():
-        raise NonFiniteError(f"{name} contains non-finite entries")
-    return a
-
-
 def check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a)
     if a.size and not np.isfinite(a).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
     return a
+
+
+def check_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"{name} must be square, got shape {a.shape}")
+    return check_finite(a, name)
 
 
 def mat_exp(a: np.ndarray, t: float = 1.0) -> np.ndarray:
@@ -122,20 +120,34 @@ def _mat_exp_many(a: np.ndarray, ts) -> tuple:
     return result, ok
 
 
-def real_schur(a: np.ndarray):
+def real_schur(a: np.ndarray, tau_zero: float | None = None):
     """Real Schur decomposition a = u @ t @ u.T with u orthogonal and t
-    quasi-upper triangular (standardized 1x1/2x2 diagonal blocks)."""
+    quasi-upper triangular (standardized 1x1/2x2 diagonal blocks).
+
+    Given ``tau_zero``, the QR iteration is steered by a's spectrum from
+    LAPACK (``np.linalg.eigvals`` at a's width): double shifts at 0 until
+    the eigenvalues of modulus <= tau_zero have deflated at the bottom of
+    t, then Wilkinson shifts snapped to the nearest LAPACK eigenvalues
+    (see _kernels.francis_qr).  It then takes fewer iterations, and the
+    integrators come out already trailing.  Without it the shifts are the
+    standard ones."""
     a = check_square(a, "real_schur input")
     dtype = a.dtype if a.dtype in (np.float32, np.float64) else np.float64
     n = a.shape[0]
     hu = np.concatenate([np.asarray(a, dtype=dtype), np.eye(n, dtype=dtype)])
+    zeros, shifts = 0, ()
+    if tau_zero is not None and n > 2:  # francis_qr has no work below 3
+        ev = np.linalg.eigvals(hu[:n])
+        zeros = int(np.count_nonzero(np.abs(ev) <= tau_zero))
+        shifts = ev.tolist()
     _kernels.hessenberg(hu)
-    sweeps, ok = _kernels.francis_qr(hu, eps_of(dtype),
-                                     float(np.linalg.norm(a)), _MAX_QR_SWEEPS)
+    iterations, ok = _kernels.francis_qr(hu, eps_of(dtype),
+                                         float(np.linalg.norm(a)),
+                                         _MAX_QR_SWEEPS, zeros, shifts)
     if not ok:
         raise ConvergenceError(
-            f"QR iteration did not converge within {sweeps} sweeps",
-            sweeps=sweeps)
+            f"QR iteration did not converge within {_MAX_QR_SWEEPS * n} "
+            f"iterations ({_MAX_QR_SWEEPS} per row)", sweeps=iterations)
     _kernels.standardize_quasi_triangular(hu)
     return hu[n:], hu[:n]
 

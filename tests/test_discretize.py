@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdedisc import _kernels, discretize
+from sdedisc import _kernels, discretize, linalg
 from sdedisc.bench import default_t_grid
 from sdedisc.errors import (MatrixOverflowError, MethodNotApplicableError,
                             NilpotencyError, NonFiniteError,
@@ -608,7 +608,7 @@ def column_block_sizes(r):
 @pytest.mark.parametrize("model, tau_zero, a22_widths", [
     (stable_system(0), None, set()),             # p = 0
     (constant_velocity(), None, {1}),            # k = 0
-    (mixed_system(2), None, {2}),
+    (mixed_system(2), None, {1}),
     (mixed_system(3).astype(np.float32), None, {1}),
     (mixed_system(1), None, {2}),                # a22 one 2x2 pair block
     # a rotated index-3 chain: a22 is a 1x1 and a 2x2 block
@@ -625,6 +625,21 @@ def test_proposed_warm_equals_cold(model, tau_zero, a22_widths):
     # the f12 and q12 solves take column blocks as wide as a22's blocks
     assert column_block_sizes(discretize._last_plan.q12_sylv[1]) == \
         a22_widths
+
+
+@pytest.mark.parametrize("spec", [EnsembleSpec(6, 4, 2, seed=100),
+                                  EnsembleSpec(16, 14, 2, seed=7)])
+def test_proposed_plan_makes_no_swaps(spec, monkeypatch):
+    # the plan's shifts finish the integrators last, so the reordering
+    # only classifies the blocks
+    swaps = []
+    swap = linalg._swap_adjacent_blocks
+    monkeypatch.setattr(linalg, "_swap_adjacent_blocks",
+                        lambda *args: swaps.append(1) or swap(*args))
+    for stream in range(8):
+        report = discretize_proposed(gen_random_system(spec, stream), 1.0)
+        assert report.diagnostics["integrator_count"] == 2.0
+    assert not swaps
 
 
 def test_proposed_factors_once_for_many_horizons(schur_count):

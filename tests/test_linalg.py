@@ -15,6 +15,7 @@ from sdedisc.linalg import (mat_exp, real_schur, order_schur_zeros_last,
                             quasi_tri_eigvalues, solve_sylvester,
                             solve_lyapunov, spectral_norm,
                             symmetric_eigvalues, tau_zero_default)
+from sdedisc.modelgen import EnsembleSpec, gen_random_system
 
 
 def random_matrix(rng, n, scale=1.0):
@@ -158,13 +159,14 @@ def test_mat_exp_many_flags_overflow_without_warning():
 # ------------------------------------------------------------- real_schur
 
 
-def check_real_schur(a):
-    """real_schur(a) against its contract, to 64 n eps ||a|| (times each
-    eigenvalue's condition number for the eigenvalues): u orthogonal,
-    u t u^T = a, t quasi-upper triangular whose 2x2 blocks hold complex
-    pairs with equal diagonal, and the eigenvalues of np.linalg.eig."""
+def check_real_schur(a, tau_zero=None):
+    """real_schur(a, tau_zero) against its contract, to 64 n eps ||a||
+    (times each eigenvalue's condition number for the eigenvalues): u
+    orthogonal, u t u^T = a, t quasi-upper triangular whose 2x2 blocks hold
+    complex pairs with equal diagonal, and the eigenvalues of
+    np.linalg.eig."""
     n = a.shape[0]
-    u, t = real_schur(a)
+    u, t = real_schur(a, tau_zero)
     assert u.dtype == t.dtype == a.dtype
     a64, u64, t64 = (x.astype(np.float64) for x in (a, u, t))
     tol = 64 * n * np.finfo(a.dtype).eps
@@ -227,6 +229,12 @@ def test_real_schur_not_converged_raises(monkeypatch):
     with pytest.raises(ConvergenceError) as info:
         real_schur(random_matrix(np.random.default_rng(21), 8))
     assert info.value.sweeps is not None and info.value.sweeps > 0
+
+
+def test_real_schur_not_converged_names_iteration_limit(monkeypatch):
+    monkeypatch.setattr(linalg, "_MAX_QR_SWEEPS", 1)
+    with pytest.raises(ConvergenceError, match="within 8 iterations"):
+        real_schur(random_matrix(np.random.default_rng(21), 8))
 
 
 def _deflate_loop(h, hi, eps, anorm):
@@ -400,6 +408,94 @@ def test_swap_adjacent_blocks(p1, p2):
         assert np.allclose(np.sort_complex(ev[1 + p2:-1]),
                            np.sort_complex(want[1 + p2:-1]), atol=4 * tol)
         assert ev[0] == 3.0 and ev[-1] == 4.0
+
+
+# ------------------------------------------------ real_schur shift hints
+
+
+@pytest.fixture
+def qr_results(monkeypatch):
+    """The (iterations, converged) of every francis_qr call, in order."""
+    results = []
+    francis = _kernels.francis_qr
+    monkeypatch.setattr(_kernels, "francis_qr",
+                        lambda *args: results.append(francis(*args)) or
+                        results[-1])
+    return results
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_real_schur_hint_rotated_chains(p, dtype):
+    # the computed eigenvalues of a rotated index-p chain scatter by about
+    # eps^(1/p) around 0, past tau_zero_default for the deeper chains; the
+    # wider 1e-2 counts more of them as zeros
+    for m in (0, 2, 8 - p):
+        for seed in range(4):
+            a = _integrator_system(np.random.default_rng(seed), m, p)
+            a = a.astype(dtype)
+            for tau_zero in (tau_zero_default(a), 1e-2):
+                check_real_schur(a, tau_zero)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("coupled", [False, True])
+@pytest.mark.parametrize("reps", [2, 3])
+def test_real_schur_hint_repeated_complex_pairs(reps, coupled, dtype):
+    # the pair -0.5 +- 2i repeated reps times, as separate blocks or, coupled
+    # by identity blocks above the diagonal, as one defective chain; with
+    # and without a trailing index-2 integrator chain
+    pair = np.array([[-0.5, 2.0], [-2.0, -0.5]])
+    lead = np.kron(np.eye(reps), pair)
+    if coupled:
+        lead += np.kron(np.eye(reps, k=1), np.eye(2))
+    for p in (0, 2):
+        t0 = np.zeros((2 * reps + p, 2 * reps + p))
+        t0[:2 * reps, :2 * reps] = lead
+        t0[2 * reps:, 2 * reps:] = np.eye(p, k=1)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            q, _ = np.linalg.qr(rng.standard_normal(t0.shape))
+            a = (q @ t0 @ q.T).astype(dtype)
+            check_real_schur(a, tau_zero_default(a))
+
+
+@pytest.mark.parametrize("n", sorted(CYCLIC_QR_ITERATIONS))
+def test_real_schur_hint_cyclic_shift(n):
+    for dtype in (np.float64, np.float32):
+        a = np.roll(np.eye(n, dtype=dtype), 1, axis=0)
+        check_real_schur(a, tau_zero_default(a))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 32),
+       dtype=st.sampled_from([np.float64, np.float32]),
+       frac=st.floats(0.0, 1.0))
+def test_real_schur_hint_property(seed, n, dtype, frac):
+    # tau_zero up to ||a||: zero shifts aimed at eigenvalues far from 0
+    # stall, and the window falls back to the standard shift
+    a = random_matrix(np.random.default_rng(seed), n).astype(dtype)
+    check_real_schur(a, frac * float(np.linalg.norm(a)))
+
+
+def test_real_schur_snapped_shifts_fall_back_after_stall(qr_results):
+    # shifts snapped to LAPACK's eigenvalues never converge on this drift
+    # without the fallback to the standard shift
+    m = gen_random_system(EnsembleSpec(6, 3, 3, seed=0), stream=43)
+    check_real_schur(m.a, tau_zero_default(m.a))
+    assert qr_results[-1][1]
+
+
+@pytest.mark.parametrize("seed", [9, 15, 37, 44])
+def test_real_schur_zero_shifts_fall_back_after_stall(seed, qr_results):
+    # a rotated index-3 chain in binary32 has computed eigenvalues near
+    # 2e-3, all counted as zeros, which double shifts at 0 never deflate:
+    # the window needs the fallback after its first exceptional shift
+    a = _integrator_system(np.random.default_rng(seed), 0, 3)
+    a = a.astype(np.float32)
+    check_real_schur(a, tau_zero_default(a))
+    iterations, converged = qr_results[-1]
+    assert converged and iterations > 10
 
 
 # ---------------------------------------------------------------- solvers
