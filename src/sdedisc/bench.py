@@ -12,7 +12,9 @@ from .errors import (SdeDiscError, MatrixOverflowError,
                      MethodNotApplicableError, NonFiniteError)
 from .models import Method
 from .modelgen import EnsembleSpec, gen_random_system
-from .discretize import _q_oracle_many, _reports_ahead, run_method
+from . import discretize
+from .discretize import (_proposed_plan, _q_oracle_many, _unwrap,
+                         _vanloan_reports)
 
 
 def default_t_grid(points: int = 20, lo: float = 1e-2, hi: float = 1e2):
@@ -55,11 +57,22 @@ class BenchRecord:
     status: CellStatus
 
 
-def _run_cell(model_w, t, method):
+def run_method(m, t, method, ahead=None):
+    """One benchmark cell's report: ``ahead``, the report or error computed
+    ahead for the cell, is returned or raised; without it the cell is
+    discretize.run_method(m, t, method).  Every cell is one call of this
+    function, so a wrapper of ``bench.run_method`` sees each cell's
+    report."""
+    if ahead is None:
+        return discretize.run_method(m, t, method)
+    return _unwrap(ahead)
+
+
+def _run_cell(model_w, t, method, ahead=None):
     """Run one method at the benchmark width: (report, OK), or (None, the
     failure's status).  Failures become statuses, never exceptions."""
     try:
-        return run_method(model_w, t, method), CellStatus.OK
+        return run_method(model_w, t, method, ahead), CellStatus.OK
     except (MatrixOverflowError, NonFiniteError):
         # the model is finite, so a non-finite result overflowed the width
         return None, CellStatus.OVERFLOW
@@ -67,6 +80,18 @@ def _run_cell(model_w, t, method):
         return None, CellStatus.NOT_APPLICABLE
     except (SdeDiscError, np.linalg.LinAlgError):
         return None, CellStatus.ERROR
+
+
+def _stacked(model_w, ts, method) -> list:
+    """Proposed or Van Loan at every horizon of ts in one stacked pass: a
+    report or error per horizon.  A model whose proposed plan fails has
+    that error at every horizon."""
+    try:
+        if method is Method.PROPOSED:
+            return _proposed_plan(model_w, None).reports(ts)
+        return _vanloan_reports(model_w, ts)
+    except (SdeDiscError, np.linalg.LinAlgError) as exc:
+        return [exc] * len(ts)
 
 
 def _relative_errors(cells) -> list:
@@ -88,9 +113,9 @@ def run_benchmark(cfg: BenchConfig) -> list:
     binary64, computed once per system over the whole grid and shared
     across methods; if the quadrature fails at some t, every method's cell
     at that (system, t) is an error record.  Each other cell is one
-    run_method call, in (t, method) order; proposed and Van Loan answer
-    from one stacked pass per system over the horizons that have a truth
-    (discretize._reports_ahead).
+    run_method call, in (t, method) order; proposed and Van Loan cells are
+    handed the entry of one stacked pass per system over the horizons
+    that have a truth.
     Record order is (system_id, t, method); identical configs yield
     identical records.
     """
@@ -106,16 +131,19 @@ def run_benchmark(cfg: BenchConfig) -> list:
                                 for q in truths], 2, axis=(1, 2))
         ts = [t for t, q in zip(cfg.t_grid, truths)
               if not isinstance(q, SdeDiscError)]
+        ahead = {(method, t): out for method in cfg.methods
+                 if method in (Method.PROPOSED, Method.VANLOAN)
+                 for t, out in zip(ts, _stacked(model_w, ts, method))}
         cells = []  # (t, method, report, status, Q_true, |Q_true|_2)
-        with _reports_ahead(model_w, ts, cfg.methods):
-            for t, q_true, q_norm in zip(cfg.t_grid, truths, norms):
-                for method in cfg.methods:
-                    if isinstance(q_true, SdeDiscError):
-                        # no truth to score against: the cell fails
-                        report, status = None, CellStatus.ERROR
-                    else:
-                        report, status = _run_cell(model_w, t, method)
-                    cells.append((t, method, report, status, q_true, q_norm))
+        for t, q_true, q_norm in zip(cfg.t_grid, truths, norms):
+            for method in cfg.methods:
+                if isinstance(q_true, SdeDiscError):
+                    # no truth to score against: the cell fails
+                    report, status = None, CellStatus.ERROR
+                else:
+                    report, status = _run_cell(model_w, t, method,
+                                               ahead.get((method, t)))
+                cells.append((t, method, report, status, q_true, q_norm))
         errs = iter(_relative_errors([c for c in cells if c[2] is not None]))
         records.extend(BenchRecord(sid, method, t,
                                    None if report is None else next(errs),

@@ -17,7 +17,6 @@ the process-noise covariance Q = int_0^T exp(A tau) S exp(A^T tau) dtau:
   always computed in binary64.
 """
 
-import contextlib
 import math
 
 import numpy as np
@@ -159,7 +158,11 @@ def q_nilpotent(a22: np.ndarray, s22: np.ndarray, t: float) -> np.ndarray:
 
     Raises NilpotencyError when |A^p| exceeds a tolerance that allows
     for the eps^(1/p) spread of a perturbed index-p chain."""
-    (q,) = _nilpotent_sum(_nilpotent_terms(a22, s22), (_check_horizon(t),))
+    t = _check_horizon(t)
+    (q,) = _nilpotent_sum(_nilpotent_terms(a22, s22), (t,))
+    if not np.isfinite(q).all():
+        raise MatrixOverflowError(
+            f"nilpotent covariance overflowed {q.dtype.name} at t = {t:.3g}")
     return q
 
 
@@ -190,19 +193,28 @@ def _nilpotent_terms(a22: np.ndarray, s22: np.ndarray) -> np.ndarray:
 
 def _nilpotent_sum(terms: np.ndarray, ts) -> np.ndarray:
     """q_nilpotent at every horizon of ts, as a (len(ts), p, p) stack, from
-    the products of _nilpotent_terms."""
+    the products of _nilpotent_terms.  A horizon whose sum overflows the
+    width has a non-finite slice."""
     p = terms.shape[-1]
     # the coefficients in Python floats, as for one horizon, then rounded
     # to the width once each
     powers = [(i + j + 1, math.factorial(i) * math.factorial(j) * (i + j + 1))
               for i in range(p) for j in range(p)]
-    coefs = np.array([[t ** e / d for e, d in powers] for t in ts],
-                     dtype=terms.dtype).reshape(len(ts), p * p, 1, 1)
-    products = coefs * terms
-    q = np.zeros((len(ts), p, p), dtype=terms.dtype)
-    for ij in range(p * p):
-        q = q + products[:, ij]
-    return _sym(q)
+
+    def coefs_at(t):
+        try:
+            return [t ** e / d for e, d in powers]
+        except OverflowError:  # t^(2p-1) is beyond binary64
+            return [math.inf] * len(powers)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        coefs = np.array([coefs_at(t) for t in ts],
+                         dtype=terms.dtype).reshape(len(ts), p * p, 1, 1)
+        products = coefs * terms
+        q = np.zeros((len(ts), p, p), dtype=terms.dtype)
+        for ij in range(p * p):
+            q = q + products[:, ij]
+        return _sym(q)
 
 
 def _nilpotent_expm1(a22: np.ndarray, a22_once: np.ndarray,
@@ -443,7 +455,12 @@ def naive_q_a(m: ContinuousModel, t: float) -> np.ndarray:
 def naive_q_b(m: ContinuousModel, t: float) -> np.ndarray:
     """Foil: continuous-time intensity rescaled by the interval, Q = T S."""
     t = _check_horizon(t)
-    return m.s * m.dtype.type(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = m.s * m.dtype.type(t)
+    if not np.isfinite(q).all():
+        raise MatrixOverflowError(
+            f"T S overflowed {m.dtype.name} at t = {t:.3g}")
+    return q
 
 
 def q_oracle(m: ContinuousModel, t: float) -> np.ndarray:
@@ -457,6 +474,8 @@ def q_oracle(m: ContinuousModel, t: float) -> np.ndarray:
     return _unwrap(q)
 
 
+# a number that overflows binary64 is caught as a non-finite estimate
+@np.errstate(over="ignore", invalid="ignore")
 def _q_oracle_many(m: ContinuousModel, ts) -> list:
     """q_oracle at every horizon of ts in one pass: entry i is Q at ts[i],
     or the SdeDiscError that horizon raised.  The horizons' Romberg tables
@@ -526,7 +545,13 @@ def _q_oracle_many(m: ContinuousModel, ts) -> list:
         for j, i in enumerate(live):
             if not keep[j]:
                 continue
-            scale = max(float(np.linalg.norm(est[j])), _TINY)
+            scale = float(np.linalg.norm(est[j]))
+            if not scale < math.inf:
+                out[i], keep[j] = MatrixOverflowError(
+                    f"quadrature estimate overflowed binary64 (horizon "
+                    f"{ts[i]:.3g})"), False
+                continue
+            scale = max(scale, _TINY)
             diff = float(np.linalg.norm(est[j] - prev_est[j])) / scale
             if diff <= _ORACLE_REL_TOL:
                 out[i], keep[j] = _sym(est[j]), False
@@ -570,48 +595,11 @@ def lemma2_residual(m: ContinuousModel, f: np.ndarray,
     return float(spectral_norm(defect) / max(snorm * scale, floor))
 
 
-# reports of one model computed ahead by _reports_ahead: the model's key
-# and {(method, t): MethodReport or error}, each handed out once by
-# run_method; None outside the block
-_ahead = None
-
-
-@contextlib.contextmanager
-def _reports_ahead(m: ContinuousModel, ts, methods):
-    """Within the block, run_method(m, t, method) for a positive horizon t
-    of ts and method proposed or vanloan returns, or raises, an entry
-    computed here, where each of the two methods evaluates all of ts in
-    one stacked pass.  Each entry is handed out once; a model that fails
-    the proposed plan has that error at every horizon."""
-    global _ahead
-    stacked = {Method.PROPOSED: lambda: _proposed_plan(m, None).reports(ts),
-               Method.VANLOAN: lambda: _vanloan_reports(m, ts)}
-    entries = {}
-    for method in stacked.keys() & set(methods):
-        try:
-            outs = stacked[method]()
-        except (SdeDiscError, np.linalg.LinAlgError) as exc:
-            outs = [exc] * len(ts)
-        entries.update(((method, t), out) for t, out in zip(ts, outs))
-    _ahead = (_model_key(m), entries)
-    try:
-        yield
-    finally:
-        _ahead = None
-
-
 def run_method(m: ContinuousModel, t: float, method: Method) -> MethodReport:
     """Uniform dispatcher.  Foils and the oracle are wrapped into a
-    MethodReport using the true transition matrix F = exp(A t).  Inside
-    _reports_ahead for m, a cell computed ahead is handed out instead of
-    computed again."""
+    MethodReport using the true transition matrix F = exp(A t)."""
     if not isinstance(method, Method):
         method = Method(method)
-    ahead = _ahead
-    if ahead is not None and ahead[0] == _model_key(m):
-        out = ahead[1].pop((method, t), None)
-        if out is not None:
-            return _unwrap(out)
     if method is Method.LYAP_P:
         return discretize_lyap_p(m, t)
     if method is Method.LYAP_Q:

@@ -1,11 +1,15 @@
 """Benchmark harness tests: record semantics, aggregation, CSV shape,
 and determinism."""
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sdedisc
 from sdedisc import bench, discretize
 from sdedisc.bench import (BenchConfig, BenchRecord, CellStatus,
                            run_benchmark, summarize, records_to_csv,
@@ -107,16 +111,14 @@ def test_each_cell_is_one_run_method_call_and_scores_its_report(monkeypatch):
                     methods=(Method.PROPOSED, Method.VANLOAN, Method.LYAP_Q))
     inner, calls = bench.run_method, []
 
-    def doubling(m, t, method):
-        assert discretize._ahead is not None
+    def doubling(m, t, method, ahead=None):
         calls.append((t, method))
-        r = inner(m, t, method)
+        r = inner(m, t, method, ahead)
         return MethodReport(DiscreteModel(r.model.f, 2 * r.model.q, t),
                             method)
 
     monkeypatch.setattr(bench, "run_method", doubling)
     records = run_benchmark(cfg)
-    assert discretize._ahead is None
     assert calls == [(r.t, r.method) for r in records]
     model = gen_random_system(cfg.ensemble, stream=0)
     for rec in records:
@@ -130,19 +132,55 @@ def test_each_cell_is_one_run_method_call_and_scores_its_report(monkeypatch):
             spectral_norm(q_true)
 
 
-def test_reports_ahead_emptied_when_a_cell_raises(monkeypatch):
-    inner, calls = bench.run_method, []
+def test_failed_plan_fails_every_proposed_cell(monkeypatch):
+    # mirrored poles fail the proposed plan: that error is every proposed
+    # cell's, while each Van Loan cell scores its one-horizon report
+    model = ContinuousModel(np.diag([1.0, -1.0]), np.eye(2))
+    monkeypatch.setattr(bench, "gen_random_system", lambda spec, stream: model)
+    cfg = small_cfg(methods=(Method.PROPOSED, Method.VANLOAN), runs=1)
+    records = run_benchmark(cfg)
+    assert [(r.t, r.method) for r in records] == \
+        [(t, m) for t in cfg.t_grid for m in cfg.methods]
+    for rec in records:
+        if rec.method is Method.PROPOSED:
+            assert rec.status is CellStatus.ERROR
+            continue
+        assert rec.status is CellStatus.OK
+        q_true = q_oracle(model, rec.t)
+        q_hat = discretize.discretize_vanloan(model.astype(cfg.width),
+                                              rec.t).model.q
+        assert rec.epsilon == spectral_norm(q_hat - q_true) / \
+            spectral_norm(q_true)
 
-    def failing(m, t, method):
-        calls.append(t)
-        if len(calls) == 3:
-            raise RuntimeError("stop in the middle of a system")
-        return inner(m, t, method)
 
-    monkeypatch.setattr(bench, "run_method", failing)
-    with pytest.raises(RuntimeError, match="middle"):
-        run_benchmark(small_cfg(methods=(Method.PROPOSED, Method.VANLOAN)))
-    assert discretize._ahead is None
+def test_paper_sweep_seam_scores_every_record(monkeypatch):
+    # the benchmark's paper-sweep wraps bench.run_method: it needs one call
+    # per record, in record order, that returns the report the record
+    # scores; its own checks then find nothing on systems without fault S
+    pytest.importorskip("scipy")
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+
+    def load(name):
+        spec = importlib.util.spec_from_file_location(
+            f"perfbench_{name}", perfbench / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    # workloads imports reference and checks by their bare names when it
+    # runs; they are found in sys.modules only for this test
+    for name in ("reference", "checks"):
+        monkeypatch.setitem(sys.modules, name, load(name))
+    workloads = load("workloads")
+
+    sweep = workloads.PaperSweep(sdedisc, seed=1)
+    ops = [op for op in sweep.inputs if op.config.ensemble.seed in (0, 1)]
+    assert len(ops) == 2
+    assert not {0, 1} & workloads.INDEFINITE_SYSTEMS
+    for op in ops:
+        problems, samples = sweep.check(op, sweep.run(op), sweep.reference(op))
+        assert problems == []
+        assert len(samples) == len(op.config.t_grid)
 
 
 def test_lyap_q_not_applicable_on_integrators():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from sdedisc import _kernels, discretize, linalg
 from sdedisc.bench import default_t_grid
 from sdedisc.errors import (MatrixOverflowError, MethodNotApplicableError,
-                            NilpotencyError, NonFiniteError,
+                            NilpotencyError, NonFiniteError, SdeDiscError,
                             UnsupportedSpectrumError)
 from sdedisc.models import (ContinuousModel, DiscreteModel, Method,
                             EXACT_METHODS)
@@ -194,6 +194,17 @@ def test_q_nilpotent_rejects_non_nilpotent():
         q_nilpotent(np.array([[1.0]]), np.array([[1.0]]), 1.0)
 
 
+def test_q_nilpotent_overflow_is_typed():
+    # T^3 / 3 is beyond binary64 at T = 1e155, and beyond binary32 sooner
+    cv = constant_velocity()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dtype, t in ((np.float64, 1e155), (np.float32, 1e20)):
+            m = cv.astype(dtype)
+            with pytest.raises(MatrixOverflowError):
+                q_nilpotent(m.a, m.s, t)
+
+
 # -------------------------------------------------- cross-method checks
 
 
@@ -312,6 +323,30 @@ def test_float32_q_at_the_width_maximum_fits_or_raises(method):
         # at T = 45 Q = 6.1e38 does not fit: the typed error, no warning
         with pytest.raises(NonFiniteError):
             method(m, 45.0)
+
+
+HUGE_MODELS = {
+    "cv": constant_velocity(),
+    "ensemble": gen_random_system(EnsembleSpec(6, 4, 2, seed=3)),
+    "stable": ContinuousModel(np.diag([-1.0, -2.0]), np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(HUGE_MODELS))
+@pytest.mark.parametrize("t", [1e100, 1e155, 1e300])
+def test_huge_horizon_finite_or_typed_error(t, name, dtype):
+    # a horizon whose numbers overflow the width fails as that horizon's
+    # SdeDiscError, never as a builtin exception or a warning
+    m = HUGE_MODELS[name].astype(dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for method in Method:
+            try:
+                report = run_method(m, t, method)
+            except SdeDiscError:
+                continue
+            assert np.isfinite([report.model.f, report.model.q]).all()
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -725,33 +760,6 @@ def test_vanloan_stacked_equals_one_horizon(dtype):
     # binary32 overflows at the longest horizons alone
     assert 0 < len(overflowed) < len(grid) if dtype is np.float32 \
         else not overflowed
-
-
-def test_reports_ahead_hand_out_each_cell_once():
-    m, grid = mixed_system(3), (0.5, 2.0)
-    methods = (Method.PROPOSED, Method.VANLOAN, Method.LYAP_Q)
-    with discretize._reports_ahead(m, grid, methods):
-        _, entries = discretize._ahead
-        assert set(entries) == {(method, t) for t in grid
-                                for method in methods[:2]}
-        stored = entries[(Method.PROPOSED, 2.0)]
-        assert run_method(m, 2.0, Method.PROPOSED) is stored
-        again = run_method(m, 2.0, Method.PROPOSED)
-        assert again is not stored and same_bits(again, stored)
-        # another model is computed, not looked up
-        other = run_method(mixed_system(4), 0.5, Method.VANLOAN)
-        assert same_bits(other, discretize_vanloan(mixed_system(4), 0.5))
-        assert (Method.VANLOAN, 0.5) in entries
-    assert discretize._ahead is None
-    # a model that fails the proposed plan has its error at every horizon,
-    # while Van Loan's cells stand
-    bad = ContinuousModel(np.diag([1.0, -1.0]), np.eye(2))
-    with discretize._reports_ahead(bad, grid, methods):
-        for t in grid:
-            with pytest.raises(UnsupportedSpectrumError):
-                run_method(bad, t, Method.PROPOSED)
-            assert same_bits(run_method(bad, t, Method.VANLOAN),
-                             discretize_vanloan(bad, t))
 
 
 @pytest.mark.parametrize("method", [discretize_lyap_p, discretize_lyap_q])

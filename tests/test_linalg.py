@@ -50,6 +50,18 @@ def test_mat_exp_nilpotent_closed_form():
                            rtol=1e-15)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item N: the squarings are "
+                   "chosen from |A t|_1, and each doubles the Pade result's "
+                   "one-ulp error on the diagonal of a nilpotent drift")
+def test_mat_exp_nilpotent_long_horizons():
+    # exp(N t) = I + N t for any t; at t = 1e10 the diagonal is 0.99999976,
+    # and at t = 1e50 the result is the zero matrix
+    a = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for t in (1e10, 1e50):
+        f = mat_exp(a, t)
+        assert np.allclose(f, [[1.0, t], [0.0, 1.0]], rtol=1e-15, atol=0.0)
+
+
 def test_mat_exp_rotation():
     w = 1.3
     a = np.array([[0.0, w], [-w, 0.0]])
