@@ -109,9 +109,9 @@ def run_benchmark(cfg: BenchConfig) -> list:
     """Evaluate every (system, t, method) cell.
 
     Systems are generated in binary64, downcast to ``cfg.width``, and each
-    method runs entirely at that width.  The truth Q is quadrature at
+    method runs entirely at that width.  The truth Q is q_oracle's at
     binary64, computed once per system over the whole grid and shared
-    across methods; if the quadrature fails at some t, every method's cell
+    across methods; if the oracle fails at some t, every method's cell
     at that (system, t) is an error record.  Each other cell is one
     run_method call, in (t, method) order; proposed and Van Loan cells are
     handed the entry of one stacked pass per system over the horizons

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from sdedisc import _kernels, discretize, linalg
 from sdedisc.bench import default_t_grid
-from sdedisc.errors import (MatrixOverflowError, MethodNotApplicableError,
+from sdedisc.errors import (ConvergenceError, MatrixOverflowError,
+                            MethodNotApplicableError,
                             NilpotencyError, NonFiniteError, SdeDiscError,
                             UnsupportedSpectrumError)
 from sdedisc.models import (ContinuousModel, DiscreteModel, Method,
@@ -449,16 +450,57 @@ def scipy_doubling_q(m, t):
     return q
 
 
-@pytest.mark.parametrize("m", [
-    gen_random_system(EnsembleSpec(6, 4, 2, seed=1)),
-    gen_random_system(EnsembleSpec(6, 6, 0, seed=2)),
-    gen_random_system(EnsembleSpec(16, 14, 2, seed=3)),
-    gen_random_system(EnsembleSpec(6, 3, 3, seed=0)),
-    ContinuousModel(np.array([[0.1, 1.0], [0.0, -0.5]]), np.eye(2)),
+@pytest.mark.parametrize("m, agree, agree_or_refuse", [
+    (gen_random_system(EnsembleSpec(6, 4, 2, seed=1)), 1e3, 1e4),
+    (gen_random_system(EnsembleSpec(6, 6, 0, seed=2)), 1e3, 1e4),
+    (gen_random_system(EnsembleSpec(16, 14, 2, seed=3)), 1e3, 1e4),
+    (gen_random_system(EnsembleSpec(6, 3, 3, seed=0)), 100.0, 1e3),
+    (ContinuousModel(np.array([[0.1, 1.0], [0.0, -0.5]]), np.eye(2)),
+     1e3, 1e4),
 ], ids=["n6-p2", "n6-p0", "n16-p2", "n6-p3", "unstable-2"])
-def test_q_oracle_matches_scipy_doubling(m):
-    for t in (1e-4, 1e-2, 1.0, 10.0, 100.0):
-        assert rel_err(q_oracle(m, t), scipy_doubling_q(m, t)) < 1e-8, t
+def test_q_oracle_matches_scipy_doubling(m, agree, agree_or_refuse):
+    for t in (1e-4, 1e-2, 1.0, 10.0, 100.0, 1e3):
+        if t <= agree:
+            assert rel_err(q_oracle(m, t), scipy_doubling_q(m, t)) < 1e-8, t
+    # past that, binary64 doubling may not hold 1e-8 (n6-p2 and n16-p2
+    # drift by 2e-8 and 2e-6 at 1e4, n6-p3 by 4e-4 at 1e3; unstable-2
+    # overflows): the oracle agrees or refuses, never returns a worse truth
+    try:
+        q = q_oracle(m, agree_or_refuse)
+    except SdeDiscError:
+        return
+    assert rel_err(q, scipy_doubling_q(m, agree_or_refuse)) < 1e-8
+
+
+def test_q_oracle_long_horizons_reach_stationary_covariance():
+    # Q tends to the stationary covariance diag(1/2, 1/4); the doublings
+    # carry a short base step there however long the horizon
+    m = ContinuousModel(np.diag([-1.0, -2.0]), np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1e6, 1e8, 1e12, 1e300):
+            q = q_oracle(m, t)
+            assert np.abs(q - np.diag([0.5, 0.25])).max() <= 1e-15, t
+
+
+@pytest.mark.parametrize("seed, t", [(4, 10.0 ** 2.5), (4, 1e3), (9, 1e3)])
+def test_q_oracle_refuses_unreliable_doubling(seed, t):
+    # rotated index-3 chains: binary64 doubling drifts by O(1) here (1.9,
+    # 8.2e4 and 2.1 against a 60-digit doubling), and the second chain
+    # disagrees with the first
+    m = gen_random_system(EnsembleSpec(6, 3, 3, seed=seed), stream=0)
+    with pytest.raises(ConvergenceError):
+        q_oracle(m, t)
+
+
+def test_q_oracle_doubling_overflow_is_typed():
+    # exp(0.1 T) overflows binary64 while doubling to T = 1e4: the chains
+    # are checked for finiteness before they are compared
+    m = ContinuousModel(np.array([[0.1, 1.0], [0.0, -0.5]]), np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MatrixOverflowError):
+            q_oracle(m, 1e4)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -1,7 +1,11 @@
 """Print one SHA-256 per benchmark workload over every F, every Q, every
 exception type name and every benchmark record (method, horizon, score and
 status) its operations produce, each input run once:
-``python3 tools/fingerprint.py --seed 1``.  Inputs come from
+``python3 tools/fingerprint.py --seed 1``.  A fourth line,
+``paper-sweep-methods``, hashes paper-sweep's F, Q and exception type names
+without its benchmark records, whose scores also depend on the oracle's
+truths; it shows that the methods' bits stay when only the truths move.
+Inputs come from
 perfbench/workloads.py and the package from this checkout's src/, so two
 checkouts that print the same lines compute the same bits on those inputs.
 """
@@ -22,33 +26,39 @@ import sdedisc  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
-def feed(h, out):
-    """Hash the arrays, exception names and bench records in one
-    operation's output."""
+def feed(h, out, records=True):
+    """Hash the arrays, exception names and, unless records is False, the
+    bench records in one operation's output."""
     if isinstance(out, Exception):
         h.update(type(out).__name__.encode())
     elif isinstance(out, np.ndarray):
         h.update(out.dtype.str.encode() + out.tobytes())
     elif isinstance(out, sdedisc.BenchRecord):
-        eps = "" if out.epsilon is None else out.epsilon.hex()
-        h.update(f"{out.method.value} {out.t.hex()} {eps} "
-                 f"{out.status.value}".encode())
+        if records:
+            eps = "" if out.epsilon is None else out.epsilon.hex()
+            h.update(f"{out.method.value} {out.t.hex()} {eps} "
+                     f"{out.status.value}".encode())
     elif hasattr(out, "model"):  # a MethodReport
         feed(h, (out.model.f, out.model.q))
     elif isinstance(out, (tuple, list)):
         for item in out:
-            feed(h, item)
+            feed(h, item, records)
 
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__.split(":")[0])
     ap.add_argument("--seed", type=int, default=1)
     seed = ap.parse_args().seed
+    methods = hashlib.sha256()
     for name, workload in WORKLOADS.items():
         wl, h = workload(sdedisc, seed), hashlib.sha256()
         for op in wl.inputs:
             try:
-                feed(h, wl.run(op))
+                out = wl.run(op)
             except Exception as exc:
-                feed(h, exc)
+                out = exc
+            feed(h, out)
+            if name == "paper-sweep":
+                feed(methods, out, records=False)
         print(name, h.hexdigest())
+    print("paper-sweep-methods", methods.hexdigest())
