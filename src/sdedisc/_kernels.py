@@ -338,9 +338,8 @@ def jacobi_symm_eigvals(a, eps, max_sweeps):
     return diag
 
 
-def propagated_outer_sum(left, e_half):
-    """left + E left E^T with E = e_half: one level of the quadrature
-    oracle.  If left sums the integrand exp(A tau) S exp(A^T tau) at the
-    nodes i 2h, the result sums it at the nodes i h, for E = exp(A h).
-    Either argument may be a stack of matrices."""
-    return left + e_half @ left @ e_half.mT
+def propagated_outer_sum(q, e):
+    """q + e q e^T: one doubling of the oracle.  If q is Q(h) and
+    e = exp(A h), the result is Q(2h).  Either argument may be a stack of
+    matrices."""
+    return q + e @ q @ e.mT

@@ -1,5 +1,5 @@
 """Mixed-precision benchmark: run discretization methods in binary32
-against a binary64 quadrature truth over a grid of sampling times, and
+against a binary64 oracle truth over a grid of sampling times, and
 aggregate the relative spectral-norm errors."""
 
 import enum

@@ -14,7 +14,7 @@ the process-noise covariance Q = int_0^T exp(A tau) S exp(A^T tau) dtau:
 * ``naive_q_a``/``naive_q_b`` -- common approximations that are *not*
   consistent under interval splitting; kept as foils.
 * ``q_oracle``            -- self-certifying reference, always computed in
-  binary64: Romberg quadrature over a short base step, doubled to T and
+  binary64: a fixed Taylor series over a short base step, doubled to T and
   checked by a second doubling chain.
 """
 
@@ -52,14 +52,6 @@ from .linalg import (
 from .models import ContinuousModel, DiscreteModel, Method, MethodReport
 
 _TINY = 1e-300
-# Richardson levels of q_oracle's quadrature before it gives up; each
-# level costs one exponential and two products.  The quadrature spans one
-# base step with |A h0|_1 <= theta13, where a few levels converge; the
-# depth only bounds a stop test that never settles
-_ORACLE_MAX_DEPTH = 24
-# q_oracle's quadrature stops when successive Richardson estimates differ
-# by this much, relative to their norm
-_ORACLE_REL_TOL = 1e-12
 # q_oracle refuses a horizon whose two doubling chains differ by more than
 # this, relative to the first chain's norm
 _ORACLE_CHAIN_TOL = 1e-8
@@ -471,28 +463,29 @@ def naive_q_b(m: ContinuousModel, t: float) -> np.ndarray:
 
 
 def q_oracle(m: ContinuousModel, t: float) -> np.ndarray:
-    """Reference covariance, always in binary64.  Composite-trapezoid
-    quadrature of f(tau) = exp(A tau) S exp(A^T tau) with interval halving
-    and Richardson extrapolation gives Q over a base step h0 = T / 2^k, the
-    least k with |A|_1 h0 <= theta13; exact interval doubling,
-    Q(2h) = F(h) Q(h) F(h)^T + Q(h) with F(2h) = F(h)^2, carries it to T.
-    A second chain, started from exp(A h0/2)^2 in place of exp(A h0),
-    checks the doublings: where the two disagree, binary64 cannot give the
-    truth and ConvergenceError is raised.  The one-horizon case of
-    _q_oracle_many, raising the error it reports."""
+    """Reference covariance, always in binary64.  A fixed Taylor series
+    gives Q over a base step h0 = T / 2^k, the least k with
+    max(|A|_1, |A|_inf) h0 <= theta13 (see _base_q); exact interval
+    doubling, Q(2h) = F(h) Q(h) F(h)^T + Q(h) with F(2h) = F(h)^2, carries
+    it to T from the Pade exponential F(h0) = exp(A h0).  A second chain,
+    started from exp(A h0/2)^2 in place of exp(A h0), checks the
+    doublings: where the two disagree, binary64 cannot give the truth and
+    ConvergenceError is raised.  The one-horizon case of _q_oracle_many,
+    raising the error it reports."""
     (q,) = _q_oracle_many(m, (t,))
     return _unwrap(q)
 
 
-def _base_doublings(norm1: float, t: float) -> int:
-    """The least k >= 0 with norm1 * t / 2^k <= theta13, so that exp(A h0)
-    at h0 = t / 2^k needs no squaring."""
-    if not norm1 * t > _THETA13:
+def _base_doublings(nu: float, t: float) -> int:
+    """The least k >= 0 with nu * t / 2^k <= theta13, for
+    nu = max(|A|_1, |A|_inf): exp(A h0) at h0 = t / 2^k then needs no
+    squaring, and _base_q's series holds its bound."""
+    if not nu * t > _THETA13:
         return 0
-    k = math.ceil(math.log2(norm1) + math.log2(t) - math.log2(_THETA13))
-    while norm1 * math.ldexp(t, -k) > _THETA13:
+    k = math.ceil(math.log2(nu) + math.log2(t) - math.log2(_THETA13))
+    while nu * math.ldexp(t, -k) > _THETA13:
         k += 1
-    while k > 0 and norm1 * math.ldexp(t, 1 - k) <= _THETA13:
+    while k > 0 and nu * math.ldexp(t, 1 - k) <= _THETA13:
         k -= 1
     return k
 
@@ -508,40 +501,36 @@ def _norms(x: np.ndarray) -> list:
 @np.errstate(over="ignore", invalid="ignore")
 def _q_oracle_many(m: ContinuousModel, ts) -> list:
     """q_oracle at every horizon of ts in one pass: entry i is Q at ts[i],
-    or the SdeDiscError that horizon raised.  The base steps' Romberg
-    tables advance in lockstep, and the doublings of both chains share
-    their stacked products; each horizon keeps its own stop test, base
-    step and doubling count, so entry i is what q_oracle(m, ts[i])
-    computes alone."""
+    or the SdeDiscError that horizon raised.  The base steps and both
+    chains' doublings share stacked products; each horizon keeps its own
+    base step and doubling count, and every slice runs the same
+    operations, so entry i is what q_oracle(m, ts[i]) computes alone."""
     ts = [_check_horizon(t) for t in ts]
     a = np.ascontiguousarray(m.a, dtype=np.float64)
     s = np.ascontiguousarray(m.s, dtype=np.float64)
     n = m.n
     out = [np.zeros((n, n)) if t == 0.0 else None for t in ts]
     live = [i for i, t in enumerate(ts) if t > 0.0]
-    norm1 = float(np.abs(a).sum(axis=0).max(initial=0.0))
-    if not norm1 < math.inf:
+    if not live:
+        return out
+    nu = float(max(np.abs(a).sum(axis=axis).max(initial=0.0)
+                   for axis in (0, 1)))
+    if not nu < math.inf:
         for i in live:
-            out[i] = MatrixOverflowError("|A|_1 overflows binary64")
+            out[i] = MatrixOverflowError(
+                "max(|A|_1, |A|_inf) overflows binary64")
         return out
-    counts = [_base_doublings(norm1, ts[i]) for i in live]
-    base, e_full, e_half = _romberg_many(
-        a, s, [math.ldexp(ts[i], -k) for i, k in zip(live, counts)])
-    # the horizons whose base step converged and that need doubling
-    dbl = []
-    for j, i in enumerate(live):
-        if isinstance(base[j], Exception) or counts[j] == 0:
-            out[i] = base[j]
-        else:
-            dbl.append(j)
-    if not dbl:
-        return out
+    counts = {i: _base_doublings(nu, ts[i]) for i in live}
     # most doublings first, so that each step's live slices are a prefix
-    dbl.sort(key=lambda j: -counts[j])
-    q0 = np.stack([base[j] for j in dbl])
-    q = np.stack([q0, q0])
-    f = np.stack([e_full[dbl], e_half[dbl] @ e_half[dbl]])
-    steps = [counts[j] for j in dbl]
+    live.sort(key=lambda i: -counts[i])
+    steps = [counts[i] for i in live]
+    h0 = [math.ldexp(ts[i], -counts[i]) for i in live]
+    q = np.stack([_base_q(a, s, h0)] * 2)
+    if steps[0]:
+        dbl = h0[:sum(c > 0 for c in steps)]
+        e_full, _ = _mat_exp_many(a, dbl)
+        e_half, _ = _mat_exp_many(a, [0.5 * h for h in dbl])
+        f = np.stack([e_full, e_half @ e_half])
     for step in range(steps[0]):
         live_q = sum(c > step for c in steps)
         q[:, :live_q] = _sym(_kernels.propagated_outer_sum(
@@ -551,108 +540,45 @@ def _q_oracle_many(m: ContinuousModel, ts) -> list:
     finite = np.isfinite(q).all(axis=(0, 2, 3)).tolist()
     scales = _norms(q[0])
     diffs = _norms(q[0] - q[1])
-    for r, j in enumerate(dbl):
-        i = live[j]
+    for r, i in enumerate(live):
         if not finite[r]:
             out[i] = MatrixOverflowError(
-                f"Q overflowed binary64 while doubling to horizon "
-                f"{ts[i]:.3g}")
+                f"Q overflowed binary64 at horizon {ts[i]:.3g}")
             continue
         diff = diffs[r] / max(scales[r], _TINY)
         if diff <= _ORACLE_CHAIN_TOL:
             out[i] = q[0, r]
         else:
             out[i] = ConvergenceError(
-                f"{counts[j]} doublings to horizon {ts[i]:.3g} are not "
+                f"{steps[r]} doublings to horizon {ts[i]:.3g} are not "
                 f"reliable in binary64: two chains differ by {diff:.2e} "
-                f"relative (limit {_ORACLE_CHAIN_TOL:g})", sweeps=counts[j])
+                f"relative (limit {_ORACLE_CHAIN_TOL:g})", sweeps=steps[r])
     return out
 
 
-def _romberg_many(a: np.ndarray, s: np.ndarray, hs) -> tuple:
-    """int_0^h exp(A tau) S exp(A^T tau) dtau at every step h of hs, in
-    binary64, with |A|_1 h <= theta13: the quadrature of q_oracle.  Returns
-    the list of Q(h) or the SdeDiscError each step raised, and exp(A h) and
-    exp(A h/2) as (len(hs), n, n) stacks.  The steps' Romberg tables
-    advance in lockstep, one stacked exponential per level; each step
-    keeps its own stop test and leaves the stack once it converges, stops
-    at the noise floor or fails, so entry i is what hs[i] alone gives.
-    Each level gets f at its new nodes from the last level's node sum by
-    the semigroup identity f(tau + h) = exp(A h) f(tau) exp(A h)^T."""
-    out = [None] * len(hs)
-    # the live steps: their indices in hs, and the steps themselves as a
-    # (k, 1, 1) stack that scales the matching node sums
-    live = list(range(len(hs)))
-    h_live = np.array(hs).reshape(-1, 1, 1)
-    e_full, _ = _mat_exp_many(a, hs)
-    # the trapezoid's endpoint correction: f(h) - f(0) halved
-    ends = 0.5 * (e_full @ s @ e_full.mT - s)
-    # left = sum_{i<2^level} f(i h), the trapezoid's nodes but the last
-    left = np.repeat(s[None], len(hs), axis=0)
-    row = [h_live * (left + ends)]
-    e_half = None
-    # rounding noise in the propagated nodes eventually dominates the
-    # diagonal differences; past that point the best estimate so far is
-    # the achievable answer, acceptable down to this relative level
-    noise_floor = 1e-10
-    best_diff = [math.inf] * len(hs)
-    best_est = [None] * len(hs)
-    worse_streak = [0] * len(hs)
-    keep = [True] * len(hs)
-    for level in range(1, _ORACLE_MAX_DEPTH + 1):
-        if not any(keep):
-            break
-        if not all(keep):
-            # drop the steps that finished or failed at the last level
-            js = [j for j, k in enumerate(keep) if k]
-            h_live, left, ends = h_live[js], left[js], ends[js]
-            row = [r[js] for r in row]
-            live, best_diff, best_est, worse_streak = (
-                [x[j] for j in js]
-                for x in (live, best_diff, best_est, worse_streak))
-            keep = [True] * len(live)
-        h = h_live / 2.0 ** level
-        e_h, _ = _mat_exp_many(a, h[:, 0, 0])
-        if level == 1:  # every step is still live
-            e_half = e_h
-        left = _kernels.propagated_outer_sum(left, e_h)
-        new_row = [h * (left + ends)]
-        weight = 1.0
-        for prev in row:
-            weight *= 4.0
-            new_row.append((weight * new_row[-1] - prev) / (weight - 1.0))
-        est, prev_est = new_row[-1], row[-1]
-        row = new_row
-        if level < 2:
-            continue
-        scales, diffs = _norms(est), _norms(est - prev_est)
-        for j, i in enumerate(live):
-            if not scales[j] < math.inf:
-                out[i], keep[j] = MatrixOverflowError(
-                    f"quadrature estimate overflowed binary64 (step "
-                    f"{hs[i]:.3g})"), False
-                continue
-            diff = diffs[j] / max(scales[j], _TINY)
-            if diff <= _ORACLE_REL_TOL:
-                out[i], keep[j] = _sym(est[j]), False
-            elif diff < best_diff[j]:
-                best_diff[j], best_est[j], worse_streak[j] = diff, est[j], 0
-            elif diff > 2.0 * best_diff[j]:
-                worse_streak[j] += 1
-                if (worse_streak[j] >= 2 and level >= 6
-                        and best_diff[j] <= noise_floor):
-                    out[i], keep[j] = _sym(best_est[j]), False
-    for j, i in enumerate(live):
-        if not keep[j]:
-            continue
-        if best_diff[j] <= noise_floor:
-            out[i] = _sym(best_est[j])
-        else:
-            out[i] = ConvergenceError(
-                f"quadrature did not reach {_ORACLE_REL_TOL=:g} within "
-                f"{_ORACLE_MAX_DEPTH} halvings (best {best_diff[j]:.2e})",
-                sweeps=_ORACLE_MAX_DEPTH)
-    return out, e_full, e_half
+def _base_q(a: np.ndarray, s: np.ndarray, hs) -> np.ndarray:
+    """int_0^h exp(A tau) S exp(A^T tau) dtau at every step h of hs, as a
+    (len(hs), n, n) stack in binary64, for max(|A|_1, |A|_inf) h <= theta13.
+    With L(X) = A X + X A^T the integrand is exp(tau L) S, so at g = h/16
+        Q(g) = g sum_k (g L)^k S / (k+1)!,
+    summed by Horner to k = 16 alongside exp(A g) = sum_k (A g)^k / k!;
+    four doublings with that exp(A g) carry Q(g) to Q(h).  As
+    |L(X)|_1 <= (|A|_1 + |A|_inf) |X|_1, |g L|_1 <= theta13/8 < 0.68, and
+    the dropped terms sum to below 2e-19 g |S|_1: the series needs no stop
+    test, and every slice runs the same operations."""
+    g = np.array(hs).reshape(-1, 1, 1) / 16.0
+    x, eye = s, np.eye(len(a))
+    e = eye
+    for k in range(16, 0, -1):
+        ax = a @ x
+        x = s + g / (k + 1) * (ax + ax.mT)
+        e = eye + g / k * (a @ e)
+    q = g * x
+    for split in range(4):
+        if split:
+            e = e @ e
+        q = _sym(_kernels.propagated_outer_sum(q, e))
+    return q
 
 
 def lemma2_residual(m: ContinuousModel, f: np.ndarray,

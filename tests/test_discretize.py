@@ -257,7 +257,7 @@ def test_mirrored_poles_unsupported_by_proposed():
     m = ContinuousModel(a, np.eye(2))
     with pytest.raises((UnsupportedSpectrumError, MethodNotApplicableError)):
         discretize_proposed(m, 1.0)
-    # the quadrature oracle still works there
+    # the oracle still works there
     q = q_oracle(m, 1.0)
     assert q[0, 0] == pytest.approx((math.exp(2.0) - 1.0) / 2.0, rel=1e-10)
 
@@ -450,6 +450,30 @@ def scipy_doubling_q(m, t):
     return q
 
 
+def mpmath_doubling_q(m, t, dps=30):
+    """Q in dps decimal digits: 30 terms of the Taylor series of Q(h) and
+    F(h) = exp(A h) at h = T / 2^k, the least k with
+    max(|A|_1, |A|_inf) h <= 1/4, carried to T by k doublings
+    Q(2h) = F(h) Q(h) F(h)^T + Q(h), F(2h) = F(h)^2."""
+    mp = pytest.importorskip("mpmath").mp
+    nu = max(np.abs(m.a).sum(axis=0).max(), np.abs(m.a).sum(axis=1).max())
+    k = max(0, math.ceil(math.log2(4.0 * nu * t)))
+    with mp.workdps(dps):
+        to_mp = np.vectorize(mp.mpf, otypes=[object])
+        a, s = to_mp(m.a), to_mp(m.s)
+        h = mp.mpf(t) / 2 ** k
+        q = q_term = s * h
+        f = f_term = to_mp(np.eye(m.n))
+        for j in range(1, 30):
+            aq = a @ q_term
+            q_term = (aq + aq.T) * (h / (j + 1))
+            f_term = a @ f_term * (h / j)
+            q, f = q + q_term, f + f_term
+        for _ in range(k):
+            q, f = f @ q @ f.T + q, f @ f
+        return q.astype(np.float64)
+
+
 @pytest.mark.parametrize("m, agree, agree_or_refuse", [
     (gen_random_system(EnsembleSpec(6, 4, 2, seed=1)), 1e3, 1e4),
     (gen_random_system(EnsembleSpec(6, 6, 0, seed=2)), 1e3, 1e4),
@@ -459,7 +483,10 @@ def scipy_doubling_q(m, t):
      1e3, 1e4),
 ], ids=["n6-p2", "n6-p0", "n16-p2", "n6-p3", "unstable-2"])
 def test_q_oracle_matches_scipy_doubling(m, agree, agree_or_refuse):
-    for t in (1e-4, 1e-2, 1.0, 10.0, 100.0, 1e3):
+    # horizons short enough to need no doubling pin the base step's series
+    for t in (1e-4, 1e-2):
+        assert rel_err(q_oracle(m, t), scipy_vanloan_q(m, t)) < 1e-13, t
+    for t in (1.0, 10.0, 100.0, 1e3):
         if t <= agree:
             assert rel_err(q_oracle(m, t), scipy_doubling_q(m, t)) < 1e-8, t
     # past that, binary64 doubling may not hold 1e-8 (n6-p2 and n16-p2
@@ -470,6 +497,19 @@ def test_q_oracle_matches_scipy_doubling(m, agree, agree_or_refuse):
     except SdeDiscError:
         return
     assert rel_err(q, scipy_doubling_q(m, agree_or_refuse)) < 1e-8
+
+
+def test_q_oracle_agrees_with_mpmath_doubling_or_refuses():
+    # binary64 doubling cannot judge this cell: scipy_doubling_q is 1.2e-7
+    # off the 30-digit truth.  An oracle that returned a truth 4.9e-8 off
+    # had chains that agreed within 1e-8; the truth must be right or refused
+    m = gen_random_system(EnsembleSpec(16, 14, 2, seed=1), stream=0)
+    want = mpmath_doubling_q(m, 3000.0)
+    try:
+        q = q_oracle(m, 3000.0)
+    except SdeDiscError:
+        return
+    assert rel_err(q, want) < 1e-8
 
 
 def test_q_oracle_long_horizons_reach_stationary_covariance():
@@ -534,8 +574,8 @@ def test_q_oracle_many_isolates_failures():
 
 
 def test_q_oracle_converges_on_seed_840():
-    # summed node by node, the best Richardson difference stayed at
-    # 1.01e-10, just above the noise floor, through all 24 levels
+    # an adaptive stop test can stall here just short of its tolerance;
+    # the base step's fixed series has none to stall
     m = gen_random_system(EnsembleSpec(6, 4, 2, seed=840), stream=0)
     assert rel_err(q_oracle(m, 100.0), scipy_doubling_q(m, 100.0)) < 1e-8
 
