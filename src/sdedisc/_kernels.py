@@ -75,19 +75,27 @@ def _deflate(h, hi, eps, anorm):
     return int(small[-1]) + 1 if small.size else 0
 
 
+def _roots(h11, h12, h21, h22):
+    """The eigenvalues of [[h11, h12], [h21, h22]] as two complex numbers."""
+    half = 0.5 * (h11 - h22)
+    root = complex(half * half + h12 * h21) ** 0.5
+    mid = 0.5 * (h11 + h22)
+    return mid + root, mid - root
+
+
+def _nearest(shifts, r):
+    return min(shifts, key=lambda z: abs(z - r))
+
+
 def _snapped_shift(h11, h12, h21, h22, shifts):
     """(trace, determinant) of the Wilkinson pair -- the eigenvalues of the
     trailing 2x2 block [[h11, h12], [h21, h22]] -- snapped to the nearest
     of the given eigenvalues: a root that snaps to a complex eigenvalue
     brings that eigenvalue's conjugate as the other shift, and two real
     hits are kept one by one."""
-    half = 0.5 * (h11 - h22)
-    disc = complex(half * half + h12 * h21)
-    mid = 0.5 * (h11 + h22)
-    root = disc ** 0.5
     pair = []
-    for r in (mid + root, mid - root):
-        hit = min(shifts, key=lambda z: abs(z - r))
+    for r in _roots(h11, h12, h21, h22):
+        hit = _nearest(shifts, r)
         if hit.imag != 0.0:
             return 2.0 * hit.real, hit.real * hit.real + hit.imag * hit.imag
         pair.append(hit.real)
@@ -107,8 +115,10 @@ def francis_qr(hu, eps, anorm, max_sweeps, zeros=0, shifts=()):
     bottom of the active window; while fewer than 10 such iterations have
     passed, a double shift at 0 if the window's bottom row is one of the
     last ``zeros`` rows, else the Wilkinson pair snapped to the nearest of
-    ``shifts`` (the eigenvalues of T, as Python complex numbers) if any
-    are given; otherwise the Wilkinson pair itself.  With the defaults
+    ``shifts`` (the eigenvalues of T, as Python complex numbers) not yet
+    deflated, if any are given; otherwise the Wilkinson pair itself.  Each
+    1x1 or 2x2 block that deflates at the bottom retires, for each of its
+    eigenvalues, the nearest entry of ``shifts``.  With the defaults
     every shift is the Wilkinson or the exceptional one.  Zero shifts
     deflate the eigenvalues near 0 at the bottom, so integrators finish
     last; a window whose hinted shifts stall falls back to the standard
@@ -122,12 +132,18 @@ def francis_qr(hu, eps, anorm, max_sweeps, zeros=0, shifts=()):
     total = 0
     stall = 0
     limit = max_sweeps * n
+    shifts = list(shifts)
+    # (lo, hi) of each block deflated since shifts was last searched; no
+    # later similarity touches a deflated block, so its eigenvalues are
+    # retired only when a snapped shift needs them gone
+    deflated = []
     while hi > 0:
         total += 1
         if total > limit:
             return total, False
         lo = _deflate(h, hi, eps, anorm)
         if lo >= hi - 1:
+            deflated.append((lo, hi))
             hi = lo - 1
             stall = 0
             continue
@@ -142,6 +158,11 @@ def francis_qr(hu, eps, anorm, max_sweeps, zeros=0, shifts=()):
         elif stall < 10 and hi >= n - zeros:
             trc = det = 0.0
         elif stall < 10 and shifts:
+            for i, j in deflated:
+                block = h[i:j + 1, i:j + 1].ravel().tolist()
+                for r in _roots(*block) if i < j else block:
+                    shifts.remove(_nearest(shifts, r))
+            deflated.clear()
             trc, det = _snapped_shift(float(h11), float(h12), float(h21),
                                       float(h22), shifts)
         else:
@@ -165,7 +186,10 @@ def standardize_quasi_triangular(hu):
     of hu in place, accumulating the rotations into the bottom half U.
 
     Blocks with real eigenvalues are rotated to upper triangular form;
-    complex-pair blocks are rotated so both diagonal entries are equal.
+    complex-pair blocks are rotated so both diagonal entries are equal.  A
+    block whose discriminant is at rounding level can come out of that
+    rotation with off-diagonal entries of one sign, a real pair, and is
+    then triangularized as one.
     """
     n = hu.shape[1]
     i = 0
@@ -196,6 +220,8 @@ def standardize_quasi_triangular(hu):
                 mid = 0.5 * (hu[i, i] + hu[i + 1, i + 1])
                 hu[i, i] = mid
                 hu[i + 1, i + 1] = mid
+                if hu[i, i + 1] * hu[i + 1, i] >= 0.0:
+                    continue  # disc is now b c >= 0: the real branch
             i += 2
 
 

@@ -27,6 +27,11 @@ _THETA13 = 5.371920351148152
 _MAX_QR_SWEEPS = 60
 _MAX_JACOBI_SWEEPS = 60
 
+# real_schur starts from LAPACK's eigenvector basis when what that basis
+# leaves below the quasi-triangular structure is at most this many
+# n eps ||a||_F
+_EIGVEC_START_TOL = 10.0
+
 
 class OrderedSchur(NamedTuple):
     """Real Schur factorization u @ t @ u.T with the eigenvalues classified
@@ -120,26 +125,74 @@ def _mat_exp_many(a: np.ndarray, ts) -> tuple:
     return result, ok
 
 
+def _eigenvector_start(a, ev, vecs, tau_zero):
+    """The stacked [t0; q] real_schur starts from, with q orthogonal and
+    a = q t0 q^T up to the entries t0 drops, built from the eigenvectors
+    vecs of a's eigenvalues ev (np.linalg.eig); None if those entries are
+    too large, as they are for some ill-conditioned bases.
+
+    q's leading columns are the QR factor of the real basis of the
+    eigenvalues of modulus > tau_zero, in LAPACK's order: v for a real
+    eigenvalue, [Re v, Im v] for a conjugate pair.  They span an invariant
+    subspace, so q^T a q is quasi-upper triangular there (a 2x2 block per
+    pair) and zero below it, to rounding times the basis's condition
+    number.  t0 is q^T a q with the entries below that structure zeroed,
+    provided their norm is at most _EIGVEC_START_TOL n eps ||a||_F."""
+    n = a.shape[0]
+    cols, pairs = [], []
+    for i, lam in enumerate(ev.tolist()):
+        if abs(lam) <= tau_zero or lam.imag < 0.0:
+            continue
+        if lam.imag > 0.0:
+            pairs.append(len(cols))
+            cols += [vecs[:, i].real, vecs[:, i].imag]
+        else:
+            cols.append(vecs[:, i].real)
+    if not cols:
+        return None
+    q, _ = np.linalg.qr(np.stack(cols, axis=1), mode="complete")
+    t0 = q.T @ a @ q
+    below = np.tri(n, k=-1, dtype=bool)
+    below[:, len(cols):] = False
+    below[[j + 1 for j in pairs], pairs] = False
+    if (np.linalg.norm(t0[below]) > _EIGVEC_START_TOL * n * eps_of(a)
+            * float(np.linalg.norm(a))):
+        return None
+    t0[below] = 0.0
+    return np.concatenate([t0, q])
+
+
 def real_schur(a: np.ndarray, tau_zero: float | None = None):
     """Real Schur decomposition a = u @ t @ u.T with u orthogonal and t
     quasi-upper triangular (standardized 1x1/2x2 diagonal blocks).
 
-    Given ``tau_zero``, the QR iteration is steered by a's spectrum from
-    LAPACK (``np.linalg.eigvals`` at a's width): double shifts at 0 until
-    the eigenvalues of modulus <= tau_zero have deflated at the bottom of
-    t, then Wilkinson shifts snapped to the nearest LAPACK eigenvalues
-    (see _kernels.francis_qr).  It then takes fewer iterations, and the
-    integrators come out already trailing.  Without it the shifts are the
-    standard ones."""
+    Given ``tau_zero``, the factorization starts from LAPACK's eigenvectors
+    (``np.linalg.eig`` at a's width): the QR factor q of the real basis of
+    the eigenvalues of modulus > tau_zero reduces a to q^T a q, already
+    quasi-triangular over that basis, when what it leaves below that
+    structure is at most _EIGVEC_START_TOL n eps ||a||_F (the error of an
+    eigenvector basis grows with its condition number).  Otherwise, for
+    instance for defective eigenvalues, it starts from a itself.  Either
+    way the QR iteration is then steered by LAPACK's eigenvalues: double
+    shifts at 0 until the eigenvalues of modulus <= tau_zero have deflated
+    at the bottom of t, then Wilkinson shifts snapped to the nearest
+    eigenvalues not yet deflated (see _kernels.francis_qr).  From the
+    eigenvector start only the trailing block of small eigenvalues needs
+    QR sweeps; from a it takes fewer iterations than the standard shifts.
+    The integrators come out trailing.  Without ``tau_zero`` the start is
+    a and the shifts are the standard ones."""
     a = check_square(a, "real_schur input")
     dtype = a.dtype if a.dtype in (np.float32, np.float64) else np.float64
     n = a.shape[0]
     hu = np.concatenate([np.asarray(a, dtype=dtype), np.eye(n, dtype=dtype)])
     zeros, shifts = 0, ()
     if tau_zero is not None and n > 2:  # francis_qr has no work below 3
-        ev = np.linalg.eigvals(hu[:n])
+        ev, vecs = np.linalg.eig(hu[:n])
         zeros = int(np.count_nonzero(np.abs(ev) <= tau_zero))
         shifts = ev.tolist()
+        start = _eigenvector_start(hu[:n], ev, vecs, tau_zero)
+        if start is not None:
+            hu = start
     _kernels.hessenberg(hu)
     iterations, ok = _kernels.francis_qr(hu, eps_of(dtype),
                                          float(np.linalg.norm(a)),

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdedisc import _kernels, linalg
+from sdedisc import _kernels, discretize, linalg
+from sdedisc.discretize import discretize_proposed
 from sdedisc.errors import (ConvergenceError, MatrixOverflowError,
                             NearSingularError, DimensionError, NonFiniteError)
 from sdedisc.linalg import (mat_exp, real_schur, order_schur_zeros_last,
@@ -305,6 +306,33 @@ def test_standardize_near_equal_diagonal_backward_stable():
     assert err <= 64 * 2 * np.finfo(np.float64).eps * np.linalg.norm(t0, 2)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_standardize_near_nilpotent_blocks(dtype):
+    # rotated nilpotent blocks rounded to the width: the discriminant is at
+    # rounding level, and where it is negative the rotation that equalizes
+    # the diagonal can leave off-diagonals of one sign, a real pair
+    rng = np.random.default_rng(30)
+    eps = np.finfo(dtype).eps
+    checked = 0
+    for theta, scale in zip(rng.uniform(0.0, np.pi, 1000),
+                            rng.uniform(0.1, 10.0, 1000)):
+        rot = np.array([[np.cos(theta), -np.sin(theta)],
+                        [np.sin(theta), np.cos(theta)]])
+        t0 = (rot @ [[0.0, scale], [0.0, 0.0]] @ rot.T).astype(dtype)
+        (a, b), (c, d) = t0
+        if 0.25 * (a - d) * (a - d) + b * c >= 0.0:
+            continue
+        hu = np.concatenate([t0, np.eye(2, dtype=dtype)])
+        _kernels.standardize_quasi_triangular(hu)
+        t, u = hu[:2].astype(np.float64), hu[2:].astype(np.float64)
+        if t[1, 0] != 0.0:
+            assert t[0, 0] == t[1, 1] and t[0, 1] * t[1, 0] < 0.0
+        err = np.linalg.norm(u @ t @ u.T - t0, 2)
+        assert err <= 64 * 2 * eps * np.linalg.norm(t0.astype(np.float64), 2)
+        checked += 1
+    assert checked > 100
+
+
 def test_real_schur_symmetric_gives_diagonal():
     rng = np.random.default_rng(11)
     g = random_matrix(rng, 6)
@@ -450,13 +478,16 @@ def test_real_schur_hint_rotated_chains(p, dtype):
                 check_real_schur(a, tau_zero)
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("coupled", [False, True])
-@pytest.mark.parametrize("reps", [2, 3])
-def test_real_schur_hint_repeated_complex_pairs(reps, coupled, dtype):
-    # the pair -0.5 +- 2i repeated reps times, as separate blocks or, coupled
-    # by identity blocks above the diagonal, as one defective chain; with
-    # and without a trailing index-2 integrator chain
+def _rotated(t0, seed):
+    """t0 under a random orthogonal similarity."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(t0.shape))
+    return q @ t0 @ q.T
+
+
+def _repeated_pairs(reps, coupled):
+    """The pair -0.5 +- 2i repeated reps times, as separate blocks or, coupled
+    by identity blocks above the diagonal, as one defective chain; without
+    and with a trailing index-2 integrator chain."""
     pair = np.array([[-0.5, 2.0], [-2.0, -0.5]])
     lead = np.kron(np.eye(reps), pair)
     if coupled:
@@ -465,10 +496,16 @@ def test_real_schur_hint_repeated_complex_pairs(reps, coupled, dtype):
         t0 = np.zeros((2 * reps + p, 2 * reps + p))
         t0[:2 * reps, :2 * reps] = lead
         t0[2 * reps:, 2 * reps:] = np.eye(p, k=1)
+        yield t0
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("coupled", [False, True])
+@pytest.mark.parametrize("reps", [2, 3])
+def test_real_schur_hint_repeated_complex_pairs(reps, coupled, dtype):
+    for t0 in _repeated_pairs(reps, coupled):
         for seed in range(4):
-            rng = np.random.default_rng(seed)
-            q, _ = np.linalg.qr(rng.standard_normal(t0.shape))
-            a = (q @ t0 @ q.T).astype(dtype)
+            a = _rotated(t0, seed).astype(dtype)
             check_real_schur(a, tau_zero_default(a))
 
 
@@ -488,6 +525,81 @@ def test_real_schur_hint_property(seed, n, dtype, frac):
     # stall, and the window falls back to the standard shift
     a = random_matrix(np.random.default_rng(seed), n).astype(dtype)
     check_real_schur(a, frac * float(np.linalg.norm(a)))
+
+
+@pytest.fixture
+def eigvec_starts(monkeypatch):
+    """For every _eigenvector_start call, in order, whether real_schur
+    started from the eigenvector basis."""
+    taken = []
+    start = linalg._eigenvector_start
+
+    def spy(*args):
+        hu = start(*args)
+        taken.append(hu is not None)
+        return hu
+    monkeypatch.setattr(linalg, "_eigenvector_start", spy)
+    return taken
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n", [6, 16, 48])
+def test_real_schur_eigenvector_start_on_ensembles(n, dtype, eigvec_starts):
+    # the ensemble's drifts have well-conditioned eigenvector bases
+    for stream in range(8 if n < 48 else 2):
+        a = gen_random_system(EnsembleSpec(n, n - 2, 2, seed=7), stream).a
+        a = a.astype(dtype)
+        check_real_schur(a, tau_zero_default(a))
+    assert eigvec_starts and all(eigvec_starts)
+
+
+def _ill_conditioned_bases(family):
+    """Drifts whose computed eigenvectors are nearly dependent: rotated
+    index-3 to index-5 integrator chains, a rotated critically damped pole
+    next to an integrator pair, and coupled repeated complex pairs."""
+    if family.startswith("chain"):
+        p = int(family[-1])
+        for m in (0, 2, 8 - p):
+            for seed in range(4):
+                yield _integrator_system(np.random.default_rng(seed), m, p)
+    elif family == "critically-damped":
+        t0 = np.zeros((4, 4))
+        t0[:2, :2] = [[-1.0, 1.0], [0.0, -1.0]]
+        t0[2, 3] = 1.0
+        for seed in range(8):
+            yield _rotated(t0, seed)
+    else:
+        for reps in (2, 3):
+            for t0 in _repeated_pairs(reps, coupled=True):
+                for seed in range(4):
+                    yield _rotated(t0, seed)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("family", ["chain3", "chain4", "chain5",
+                                    "critically-damped", "coupled-pairs"])
+def test_real_schur_eigenvector_start_falls_back(family, dtype,
+                                                 eigvec_starts):
+    # a basis whose QR factor leaves too much below the quasi-triangular
+    # structure is refused, and the factorization starts from a itself;
+    # at the default tau_zero each family has such cases
+    for a in _ill_conditioned_bases(family):
+        a = a.astype(dtype)
+        check_real_schur(a, tau_zero_default(a))
+    assert not all(eigvec_starts)
+
+
+def test_cold_plan_makes_no_sweep_in_leading_block(qr_results):
+    # from the eigenvector start each leading block deflates in one pass,
+    # and the integrator pair as one 2x2 block: no bulge-chasing sweep
+    for stream in range(8):
+        discretize._last_plan = None
+        discretize_proposed(
+            gen_random_system(EnsembleSpec(16, 14, 2, seed=7), stream), 1.0)
+        plan = discretize._last_plan
+        blocks = plan.k - np.count_nonzero(np.diagonal(plan.a11, -1))
+        iterations, converged = qr_results[-1]
+        assert converged and iterations <= blocks + 1
 
 
 def test_real_schur_snapped_shifts_fall_back_after_stall(qr_results):
