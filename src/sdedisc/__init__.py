@@ -13,9 +13,7 @@ from .errors import (SdeDiscError, DimensionError, NonFiniteError,
                      NilpotencyError, UnsupportedSpectrumError,
                      MethodNotApplicableError)
 from .models import ContinuousModel, DiscreteModel, Method, MethodReport
-from .linalg import (mat_exp, real_schur, order_schur_zeros_last,
-                     solve_sylvester, solve_lyapunov, spectral_norm,
-                     tau_zero_default, OrderedSchur)
+from .linalg import mat_exp, spectral_norm, tau_zero_default
 from .discretize import (discretize_lyap_p, discretize_lyap_q,
                          discretize_proposed, discretize_vanloan,
                          naive_q_a, naive_q_b, q_oracle, q_nilpotent,
@@ -33,8 +31,7 @@ __all__ = [
     "ClassificationError", "NilpotencyError", "UnsupportedSpectrumError",
     "MethodNotApplicableError",
     "ContinuousModel", "DiscreteModel", "Method", "MethodReport",
-    "mat_exp", "real_schur", "order_schur_zeros_last", "solve_sylvester",
-    "solve_lyapunov", "spectral_norm", "tau_zero_default", "OrderedSchur",
+    "mat_exp", "spectral_norm", "tau_zero_default",
     "discretize_lyap_p", "discretize_lyap_q", "discretize_proposed",
     "discretize_vanloan", "naive_q_a", "naive_q_b", "q_oracle",
     "q_nilpotent", "run_method", "lemma2_residual", "semigroup_residual",

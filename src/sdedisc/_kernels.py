@@ -13,6 +13,7 @@ All kernels mutate or allocate arrays in the dtype of their inputs, so the
 same code serves binary32 and binary64.
 """
 
+import cmath
 import functools
 import math
 
@@ -78,7 +79,7 @@ def _deflate(h, hi, eps, anorm):
 def _roots(h11, h12, h21, h22):
     """The eigenvalues of [[h11, h12], [h21, h22]] as two complex numbers."""
     half = 0.5 * (h11 - h22)
-    root = complex(half * half + h12 * h21) ** 0.5
+    root = cmath.sqrt(half * half + h12 * h21)
     mid = 0.5 * (h11 + h22)
     return mid + root, mid - root
 
@@ -102,7 +103,7 @@ def _snapped_shift(h11, h12, h21, h22, shifts):
     return pair[0] + pair[1], pair[0] * pair[1]
 
 
-def francis_qr(hu, eps, anorm, max_sweeps, zeros=0, shifts=()):
+def francis_qr(hu, eps, anorm, max_sweeps, zeros, shifts):
     """Francis implicit double-shift QR on the upper Hessenberg top half T
     of hu, in place.
 
@@ -116,13 +117,12 @@ def francis_qr(hu, eps, anorm, max_sweeps, zeros=0, shifts=()):
     passed, a double shift at 0 if the window's bottom row is one of the
     last ``zeros`` rows, else the Wilkinson pair snapped to the nearest of
     ``shifts`` (the eigenvalues of T, as Python complex numbers) not yet
-    deflated, if any are given; otherwise the Wilkinson pair itself.  Each
-    1x1 or 2x2 block that deflates at the bottom retires, for each of its
-    eigenvalues, the nearest entry of ``shifts``.  With the defaults
-    every shift is the Wilkinson or the exceptional one.  Zero shifts
-    deflate the eigenvalues near 0 at the bottom, so integrators finish
-    last; a window whose hinted shifts stall falls back to the standard
-    shifts from its first exceptional shift on.
+    deflated; after that, the Wilkinson pair itself.  Each 1x1 or 2x2
+    block that deflates at the bottom retires, for each of its
+    eigenvalues, the nearest entry of ``shifts``.  Zero shifts deflate the
+    eigenvalues near 0 at the bottom, so integrators finish last; a window
+    whose steered shifts stall falls back to the standard Wilkinson shift
+    from its first exceptional shift on.
     """
     n = hu.shape[1]
     if n <= 2:
@@ -157,7 +157,7 @@ def francis_qr(hu, eps, anorm, max_sweeps, zeros=0, shifts=()):
             det = s * s + 0.4375 * sx * sx
         elif stall < 10 and hi >= n - zeros:
             trc = det = 0.0
-        elif stall < 10 and shifts:
+        elif stall < 10:
             for i, j in deflated:
                 block = h[i:j + 1, i:j + 1].ravel().tolist()
                 for r in _roots(*block) if i < j else block:

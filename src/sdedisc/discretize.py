@@ -109,9 +109,10 @@ def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
         return _trivial_report(m, Method.LYAP_P)
     # one Schur factorization serves the stability check and the solve;
     # Re(lambda) < -tau_zero keeps every lambda_i + lambda_j off zero
-    u, ta = real_schur(m.a)
+    tau = tau_zero_default(m.a)
+    u, ta = real_schur(m.a, tau)
     max_re = float(quasi_tri_eigvalues(ta).real.max(initial=-math.inf))
-    if max_re >= -tau_zero_default(m.a):
+    if max_re >= -tau:
         raise MethodNotApplicableError(
             "lyap-p requires a strictly stable drift; max Re(lambda) = "
             f"{max_re:.3e}")
@@ -130,10 +131,11 @@ def discretize_lyap_q(m: ContinuousModel, t: float) -> MethodReport:
     if t == 0.0:
         return _trivial_report(m, Method.LYAP_Q)
     # one Schur factorization serves the pre-check and the solve
-    u, ta = real_schur(m.a)
+    tau = tau_zero_default(m.a)
+    u, ta = real_schur(m.a, tau)
     evs = quasi_tri_eigvalues(ta)
     try:
-        _eig_sum_guard(evs, evs, 2.0 * tau_zero_default(m.a))
+        _eig_sum_guard(evs, evs, 2.0 * tau)
     except NearSingularError as exc:
         i, j = exc.pair
         raise MethodNotApplicableError(

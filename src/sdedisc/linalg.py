@@ -6,7 +6,6 @@ whole computation stays in binary32, pass float64 and it stays in binary64.
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,15 +30,6 @@ _MAX_JACOBI_SWEEPS = 60
 # leaves below the quasi-triangular structure is at most this many
 # n eps ||a||_F
 _EIGVEC_START_TOL = 10.0
-
-
-class OrderedSchur(NamedTuple):
-    """Real Schur factorization u @ t @ u.T with the eigenvalues classified
-    as zero collected in the trailing (n - split) x (n - split) block."""
-
-    u: np.ndarray
-    t: np.ndarray
-    split: int
 
 
 def eps_of(arr_or_dtype) -> float:
@@ -162,11 +152,11 @@ def _eigenvector_start(a, ev, vecs, tau_zero):
     return np.concatenate([t0, q])
 
 
-def real_schur(a: np.ndarray, tau_zero: float | None = None):
+def real_schur(a: np.ndarray, tau_zero: float):
     """Real Schur decomposition a = u @ t @ u.T with u orthogonal and t
     quasi-upper triangular (standardized 1x1/2x2 diagonal blocks).
 
-    Given ``tau_zero``, the factorization starts from LAPACK's eigenvectors
+    The factorization starts from LAPACK's eigenvectors
     (``np.linalg.eig`` at a's width): the QR factor q of the real basis of
     the eigenvalues of modulus > tau_zero reduces a to q^T a q, already
     quasi-triangular over that basis, when what it leaves below that
@@ -178,15 +168,15 @@ def real_schur(a: np.ndarray, tau_zero: float | None = None):
     at the bottom of t, then Wilkinson shifts snapped to the nearest
     eigenvalues not yet deflated (see _kernels.francis_qr).  From the
     eigenvector start only the trailing block of small eigenvalues needs
-    QR sweeps; from a it takes fewer iterations than the standard shifts.
-    The integrators come out trailing.  Without ``tau_zero`` the start is
-    a and the shifts are the standard ones."""
+    QR sweeps; from a it takes fewer iterations than the standard
+    Wilkinson shifts, which serve only as the fallback for a window whose
+    steered shifts stall.  The integrators come out trailing."""
     a = check_square(a, "real_schur input")
     dtype = a.dtype if a.dtype in (np.float32, np.float64) else np.float64
     n = a.shape[0]
     hu = np.concatenate([np.asarray(a, dtype=dtype), np.eye(n, dtype=dtype)])
     zeros, shifts = 0, ()
-    if tau_zero is not None and n > 2:  # francis_qr has no work below 3
+    if n > 2:  # francis_qr has no work below 3
         ev, vecs = np.linalg.eig(hu[:n])
         zeros = int(np.count_nonzero(np.abs(ev) <= tau_zero))
         shifts = ev.tolist()
@@ -208,28 +198,14 @@ def real_schur(a: np.ndarray, tau_zero: float | None = None):
 def quasi_tri_eigvalues(t: np.ndarray) -> np.ndarray:
     """Eigenvalues of a real quasi-upper-triangular matrix, block by block."""
     n = t.shape[0]
-    out = np.empty(n, dtype=np.complex128)
-    i = 0
-    while i < n:
+    out = []
+    while len(out) < n:
+        i = len(out)
         if i < n - 1 and t[i + 1, i] != 0.0:
-            a, b = float(t[i, i]), float(t[i, i + 1])
-            c, d = float(t[i + 1, i]), float(t[i + 1, i + 1])
-            half = 0.5 * (a - d)
-            mid = 0.5 * (a + d)
-            disc = half * half + b * c
-            if disc < 0.0:
-                im = np.sqrt(-disc)
-                out[i] = mid + 1j * im
-                out[i + 1] = mid - 1j * im
-            else:
-                rt = np.sqrt(disc)
-                out[i] = mid + rt
-                out[i + 1] = mid - rt
-            i += 2
+            out += _kernels._roots(*t[i:i + 2, i:i + 2].ravel().tolist())
         else:
-            out[i] = t[i, i]
-            i += 1
-    return out
+            out.append(float(t[i, i]))
+    return np.array(out, dtype=np.complex128)
 
 
 def _classify_blocks(t: np.ndarray, tau_zero: float):
@@ -269,10 +245,11 @@ def _swap_adjacent_blocks(hu, i, p1, p2):
     hu[i + p2:k, i:i + p2] = 0.0
 
 
-def order_schur_zeros_last(u: np.ndarray, t: np.ndarray,
-                           tau_zero: float) -> OrderedSchur:
+def order_schur_zeros_last(u: np.ndarray, t: np.ndarray, tau_zero: float):
     """Reorder a real Schur pair so all eigenvalues with modulus <= tau_zero
-    trail, returning the reordered factors and the split index.
+    trail, returning the reordered factors and the split index as
+    (u, t, split): the eigenvalues classified as zero fill the trailing
+    (n - split) x (n - split) block of t.
 
     One stable pass over the blocks, classified once: each non-zero block
     moves up past the run of zero blocks above it by adjacent swaps, so the
@@ -301,7 +278,7 @@ def order_schur_zeros_last(u: np.ndarray, t: np.ndarray,
     if any(start >= split and not zero for start, _, zero in blocks):
         raise ClassificationError(
             "eigenvalue reordering failed to cluster the zero block")
-    return OrderedSchur(u=hu[n:], t=hu[:n], split=split)
+    return hu[n:], hu[:n], split
 
 
 def _eig_sum_guard(ev_a, ev_b, threshold):
@@ -355,8 +332,8 @@ def solve_sylvester(a: np.ndarray, b: np.ndarray,
     """
     a = check_square(a, "sylvester a")
     b = check_square(b, "sylvester b")
-    ua, ta = real_schur(a)
-    ub, tb = real_schur(b.T)  # b = ub @ tb.T @ ub.T
+    ua, ta = real_schur(a, tau_zero_default(a))
+    ub, tb = real_schur(b.T, tau_zero_default(b))  # b = ub @ tb.T @ ub.T
     _eig_sum_guard(quasi_tri_eigvalues(ta), quasi_tri_eigvalues(tb),
                    100.0 * eps_of(a) * float(np.linalg.norm(a)
                                              + np.linalg.norm(b)))
@@ -367,7 +344,7 @@ def solve_lyapunov(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Solve a @ X + X @ a.T = c for symmetric c; the result is explicitly
     symmetrized.  Shares a single Schur factorization between both sides."""
     a = check_square(a, "lyapunov a")
-    u, t = real_schur(a)
+    u, t = real_schur(a, tau_zero_default(a))
     ev = quasi_tri_eigvalues(t)
     _eig_sum_guard(ev, ev, 100.0 * eps_of(a) * 2.0 * float(np.linalg.norm(a)))
     return _schur_lyapunov(u, t, c)

@@ -1,6 +1,6 @@
 import pytest
 
-from sdedisc import discretize
+from sdedisc import discretize, linalg
 
 
 @pytest.fixture(autouse=True)
@@ -10,3 +10,18 @@ def no_kept_proposed_plan():
     discretize._last_plan = None
     yield
     discretize._last_plan = None
+
+
+@pytest.fixture
+def eigvec_starts(monkeypatch):
+    """For every _eigenvector_start call, in order, whether real_schur
+    started from the eigenvector basis."""
+    taken = []
+    start = linalg._eigenvector_start
+
+    def spy(*args):
+        hu = start(*args)
+        taken.append(hu is not None)
+        return hu
+    monkeypatch.setattr(linalg, "_eigenvector_start", spy)
+    return taken

@@ -847,6 +847,20 @@ def test_lyap_methods_factor_once_per_call(method, schur_count):
     assert len(schur_count) == 2
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("method", [discretize_lyap_p, discretize_lyap_q])
+def test_lyap_methods_start_from_eigenvectors(method, dtype,
+                                             eigvec_starts):
+    # the lyap methods factor A with the same steered Schur form as
+    # proposed: from LAPACK's eigenvector basis, which these drifts accept
+    for stream in range(3):
+        m = gen_random_system(EnsembleSpec(16, 16, 0, seed=7), stream)
+        q = method(m.astype(dtype), 1.0).model.q
+        if dtype is np.float64:
+            assert rel_err(q, scipy_vanloan_q(m, 1.0)) <= 1e-12
+    assert eigvec_starts == [True] * 3
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2 ** 31 - 1), p=st.integers(0, 2),
        ts=st.lists(st.floats(1e-3, 10.0), min_size=2, max_size=4))

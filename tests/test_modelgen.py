@@ -12,8 +12,8 @@ from sdedisc.linalg import (real_schur, order_schur_zeros_last,
 
 
 def classify_integrators(a):
-    u, t = real_schur(a)
-    _, _, k = order_schur_zeros_last(u, t, tau_zero_default(a))
+    tau = tau_zero_default(a)
+    _, _, k = order_schur_zeros_last(*real_schur(a, tau), tau)
     return a.shape[0] - k
 
 

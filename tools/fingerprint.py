@@ -4,8 +4,12 @@ status) its operations produce, each input run once:
 ``python3 tools/fingerprint.py --seed 1``.  A fourth line,
 ``paper-sweep-methods``, hashes paper-sweep's F, Q and exception type names
 without its benchmark records, whose scores also depend on the oracle's
-truths; it shows that the methods' bits stay when only the truths move.
-Inputs come from
+truths; it shows that the methods' bits stay when only the truths move.  A fifth,
+``lyap-methods``, hashes F, Q and exception type names of ``lyap-p`` and
+``lyap-q``, which no workload runs, on fixed stable models at both widths
+(``EnsembleSpec(6, 6, 0, seed=1)`` and ``EnsembleSpec(16, 16, 0, seed=3)``,
+4 streams each, T in {1e-3, 1, 100}); it does not depend on ``--seed``.
+Workload inputs come from
 perfbench/workloads.py and the package from this checkout's src/, so two
 checkouts that print the same lines compute the same bits on those inputs.
 """
@@ -24,6 +28,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 import sdedisc  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
+
+
+LYAP_MODELS = [sdedisc.gen_random_system(spec, stream)
+               for spec in (sdedisc.EnsembleSpec(6, 6, 0, seed=1),
+                            sdedisc.EnsembleSpec(16, 16, 0, seed=3))
+               for stream in range(4)]
 
 
 def feed(h, out, records=True):
@@ -62,3 +72,14 @@ if __name__ == "__main__":
                 feed(methods, out, records=False)
         print(name, h.hexdigest())
     print("paper-sweep-methods", methods.hexdigest())
+    lyap = hashlib.sha256()
+    for m in LYAP_MODELS:
+        for dtype in (np.float64, np.float32):
+            for method in (sdedisc.Method.LYAP_P, sdedisc.Method.LYAP_Q):
+                for t in (1e-3, 1.0, 100.0):
+                    try:
+                        out = sdedisc.run_method(m.astype(dtype), t, method)
+                    except Exception as exc:
+                        out = exc
+                    feed(lyap, out)
+    print("lyap-methods", lyap.hexdigest())
