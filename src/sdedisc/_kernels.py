@@ -6,9 +6,11 @@ bottom half the accumulated orthogonal factor U.  ``similarity`` applies
 each orthogonal similarity -- a Householder reflector, a Givens rotation or
 a block-swap factor -- as two small matrix products: one on T's rows, one
 on the columns of T and U together.  ``sylv_blocks`` builds the
-coefficient matrices of a quasi-triangular Sylvester equation once, and
-``trsylv`` then makes one product and one LAPACK solve per column block,
-for one right-hand side or a stack of them.
+coefficient matrices of the quasi-triangular Sylvester equations that
+share a leading factor once, inverting those of dimension at most 32, and
+``trsylv`` then makes per column block one product that folds in the
+solved columns and one product with the inverse (a LAPACK solve for a
+wider block), for one right-hand side or a stack of them.
 All kernels mutate or allocate arrays in the dtype of their inputs, so the
 same code serves binary32 and binary64.
 """
@@ -24,6 +26,10 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            1187353796428800.0, 129060195264000.0, 10559470521600.0,
            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
            960960.0, 16380.0, 182.0, 1.0)
+
+# sylv_blocks inverts the column-block matrices up to this dimension, and
+# trsylv multiplies by those inverses; wider blocks keep a LAPACK solve
+_INVERT_MAX = 32
 
 
 def similarity(hu, i, q):
@@ -225,52 +231,79 @@ def standardize_quasi_triangular(hu):
             i += 2
 
 
-def sylv_blocks(ta, r):
-    """The coefficient matrices trsylv solves with for ta @ Y + Y @ r = c,
-    r quasi-lower triangular: one (j0, j, matrix) per column block j0 .. j-1
-    of Y, last block first, the matrix being ta + r_jj I for a 1-column
-    block and [[ta + r00 I, r10 I], [r01 I, ta + r11 I]] for a 2-column
-    block.  They depend on ta and r only, so a caller that solves with the
-    same pair again builds them once."""
+def sylv_blocks(ta, *rs):
+    """The column blocks trsylv solves with for ta @ Y + Y @ r = c, for
+    each quasi-lower triangular r of rs: per r, a list of one
+    (j0, j, matrix) per column block j0 .. j-1 of Y, last block first.  The
+    block's matrix is ta + r_jj I for a 1-column block and
+    [[ta + r00 I, r10 I], [r01 I, ta + r11 I]] for a 2-column block; where
+    its dimension is at most _INVERT_MAX, the list holds its inverse.
+
+    The matrices depend on ta and rs only, so a caller that solves with
+    them again builds them once.  They are built as one stack per block
+    width, over all of rs, and each stack at most _INVERT_MAX wide is
+    inverted by one LAPACK call: up to that size a solve costs more in
+    call overhead than the inverse's extra flops, and above it the flops
+    win.  A solve by an explicit inverse is not backward stable, but its
+    forward error has the same cond * eps bound as an LU solve's (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 14.1;
+    Du Croz and Higham, IMA J. Numer. Anal. 12, 1992), and the forward
+    error is what the solution is used for.  Each slice of a stack is
+    built and inverted as it would be alone, so one call with several rs
+    gives the bits of one call per r."""
     p = ta.shape[0]
+    dtype = np.result_type(ta, *rs)
     d = np.arange(p)
-    blocks = []
-    j = r.shape[0]
-    while j > 0:
-        j0 = j - 2 if (j >= 2 and r[j - 2, j - 1] != 0.0) else j - 1
-        mat = np.zeros((p * (j - j0), p * (j - j0)),
-                       dtype=np.result_type(ta, r))
-        mat[:p, :p] = ta
-        mat[d, d] += r[j0, j0]
-        if j0 == j - 2:
-            mat[p:, p:] = ta
-            mat[d + p, d + p] += r[j0 + 1, j0 + 1]
-            mat[d, d + p] = r[j0 + 1, j0]
-            mat[d + p, d] = r[j0, j0 + 1]
-        blocks.append((j0, j, mat))
-        j = j0
+    spans = []  # (operator index, j0, j) of every column block
+    for k, r in enumerate(rs):
+        j = r.shape[0]
+        while j > 0:
+            j0 = j - 2 if (j >= 2 and r[j - 2, j - 1] != 0.0) else j - 1
+            spans.append((k, j0, j))
+            j = j0
+    mats = {}
+    for width in (1, 2):
+        sel = [(k, j0) for k, j0, j in spans if j - j0 == width]
+        if not sel:
+            continue
+        # each block's entries of r in row order: r00, r01, r10, r11
+        entries = np.array([rs[k][j0:j0 + width, j0:j0 + width].ravel()
+                            for k, j0 in sel], dtype=dtype)
+        mat = np.zeros((len(sel), width * p, width * p), dtype=dtype)
+        for b in range(width):
+            mat[:, b * p:(b + 1) * p, b * p:(b + 1) * p] = ta
+            mat[:, d + b * p, d + b * p] += entries[:, 3 * b, None]
+        if width == 2:
+            mat[:, d, d + p] = entries[:, 2, None]
+            mat[:, d + p, d] = entries[:, 1, None]
+        if width * p <= _INVERT_MAX:
+            mat = np.linalg.inv(mat)
+        mats.update(zip(sel, mat))
+    blocks = [[] for _ in rs]
+    for k, j0, j in spans:
+        blocks[k].append((j0, j, mats[k, j0]))
     return blocks
 
 
 def trsylv(blocks, r, c):
     """Solve ta @ Y + Y @ r = c for quasi-lower triangular r, given
-    blocks = sylv_blocks(ta, r): one column block of Y at a time, last
-    first, the solved columns folded in with one product, then one LAPACK
-    solve with the block's matrix.  c may be a stack of right-hand sides,
-    each solved as it would be alone: every slice's column block is one
-    single-column right-hand side of its own solve."""
+    (blocks,) = sylv_blocks(ta, r): one column block of Y at a time, last
+    first, the solved columns folded in with one product, then one product
+    with the block's inverse, or one LAPACK solve with a block matrix wider
+    than _INVERT_MAX.  c may be a stack of right-hand sides, each solved as
+    it would be alone: every slice's column block is one single-column
+    right-hand side of its own product or solve."""
     y = c.copy()
     stack, (p, m) = c.shape[:-2], c.shape[-2:]
     for j0, j, mat in blocks:
         rhs = y[..., j0:j]
         if j < m:  # fold in the columns solved so far
             rhs = rhs - y[..., j:] @ r[j:, j0:j]
-        if j0 == j - 1:
-            y[..., j0:j] = np.linalg.solve(mat, rhs)
-        else:
-            # the block's two columns stacked into one
-            sol = np.linalg.solve(mat, rhs.mT.reshape(stack + (2 * p, 1)))
-            y[..., j0:j] = sol.reshape(stack + (2, p)).mT
+        if j0 < j - 1:  # the block's two columns stacked into one
+            rhs = rhs.mT.reshape(stack + (2 * p, 1))
+        sol = (mat @ rhs if mat.shape[0] <= _INVERT_MAX
+               else np.linalg.solve(mat, rhs))
+        y[..., j0:j] = sol if j0 == j - 1 else sol.reshape(stack + (2, p)).mT
     return y
 
 

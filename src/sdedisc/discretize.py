@@ -160,7 +160,8 @@ def q_nilpotent(a22: np.ndarray, s22: np.ndarray, t: float) -> np.ndarray:
     Raises NilpotencyError when |A^p| exceeds a tolerance that allows
     for the eps^(1/p) spread of a perturbed index-p chain."""
     t = _check_horizon(t)
-    (q,) = _nilpotent_sum(_nilpotent_terms(a22, s22), (t,))
+    terms = _nilpotent_terms(a22, s22)
+    (q,) = _nilpotent_sum(terms, _nilpotent_table(terms.shape[-1]), (t,))
     if not np.isfinite(q).all():
         raise MatrixOverflowError(
             f"nilpotent covariance overflowed {q.dtype.name} at t = {t:.3g}")
@@ -192,21 +193,27 @@ def _nilpotent_terms(a22: np.ndarray, s22: np.ndarray) -> np.ndarray:
     return terms
 
 
-def _nilpotent_sum(terms: np.ndarray, ts) -> np.ndarray:
+def _nilpotent_table(p: int) -> list:
+    """The (exponent, denominator) of each coefficient
+    T^(i+j+1) / (i! j! (i+j+1)) of q_nilpotent's sum, in the order of
+    _nilpotent_terms' products."""
+    return [(i + j + 1, math.factorial(i) * math.factorial(j) * (i + j + 1))
+            for i in range(p) for j in range(p)]
+
+
+def _nilpotent_sum(terms: np.ndarray, table: list, ts) -> np.ndarray:
     """q_nilpotent at every horizon of ts, as a (len(ts), p, p) stack, from
-    the products of _nilpotent_terms.  A horizon whose sum overflows the
-    width has a non-finite slice."""
+    the products of _nilpotent_terms and the coefficients' _nilpotent_table.
+    A horizon whose sum overflows the width has a non-finite slice."""
     p = terms.shape[-1]
+
     # the coefficients in Python floats, as for one horizon, then rounded
     # to the width once each
-    powers = [(i + j + 1, math.factorial(i) * math.factorial(j) * (i + j + 1))
-              for i in range(p) for j in range(p)]
-
     def coefs_at(t):
         try:
-            return [t ** e / d for e, d in powers]
+            return [t ** e / d for e, d in table]
         except OverflowError:  # t^(2p-1) is beyond binary64
-            return [math.inf] * len(powers)
+            return [math.inf] * len(table)
 
     with np.errstate(over="ignore", invalid="ignore"):
         coefs = np.array([coefs_at(t) for t in ts],
@@ -238,11 +245,14 @@ class _ProposedPlan:
     tau_zero only, never on the horizon: the real Schur form with the
     integrators reordered last, its blocks, u^-1 and half the transformed
     S, after guarding the spectra the block equations need apart; the
-    augmented matrix of a11's exponential; the column-block matrices of
-    the three Bartels-Stewart solves (sylv_blocks); and the integrator
-    block's products A^i (S/2) (A^j)^T, after checking that it is
-    nilpotent.  A model that fails a guard or the check raises here;
-    ``reports`` evaluates horizons."""
+    augmented matrix of a11's exponential; the column blocks of the three
+    Bartels-Stewart solves, which share a11 and so come from one
+    sylv_blocks call, as inverses wherever a block is at most 32 wide, so
+    that a horizon's solves are products; and the integrator block's
+    products A^i (S/2) (A^j)^T, after checking that it is nilpotent, with
+    the (exponent, denominator) table of their coefficients.  A model that
+    fails a guard or the check raises here; ``reports`` evaluates
+    horizons."""
 
     def __init__(self, m: ContinuousModel, tau_zero: float | None, key):
         self.key = key
@@ -288,9 +298,10 @@ class _ProposedPlan:
         # trsylv's (blocks, r) for the three solves, r quasi-lower
         # triangular: -a22 with its row and column order reversed (f12),
         # a22^T (q12) and a11^T (q11)
-        self.f12_sylv, self.q12_sylv, self.q11_sylv = (
-            (_kernels.sylv_blocks(a11, r), r) for r in map(
-                np.ascontiguousarray, (-a22[::-1, ::-1], a22.T, a11.T)))
+        rs = [np.ascontiguousarray(r)
+              for r in (-a22[::-1, ::-1], a22.T, a11.T)]
+        self.f12_sylv, self.q12_sylv, self.q11_sylv = zip(
+            _kernels.sylv_blocks(a11, *rs), rs)
         # computed inverse rather than transpose: u is only orthogonal to
         # rounding, and the back-transform error is smaller with the inverse
         self.u_inv = np.linalg.inv(u)
@@ -301,6 +312,7 @@ class _ProposedPlan:
             self.u_inv @ m.s @ self.u_inv.T)
         self.q22_terms = _nilpotent_terms(
             a22, np.ascontiguousarray(self.st_half[k:, k:]))
+        self.q22_table = _nilpotent_table(a22.shape[0])
 
     def reports(self, ts) -> list:
         """discretize_proposed at every positive horizon of ts in one pass:
@@ -331,7 +343,7 @@ class _ProposedPlan:
             ft = mt + self.eye
             ft[:, :k, :k] = big[:, :k, :k]
             vt = _x_minus_fxft(mt, self.st_half)
-            q22 = _nilpotent_sum(self.q22_terms, ts)
+            q22 = _nilpotent_sum(self.q22_terms, self.q22_table, ts)
             rhs12 = -vt[:, :k, k:] - a12 @ q22
             q12 = _kernels.trsylv(*self.q12_sylv, rhs12)
             rhs11 = -vt[:, :k, :k] - a12 @ q12.mT - q12 @ a12.T
@@ -396,10 +408,11 @@ def discretize_proposed(m: ContinuousModel, t: float,
     block a22 is 0 x 0 when there are none.
 
     The work that does not depend on t (Schur form, reordering, guards,
-    the augmented matrix of a11, the solvers' column-block matrices, the
-    integrator block's nilpotency check and noise products) is kept from
-    the last call and reused when this call's model has byte-equal ``a``
-    and ``s`` of the same dtypes and the same ``tau_zero``; any other
+    the augmented matrix of a11, the solvers' column blocks, inverted where
+    small, the integrator block's nilpotency check and noise products) is
+    kept from the last call and reused when this call's model has
+    byte-equal ``a`` and ``s`` of the same dtypes and the same
+    ``tau_zero``; any other
     model, or an edit to the arrays in place, makes it factor afresh.  A
     call therefore evaluates only the horizon, as the one-horizon case of
     the plan's stacked evaluation.  Results are the same either way."""

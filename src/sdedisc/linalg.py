@@ -236,8 +236,8 @@ def _swap_adjacent_blocks(hu, i, p1, p2):
     j, k = i + p1, i + p1 + p2
     # b1 @ X - X @ b2 = t12 for the blocks b1, b2 and their coupling t12
     r = -hu[j:k, j:k]
-    x = _kernels.trsylv(_kernels.sylv_blocks(hu[i:j, i:j], r), r,
-                        hu[i:j, j:k])
+    (blocks,) = _kernels.sylv_blocks(hu[i:j, i:j], r)
+    x = _kernels.trsylv(blocks, r, hu[i:j, j:k])
     q, _ = np.linalg.qr(np.vstack([-x, np.eye(p2, dtype=hu.dtype)]),
                         mode="complete")
     _kernels.similarity(hu, i, q)
@@ -253,13 +253,18 @@ def order_schur_zeros_last(u: np.ndarray, t: np.ndarray, tau_zero: float):
 
     One stable pass over the blocks, classified once: each non-zero block
     moves up past the run of zero blocks above it by adjacent swaps, so the
-    non-zero blocks keep their order and so do the zero blocks."""
+    non-zero blocks keep their order and so do the zero blocks.  A pass
+    that swaps standardizes the swapped blocks and classifies again to
+    check the result; a pass with no swap returns t unchanged, so t must
+    come standardized, as real_schur leaves it."""
     n = t.shape[0]
     hu = np.concatenate([t, u])
+    blocks = _classify_blocks(hu[:n], tau_zero)
     # swaps never move a block below the current one, so the starts found
     # by the first classification stay valid through the pass
     zero_run = []  # sizes of the zero blocks seen so far, top to bottom
-    for start, size, zero in _classify_blocks(hu[:n], tau_zero):
+    swapped = False
+    for start, size, zero in blocks:
         if zero:
             zero_run.append(size)
             continue
@@ -267,8 +272,11 @@ def order_schur_zeros_last(u: np.ndarray, t: np.ndarray, tau_zero: float):
         for zsize in reversed(zero_run):
             row -= zsize
             _swap_adjacent_blocks(hu, row, zsize, size)
-    _kernels.standardize_quasi_triangular(hu)
-    blocks = _classify_blocks(hu[:n], tau_zero)
+            swapped = True
+    if swapped:
+        # a swap leaves its new 2x2 blocks unstandardized
+        _kernels.standardize_quasi_triangular(hu)
+        blocks = _classify_blocks(hu[:n], tau_zero)
     split = 0
     for _, size, zero in blocks:
         if zero:
@@ -314,7 +322,8 @@ def _schur_sylvester(ua, ta, ub, r, c, kind="sylvester"):
     # the coefficients at the width of the right-hand side, which may be
     # wider than the factors'
     ta, r = (x.astype(rhs.dtype, copy=False) for x in (ta, r))
-    return ua @ _kernels.trsylv(_kernels.sylv_blocks(ta, r), r, rhs) @ ub.T
+    (blocks,) = _kernels.sylv_blocks(ta, r)
+    return ua @ _kernels.trsylv(blocks, r, rhs) @ ub.T
 
 
 def _schur_lyapunov(u, t, c):

@@ -420,6 +420,22 @@ def test_order_schur_one_stable_pass(monkeypatch):
     assert np.all(np.abs(ev[4:]) <= 1e-8)
 
 
+def test_order_schur_no_swap_classifies_once(monkeypatch):
+    # diagonal blocks -1, (-0.5 +- 2i), -3, 0, 0, 0: already in order
+    rng = np.random.default_rng(14)
+    t0 = np.triu(rng.standard_normal((7, 7)), 1)
+    np.fill_diagonal(t0, [-1.0, -0.5, -0.5, -3.0, 0.0, 0.0, 0.0])
+    t0[1, 2], t0[2, 1] = 2.0, -2.0
+    calls = []
+    classify = linalg._classify_blocks
+    monkeypatch.setattr(linalg, "_classify_blocks",
+                        lambda *args: calls.append(1) or classify(*args))
+    u, t, k = order_schur_zeros_last(np.eye(7), t0, 1e-8)
+    assert len(calls) == 1
+    assert k == 4
+    assert np.array_equal(t, t0) and np.array_equal(u, np.eye(7))
+
+
 @pytest.mark.parametrize("p1, p2", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_swap_adjacent_blocks(p1, p2):
     # a 1x1 block holds a real eigenvalue, a 2x2 block a complex pair
@@ -642,6 +658,51 @@ def test_solve_sylvester_random_residuals():
                 * np.linalg.norm(x) + np.linalg.norm(c)
             assert res <= 64 * max(na, nb) * np.finfo(dtype).eps * scale
     assert pairs_both_sides >= 20
+
+
+def quasi_upper(rng, m, pairs):
+    """A random standardized m x m quasi-upper triangular matrix with a
+    complex-pair 2x2 block at rows 0, 3, .. (pairs of them) and every
+    eigenvalue's real part in [-3, -1]."""
+    t = np.triu(0.5 * rng.standard_normal((m, m)), 1)
+    np.fill_diagonal(t, -rng.uniform(1.0, 3.0, m))
+    for i in range(0, 3 * pairs, 3):
+        t[i + 1, i + 1] = t[i, i]
+        b, c = rng.uniform(0.5, 2.0, 2)
+        t[i, i + 1], t[i + 1, i] = b, -c
+    return t
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("p", [4, 16, 17, 33])
+def test_trsylv_inverted_and_solved_blocks(p, dtype):
+    # ta is p x p, so the 1- and 2-column blocks of r are p and 2p wide:
+    # both inverted at p = 4 and 16, the 2-column ones solved at 17, both
+    # solved at 33
+    rng = np.random.default_rng(p)
+    ta = quasi_upper(rng, p, 1 if p < 7 else 3).astype(dtype)
+    rs = [quasi_upper(rng, 7, 2).T.astype(dtype) for _ in range(3)]
+    blocks = _kernels.sylv_blocks(ta, *rs)
+    assert len(blocks) == 3
+    for r, got in zip(rs, blocks):
+        assert {j - j0 for j0, j, _ in got} == {1, 2}
+        # one call for three operators gives the bits of one call each
+        (alone,) = _kernels.sylv_blocks(ta, r)
+        assert [(j0, j) for j0, j, _ in got] == \
+            [(j0, j) for j0, j, _ in alone]
+        assert all(x.dtype == dtype and np.array_equal(x, y)
+                   for (_, _, x), (_, _, y) in zip(got, alone))
+        c = rng.standard_normal((3, p, 7)).astype(dtype)
+        stacked = _kernels.trsylv(got, r, c)
+        ta64, r64 = ta.astype(np.float64), r.astype(np.float64)
+        for ci, yi in zip(c, stacked):
+            y = _kernels.trsylv(got, r, ci)
+            # a stack of right-hand sides gives each slice's own bits
+            assert y.dtype == dtype and np.array_equal(yi, y)
+            res = np.linalg.norm(ta64 @ y + y @ r64 - ci)
+            scale = (np.linalg.norm(ta64) + np.linalg.norm(r64)) \
+                * np.linalg.norm(y) + np.linalg.norm(ci)
+            assert res <= 64 * max(p, 7) * np.finfo(dtype).eps * scale
 
 
 def test_solve_lyapunov_residual_and_symmetry():

@@ -1,0 +1,150 @@
+"""Time two checkouts of the package against each other in one process:
+``python3 tools/pairtime.py PARENT CHANGE --rounds 20``, each argument the
+root of a checkout (the directory that holds ``src/sdedisc``).  Both
+packages are imported under their own module names, and every row is timed
+on both in each round, the side that goes first alternating by round, so
+that a drift in host speed falls on both sides alike.
+
+Rows: ``discretize_proposed`` cold (the kept plan dropped before every call,
+so each call factors afresh) and warm (one model at many horizons, its plan
+kept) at n in {6, 16, 32, 48} on ``EnsembleSpec(n, n - 2, 2, seed=7)``, and
+``discretize_lyap_q`` at n = 16 on ``EnsembleSpec(16, 16, 0, seed=3)``;
+four streams per size, binary64.  A sample is the CPU time
+(``time.process_time``) per call over a fixed batch of calls, the batch
+sized once per row to take about ``--sample-ms``.  Each row prints both
+sides' median and quartiles in microseconds per call, the median over the
+rounds of the second checkout's time relative to the first's (a paired
+figure, which a drift in host speed between rounds does not move), and the
+number of rounds the second checkout was faster.
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # one BLAS thread, as in the benchmark
+
+import argparse, importlib.util, statistics, sys, time  # noqa: E401, E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+SIZES = (6, 16, 32, 48)
+STREAMS = 4
+HORIZONS = np.geomspace(1e-2, 1e2, 16).tolist()
+
+
+def load(root: str, name: str):
+    """Import root/src/sdedisc as a package called name."""
+    init = Path(root).resolve() / "src" / "sdedisc" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"no package at {init}")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    return pkg
+
+
+def rows(pkg):
+    """(label, call) per row; call() runs one operation on pkg."""
+    out = []
+    for warm in (False, True):
+        for n in SIZES:
+            models = [pkg.gen_random_system(pkg.EnsembleSpec(n, n - 2, 2,
+                                                             seed=7), s)
+                      for s in range(STREAMS)]
+            out.append((f"proposed {'warm' if warm else 'cold'} n={n}",
+                        proposed(pkg, models, warm)))
+    models = [pkg.gen_random_system(pkg.EnsembleSpec(16, 16, 0, seed=3), s)
+              for s in range(STREAMS)]
+    out.append(("lyap-q n=16", cycle(
+        [lambda m=m: pkg.discretize_lyap_q(m, 1.0) for m in models])))
+    return out
+
+
+def cycle(calls):
+    """One call after another of calls, round and round."""
+    state = [0]
+
+    def call():
+        calls[state[0] % len(calls)]()
+        state[0] += 1
+    return call
+
+
+def proposed(pkg, models, warm):
+    """A cold call drops the kept plan first; a warm call evaluates the
+    first model at the next of HORIZONS, with its plan kept (made again by
+    an untimed call when another row replaced it, see sample)."""
+    d = pkg.discretize
+    if warm:
+        return cycle([lambda t=t: pkg.discretize_proposed(models[0], t)
+                      for t in HORIZONS])
+
+    def cold(m):
+        d._last_plan = None
+        pkg.discretize_proposed(m, 1.0)
+    return cycle([lambda m=m: cold(m) for m in models])
+
+
+def sample(call, count):
+    """CPU microseconds per call over count calls, after one untimed call
+    that warms a kept plan."""
+    call()
+    start = time.process_time()
+    for _ in range(count):
+        call()
+    return (time.process_time() - start) / count * 1e6
+
+
+def batch_size(call, sample_ms):
+    """The number of calls that take about sample_ms."""
+    count, spent = 1, 0.0
+    while True:
+        spent = sample(call, count) * count * 1e-3
+        if spent >= sample_ms or count >= 1 << 16:
+            break
+        count *= 2
+    return max(1, round(count * sample_ms / spent))
+
+
+def quartiles(xs):
+    return statistics.quantiles(xs, n=4, method="inclusive")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split(":")[0])
+    ap.add_argument("parent", help="root of the first checkout")
+    ap.add_argument("change", help="root of the second checkout")
+    ap.add_argument("--rounds", type=int, default=20)
+    ap.add_argument("--sample-ms", type=float, default=25.0)
+    args = ap.parse_args()
+    if args.rounds < 2:
+        ap.error("--rounds must be at least 2")
+    sides = [rows(load(root, f"sdedisc_{name}"))
+             for root, name in ((args.parent, "parent"),
+                                (args.change, "change"))]
+    labels = [label for label, _ in sides[0]]
+    counts = [batch_size(call, args.sample_ms) for _, call in sides[0]]
+    times = [[[], []] for _ in labels]
+    for rnd in range(args.rounds):
+        order = (0, 1) if rnd % 2 == 0 else (1, 0)
+        for r, count in enumerate(counts):
+            for side in order:
+                times[r][side].append(sample(sides[side][r][1], count))
+    print(f"{args.rounds} rounds, CPU us per call: median [q1, q3]; "
+          f"median of the rounds' change/parent - 1; rounds the change "
+          f"was faster")
+    print(f"{'row':<22}{'parent':>26}{'change':>26}{'delta':>9}{'wins':>8}")
+    for label, (ta, tb) in zip(labels, times):
+        cells = [f"{q2:9.1f} [{q1:7.1f}, {q3:7.1f}]"
+                 for q1, q2, q3 in (quartiles(ta), quartiles(tb))]
+        delta = statistics.median(b / a for a, b in zip(ta, tb)) - 1.0
+        wins = sum(b < a for a, b in zip(ta, tb))
+        print(f"{label:<22}{cells[0]:>26}{cells[1]:>26}"
+              f"{100.0 * delta:+8.1f}%{wins:>5}/{args.rounds}")
+
+
+if __name__ == "__main__":
+    main()
