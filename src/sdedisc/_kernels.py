@@ -57,11 +57,14 @@ def _householder(hu, i, x):
     return alpha
 
 
-def hessenberg(hu):
+def hessenberg(hu, top):
     """Reduce the top half T of hu to upper Hessenberg form in place by
-    Householder reflections, accumulating them into the bottom half U."""
+    Householder reflections, accumulating them into the bottom half U.
+    Only columns top .. n-3 are reduced (LAPACK's ilo window): T's leading
+    top columns, Hessenberg and zero from row top on, keep their bits, and
+    so do U's; top = 0 reduces the whole of T."""
     n = hu.shape[1]
-    for k in range(n - 2):
+    for k in range(top, n - 2):
         hu[k + 1, k] = _householder(hu, k + 1, hu[k + 1:n, k])
         hu[k + 2:n, k] = 0.0
 
@@ -109,13 +112,15 @@ def _snapped_shift(h11, h12, h21, h22, shifts):
     return pair[0] + pair[1], pair[0] * pair[1]
 
 
-def francis_qr(hu, eps, anorm, max_sweeps, zeros, shifts):
+def francis_qr(hu, eps, anorm, max_sweeps, zeros, shifts, top):
     """Francis implicit double-shift QR on the upper Hessenberg top half T
     of hu, in place.
 
     Returns (iterations, converged).  On exit T is real quasi-upper
     triangular (2x2 blocks not yet standardized) and the bottom half U
-    accumulates the orthogonal similarity.
+    accumulates the orthogonal similarity.  Only rows and columns
+    top .. n-1 are iterated on (LAPACK's ilo window): T's leading top
+    columns must be quasi-upper triangular and zero from row top on.
 
     Each iteration's double shift is, in this order of precedence: the
     exceptional shift on every 10th iteration without a deflation at the
@@ -143,7 +148,7 @@ def francis_qr(hu, eps, anorm, max_sweeps, zeros, shifts):
     # later similarity touches a deflated block, so its eigenvalues are
     # retired only when a snapped shift needs them gone
     deflated = []
-    while hi > 0:
+    while hi > top:
         total += 1
         if total > limit:
             return total, False

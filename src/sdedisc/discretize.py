@@ -74,8 +74,10 @@ def _trivial_report(m: ContinuousModel, method: Method) -> MethodReport:
 def _augmented(a: np.ndarray) -> np.ndarray:
     """The augmented matrix [[a, I], [0, 0]] of _exp_and_integral."""
     n = a.shape[0]
-    return np.block([[a, np.eye(n, dtype=a.dtype)],
-                     [np.zeros((n, 2 * n), dtype=a.dtype)]])
+    aug = np.zeros((2 * n, 2 * n), dtype=a.dtype)
+    aug[:n, :n] = a
+    aug[:n, n:] = np.eye(n, dtype=a.dtype)
+    return aug
 
 
 def _exp_and_integral(aug: np.ndarray, t: float):
@@ -161,7 +163,9 @@ def q_nilpotent(a22: np.ndarray, s22: np.ndarray, t: float) -> np.ndarray:
     for the eps^(1/p) spread of a perturbed index-p chain."""
     t = _check_horizon(t)
     terms = _nilpotent_terms(a22, s22)
-    (q,) = _nilpotent_sum(terms, _nilpotent_table(terms.shape[-1]), (t,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        (q,) = _nilpotent_sum(terms, _nilpotent_table(terms.shape[-1]),
+                              (t,))
     if not np.isfinite(q).all():
         raise MatrixOverflowError(
             f"nilpotent covariance overflowed {q.dtype.name} at t = {t:.3g}")
@@ -204,7 +208,8 @@ def _nilpotent_table(p: int) -> list:
 def _nilpotent_sum(terms: np.ndarray, table: list, ts) -> np.ndarray:
     """q_nilpotent at every horizon of ts, as a (len(ts), p, p) stack, from
     the products of _nilpotent_terms and the coefficients' _nilpotent_table.
-    A horizon whose sum overflows the width has a non-finite slice."""
+    A horizon whose sum overflows the width has a non-finite slice (numpy
+    warns of it unless the caller silences it with np.errstate)."""
     p = terms.shape[-1]
 
     # the coefficients in Python floats, as for one horizon, then rounded
@@ -215,14 +220,9 @@ def _nilpotent_sum(terms: np.ndarray, table: list, ts) -> np.ndarray:
         except OverflowError:  # t^(2p-1) is beyond binary64
             return [math.inf] * len(table)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        coefs = np.array([coefs_at(t) for t in ts],
-                         dtype=terms.dtype).reshape(len(ts), p * p, 1, 1)
-        products = coefs * terms
-        q = np.zeros((len(ts), p, p), dtype=terms.dtype)
-        for ij in range(p * p):
-            q = q + products[:, ij]
-        return _sym(q)
+    coefs = np.array([coefs_at(t) for t in ts],
+                     dtype=terms.dtype).reshape(len(ts), p * p, 1, 1)
+    return _sym((coefs * terms).sum(axis=1))
 
 
 def _nilpotent_expm1(a22: np.ndarray, a22_once: np.ndarray,
@@ -267,7 +267,8 @@ class _ProposedPlan:
         a22 = np.ascontiguousarray(at[k:, k:])
         # mirrored non-zero poles make the q11 Lyapunov solve singular, and
         # the f12 and q12 solves couple a11 with -a22 and with a22^T
-        ev1, ev2 = quasi_tri_eigvalues(a11), quasi_tri_eigvalues(a22)
+        ev = quasi_tri_eigvalues(at)
+        ev1, ev2 = ev[:k], ev[k:]
         eps = eps_of(m.a)
         mirrored = True
         try:

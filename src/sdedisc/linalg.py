@@ -116,10 +116,11 @@ def _mat_exp_many(a: np.ndarray, ts) -> tuple:
 
 
 def _eigenvector_start(a, ev, vecs, tau_zero):
-    """The stacked [t0; q] real_schur starts from, with q orthogonal and
-    a = q t0 q^T up to the entries t0 drops, built from the eigenvectors
-    vecs of a's eigenvalues ev (np.linalg.eig); None if those entries are
-    too large, as they are for some ill-conditioned bases.
+    """(hu, top): the stacked hu = [t0; q] real_schur starts from, with q
+    orthogonal and a = q t0 q^T up to the entries t0 drops, built from the
+    eigenvectors vecs of a's eigenvalues ev (np.linalg.eig), and the
+    number top of basis columns, t0's finished leading block; None if
+    those entries are too large, as they are for some ill-conditioned bases.
 
     q's leading columns are the QR factor of the real basis of the
     eigenvalues of modulus > tau_zero, in LAPACK's order: v for a real
@@ -149,7 +150,7 @@ def _eigenvector_start(a, ev, vecs, tau_zero):
             * float(np.linalg.norm(a))):
         return None
     t0[below] = 0.0
-    return np.concatenate([t0, q])
+    return np.concatenate([t0, q]), len(cols)
 
 
 def real_schur(a: np.ndarray, tau_zero: float):
@@ -167,26 +168,27 @@ def real_schur(a: np.ndarray, tau_zero: float):
     shifts at 0 until the eigenvalues of modulus <= tau_zero have deflated
     at the bottom of t, then Wilkinson shifts snapped to the nearest
     eigenvalues not yet deflated (see _kernels.francis_qr).  From the
-    eigenvector start only the trailing block of small eigenvalues needs
-    QR sweeps; from a it takes fewer iterations than the standard
+    eigenvector start the Hessenberg reduction and QR touch only the
+    trailing window of small eigenvalues; from a they reduce the whole
+    matrix, and the steered shifts take fewer iterations than the standard
     Wilkinson shifts, which serve only as the fallback for a window whose
     steered shifts stall.  The integrators come out trailing."""
     a = check_square(a, "real_schur input")
     dtype = a.dtype if a.dtype in (np.float32, np.float64) else np.float64
     n = a.shape[0]
     hu = np.concatenate([np.asarray(a, dtype=dtype), np.eye(n, dtype=dtype)])
-    zeros, shifts = 0, ()
+    zeros, shifts, top = 0, (), 0
     if n > 2:  # francis_qr has no work below 3
         ev, vecs = np.linalg.eig(hu[:n])
         zeros = int(np.count_nonzero(np.abs(ev) <= tau_zero))
         shifts = ev.tolist()
         start = _eigenvector_start(hu[:n], ev, vecs, tau_zero)
         if start is not None:
-            hu = start
-    _kernels.hessenberg(hu)
+            hu, top = start
+    _kernels.hessenberg(hu, top)
     iterations, ok = _kernels.francis_qr(hu, eps_of(dtype),
                                          float(np.linalg.norm(a)),
-                                         _MAX_QR_SWEEPS, zeros, shifts)
+                                         _MAX_QR_SWEEPS, zeros, shifts, top)
     if not ok:
         raise ConvergenceError(
             f"QR iteration did not converge within {_MAX_QR_SWEEPS * n} "
@@ -214,16 +216,16 @@ def _classify_blocks(t: np.ndarray, tau_zero: float):
     <= tau_zero.  A 2x2 block whose pair straddles tau_zero raises
     ClassificationError."""
     n = t.shape[0]
+    moduli = np.abs(quasi_tri_eigvalues(t))
     blocks = []
     i = 0
     while i < n:
         size = 2 if (i < n - 1 and t[i + 1, i] != 0.0) else 1
-        evs = quasi_tri_eigvalues(t[i:i + size, i:i + size])
-        zero = np.abs(evs) <= tau_zero
+        zero = moduli[i:i + size] <= tau_zero
         if size == 2 and zero[0] != zero[1]:
             raise ClassificationError(
                 f"2x2 block at {i} straddles tau_zero={tau_zero:.3g}: "
-                f"|ev| = {np.abs(evs)}")
+                f"|ev| = {moduli[i:i + size]}")
         blocks.append((i, size, bool(zero.all())))
         i += size
     return blocks

@@ -206,6 +206,25 @@ def test_q_nilpotent_overflow_is_typed():
                 q_nilpotent(m.a, m.s, t)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_nilpotent_sum_matches_product_loop(p, dtype):
+    # the stacked sum adds the p^2 products in the loop's order, so every
+    # bit is the loop's, zero signs included
+    rng = np.random.default_rng(p)
+    a = np.triu(rng.standard_normal((p, p)), 1).astype(dtype)
+    s = rng.standard_normal((p, p))
+    terms = discretize._nilpotent_terms(a, (s @ s.T).astype(dtype))
+    table = discretize._nilpotent_table(p)
+    ts = np.geomspace(1e-3, 1e3, 20).tolist()
+    got = discretize._nilpotent_sum(terms, table, ts)
+    for i, t in enumerate(ts):
+        q = np.zeros((p, p), dtype=dtype)
+        for (e, d), term in zip(table, terms):
+            q = q + dtype(t ** e / d) * term
+        assert got[i].tobytes() == discretize._sym(q).tobytes()
+
+
 # -------------------------------------------------- cross-method checks
 
 

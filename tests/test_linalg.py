@@ -223,8 +223,10 @@ CYCLIC_SHIFT_SIZES = [3, 4, 5, 8]
 
 
 def test_real_schur_not_converged_raises(monkeypatch):
+    # the integrator pair leaves a trailing window for the QR iteration,
+    # which no limit of 0 iterations lets it reduce
     monkeypatch.setattr(linalg, "_MAX_QR_SWEEPS", 0)
-    a = random_matrix(np.random.default_rng(21), 8)
+    a = _integrator_system(np.random.default_rng(21), 6, 2)
     with pytest.raises(ConvergenceError) as info:
         real_schur(a, tau_zero_default(a))
     assert info.value.sweeps is not None and info.value.sweeps > 0
@@ -593,17 +595,71 @@ def test_real_schur_eigenvector_start_falls_back(family, dtype,
     assert not all(eigvec_starts)
 
 
-def test_cold_plan_makes_no_sweep_in_leading_block(qr_results):
-    # from the eigenvector start each leading block deflates in one pass,
-    # and the integrator pair as one 2x2 block: no bulge-chasing sweep
+def test_cold_plan_makes_no_sweep_in_leading_block(qr_results,
+                                                   monkeypatch):
+    # from the eigenvector start only the integrator pair's 2x2 window is
+    # left: no Householder reflector, and one iteration that deflates it
+    reflectors = []
+    householder = _kernels._householder
+    monkeypatch.setattr(_kernels, "_householder",
+                        lambda *args: reflectors.append(1) or
+                        householder(*args))
     for stream in range(8):
         discretize._last_plan = None
         discretize_proposed(
             gen_random_system(EnsembleSpec(16, 14, 2, seed=7), stream), 1.0)
-        plan = discretize._last_plan
-        blocks = plan.k - np.count_nonzero(np.diagonal(plan.a11, -1))
-        iterations, converged = qr_results[-1]
-        assert converged and iterations <= blocks + 1
+        assert qr_results[-1] == (1, True)
+        assert not reflectors
+
+
+def _standardized_quasi_triangular(rng, n):
+    """A random n x n quasi-upper triangular matrix whose 2x2 blocks hold
+    complex pairs with equal diagonal, their off-diagonals of opposite sign
+    and at least 0.5 in modulus."""
+    t = np.triu(rng.standard_normal((n, n)))
+    i = 0
+    while i < n - 1:
+        if rng.random() < 0.5:
+            b, c = rng.uniform(0.5, 2.0, size=2)
+            t[i, i + 1], t[i + 1, i] = b, -c
+            t[i + 1, i + 1] = t[i, i]
+            i += 2
+        else:
+            i += 1
+    return t
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 16),
+       dtype=st.sampled_from([np.float64, np.float32]), data=st.data())
+def test_schur_kernels_reduce_only_trailing_window(seed, n, dtype, data):
+    # t0 = [[T11, T12], [0, T22]] with T11 finished: hessenberg and
+    # francis_qr reduce T22 and leave T11 and U's leading columns alone
+    rng = np.random.default_rng(seed)
+    top = data.draw(st.integers(0, n))
+    t11 = _standardized_quasi_triangular(rng, n)
+    if 0 < top < n and t11[top, top - 1] != 0.0:
+        top -= 1  # the cut fell inside a 2x2 block
+    t0 = rng.standard_normal((n, n))
+    t0[:top, :top] = t11[:top, :top]
+    t0[top:, :top] = 0.0
+    t0 = t0.astype(dtype)
+    hu = np.concatenate([t0, np.eye(n, dtype=dtype)])
+    _kernels.hessenberg(hu, top)
+    ev = np.linalg.eigvals(t0.astype(np.float64)).tolist()
+    iterations, converged = _kernels.francis_qr(
+        hu, float(np.finfo(dtype).eps), float(np.linalg.norm(t0)),
+        linalg._MAX_QR_SWEEPS, 0, ev, top)
+    t, u = hu[:n], hu[n:]
+    assert converged
+    assert t[:top, :top].tobytes() == t0[:top, :top].tobytes()
+    assert u[:, :top].tobytes() == np.eye(n, dtype=dtype)[:, :top].tobytes()
+    assert _quasi_upper_loop(t)
+    t64, u64 = t.astype(np.float64), u.astype(np.float64)
+    tol = 64 * n * np.finfo(dtype).eps
+    assert np.linalg.norm(u64.T @ u64 - np.eye(n), 2) <= tol
+    assert (np.linalg.norm(u64 @ t64 @ u64.T - t0, 2)
+            <= tol * np.linalg.norm(t0.astype(np.float64), 2))
 
 
 def test_real_schur_snapped_shifts_fall_back_after_stall(qr_results):

@@ -7,11 +7,15 @@ that a drift in host speed falls on both sides alike.
 
 Rows: ``discretize_proposed`` cold (the kept plan dropped before every call,
 so each call factors afresh) and warm (one model at many horizons, its plan
-kept) at n in {6, 16, 32, 48} on ``EnsembleSpec(n, n - 2, 2, seed=7)``, and
-``discretize_lyap_q`` at n = 16 on ``EnsembleSpec(16, 16, 0, seed=3)``;
-four streams per size, binary64.  A sample is the CPU time
-(``time.process_time``) per call over a fixed batch of calls, the batch
-sized once per row to take about ``--sample-ms``.  Each row prints both
+kept) at n in {6, 16, 32, 48} on ``EnsembleSpec(n, n - 2, 2, seed=7)``, four
+streams per size; ``discretize_proposed`` cold on irregular-track's rotated
+index-3 chains (``EnsembleSpec(6, 3, 3, seed=0)``, its 32 streams 3, 7, ..,
+127, of which 18 take real_schur's fallback start from ``A``, their
+eigenvector bases being too ill-conditioned); and ``discretize_lyap_q``
+at n = 16 on ``EnsembleSpec(16, 16, 0, seed=3)``, four streams; binary64.
+A sample is the CPU time (``time.process_time``) per call over a fixed
+batch of calls, the batch sized once per row to take about
+``--sample-ms``.  Each row prints both
 sides' median and quartiles in microseconds per call, the median over the
 rounds of the second checkout's time relative to the first's (a paired
 figure, which a drift in host speed between rounds does not move), and the
@@ -30,6 +34,8 @@ import numpy as np  # noqa: E402
 
 SIZES = (6, 16, 32, 48)
 STREAMS = 4
+# irregular-track's chain streams: every fourth of its 128 models
+CHAIN_STREAMS = range(3, 128, 4)
 HORIZONS = np.geomspace(1e-2, 1e2, 16).tolist()
 
 
@@ -56,6 +62,9 @@ def rows(pkg):
                       for s in range(STREAMS)]
             out.append((f"proposed {'warm' if warm else 'cold'} n={n}",
                         proposed(pkg, models, warm)))
+    chains = [pkg.gen_random_system(pkg.EnsembleSpec(6, 3, 3, seed=0), s)
+              for s in CHAIN_STREAMS]
+    out.append(("proposed cold chains", proposed(pkg, chains, False)))
     models = [pkg.gen_random_system(pkg.EnsembleSpec(16, 16, 0, seed=3), s)
               for s in range(STREAMS)]
     out.append(("lyap-q n=16", cycle(
