@@ -5,12 +5,14 @@ Every kernel is plain numpy.  The Schur kernels work on one stacked
 bottom half the accumulated orthogonal factor U.  ``similarity`` applies
 each orthogonal similarity -- a Householder reflector, a Givens rotation or
 a block-swap factor -- as two small matrix products: one on T's rows, one
-on the columns of T and U together.  ``sylv_blocks`` builds the
-coefficient matrices of the quasi-triangular Sylvester equations that
-share a leading factor once, inverting those of dimension at most 32, and
-``trsylv`` then makes per column block one product that folds in the
-solved columns and one product with the inverse (a LAPACK solve for a
-wider block), for one right-hand side or a stack of them.
+on the columns of T and U together.  ``sylv_blocks`` builds once the
+column-block matrices of the Sylvester equations ta Y + Y r = c that
+share ta, for any r, its blocks read from r's zero pattern (1 and 2
+columns for a quasi-lower triangular r, all of r for a coupled upper
+triangular one), inverting those of dimension at most 32, and ``trsylv``
+then makes per column block one product that folds in the solved columns
+and one product with the inverse (a LAPACK solve for a wider block), for
+one right-hand side or a stack of them.
 All kernels mutate or allocate arrays in the dtype of their inputs, so the
 same code serves binary32 and binary64.
 """
@@ -238,11 +240,15 @@ def standardize_quasi_triangular(hu):
 
 def sylv_blocks(ta, *rs):
     """The column blocks trsylv solves with for ta @ Y + Y @ r = c, for
-    each quasi-lower triangular r of rs: per r, a list of one
-    (j0, j, matrix) per column block j0 .. j-1 of Y, last block first.  The
-    block's matrix is ta + r_jj I for a 1-column block and
-    [[ta + r00 I, r10 I], [r01 I, ta + r11 I]] for a 2-column block; where
-    its dimension is at most _INVERT_MAX, the list holds its inverse.
+    each block-lower triangular r of rs: per r, a list of one
+    (j0, j, matrix) per column block j0 .. j-1 of Y, last block first.
+    The blocks come from r's zero pattern: going from the last column,
+    each is the narrowest j0 .. j-1 with r[:j0, j0:j] == 0, so that it
+    couples only with the columns solved before it (a quasi-lower
+    triangular r gives its 1x1 and 2x2 diagonal blocks, a full upper
+    triangular one a single block).  The block's matrix has (b, c) block
+    ta [b == c] + r[j0 + c, j0 + b] I; where its dimension is at most
+    _INVERT_MAX, the list holds its inverse.
 
     The matrices depend on ta and rs only, so a caller that solves with
     them again builds them once.  They are built as one stack per block
@@ -262,25 +268,28 @@ def sylv_blocks(ta, *rs):
     spans = []  # (operator index, j0, j) of every column block
     for k, r in enumerate(rs):
         j = r.shape[0]
+        # each column's first non-zero row, its diagonal at the latest
+        nonzero = r != 0.0
+        nonzero.flat[::j + 1] = True
+        top = nonzero.argmax(axis=0).tolist() if j else []
         while j > 0:
-            j0 = j - 2 if (j >= 2 and r[j - 2, j - 1] != 0.0) else j - 1
+            j0 = j - 1
+            while (above := min(top[j0:j])) < j0:
+                j0 = above
             spans.append((k, j0, j))
             j = j0
     mats = {}
-    for width in (1, 2):
+    for width in sorted({j - j0 for _, j0, j in spans}):
         sel = [(k, j0) for k, j0, j in spans if j - j0 == width]
-        if not sel:
-            continue
-        # each block's entries of r in row order: r00, r01, r10, r11
-        entries = np.array([rs[k][j0:j0 + width, j0:j0 + width].ravel()
+        # each block of r transposed, so that entry (b, c) is r[j0+c, j0+b]
+        entries = np.array([rs[k][j0:j0 + width, j0:j0 + width].T
                             for k, j0 in sel], dtype=dtype)
-        mat = np.zeros((len(sel), width * p, width * p), dtype=dtype)
+        mat = np.zeros((len(sel), width, p, width, p), dtype=dtype)
         for b in range(width):
-            mat[:, b * p:(b + 1) * p, b * p:(b + 1) * p] = ta
-            mat[:, d + b * p, d + b * p] += entries[:, 3 * b, None]
-        if width == 2:
-            mat[:, d, d + p] = entries[:, 2, None]
-            mat[:, d + p, d] = entries[:, 1, None]
+            mat[:, b, :, b, :] = ta
+        # r[j0 + c, j0 + b] added to the diagonal of every block (b, c)
+        mat[:, :, d, :, d] += entries
+        mat = mat.reshape(len(sel), width * p, width * p)
         if width * p <= _INVERT_MAX:
             mat = np.linalg.inv(mat)
         mats.update(zip(sel, mat))
@@ -291,24 +300,24 @@ def sylv_blocks(ta, *rs):
 
 
 def trsylv(blocks, r, c):
-    """Solve ta @ Y + Y @ r = c for quasi-lower triangular r, given
+    """Solve ta @ Y + Y @ r = c for block-lower triangular r, given
     (blocks,) = sylv_blocks(ta, r): one column block of Y at a time, last
-    first, the solved columns folded in with one product, then one product
-    with the block's inverse, or one LAPACK solve with a block matrix wider
-    than _INVERT_MAX.  c may be a stack of right-hand sides, each solved as
-    it would be alone: every slice's column block is one single-column
-    right-hand side of its own product or solve."""
+    first, the solved columns folded in with one product, then the block's
+    columns stacked into one and one product with the block's inverse, or
+    one LAPACK solve with a block matrix wider than _INVERT_MAX.  c may be
+    a stack of right-hand sides, each solved as it would be alone: every
+    slice's column block is one single-column right-hand side of its own
+    product or solve."""
     y = c.copy()
     stack, (p, m) = c.shape[:-2], c.shape[-2:]
     for j0, j, mat in blocks:
         rhs = y[..., j0:j]
         if j < m:  # fold in the columns solved so far
             rhs = rhs - y[..., j:] @ r[j:, j0:j]
-        if j0 < j - 1:  # the block's two columns stacked into one
-            rhs = rhs.mT.reshape(stack + (2 * p, 1))
+        rhs = rhs.mT.reshape(stack + ((j - j0) * p, 1))
         sol = (mat @ rhs if mat.shape[0] <= _INVERT_MAX
                else np.linalg.solve(mat, rhs))
-        y[..., j0:j] = sol if j0 == j - 1 else sol.reshape(stack + (2, p)).mT
+        y[..., j0:j] = sol.reshape(stack + (j - j0, p)).mT
     return y
 
 

@@ -17,8 +17,12 @@ from .discretize import (_proposed_plan, _q_oracle_many, _unwrap,
                          _vanloan_reports)
 
 
-def default_t_grid(points: int = 20, lo: float = 1e-2, hi: float = 1e2):
-    return tuple(float(t) for t in np.geomspace(lo, hi, points))
+# the paper's sampling intervals: 20 log-spaced from 1e-2 to 1e2
+_T_POINTS, _T_LO, _T_HI = 20, 1e-2, 1e2
+
+
+def default_t_grid():
+    return tuple(float(t) for t in np.geomspace(_T_LO, _T_HI, _T_POINTS))
 
 
 class CellStatus(enum.Enum):
@@ -168,15 +172,10 @@ def summarize(records) -> list:
     if not records:
         raise ValueError("no records to summarize")
     cells = {}
-    order = []
     for rec in records:
-        key = (rec.method, rec.t)
-        if key not in cells:
-            cells[key] = []
-            order.append(key)
-        cells[key].append(rec)
+        cells.setdefault((rec.method, rec.t), []).append(rec)
     rows = []
-    for method, t in sorted(order, key=lambda k: (k[0].value, k[1])):
+    for method, t in sorted(cells, key=lambda k: (k[0].value, k[1])):
         group = cells[(method, t)]
         eps = sorted(r.epsilon for r in group if r.status is CellStatus.OK)
         fail_rate = 1.0 - len(eps) / len(group)

@@ -225,17 +225,14 @@ def _nilpotent_sum(terms: np.ndarray, table: list, ts) -> np.ndarray:
     return _sym((coefs * terms).sum(axis=1))
 
 
-def _nilpotent_expm1(a22: np.ndarray, a22_once: np.ndarray,
-                     ts) -> np.ndarray:
+def _nilpotent_expm1(a22: np.ndarray, ts) -> np.ndarray:
     """exp(A t) - I for a nilpotent block A = a22 at every horizon of ts,
-    as the terminating power series: a (len(ts), p, p) stack.  a22_once is
-    the product I @ a22, which the plan keeps; it is a22 but for the sign
-    of a zero, so the first term is built from it and not from a22."""
+    as the terminating power series: a (len(ts), p, p) stack."""
     p = a22.shape[0]
     acc = np.zeros((len(ts), p, p), dtype=a22.dtype)
     for i in range(1, p):
         scale = np.array([t / i for t in ts], dtype=a22.dtype)
-        term = (a22_once if i == 1 else term @ a22) * scale[:, None, None]
+        term = (a22 if i == 1 else term @ a22) * scale[:, None, None]
         acc = acc + term
     return acc
 
@@ -291,16 +288,13 @@ class _ProposedPlan:
             raise UnsupportedSpectrumError(msg) from exc
         self.u, self.k = u, k
         self.a11, self.a12, self.a22 = a11, at[:k, k:], a22
-        # the horizon-free parts of exp(at t): I @ a22, the first term of
-        # the integrator block's series, and the identity ft adds back
-        self.a22_once = np.eye(a22.shape[0], dtype=u.dtype) @ a22
+        # the identity ft adds back to exp(at t) - I
         self.eye = np.eye(m.n, dtype=u.dtype)
         self.aug11 = _augmented(a11)
-        # trsylv's (blocks, r) for the three solves, r quasi-lower
-        # triangular: -a22 with its row and column order reversed (f12),
-        # a22^T (q12) and a11^T (q11)
-        rs = [np.ascontiguousarray(r)
-              for r in (-a22[::-1, ::-1], a22.T, a11.T)]
+        # trsylv's (blocks, r) for the three solves: -a22 (f12), one
+        # column block where a22 is coupled, and the quasi-lower
+        # triangular a22^T (q12) and a11^T (q11)
+        rs = [np.ascontiguousarray(r) for r in (-a22, a22.T, a11.T)]
         self.f12_sylv, self.q12_sylv, self.q11_sylv = zip(
             _kernels.sylv_blocks(a11, *rs), rs)
         # computed inverse rather than transpose: u is only orthogonal to
@@ -334,13 +328,10 @@ class _ProposedPlan:
             big, exp_ok = _mat_exp_many(self.aug11, ts)
             mt = np.zeros((len(ts), n, n), dtype=self.u.dtype)
             mt[:, :k, :k] = a11 @ big[:, :k, k:]
-            mt[:, k:, k:] = _nilpotent_expm1(a22, self.a22_once, ts)
-            # f12: a11 X - X a22 = c, solved as a11 Y - Y (J a22 J) = c J
-            # with X = Y J, J the column reversal, so that trsylv's
-            # coefficient is quasi-lower triangular for every integrator count
+            mt[:, k:, k:] = _nilpotent_expm1(a22, ts)
+            # f12: a11 X - X a22 = c
             c12 = mt[:, :k, :k] @ a12 - a12 @ mt[:, k:, k:]
-            mt[:, :k, k:] = _kernels.trsylv(*self.f12_sylv,
-                                            c12[..., ::-1])[..., ::-1]
+            mt[:, :k, k:] = _kernels.trsylv(*self.f12_sylv, c12)
             ft = mt + self.eye
             ft[:, :k, :k] = big[:, :k, :k]
             vt = _x_minus_fxft(mt, self.st_half)

@@ -633,8 +633,8 @@ def _triangular_chain3():
 ], ids=["triangular-p3", "observer-p3", "rotated-p3", "rotated-p4"])
 def test_proposed_deep_integrator_chains(m, tau_zero, p):
     # the coupling block f12 of three or more integrators: a22 is then
-    # upper triangular beyond its first superdiagonal, which the
-    # back-substitution has to meet as a quasi-lower triangular coefficient
+    # upper triangular beyond its first superdiagonal, and the f12 solve
+    # takes all of it as one column block
     expm = pytest.importorskip("scipy.linalg").expm
     for t in (0.1, 1.0, 10.0):
         report = discretize_proposed(m, t, tau_zero=tau_zero)
@@ -732,31 +732,34 @@ def sylv_calls(monkeypatch):
 
 
 def column_block_sizes(r):
-    """The widths of trsylv's column blocks for a quasi-lower triangular r."""
+    """The widths of trsylv's column blocks for r, read from its zero
+    pattern."""
     (blocks,) = _kernels.sylv_blocks(np.eye(1), r)
     return {j - j0 for j0, j, _ in blocks}
 
 
-@pytest.mark.parametrize("model, tau_zero, a22_widths", [
-    (stable_system(0), None, set()),             # p = 0
-    (constant_velocity(), None, {1}),            # k = 0
-    (mixed_system(2), None, {1}),
-    (mixed_system(3).astype(np.float32), None, {1}),
-    (mixed_system(0), None, {2}),                # a22 one 2x2 pair block
+@pytest.mark.parametrize("model, tau_zero, a22_widths, f12_widths", [
+    (stable_system(0), None, set(), set()),      # p = 0
+    (constant_velocity(), None, {1}, {2}),       # k = 0
+    (mixed_system(2), None, {1}, {2}),
+    (mixed_system(3).astype(np.float32), None, {1}, {2}),
+    (mixed_system(0), None, {2}, {2}),           # a22 one 2x2 pair block
     # a rotated index-3 chain: a22 is a 1x1 and a 2x2 block
     (gen_random_system(EnsembleSpec(6, 3, 3, seed=0), stream=3), 1e-3,
-     {1, 2}),
+     {1, 2}, {3}),
 ], ids=["p0", "k0", "mixed", "binary32", "a22-pair", "chain3-tau"])
-def test_proposed_warm_equals_cold(model, tau_zero, a22_widths):
+def test_proposed_warm_equals_cold(model, tau_zero, a22_widths, f12_widths):
     want = [cold(model, t, tau_zero) for t in HORIZONS]
     discretize._last_plan = None
     for t, r in zip(HORIZONS, want):
         assert same_bits(discretize_proposed(model, t, tau_zero), r), t
     stacked = discretize._last_plan.reports(HORIZONS)
     assert all(same_bits(s, r) for s, r in zip(stacked, want, strict=True))
-    # the f12 and q12 solves take column blocks as wide as a22's blocks
-    assert column_block_sizes(discretize._last_plan.q12_sylv[1]) == \
-        a22_widths
+    # the q12 solve takes column blocks as wide as a22's blocks, and the
+    # f12 solve one block as wide as a22 where a22 is coupled
+    plan = discretize._last_plan
+    assert column_block_sizes(plan.q12_sylv[1]) == a22_widths
+    assert column_block_sizes(plan.f12_sylv[1]) == f12_widths
 
 
 @pytest.mark.parametrize("spec", [EnsembleSpec(6, 4, 2, seed=100),

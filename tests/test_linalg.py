@@ -729,27 +729,51 @@ def quasi_upper(rng, m, pairs):
     return t
 
 
+def block_lower(rng, widths):
+    """A random block-lower triangular r with diagonal blocks of the given
+    widths, first to last, each a rotated quasi_upper block: every
+    eigenvalue's real part is in [-3, -1]."""
+    m = sum(widths)
+    r = np.tril(0.5 * rng.standard_normal((m, m)), -1)
+    j = 0
+    for w in widths:
+        q, _ = np.linalg.qr(rng.standard_normal((w, w)))
+        r[j:j + w, j:j + w] = q @ quasi_upper(rng, w, w // 2) @ q.T
+        j += w
+    return r
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("p", [4, 16, 17, 33])
 def test_trsylv_inverted_and_solved_blocks(p, dtype):
-    # ta is p x p, so the 1- and 2-column blocks of r are p and 2p wide:
-    # both inverted at p = 4 and 16, the 2-column ones solved at 17, both
-    # solved at 33
+    # ta is p x p, so a w-column block of r is w p wide: the 1- and
+    # 2-column blocks of the quasi-lower r are both inverted at p = 4 and
+    # 16, the 2-column ones solved at 17, both solved at 33; a block-lower
+    # r adds a 3-column block (inverted at p = 4 only), and an upper
+    # triangular r is one 7-column block (inverted at p = 4 only)
     rng = np.random.default_rng(p)
     ta = quasi_upper(rng, p, 1 if p < 7 else 3).astype(dtype)
     rs = [quasi_upper(rng, 7, 2).T.astype(dtype) for _ in range(3)]
+    other = np.random.default_rng([p, 1])
+    rs += [block_lower(other, (1, 3, 2, 1)).astype(dtype),
+           quasi_upper(other, 7, 0).astype(dtype),
+           np.zeros((0, 0), dtype=dtype)]
+    want = 3 * [[(6, 7), (5, 6), (3, 5), (2, 3), (0, 2)]] + \
+        [[(6, 7), (4, 6), (1, 4), (0, 1)], [(0, 7)], []]
     blocks = _kernels.sylv_blocks(ta, *rs)
-    assert len(blocks) == 3
-    for r, got in zip(rs, blocks):
-        assert {j - j0 for j0, j, _ in got} == {1, 2}
-        # one call for three operators gives the bits of one call each
+    assert len(blocks) == len(rs)
+    for r, got, spans in zip(rs, blocks, want):
+        assert [(j0, j) for j0, j, _ in got] == spans
+        # one call for several operators gives the bits of one call each
         (alone,) = _kernels.sylv_blocks(ta, r)
         assert [(j0, j) for j0, j, _ in got] == \
             [(j0, j) for j0, j, _ in alone]
         assert all(x.dtype == dtype and np.array_equal(x, y)
                    for (_, _, x), (_, _, y) in zip(got, alone))
-        c = rng.standard_normal((3, p, 7)).astype(dtype)
+        m = r.shape[0]
+        c = rng.standard_normal((3, p, m)).astype(dtype)
         stacked = _kernels.trsylv(got, r, c)
+        assert stacked.shape == c.shape
         ta64, r64 = ta.astype(np.float64), r.astype(np.float64)
         for ci, yi in zip(c, stacked):
             y = _kernels.trsylv(got, r, ci)

@@ -9,7 +9,12 @@ truths; it shows that the methods' bits stay when only the truths move.  A fifth
 ``lyap-q``, which no workload runs, on fixed stable models at both widths
 (``EnsembleSpec(6, 6, 0, seed=1)`` and ``EnsembleSpec(16, 16, 0, seed=3)``,
 4 streams each, T in {1e-3, 1, 100}); it does not depend on ``--seed``.
-Workload inputs come from
+A sixth, ``deep-chains``, hashes ``discretize_proposed``'s F, Q and
+exception type names on the four models of
+``test_proposed_deep_integrator_chains`` (index-3 and index-4 integrator
+chains, which no workload discretizes successfully), with their
+``tau_zero``, at T in {0.1, 1, 10} and at both widths; it does not depend
+on ``--seed`` either.  Workload inputs come from
 perfbench/workloads.py and the package from this checkout's src/, so two
 checkouts that print the same lines compute the same bits on those inputs.
 """
@@ -34,6 +39,27 @@ LYAP_MODELS = [sdedisc.gen_random_system(spec, stream)
                for spec in (sdedisc.EnsembleSpec(6, 6, 0, seed=1),
                             sdedisc.EnsembleSpec(16, 16, 0, seed=3))
                for stream in range(4)]
+
+
+def triangular_chain3():
+    """Unrotated quasi-upper-triangular A: a complex pair above a 3-chain,
+    as in tests/test_discretize.py."""
+    a = np.zeros((5, 5))
+    a[:2, :2] = [[-0.5, 2.0], [-0.5, -0.5]]
+    a[2, 3] = a[3, 4] = 1.0
+    a[:2, 2:] = [[0.3, -1.2, 0.5], [0.8, 0.4, -0.7]]
+    g = np.arange(1.0, 26.0).reshape(5, 5) % 7 - 3
+    return sdedisc.ContinuousModel(a, g @ g.T / sdedisc.spectral_norm(g @ g.T))
+
+
+# (model, tau_zero) of each deep integrator chain
+CHAIN_MODELS = [
+    (triangular_chain3(), None),
+    (sdedisc.observer_canonical([1.5, 0.7], [1.0, 0.2], p=3), None),
+    (sdedisc.gen_random_system(sdedisc.EnsembleSpec(6, 3, 3, seed=0), 3),
+     1e-4),
+    (sdedisc.gen_random_system(sdedisc.EnsembleSpec(7, 3, 4, seed=1)), 2e-3),
+]
 
 
 def feed(h, out, records=True):
@@ -83,3 +109,14 @@ if __name__ == "__main__":
                         out = exc
                     feed(lyap, out)
     print("lyap-methods", lyap.hexdigest())
+    chains = hashlib.sha256()
+    for m, tau_zero in CHAIN_MODELS:
+        for dtype in (np.float64, np.float32):
+            for t in (0.1, 1.0, 10.0):
+                try:
+                    out = sdedisc.discretize_proposed(m.astype(dtype), t,
+                                                      tau_zero)
+                except Exception as exc:
+                    out = exc
+                feed(chains, out)
+    print("deep-chains", chains.hexdigest())

@@ -11,7 +11,11 @@ kept) at n in {6, 16, 32, 48} on ``EnsembleSpec(n, n - 2, 2, seed=7)``, four
 streams per size; ``discretize_proposed`` cold on irregular-track's rotated
 index-3 chains (``EnsembleSpec(6, 3, 3, seed=0)``, its 32 streams 3, 7, ..,
 127, of which 18 take real_schur's fallback start from ``A``, their
-eigenvector bases being too ill-conditioned); and ``discretize_lyap_q``
+eigenvector bases being too ill-conditioned); ``discretize_proposed`` cold
+and warm on index-3 chains at n = 16 (``EnsembleSpec(16, 13, 3, seed=1)``,
+four streams, ``tau_zero=1e-2``), whose coupled 3x3 integrator block makes
+the f12 solve one block of 39 unknowns, solved and not inverted; and
+``discretize_lyap_q``
 at n = 16 on ``EnsembleSpec(16, 16, 0, seed=3)``, four streams; binary64.
 A sample is the CPU time (``time.process_time``) per call over a fixed
 batch of calls, the batch sized once per row to take about
@@ -65,6 +69,11 @@ def rows(pkg):
     chains = [pkg.gen_random_system(pkg.EnsembleSpec(6, 3, 3, seed=0), s)
               for s in CHAIN_STREAMS]
     out.append(("proposed cold chains", proposed(pkg, chains, False)))
+    chains = [pkg.gen_random_system(pkg.EnsembleSpec(16, 13, 3, seed=1), s)
+              for s in range(STREAMS)]
+    for warm in (False, True):
+        out.append((f"proposed {'warm' if warm else 'cold'} p3 n=16",
+                    proposed(pkg, chains, warm, 1e-2)))
     models = [pkg.gen_random_system(pkg.EnsembleSpec(16, 16, 0, seed=3), s)
               for s in range(STREAMS)]
     out.append(("lyap-q n=16", cycle(
@@ -82,18 +91,19 @@ def cycle(calls):
     return call
 
 
-def proposed(pkg, models, warm):
+def proposed(pkg, models, warm, tau_zero=None):
     """A cold call drops the kept plan first; a warm call evaluates the
     first model at the next of HORIZONS, with its plan kept (made again by
     an untimed call when another row replaced it, see sample)."""
     d = pkg.discretize
     if warm:
-        return cycle([lambda t=t: pkg.discretize_proposed(models[0], t)
+        return cycle([lambda t=t: pkg.discretize_proposed(models[0], t,
+                                                          tau_zero)
                       for t in HORIZONS])
 
     def cold(m):
         d._last_plan = None
-        pkg.discretize_proposed(m, 1.0)
+        pkg.discretize_proposed(m, 1.0, tau_zero)
     return cycle([lambda m=m: cold(m) for m in models])
 
 
