@@ -95,26 +95,7 @@ def _roots(h11, h12, h21, h22):
     return mid + root, mid - root
 
 
-def _nearest(shifts, r):
-    return min(shifts, key=lambda z: abs(z - r))
-
-
-def _snapped_shift(h11, h12, h21, h22, shifts):
-    """(trace, determinant) of the Wilkinson pair -- the eigenvalues of the
-    trailing 2x2 block [[h11, h12], [h21, h22]] -- snapped to the nearest
-    of the given eigenvalues: a root that snaps to a complex eigenvalue
-    brings that eigenvalue's conjugate as the other shift, and two real
-    hits are kept one by one."""
-    pair = []
-    for r in _roots(h11, h12, h21, h22):
-        hit = _nearest(shifts, r)
-        if hit.imag != 0.0:
-            return 2.0 * hit.real, hit.real * hit.real + hit.imag * hit.imag
-        pair.append(hit.real)
-    return pair[0] + pair[1], pair[0] * pair[1]
-
-
-def francis_qr(hu, eps, anorm, max_sweeps, zeros, shifts, top):
+def francis_qr(hu, eps, anorm, max_sweeps, zeros, top):
     """Francis implicit double-shift QR on the upper Hessenberg top half T
     of hu, in place.
 
@@ -127,15 +108,12 @@ def francis_qr(hu, eps, anorm, max_sweeps, zeros, shifts, top):
     Each iteration's double shift is, in this order of precedence: the
     exceptional shift on every 10th iteration without a deflation at the
     bottom of the active window; while fewer than 10 such iterations have
-    passed, a double shift at 0 if the window's bottom row is one of the
-    last ``zeros`` rows, else the Wilkinson pair snapped to the nearest of
-    ``shifts`` (the eigenvalues of T, as Python complex numbers) not yet
-    deflated; after that, the Wilkinson pair itself.  Each 1x1 or 2x2
-    block that deflates at the bottom retires, for each of its
-    eigenvalues, the nearest entry of ``shifts``.  Zero shifts deflate the
-    eigenvalues near 0 at the bottom, so integrators finish last; a window
-    whose steered shifts stall falls back to the standard Wilkinson shift
-    from its first exceptional shift on.
+    passed and the window's bottom row is one of the last ``zeros`` rows,
+    a double shift at 0; otherwise the Wilkinson pair, the eigenvalues of
+    the window's trailing 2x2 block.  Zero shifts deflate the eigenvalues
+    near 0 at the bottom, so integrators finish last; a window whose zero
+    shifts stall takes the Wilkinson pair from its first exceptional shift
+    on.
     """
     n = hu.shape[1]
     if n <= 2:
@@ -145,18 +123,12 @@ def francis_qr(hu, eps, anorm, max_sweeps, zeros, shifts, top):
     total = 0
     stall = 0
     limit = max_sweeps * n
-    shifts = list(shifts)
-    # (lo, hi) of each block deflated since shifts was last searched; no
-    # later similarity touches a deflated block, so its eigenvalues are
-    # retired only when a snapped shift needs them gone
-    deflated = []
     while hi > top:
         total += 1
         if total > limit:
             return total, False
         lo = _deflate(h, hi, eps, anorm)
         if lo >= hi - 1:
-            deflated.append((lo, hi))
             hi = lo - 1
             stall = 0
             continue
@@ -170,14 +142,6 @@ def francis_qr(hu, eps, anorm, max_sweeps, zeros, shifts, top):
             det = s * s + 0.4375 * sx * sx
         elif stall < 10 and hi >= n - zeros:
             trc = det = 0.0
-        elif stall < 10:
-            for i, j in deflated:
-                block = h[i:j + 1, i:j + 1].ravel().tolist()
-                for r in _roots(*block) if i < j else block:
-                    shifts.remove(_nearest(shifts, r))
-            deflated.clear()
-            trc, det = _snapped_shift(float(h11), float(h12), float(h21),
-                                      float(h22), shifts)
         else:
             trc = h11 + h22
             det = h11 * h22 - h12 * h21

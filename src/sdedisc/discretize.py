@@ -162,20 +162,21 @@ def q_nilpotent(a22: np.ndarray, s22: np.ndarray, t: float) -> np.ndarray:
     Raises NilpotencyError when |A^p| exceeds a tolerance that allows
     for the eps^(1/p) spread of a perturbed index-p chain."""
     t = _check_horizon(t)
-    terms = _nilpotent_terms(a22, s22)
+    _, terms = _nilpotent_terms(a22, s22)
     with np.errstate(over="ignore", invalid="ignore"):
-        (q,) = _nilpotent_sum(terms, _nilpotent_table(terms.shape[-1]),
-                              (t,))
+        (q,) = _sym(_nilpotent_sum(terms, _nilpotent_table(terms.shape[-1]),
+                                   (t,)))
     if not np.isfinite(q).all():
         raise MatrixOverflowError(
             f"nilpotent covariance overflowed {q.dtype.name} at t = {t:.3g}")
     return q
 
 
-def _nilpotent_terms(a22: np.ndarray, s22: np.ndarray) -> np.ndarray:
+def _nilpotent_terms(a22: np.ndarray, s22: np.ndarray) -> tuple:
     """q_nilpotent's horizon-free part: check that a22 is nilpotent and
-    return the products A^i S (A^j)^T, i, j < p, as a (p*p, p, p) stack in
-    the order (i, j) = (0, 0), (0, 1), .., (p-1, p-1)."""
+    return its powers A^i, i < p, as a (p, p, p) stack, and the products
+    A^i S (A^j)^T, i, j < p, as a (p*p, p, p) stack in the order
+    (i, j) = (0, 0), (0, 1), .., (p-1, p-1)."""
     a22 = check_square(a22, "nilpotent block")
     s22 = check_square(s22, "nilpotent noise block")
     if s22.shape != a22.shape:
@@ -194,7 +195,7 @@ def _nilpotent_terms(a22: np.ndarray, s22: np.ndarray) -> np.ndarray:
     for i in range(p):
         for j in range(p):
             terms[i * p + j] = powers[i] @ s22 @ powers[j].T
-    return terms
+    return np.array(powers[:p], dtype=a22.dtype).reshape(p, p, p), terms
 
 
 def _nilpotent_table(p: int) -> list:
@@ -206,11 +207,12 @@ def _nilpotent_table(p: int) -> list:
 
 
 def _nilpotent_sum(terms: np.ndarray, table: list, ts) -> np.ndarray:
-    """q_nilpotent at every horizon of ts, as a (len(ts), p, p) stack, from
-    the products of _nilpotent_terms and the coefficients' _nilpotent_table.
-    A horizon whose sum overflows the width has a non-finite slice (numpy
-    warns of it unless the caller silences it with np.errstate)."""
-    p = terms.shape[-1]
+    """sum_k T^e_k / d_k terms[k] at every horizon T of ts, as a
+    (len(ts), p, p) stack, for the (e_k, d_k) of table: q_nilpotent before
+    symmetrizing, or exp(A T) - I from the powers A^1 .. A^(p-1) and the
+    table (i, i!).  A horizon whose sum overflows the width has a
+    non-finite slice (numpy warns of it unless the caller silences it with
+    np.errstate)."""
 
     # the coefficients in Python floats, as for one horizon, then rounded
     # to the width once each
@@ -221,20 +223,8 @@ def _nilpotent_sum(terms: np.ndarray, table: list, ts) -> np.ndarray:
             return [math.inf] * len(table)
 
     coefs = np.array([coefs_at(t) for t in ts],
-                     dtype=terms.dtype).reshape(len(ts), p * p, 1, 1)
-    return _sym((coefs * terms).sum(axis=1))
-
-
-def _nilpotent_expm1(a22: np.ndarray, ts) -> np.ndarray:
-    """exp(A t) - I for a nilpotent block A = a22 at every horizon of ts,
-    as the terminating power series: a (len(ts), p, p) stack."""
-    p = a22.shape[0]
-    acc = np.zeros((len(ts), p, p), dtype=a22.dtype)
-    for i in range(1, p):
-        scale = np.array([t / i for t in ts], dtype=a22.dtype)
-        term = (a22 if i == 1 else term @ a22) * scale[:, None, None]
-        acc = acc + term
-    return acc
+                     dtype=terms.dtype).reshape(len(ts), len(table), 1, 1)
+    return (coefs * terms).sum(axis=1)
 
 
 class _ProposedPlan:
@@ -246,18 +236,19 @@ class _ProposedPlan:
     Bartels-Stewart solves, which share a11 and so come from one
     sylv_blocks call, as inverses wherever a block is at most 32 wide, so
     that a horizon's solves are products; and the integrator block's
-    products A^i (S/2) (A^j)^T, after checking that it is nilpotent, with
-    the (exponent, denominator) table of their coefficients.  A model that
-    fails a guard or the check raises here; ``reports`` evaluates
-    horizons."""
+    powers A^i and products A^i (S/2) (A^j)^T, after checking that it is
+    nilpotent, with the (exponent, denominator) tables of their series.
+    A model that fails a guard or the check raises here; ``reports``
+    evaluates horizons."""
 
     def __init__(self, m: ContinuousModel, tau_zero: float | None, key):
         self.key = key
         tau_default = tau_zero_default(m.a)
         if tau_zero is None:
             tau_zero = tau_default
-        # shifted so that the integrators finish last: the reordering then
-        # only classifies, unless rounding left one behind
+        # shifted so that the integrators finish last: the reordering swaps
+        # only where tau_zero parts LAPACK's and the Schur form's modulus of
+        # an ill-conditioned eigenvalue, else it just classifies
         u, at, k = order_schur_zeros_last(*real_schur(m.a, tau_zero),
                                           tau_zero)
         a11 = np.ascontiguousarray(at[:k, :k])
@@ -287,7 +278,7 @@ class _ProposedPlan:
                 msg = f"proposed method not applicable: {exc}"
             raise UnsupportedSpectrumError(msg) from exc
         self.u, self.k = u, k
-        self.a11, self.a12, self.a22 = a11, at[:k, k:], a22
+        self.a11, self.a12 = a11, at[:k, k:]
         # the identity ft adds back to exp(at t) - I
         self.eye = np.eye(m.n, dtype=u.dtype)
         self.aug11 = _augmented(a11)
@@ -305,9 +296,12 @@ class _ProposedPlan:
         # Q does; halving is exact, so no other bit changes
         self.st_half = m.dtype.type(0.5) * _sym(
             self.u_inv @ m.s @ self.u_inv.T)
-        self.q22_terms = _nilpotent_terms(
+        powers, self.q22_terms = _nilpotent_terms(
             a22, np.ascontiguousarray(self.st_half[k:, k:]))
         self.q22_table = _nilpotent_table(a22.shape[0])
+        # exp(a22 t) - I = sum_{i=1}^{p-1} t^i / i! a22^i
+        self.f22_terms = powers[1:]
+        self.f22_table = [(i, math.factorial(i)) for i in range(1, m.n - k)]
 
     def reports(self, ts) -> list:
         """discretize_proposed at every positive horizon of ts in one pass:
@@ -317,7 +311,7 @@ class _ProposedPlan:
         is bit for bit what ts[i] alone gives; a horizon whose numbers
         overflow fails alone."""
         n, k = self.u.shape[0], self.k
-        a11, a12, a22 = self.a11, self.a12, self.a22
+        a11, a12 = self.a11, self.a12
         with np.errstate(over="ignore", invalid="ignore"):
             # assemble mt = exp(at * t) - I blockwise (the whole-matrix
             # exponential loses accuracy for large t * |A| through repeated
@@ -328,14 +322,15 @@ class _ProposedPlan:
             big, exp_ok = _mat_exp_many(self.aug11, ts)
             mt = np.zeros((len(ts), n, n), dtype=self.u.dtype)
             mt[:, :k, :k] = a11 @ big[:, :k, k:]
-            mt[:, k:, k:] = _nilpotent_expm1(a22, ts)
+            mt[:, k:, k:] = _nilpotent_sum(self.f22_terms, self.f22_table,
+                                           ts)
             # f12: a11 X - X a22 = c
             c12 = mt[:, :k, :k] @ a12 - a12 @ mt[:, k:, k:]
             mt[:, :k, k:] = _kernels.trsylv(*self.f12_sylv, c12)
             ft = mt + self.eye
             ft[:, :k, :k] = big[:, :k, :k]
             vt = _x_minus_fxft(mt, self.st_half)
-            q22 = _nilpotent_sum(self.q22_terms, self.q22_table, ts)
+            q22 = _sym(_nilpotent_sum(self.q22_terms, self.q22_table, ts))
             rhs12 = -vt[:, :k, k:] - a12 @ q22
             q12 = _kernels.trsylv(*self.q12_sylv, rhs12)
             rhs11 = -vt[:, :k, :k] - a12 @ q12.mT - q12 @ a12.T

@@ -162,33 +162,29 @@ def real_schur(a: np.ndarray, tau_zero: float):
     the eigenvalues of modulus > tau_zero reduces a to q^T a q, already
     quasi-triangular over that basis, when what it leaves below that
     structure is at most _EIGVEC_START_TOL n eps ||a||_F (the error of an
-    eigenvector basis grows with its condition number).  Otherwise, for
-    instance for defective eigenvalues, it starts from a itself.  Either
-    way the QR iteration is then steered by LAPACK's eigenvalues: double
-    shifts at 0 until the eigenvalues of modulus <= tau_zero have deflated
-    at the bottom of t, then Wilkinson shifts snapped to the nearest
-    eigenvalues not yet deflated (see _kernels.francis_qr).  From the
-    eigenvector start the Hessenberg reduction and QR touch only the
-    trailing window of small eigenvalues; from a they reduce the whole
-    matrix, and the steered shifts take fewer iterations than the standard
-    Wilkinson shifts, which serve only as the fallback for a window whose
-    steered shifts stall.  The integrators come out trailing."""
+    eigenvector basis grows with its condition number).  Then the
+    Hessenberg reduction and QR touch only the trailing window of the
+    eigenvalues of modulus <= tau_zero.  Otherwise, for instance for
+    defective eigenvalues, they reduce a itself.  Either way the QR
+    iteration takes double shifts at 0 while the window's bottom row lies
+    among the last as many rows as LAPACK counts eigenvalues of modulus
+    <= tau_zero, and Wilkinson shifts otherwise or once the zero shifts
+    stall (see _kernels.francis_qr).  The integrators come out trailing."""
     a = check_square(a, "real_schur input")
     dtype = a.dtype if a.dtype in (np.float32, np.float64) else np.float64
     n = a.shape[0]
     hu = np.concatenate([np.asarray(a, dtype=dtype), np.eye(n, dtype=dtype)])
-    zeros, shifts, top = 0, (), 0
+    zeros, top = 0, 0
     if n > 2:  # francis_qr has no work below 3
         ev, vecs = np.linalg.eig(hu[:n])
         zeros = int(np.count_nonzero(np.abs(ev) <= tau_zero))
-        shifts = ev.tolist()
         start = _eigenvector_start(hu[:n], ev, vecs, tau_zero)
         if start is not None:
             hu, top = start
     _kernels.hessenberg(hu, top)
     iterations, ok = _kernels.francis_qr(hu, eps_of(dtype),
                                          float(np.linalg.norm(a)),
-                                         _MAX_QR_SWEEPS, zeros, shifts, top)
+                                         _MAX_QR_SWEEPS, zeros, top)
     if not ok:
         raise ConvergenceError(
             f"QR iteration did not converge within {_MAX_QR_SWEEPS * n} "

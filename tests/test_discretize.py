@@ -214,7 +214,7 @@ def test_nilpotent_sum_matches_product_loop(p, dtype):
     rng = np.random.default_rng(p)
     a = np.triu(rng.standard_normal((p, p)), 1).astype(dtype)
     s = rng.standard_normal((p, p))
-    terms = discretize._nilpotent_terms(a, (s @ s.T).astype(dtype))
+    _, terms = discretize._nilpotent_terms(a, (s @ s.T).astype(dtype))
     table = discretize._nilpotent_table(p)
     ts = np.geomspace(1e-3, 1e3, 20).tolist()
     got = discretize._nilpotent_sum(terms, table, ts)
@@ -222,7 +222,7 @@ def test_nilpotent_sum_matches_product_loop(p, dtype):
         q = np.zeros((p, p), dtype=dtype)
         for (e, d), term in zip(table, terms):
             q = q + dtype(t ** e / d) * term
-        assert got[i].tobytes() == discretize._sym(q).tobytes()
+        assert got[i].tobytes() == q.tobytes()
 
 
 # -------------------------------------------------- cross-method checks
@@ -775,6 +775,23 @@ def test_proposed_plan_makes_no_swaps(spec, monkeypatch):
         report = discretize_proposed(gen_random_system(spec, stream), 1.0)
         assert report.diagnostics["integrator_count"] == 2.0
     assert not swaps
+
+
+def test_proposed_caller_tau_zero_swaps_blocks(monkeypatch):
+    # LAPACK puts the integrator pair at |lambda| = 5.14e-8 and the Schur
+    # form at 4.84e-8: a tau_zero between the two counts no zero for the
+    # shifts, and the reordering swaps the pair last
+    swaps = []
+    swap = linalg._swap_adjacent_blocks
+    monkeypatch.setattr(linalg, "_swap_adjacent_blocks",
+                        lambda *args: swaps.append(1) or swap(*args))
+    m = gen_random_system(EnsembleSpec(6, 4, 2, seed=0), stream=0)
+    tau_zero = 0.99 * float(np.abs(np.linalg.eigvals(m.a)).min())
+    for t in (0.01, 1.0, 100.0):
+        report = discretize_proposed(m, t, tau_zero)
+        assert report.diagnostics["integrator_count"] == 2.0
+        assert rel_err(report.model.q, scipy_doubling_q(m, t)) <= 1e-9, t
+    assert swaps
 
 
 def test_proposed_factors_once_for_many_horizons(schur_count):

@@ -646,10 +646,9 @@ def test_schur_kernels_reduce_only_trailing_window(seed, n, dtype, data):
     t0 = t0.astype(dtype)
     hu = np.concatenate([t0, np.eye(n, dtype=dtype)])
     _kernels.hessenberg(hu, top)
-    ev = np.linalg.eigvals(t0.astype(np.float64)).tolist()
     iterations, converged = _kernels.francis_qr(
         hu, float(np.finfo(dtype).eps), float(np.linalg.norm(t0)),
-        linalg._MAX_QR_SWEEPS, 0, ev, top)
+        linalg._MAX_QR_SWEEPS, 0, top)
     t, u = hu[:n], hu[n:]
     assert converged
     assert t[:top, :top].tobytes() == t0[:top, :top].tobytes()
@@ -662,12 +661,26 @@ def test_schur_kernels_reduce_only_trailing_window(seed, n, dtype, data):
             <= tol * np.linalg.norm(t0.astype(np.float64), 2))
 
 
-def test_real_schur_snapped_shifts_fall_back_after_stall(qr_results):
-    # shifts snapped to LAPACK's eigenvalues never converge on this drift
-    # without the fallback to the standard shift
+def test_real_schur_fallback_start_converges(qr_results, eigvec_starts):
+    # this rotated index-3 chain's eigenvector basis is refused, and the
+    # factorization from the drift itself converges
     m = gen_random_system(EnsembleSpec(6, 3, 3, seed=0), stream=43)
     check_real_schur(m.a, tau_zero_default(m.a))
+    assert eigvec_starts == [False]
     assert qr_results[-1][1]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 16),
+       p=st.integers(0, 5), dtype=st.sampled_from([np.float64, np.float32]))
+def test_real_schur_fallback_start_property(seed, n, p, dtype):
+    # every drift factored from itself, as when its eigenvector basis is
+    # refused: stable poles over a rotated index-p integrator chain
+    p = min(p, n)
+    a = _integrator_system(np.random.default_rng(seed), n - p, p)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_eigenvector_start", lambda *args: None)
+        check_real_schur(a.astype(dtype))
 
 
 @pytest.mark.parametrize("seed", [9, 15, 37, 44])

@@ -14,9 +14,13 @@ index-3 chains (``EnsembleSpec(6, 3, 3, seed=0)``, its 32 streams 3, 7, ..,
 eigenvector bases being too ill-conditioned); ``discretize_proposed`` cold
 and warm on index-3 chains at n = 16 (``EnsembleSpec(16, 13, 3, seed=1)``,
 four streams, ``tau_zero=1e-2``), whose coupled 3x3 integrator block makes
-the f12 solve one block of 39 unknowns, solved and not inverted; and
+the f12 solve one block of 39 unknowns, solved and not inverted;
 ``discretize_lyap_q``
-at n = 16 on ``EnsembleSpec(16, 16, 0, seed=3)``, four streams; binary64.
+at n = 16 on ``EnsembleSpec(16, 16, 0, seed=3)``, four streams; and
+``real_schur`` at the default ``tau_zero`` on the drifts of
+tests/test_linalg.py's critically damped and coupled repeated pair families
+(rotated by seeds 0-7 and 0-3) whose eigenvector bases are refused, so that
+each factors from ``A`` itself; binary64.
 A sample is the CPU time (``time.process_time``) per call over a fixed
 batch of calls, the batch sized once per row to take about
 ``--sample-ms``.  Each row prints both
@@ -78,6 +82,41 @@ def rows(pkg):
               for s in range(STREAMS)]
     out.append(("lyap-q n=16", cycle(
         [lambda m=m: pkg.discretize_lyap_q(m, 1.0) for m in models])))
+    linalg = pkg.linalg
+    drifts = []
+    for a in fallback_drifts():
+        tau = linalg.tau_zero_default(a)
+        if linalg._eigenvector_start(a, *np.linalg.eig(a), tau) is None:
+            drifts.append((a, tau))
+    out.append(("real_schur fallback", cycle(
+        [lambda a=a, tau=tau: linalg.real_schur(a, tau)
+         for a, tau in drifts])))
+    return out
+
+
+def rotated(t0, seed):
+    """t0 under a random orthogonal similarity, as in tests/test_linalg.py."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(t0.shape))
+    return q @ t0 @ q.T
+
+
+def fallback_drifts():
+    """tests/test_linalg.py's rotated critically damped pole next to an
+    integrator pair, and its coupled repeated pairs -0.5 +- 2i (2 and 3
+    of them, without and with a trailing index-2 integrator chain)."""
+    t0 = np.zeros((4, 4))
+    t0[:2, :2] = [[-1.0, 1.0], [0.0, -1.0]]
+    t0[2, 3] = 1.0
+    out = [rotated(t0, seed) for seed in range(8)]
+    pair = np.array([[-0.5, 2.0], [-2.0, -0.5]])
+    for reps in (2, 3):
+        lead = np.kron(np.eye(reps), pair) + np.kron(np.eye(reps, k=1),
+                                                     np.eye(2))
+        for p in (0, 2):
+            t0 = np.zeros((2 * reps + p, 2 * reps + p))
+            t0[:2 * reps, :2 * reps] = lead
+            t0[2 * reps:, 2 * reps:] = np.eye(p, k=1)
+            out += [rotated(t0, seed) for seed in range(4)]
     return out
 
 
