@@ -38,7 +38,6 @@ from .linalg import (
     _eig_sum_guard,
     _exp_overflow,
     _mat_exp_many,
-    _schur_lyapunov,
     _sym,
     check_square,
     eps_of,
@@ -46,6 +45,7 @@ from .linalg import (
     order_schur_zeros_last,
     quasi_tri_eigvalues,
     real_schur,
+    solve_lyapunov,
     spectral_norm,
     tau_zero_default,
 )
@@ -105,7 +105,8 @@ def _unwrap(out):
 
 def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
     """Stationary-covariance method: A P + P A^T = -S, then
-    Q = P - F P F^T.  Requires a strictly stable drift."""
+    Q = P - F P F^T.  Requires a strictly stable drift, every eigenvalue's
+    real part below -tau_zero_default(A)."""
     t = _check_horizon(t)
     if t == 0.0:
         return _trivial_report(m, Method.LYAP_P)
@@ -116,9 +117,10 @@ def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
     max_re = float(quasi_tri_eigvalues(ta).real.max(initial=-math.inf))
     if max_re >= -tau:
         raise MethodNotApplicableError(
-            "lyap-p requires a strictly stable drift; max Re(lambda) = "
-            f"{max_re:.3e}")
-    p = _schur_lyapunov(u, ta, -m.s)
+            f"lyap-p requires Re(lambda) < -{tau:.3e}, the margin "
+            "tau_zero_default(A), for every eigenvalue; max Re(lambda) = "
+            f"{max_re:.3e} is not below it")
+    p = solve_lyapunov(u, ta, -m.s)
     f, g = _exp_and_integral(_augmented(m.a), t)
     q = _x_minus_fxft(m.a @ g, p)
     return MethodReport(DiscreteModel(f, q, t), Method.LYAP_P)
@@ -127,8 +129,8 @@ def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
 def discretize_lyap_q(m: ContinuousModel, t: float) -> MethodReport:
     """Direct Lyapunov method: A Q + Q A^T = -(S - F S F^T).
 
-    Applicable whenever no two eigenvalues of A sum to zero (at working
-    precision); the drift need not be stable."""
+    Applicable whenever no two eigenvalues of A sum to within
+    2 tau_zero_default(A) of zero; the drift need not be stable."""
     t = _check_horizon(t)
     if t == 0.0:
         return _trivial_report(m, Method.LYAP_Q)
@@ -141,16 +143,17 @@ def discretize_lyap_q(m: ContinuousModel, t: float) -> MethodReport:
     except NearSingularError as exc:
         i, j = exc.pair
         raise MethodNotApplicableError(
-            "lyap-q not applicable: eigenvalue pair "
-            f"({i:.3e}, {j:.3e}) sums to ~0 (integrator or "
-            "mirrored poles); unique-solution condition violated") from exc
+            f"lyap-q not applicable: eigenvalue pair ({i:.3e}, {j:.3e}) "
+            f"has |sum| = {abs(i + j):.3e} <= 2 tau_zero_default(A) = "
+            f"{2.0 * tau:.3e}, the margin from 0 that lyap-q requires of "
+            "every eigenvalue sum for a unique solution") from exc
     f, g = _exp_and_integral(_augmented(m.a), t)
     # the solve takes V/2 and returns Q/2: for an unstable drift V is
     # about -2 Q, and would overflow the width before Q does.  What still
     # overflows is refused as non-finite, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         v_half = _x_minus_fxft(m.a @ g, m.dtype.type(0.5) * m.s)
-        q_half = _schur_lyapunov(u, ta, -v_half)
+        q_half = solve_lyapunov(u, ta, -v_half)
         q = q_half + q_half
     return MethodReport(DiscreteModel(f, q, t), Method.LYAP_Q)
 

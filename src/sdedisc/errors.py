@@ -45,8 +45,8 @@ class NearSingularError(SdeDiscError, ArithmeticError):
 
 
 class ClassificationError(SdeDiscError, RuntimeError):
-    """A 2x2 Schur block straddles the zero-eigenvalue threshold, or the
-    eigenvalue reordering failed to move every zero block last."""
+    """The eigenvalue reordering failed to move every block classified as
+    zero (integrator) last."""
 
 
 class NilpotencyError(SdeDiscError, ValueError):

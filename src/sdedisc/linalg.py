@@ -24,7 +24,6 @@ from .errors import (
 _THETA13 = 5.371920351148152
 
 _MAX_QR_SWEEPS = 60
-_MAX_JACOBI_SWEEPS = 60
 
 # real_schur starts from LAPACK's eigenvector basis when what that basis
 # leaves below the quasi-triangular structure is at most this many
@@ -207,22 +206,17 @@ def quasi_tri_eigvalues(t: np.ndarray) -> np.ndarray:
 
 
 def _classify_blocks(t: np.ndarray, tau_zero: float):
-    """(start, size, is_zero) for each diagonal block of a quasi-triangular
-    t, where is_zero means every eigenvalue of the block has modulus
-    <= tau_zero.  A 2x2 block whose pair straddles tau_zero raises
-    ClassificationError."""
+    """(start, size, is_zero) for each diagonal block of a standardized
+    quasi-triangular t, where is_zero means the block's eigenvalues have
+    modulus <= tau_zero: a standardized 2x2 block has an equal diagonal
+    and holds a conjugate pair, whose two moduli are equal."""
     n = t.shape[0]
     moduli = np.abs(quasi_tri_eigvalues(t))
     blocks = []
     i = 0
     while i < n:
         size = 2 if (i < n - 1 and t[i + 1, i] != 0.0) else 1
-        zero = moduli[i:i + size] <= tau_zero
-        if size == 2 and zero[0] != zero[1]:
-            raise ClassificationError(
-                f"2x2 block at {i} straddles tau_zero={tau_zero:.3g}: "
-                f"|ev| = {moduli[i:i + size]}")
-        blocks.append((i, size, bool(zero.all())))
+        blocks.append((i, size, bool(moduli[i] <= tau_zero)))
         i += size
     return blocks
 
@@ -308,62 +302,21 @@ def _sym(x: np.ndarray) -> np.ndarray:
     return half * x + half * x.mT
 
 
-def _schur_sylvester(ua, ta, ub, r, c, kind="sylvester"):
+def solve_sylvester(ua, ta, ub, r, c):
     """Bartels-Stewart from given Schur factors: X with a @ X + X @ b = c,
     where a = ua @ ta @ ua.T with ta quasi-upper triangular and
     b = ub @ r @ ub.T with r quasi-lower triangular."""
-    c = check_finite(np.asarray(c), f"{kind} c")
+    c = check_finite(np.asarray(c), "sylvester c")
     shape = (ta.shape[0], r.shape[0])
     if c.shape != shape:
         raise DimensionError(f"rhs shape {c.shape} incompatible with {shape}")
-    rhs = ua.T @ c @ ub
-    # the coefficients at the width of the right-hand side, which may be
-    # wider than the factors'
-    ta, r = (x.astype(rhs.dtype, copy=False) for x in (ta, r))
     (blocks,) = _kernels.sylv_blocks(ta, r)
-    return ua @ _kernels.trsylv(blocks, r, rhs) @ ub.T
+    return ua @ _kernels.trsylv(blocks, r, ua.T @ c @ ub) @ ub.T
 
 
-def _schur_lyapunov(u, t, c):
+def solve_lyapunov(u, t, c):
     """a @ X + X @ a.T = c for a = u @ t @ u.T, symmetrized."""
-    return _sym(_schur_sylvester(u, t, u, np.ascontiguousarray(t.T), c,
-                                 "lyapunov"))
-
-
-def solve_sylvester(a: np.ndarray, b: np.ndarray,
-                    c: np.ndarray) -> np.ndarray:
-    """Solve a @ X + X @ b = c by Bartels-Stewart.
-
-    Raises NearSingularError when min |lambda_i(a) + lambda_j(b)| falls
-    below the singularity threshold.
-    """
-    a = check_square(a, "sylvester a")
-    b = check_square(b, "sylvester b")
-    ua, ta = real_schur(a, tau_zero_default(a))
-    ub, tb = real_schur(b.T, tau_zero_default(b))  # b = ub @ tb.T @ ub.T
-    _eig_sum_guard(quasi_tri_eigvalues(ta), quasi_tri_eigvalues(tb),
-                   100.0 * eps_of(a) * float(np.linalg.norm(a)
-                                             + np.linalg.norm(b)))
-    return _schur_sylvester(ua, ta, ub, np.ascontiguousarray(tb.T), c)
-
-
-def solve_lyapunov(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Solve a @ X + X @ a.T = c for symmetric c; the result is explicitly
-    symmetrized.  Shares a single Schur factorization between both sides."""
-    a = check_square(a, "lyapunov a")
-    u, t = real_schur(a, tau_zero_default(a))
-    ev = quasi_tri_eigvalues(t)
-    _eig_sum_guard(ev, ev, 100.0 * eps_of(a) * 2.0 * float(np.linalg.norm(a)))
-    return _schur_lyapunov(u, t, c)
-
-
-def symmetric_eigvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix (ascending), via cyclic Jacobi."""
-    m = check_square(m, "symmetric matrix")
-    dtype = m.dtype if m.dtype in (np.float32, np.float64) else np.float64
-    work = np.array(m, dtype=dtype, copy=True)
-    vals = _kernels.jacobi_symm_eigvals(work, eps_of(dtype), _MAX_JACOBI_SWEEPS)
-    return np.sort(vals)
+    return _sym(solve_sylvester(u, t, u, np.ascontiguousarray(t.T), c))
 
 
 def spectral_norm(m: np.ndarray) -> float:

@@ -14,7 +14,7 @@ from sdedisc.discretize import (discretize_lyap_q, discretize_proposed,
                                 q_oracle, run_method, naive_q_b,
                                 lemma2_residual, semigroup_residual)
 from sdedisc.errors import MethodNotApplicableError
-from sdedisc.linalg import mat_exp, solve_lyapunov, spectral_norm
+from sdedisc.linalg import mat_exp, spectral_norm
 from sdedisc.models import ContinuousModel, Method
 from sdedisc.modelgen import EnsembleSpec, gen_random_system, \
     constant_velocity
@@ -172,9 +172,10 @@ def test_a5_precision_trend():
 
 
 def test_a6_stationary_limit():
+    sla = pytest.importorskip("scipy.linalg")
     worst = 0.0
     for m in stable_systems(20, seed=77):
-        p = solve_lyapunov(m.a, -m.s)
+        p = sla.solve_continuous_lyapunov(m.a, -m.s)
         t = 50.0
         while spectral_norm(mat_exp(m.a, t)) > 1e-8:
             t *= 2.0

@@ -23,7 +23,7 @@ from sdedisc.discretize import (discretize_lyap_p, discretize_lyap_q,
                                 naive_q_a, naive_q_b, q_oracle, q_nilpotent,
                                 run_method, lemma2_residual,
                                 semigroup_residual)
-from sdedisc.linalg import mat_exp, solve_lyapunov, spectral_norm
+from sdedisc.linalg import mat_exp, spectral_norm, tau_zero_default
 
 
 SCALAR = ContinuousModel(np.array([[-1.0]]), np.array([[2.0]]))
@@ -264,6 +264,22 @@ def test_integrator_lyap_q_not_applicable():
         discretize_lyap_q(mixed_system(0), 1.0)
 
 
+def test_lyap_refusals_name_their_margin():
+    # a stable drift without integrators: its slowest pole, -6.3e-2, lies
+    # within tau_zero_default(A) = 7.0e-2 of the imaginary axis at
+    # binary32, so both Lyapunov methods refuse it, by that margin
+    m = gen_random_system(EnsembleSpec(24, 24, 0, seed=2), 1).astype(
+        np.float32)
+    tau = tau_zero_default(m.a)
+    for method, margin in ((discretize_lyap_p, tau),
+                           (discretize_lyap_q, 2.0 * tau)):
+        with pytest.raises(MethodNotApplicableError) as info:
+            method(m, 1.0)
+        msg = str(info.value)
+        assert "tau_zero_default(A)" in msg and f"{margin:.3e}" in msg
+        assert "integrator" not in msg
+
+
 def test_observer_canonical_proposed_matches_oracle():
     m = observer_canonical([3.0, 2.0], [1.0, 0.5], p=2)
     report = discretize_proposed(m, 1.5)
@@ -294,8 +310,9 @@ def test_coupled_poles_unsupported_by_proposed():
 
 
 def test_lyap_p_reaches_stationary_covariance():
+    sla = pytest.importorskip("scipy.linalg")
     m = stable_system(7)
-    p = solve_lyapunov(m.a, -m.s)
+    p = sla.solve_continuous_lyapunov(m.a, -m.s)
     t = 150.0  # exp(A t) is negligible here
     report = discretize_lyap_p(m, t)
     assert rel_err(report.model.q, p) < 1e-9

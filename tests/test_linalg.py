@@ -11,11 +11,10 @@ from hypothesis import given, settings, strategies as st
 from sdedisc import _kernels, discretize, linalg
 from sdedisc.discretize import discretize_proposed
 from sdedisc.errors import (ConvergenceError, MatrixOverflowError,
-                            NearSingularError, DimensionError, NonFiniteError)
+                            DimensionError, NonFiniteError)
 from sdedisc.linalg import (mat_exp, real_schur, order_schur_zeros_last,
                             quasi_tri_eigvalues, solve_sylvester,
-                            solve_lyapunov, spectral_norm,
-                            symmetric_eigvalues, tau_zero_default)
+                            solve_lyapunov, spectral_norm, tau_zero_default)
 from sdedisc.modelgen import EnsembleSpec, gen_random_system
 
 
@@ -702,6 +701,19 @@ def _complex_blocks(t):
     return int(np.count_nonzero(np.diagonal(t, -1)))
 
 
+def sylvester_by_schur(a, b, c):
+    """solve_sylvester for a @ X + X @ b = c from real_schur's factors of a
+    and of b^T, b = ub @ tb^T @ ub^T."""
+    ua, ta = real_schur(a, tau_zero_default(a))
+    ub, tb = real_schur(b.T, tau_zero_default(b))
+    return solve_sylvester(ua, ta, ub, np.ascontiguousarray(tb.T), c)
+
+
+def lyapunov_by_schur(a, c):
+    """solve_lyapunov for a @ X + X @ a^T = c from real_schur's factors."""
+    return solve_lyapunov(*real_schur(a, tau_zero_default(a)), c)
+
+
 def test_solve_sylvester_random_residuals():
     rng = np.random.default_rng(14)
     pairs_both_sides = 0
@@ -715,12 +727,13 @@ def test_solve_sylvester_random_residuals():
         c = rng.standard_normal((na, nb))
         for dtype in (np.float64, np.float32):
             a_w, b_w = a.astype(dtype), b.astype(dtype)
-            ta = real_schur(a_w, tau_zero_default(a_w))[1]
-            tb = real_schur(b_w.T, tau_zero_default(b_w))[1]
+            ua, ta = real_schur(a_w, tau_zero_default(a_w))
+            ub, tb = real_schur(b_w.T, tau_zero_default(b_w))
             # 2x2 blocks in ta, and 2-column blocks of r = tb^T in trsylv
             pairs_both_sides += bool(_complex_blocks(ta)
                                      and _complex_blocks(tb))
-            x = solve_sylvester(a_w, b_w, c.astype(dtype))
+            x = solve_sylvester(ua, ta, ub, np.ascontiguousarray(tb.T),
+                                c.astype(dtype))
             assert x.dtype == dtype
             res = np.linalg.norm(a @ x + x @ b - c)
             scale = (np.linalg.norm(a) + np.linalg.norm(b)) \
@@ -806,7 +819,7 @@ def test_solve_lyapunov_residual_and_symmetry():
         a = a - (np.abs(np.linalg.eigvals(a).real).max() + 0.5) * np.eye(n)
         g = rng.standard_normal((n, n))
         c = -(g @ g.T)
-        x = solve_lyapunov(a, c)
+        x = lyapunov_by_schur(a, c)
         assert np.array_equal(x, x.T)
         res = np.linalg.norm(a @ x + x @ a.T - c)
         assert res < 1e-11 * max(1.0, np.linalg.norm(x))
@@ -814,21 +827,8 @@ def test_solve_lyapunov_residual_and_symmetry():
 
 def test_solve_lyapunov_stationary_scalar():
     # a x + x a = -s  ->  x = s / (2 |a|)
-    x = solve_lyapunov(np.array([[-1.0]]), np.array([[-2.0]]))
+    x = lyapunov_by_schur(np.array([[-1.0]]), np.array([[-2.0]]))
     assert x[0, 0] == pytest.approx(1.0, rel=1e-14)
-
-
-def test_solve_sylvester_near_singular_guard():
-    # spectra {1} and {-1}: eigenvalue sum exactly zero
-    with pytest.raises(NearSingularError):
-        solve_sylvester(np.array([[1.0]]), np.array([[-1.0]]),
-                        np.array([[1.0]]))
-
-
-def test_solve_lyapunov_integrator_guard():
-    a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(NearSingularError):
-        solve_lyapunov(a, -np.eye(2))
 
 
 def test_solve_sylvester_float32():
@@ -836,10 +836,55 @@ def test_solve_sylvester_float32():
     a = (random_matrix(rng, 3) - 3.0 * np.eye(3)).astype(np.float32)
     b = (random_matrix(rng, 3) - 3.0 * np.eye(3)).astype(np.float32)
     c = rng.standard_normal((3, 3)).astype(np.float32)
-    x = solve_sylvester(a, b, c)
+    x = sylvester_by_schur(a, b, c)
     assert x.dtype == np.float32
     res = np.linalg.norm(a @ x + x @ b - c)
     assert res < 1e-4
+
+
+def sep_shifted(rng, n, delta, dtype):
+    """A random n x n matrix at the given width whose symmetric part has
+    every eigenvalue at most -delta / 2: then for two of them, a and b,
+    <a X + X b, X> <= -delta |X|_F^2, so sep(a, b) >= delta in the
+    Frobenius norm, and every lambda_i(a) + lambda_j(b) has real part at
+    most -delta."""
+    g = rng.standard_normal((n, n)) / math.sqrt(n)
+    top = float(np.linalg.eigvalsh(0.5 * (g + g.T))[-1])
+    return (g - (top + 0.5 * delta) * np.eye(n)).astype(dtype)
+
+
+# The forward error of a Bartels-Stewart solve is at most its residual
+# over sep(a, b) >= delta, and the residual is at most
+# 64 n eps ((|a| + |b|) |X| + |c|) <= 128 n eps (|a| + |b|) |X| (the bound
+# the residual tests above use, |c| <= (|a| + |b|) |X|), so each solver is
+# within 128 n eps (|a| + |b|) / delta of the exact X, relative to |X|,
+# and the two solves within twice that of each other
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 31 - 1), na=st.integers(1, 16),
+       nb=st.integers(1, 16), delta=st.sampled_from([0.1, 1.0, 10.0]),
+       dtype=st.sampled_from([np.float64, np.float32]))
+def test_solvers_match_scipy(seed, na, nb, delta, dtype):
+    sla = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(seed)
+    a = sep_shifted(rng, na, delta, dtype)
+    b = sep_shifted(rng, nb, delta, dtype)
+    c = rng.standard_normal((na, nb)).astype(dtype)
+    g = rng.standard_normal((na, na))
+    s = (g @ g.T).astype(dtype)
+    a64, b64 = a.astype(np.float64), b.astype(np.float64)
+    eps = float(np.finfo(dtype).eps)
+
+    def check(x, want, n, norms):
+        assert x.dtype == dtype
+        err = np.linalg.norm(x - want) / np.linalg.norm(want)
+        assert err <= 256 * n * eps * norms / delta
+
+    check(sylvester_by_schur(a, b, c),
+          sla.solve_sylvester(a64, b64, c.astype(np.float64)),
+          max(na, nb), np.linalg.norm(a64) + np.linalg.norm(b64))
+    check(lyapunov_by_schur(a, s),
+          sla.solve_continuous_lyapunov(a64, s.astype(np.float64)),
+          na, 2.0 * np.linalg.norm(a64))
 
 
 # -------------------------------------------------------------- norms etc
@@ -864,7 +909,8 @@ def test_symmetric_eigvalues_sorted_and_correct():
     rng = np.random.default_rng(18)
     g = random_matrix(rng, 7)
     a = g + g.T
-    got = symmetric_eigvalues(a)
+    got = np.sort(_kernels.jacobi_symm_eigvals(a.copy(), np.finfo(float).eps,
+                                               60))
     want = np.sort(np.linalg.eigvalsh(a))
     assert np.allclose(got, want, rtol=1e-11, atol=1e-11)
 

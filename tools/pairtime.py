@@ -15,12 +15,13 @@ eigenvector bases being too ill-conditioned); ``discretize_proposed`` cold
 and warm on index-3 chains at n = 16 (``EnsembleSpec(16, 13, 3, seed=1)``,
 four streams, ``tau_zero=1e-2``), whose coupled 3x3 integrator block makes
 the f12 solve one block of 39 unknowns, solved and not inverted;
-``discretize_lyap_q``
-at n = 16 on ``EnsembleSpec(16, 16, 0, seed=3)``, four streams; and
-``real_schur`` at the default ``tau_zero`` on the drifts of
-tests/test_linalg.py's critically damped and coupled repeated pair families
-(rotated by seeds 0-7 and 0-3) whose eigenvector bases are refused, so that
-each factors from ``A`` itself; binary64.
+``discretize_lyap_p`` and ``discretize_lyap_q`` at n = 16 on
+``EnsembleSpec(16, 16, 0, seed=3)``, four streams, whose Lyapunov solves
+are ``linalg.solve_lyapunov``; and ``real_schur`` at the default
+``tau_zero`` on the drifts of tests/test_linalg.py's critically damped and
+coupled repeated pair families (rotated by seeds 0-7 and 0-3) whose
+eigenvector bases are refused, so that each factors from ``A`` itself;
+binary64.
 A sample is the CPU time (``time.process_time``) per call over a fixed
 batch of calls, the batch sized once per row to take about
 ``--sample-ms``.  Each row prints both
@@ -80,8 +81,10 @@ def rows(pkg):
                     proposed(pkg, chains, warm, 1e-2)))
     models = [pkg.gen_random_system(pkg.EnsembleSpec(16, 16, 0, seed=3), s)
               for s in range(STREAMS)]
-    out.append(("lyap-q n=16", cycle(
-        [lambda m=m: pkg.discretize_lyap_q(m, 1.0) for m in models])))
+    for label, method in (("lyap-p", pkg.discretize_lyap_p),
+                          ("lyap-q", pkg.discretize_lyap_q)):
+        out.append((f"{label} n=16", cycle(
+            [lambda m=m, f=method: f(m, 1.0) for m in models])))
     linalg = pkg.linalg
     drifts = []
     for a in fallback_drifts():
