@@ -7,12 +7,16 @@ each orthogonal similarity -- a Householder reflector, a Givens rotation or
 a block-swap factor -- as two small matrix products: one on T's rows, one
 on the columns of T and U together.  ``sylv_blocks`` builds once the
 column-block matrices of the Sylvester equations ta Y + Y r = c that
-share ta, for any r, its blocks read from r's zero pattern (1 and 2
-columns for a quasi-lower triangular r, all of r for a coupled upper
-triangular one), inverting those of dimension at most 32, and ``trsylv``
-then makes per column block one product that folds in the solved columns
-and one product with the inverse (a LAPACK solve for a wider block), for
-one right-hand side or a stack of them.
+share ta, for any r: the narrowest blocks read from r's zero pattern (1
+and 2 columns for a quasi-lower triangular r, all of r for a coupled upper
+triangular one), merged while a union has at most 32 unknowns, and
+inverted where at most 32 wide; ``trsylv`` then makes per column block one
+product that folds in the solved columns and one product with the inverse
+(a LAPACK solve for a wider block), for one right-hand side or a stack of
+them.  ``pade13_expm`` evaluates Higham's degree-13 Pade approximant of a
+stack of scaled matrices; ``pade13_powers`` and ``pade13_table_expm`` give
+the same approximant of sigma x at many sigma from one table of the powers
+of x, one product per sigma, and share its solve and squarings.
 All kernels mutate or allocate arrays in the dtype of their inputs, so the
 same code serves binary32 and binary64.
 """
@@ -23,11 +27,13 @@ import math
 
 import numpy as np
 
-# Pade coefficients b_0 .. b_13 of the degree-13 diagonal approximant
+# Pade coefficients b_0 .. b_13 of the degree-13 diagonal approximant, and
+# the pairs (j, b_j)
 _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            1187353796428800.0, 129060195264000.0, 10559470521600.0,
            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
            960960.0, 16380.0, 182.0, 1.0)
+_PADE13_TERMS = tuple(enumerate(_PADE13))
 
 # sylv_blocks inverts the column-block matrices up to this dimension, and
 # trsylv multiplies by those inverses; wider blocks keep a LAPACK solve
@@ -207,12 +213,18 @@ def sylv_blocks(ta, *rs):
     each block-lower triangular r of rs: per r, a list of one
     (j0, j, matrix) per column block j0 .. j-1 of Y, last block first.
     The blocks come from r's zero pattern: going from the last column,
-    each is the narrowest j0 .. j-1 with r[:j0, j0:j] == 0, so that it
-    couples only with the columns solved before it (a quasi-lower
-    triangular r gives its 1x1 and 2x2 diagonal blocks, a full upper
-    triangular one a single block).  The block's matrix has (b, c) block
-    ta [b == c] + r[j0 + c, j0 + b] I; where its dimension is at most
-    _INVERT_MAX, the list holds its inverse.
+    each narrowest block is the narrowest j0 .. j-1 with r[:j0, j0:j] == 0,
+    so that it couples only with the columns solved before it (a
+    quasi-lower triangular r gives its 1x1 and 2x2 diagonal blocks, a full
+    upper triangular one a single block).  Consecutive narrowest blocks
+    then merge, from the last, while their union has at most _INVERT_MAX
+    unknowns (p = ta.shape[0] per column): a union of such blocks still
+    couples only with the columns after it, and one product with its
+    inverse replaces one per narrowest block.  A narrowest block above
+    that size stays alone.  The block's matrix acts on its unknowns
+    Y[i, j0 + b] in row-major order: entry ((i, b), (i', c)) is
+    ta[i, i'] [b == c] + r[j0 + c, j0 + b] [i == i']; where its dimension
+    is at most _INVERT_MAX, the list holds its inverse.
 
     The matrices depend on ta and rs only, so a caller that solves with
     them again builds them once.  They are built as one stack per block
@@ -231,7 +243,7 @@ def sylv_blocks(ta, *rs):
     d = np.arange(p)
     spans = []  # (operator index, j0, j) of every column block
     for k, r in enumerate(rs):
-        j = r.shape[0]
+        end = j = r.shape[0]
         # each column's first non-zero row, its diagonal at the latest
         nonzero = r != 0.0
         nonzero.flat[::j + 1] = True
@@ -240,19 +252,26 @@ def sylv_blocks(ta, *rs):
             j0 = j - 1
             while (above := min(top[j0:j])) < j0:
                 j0 = above
-            spans.append((k, j0, j))
+            # the narrowest block j0 .. j-1 closes the merged block j .. end-1
+            # if it would take the union above _INVERT_MAX unknowns
+            if j < end and (end - j0) * p > _INVERT_MAX:
+                spans.append((k, j, end))
+                end = j
             j = j0
+        if end:
+            spans.append((k, 0, end))
     mats = {}
     for width in sorted({j - j0 for _, j0, j in spans}):
         sel = [(k, j0) for k, j0, j in spans if j - j0 == width]
         # each block of r transposed, so that entry (b, c) is r[j0+c, j0+b]
         entries = np.array([rs[k][j0:j0 + width, j0:j0 + width].T
                             for k, j0 in sel], dtype=dtype)
-        mat = np.zeros((len(sel), width, p, width, p), dtype=dtype)
+        # the unknowns are the block's Y[i, j0 + b] in row-major order:
+        # ta on every column b, and r[j0 + c, j0 + b] on every row i
+        mat = np.zeros((len(sel), p, width, p, width), dtype=dtype)
         for b in range(width):
-            mat[:, b, :, b, :] = ta
-        # r[j0 + c, j0 + b] added to the diagonal of every block (b, c)
-        mat[:, :, d, :, d] += entries
+            mat[:, :, b, :, b] = ta
+        mat[:, d, :, d, :] += entries
         mat = mat.reshape(len(sel), width * p, width * p)
         if width * p <= _INVERT_MAX:
             mat = np.linalg.inv(mat)
@@ -263,25 +282,37 @@ def sylv_blocks(ta, *rs):
     return blocks
 
 
+def _solve_columns(mat, rhs):
+    """The columns Y of one block from its right-hand side rhs (a stack or
+    not): the block flattened row by row into one column, then one product
+    with the inverse mat, or one LAPACK solve with a matrix wider than
+    _INVERT_MAX."""
+    shape = rhs.shape
+    rhs = rhs.reshape(shape[:-2] + (-1, 1))
+    sol = (mat @ rhs if mat.shape[0] <= _INVERT_MAX
+           else np.linalg.solve(mat, rhs))
+    return sol.reshape(shape)
+
+
 def trsylv(blocks, r, c):
     """Solve ta @ Y + Y @ r = c for block-lower triangular r, given
     (blocks,) = sylv_blocks(ta, r): one column block of Y at a time, last
-    first, the solved columns folded in with one product, then the block's
-    columns stacked into one and one product with the block's inverse, or
-    one LAPACK solve with a block matrix wider than _INVERT_MAX.  c may be
-    a stack of right-hand sides, each solved as it would be alone: every
-    slice's column block is one single-column right-hand side of its own
-    product or solve."""
+    first, the solved columns folded in with one product, then one
+    product with the block's inverse, or one LAPACK solve with a block
+    matrix wider than _INVERT_MAX.  A single block that spans every column
+    is solved from c as it is, with no copy.  c may be a stack of
+    right-hand sides, each solved as it would be alone: every slice's
+    column block is one single-column right-hand side of its own product
+    or solve."""
+    if len(blocks) == 1:
+        return _solve_columns(blocks[0][2], c)
     y = c.copy()
-    stack, (p, m) = c.shape[:-2], c.shape[-2:]
+    m = c.shape[-1]
     for j0, j, mat in blocks:
         rhs = y[..., j0:j]
         if j < m:  # fold in the columns solved so far
             rhs = rhs - y[..., j:] @ r[j:, j0:j]
-        rhs = rhs.mT.reshape(stack + ((j - j0) * p, 1))
-        sol = (mat @ rhs if mat.shape[0] <= _INVERT_MAX
-               else np.linalg.solve(mat, rhs))
-        y[..., j0:j] = sol.reshape(stack + (j - j0, p)).mT
+        y[..., j0:j] = _solve_columns(mat, rhs)
     return y
 
 
@@ -316,7 +347,13 @@ def pade13_expm(a, squarings):
     w1, w2, z1 = p6[:3] + p4[:3] + p2[:3]
     uu = a @ (a6 @ w1 + (w2 + b1_i))
     vv = a6 @ z1 + p6[3] + p4[3] + p2[3] + b0_i
-    r = np.ascontiguousarray(np.linalg.solve(vv - uu, vv + uu))
+    return _pade_squared(vv - uu, vv + uu, squarings)
+
+
+def _pade_squared(den, num, squarings):
+    """The Pade quotient den^-1 num of every matrix of the stacks, each
+    squared as often as its count in squarings asks."""
+    r = np.ascontiguousarray(np.linalg.solve(den, num))
     # every matrix squares as often as the fewest count asks, then only
     # the matrices that ask for more
     fewest = min(squarings, default=0)
@@ -326,6 +363,50 @@ def pade13_expm(a, squarings):
         live = [i for i, count in enumerate(squarings) if count > step]
         r[live] = r[live] @ r[live]
     return r
+
+
+def pade13_powers(x):
+    """The powers x^0 .. x^13 of the square matrix x as a (14, m, m) table
+    for pade13_table_expm, in four stacked products: the highest power
+    x^k made so far times each of x^1 .. x^k gives x^(k+1) .. x^(2k).
+    Meant for a scaled x, |x|_1 <= 1, so that no power overflows."""
+    m = x.shape[0]
+    powers = np.empty((14, m, m), dtype=x.dtype)
+    powers[0] = np.eye(m, dtype=x.dtype)
+    powers[1] = x
+    k = 1
+    while k < 13:
+        top = min(2 * k, 13)
+        powers[k + 1:top + 1] = powers[k] @ powers[1:top - k + 1]
+        k = top
+    return powers
+
+
+def _pade13_rows(sigma):
+    """The coefficients of the Pade-13 denominator V - U and numerator
+    V + U at sigma x in the powers x^0 .. x^13, as Python floats: with
+    U = sum over odd j and V = sum over even j of b_j sigma^j x^j, the row
+    of V + U is b_j sigma^j and that of V - U is (-1)^j b_j sigma^j."""
+    num = [b * sigma ** j for j, b in _PADE13_TERMS]
+    den = num.copy()
+    den[1::2] = [-c for c in num[1::2]]
+    return den, num
+
+
+def pade13_table_expm(table, sigmas, squarings):
+    """pade13_expm of sigma x for each sigma of sigmas, from the table of
+    powers of x that pade13_powers made, squared as often as squarings
+    asks: a (len(sigmas), m, m) stack.  Higham's U and V are fixed odd and
+    even polynomials in the scaled matrix, so only their coefficients
+    depend on sigma: per sigma they are rounded to the table's width once
+    each, and one product of the coefficient rows with the table gives
+    the denominator and numerator together.  Each slice is what its sigma
+    gives alone.  The quotient and the squarings are pade13_expm's."""
+    m = table.shape[-1]
+    coefs = np.array([_pade13_rows(s) for s in sigmas],
+                     dtype=table.dtype).reshape(len(sigmas), 2, 14)
+    both = (coefs @ table.reshape(14, m * m)).reshape(len(sigmas), 2, m, m)
+    return _pade_squared(both[:, 0], both[:, 1], squarings)
 
 
 def jacobi_symm_eigvals(a, eps, max_sweeps):

@@ -38,6 +38,7 @@ from .linalg import (
     _eig_sum_guard,
     _exp_overflow,
     _mat_exp_many,
+    _squarings,
     _sym,
     check_square,
     eps_of,
@@ -235,14 +236,17 @@ class _ProposedPlan:
     tau_zero only, never on the horizon: the real Schur form with the
     integrators reordered last, its blocks, u^-1 and half the transformed
     S, after guarding the spectra the block equations need apart; the
-    augmented matrix of a11's exponential; the column blocks of the three
-    Bartels-Stewart solves, which share a11 and so come from one
-    sylv_blocks call, as inverses wherever a block is at most 32 wide, so
-    that a horizon's solves are products; and the integrator block's
-    powers A^i and products A^i (S/2) (A^j)^T, after checking that it is
-    nilpotent, with the (exponent, denominator) tables of their series.
-    A model that fails a guard or the check raises here; ``reports``
-    evaluates horizons."""
+    table of powers (aug11 / c)^j, j = 0 .. 13, of a11's augmented matrix,
+    c a power of two above |aug11|_1, from which each horizon's Pade-13
+    exponential takes its U and V in one product; the column blocks of
+    the three Bartels-Stewart solves, which share a11 and so come from one
+    sylv_blocks call, merged and inverted wherever a union of them has at
+    most 32 unknowns, so that a horizon's solves are products (one each at
+    n = 6 with an integrator pair); and the integrator block's powers A^i
+    and products A^i (S/2) (A^j)^T, after checking that it is nilpotent,
+    with the (exponent, denominator) tables of their series.  A model that
+    fails a guard or the check raises here; ``reports`` evaluates
+    horizons."""
 
     def __init__(self, m: ContinuousModel, tau_zero: float | None, key):
         self.key = key
@@ -284,7 +288,16 @@ class _ProposedPlan:
         self.a11, self.a12 = a11, at[:k, k:]
         # the identity ft adds back to exp(at t) - I
         self.eye = np.eye(m.n, dtype=u.dtype)
-        self.aug11 = _augmented(a11)
+        # a11's exponential and integral come from Pade-13 at its augmented
+        # matrix aug11, whose powers do not depend on the horizon; divided
+        # by c = 2^aug_exp > |aug11|_1, which is exact, no power overflows
+        aug11 = _augmented(a11)
+        self.aug_norm = float(np.abs(aug11).sum(axis=0, dtype=np.float64)
+                              .max(initial=0.0))
+        self.aug_exp = math.frexp(self.aug_norm)[1]
+        self.width_max = float(np.finfo(u.dtype).max)
+        self.exp_table = _kernels.pade13_powers(np.ldexp(aug11,
+                                                         -self.aug_exp))
         # trsylv's (blocks, r) for the three solves: -a22 (f12), one
         # column block where a22 is coupled, and the quasi-lower
         # triangular a22^T (q12) and a11^T (q11)
@@ -306,6 +319,29 @@ class _ProposedPlan:
         self.f22_terms = powers[1:]
         self.f22_table = [(i, math.factorial(i)) for i in range(1, m.n - k)]
 
+    def _exp11(self, ts) -> tuple:
+        """exp(aug11 t) at every horizon t of ts as one stack, and a
+        boolean array that is False where it is not finite, by the scaling
+        rule of _mat_exp_many: the least 2^s that brings |aug11|_1 t to
+        theta13 or below, so that the table's aug11 / 2^aug_exp enters
+        Pade-13 at sigma = 2^(aug_exp - s) t, then s squarings.  sigma is
+        0 for an empty aug11 (no leading block); a horizon where
+        |aug11|_1 t exceeds the width is flagged, and runs at sigma = 0."""
+        sigmas, counts, bad = [], [], []
+        for i, t in enumerate(ts):
+            x = self.aug_norm * t
+            if not x <= self.width_max:
+                bad.append(i)
+                x = 0.0
+            counts.append(_squarings(x))
+            sigmas.append(math.ldexp(t, self.aug_exp - counts[-1])
+                          if x else 0.0)
+        big = _kernels.pade13_table_expm(self.exp_table, sigmas, counts)
+        ok = np.isfinite(big).all(axis=(1, 2))
+        if bad:
+            ok[bad] = False
+        return big, ok
+
     def reports(self, ts) -> list:
         """discretize_proposed at every positive horizon of ts in one pass:
         entry i is the MethodReport at ts[i], or the SdeDiscError that
@@ -322,7 +358,7 @@ class _ProposedPlan:
             # short horizons f is I plus small entries: st - f st f^T would
             # cancel their digits, while f - I keeps them.  f11 itself comes
             # from the exponential of aug11, with its integral g11.
-            big, exp_ok = _mat_exp_many(self.aug11, ts)
+            big, exp_ok = self._exp11(ts)
             mt = np.zeros((len(ts), n, n), dtype=self.u.dtype)
             mt[:, :k, :k] = a11 @ big[:, :k, k:]
             mt[:, k:, k:] = _nilpotent_sum(self.f22_terms, self.f22_table,
@@ -332,19 +368,24 @@ class _ProposedPlan:
             mt[:, :k, k:] = _kernels.trsylv(*self.f12_sylv, c12)
             ft = mt + self.eye
             ft[:, :k, :k] = big[:, :k, :k]
-            vt = _x_minus_fxft(mt, self.st_half)
-            q22 = _sym(_nilpotent_sum(self.q22_terms, self.q22_table, ts))
-            rhs12 = -vt[:, :k, k:] - a12 @ q22
-            q12 = _kernels.trsylv(*self.q12_sylv, rhs12)
-            rhs11 = -vt[:, :k, :k] - a12 @ q12.mT - q12 @ a12.T
-            q11 = _sym(_kernels.trsylv(*self.q11_sylv, rhs11))
+            # nv = -V/2 = f (st/2) f^T - st/2 from mt = f - I, as
+            # _x_minus_fxft forms it; the blocks of Q/2 solve
+            # a11 q12 + q12 a22^T = nv12 - a12 q22 and
+            # a11 q11 + q11 a11^T = nv11 - a12 q12^T - q12 a12^T
+            w = mt @ self.st_half
+            nv = w + w.mT + w @ mt.mT
+            q22 = _nilpotent_sum(self.q22_terms, self.q22_table, ts)
+            q12 = _kernels.trsylv(*self.q12_sylv, nv[:, :k, k:] - a12 @ q22)
+            w = a12 @ q12.mT
+            q11 = _kernels.trsylv(*self.q11_sylv, nv[:, :k, :k] - (w + w.mT))
             qt = np.empty_like(mt)
             qt[:, :k, :k] = q11
             qt[:, :k, k:] = q12
             qt[:, k:, :k] = q12.mT
             qt[:, k:, k:] = q22
             f = self.u @ ft @ self.u_inv
-            # qt is Q/2 in Schur coordinates: Q = x + x^T is Q symmetrized
+            # qt is Q/2 in Schur coordinates, symmetric to rounding:
+            # Q = x + x^T is Q symmetrized
             x = self.u @ qt @ self.u.T
             q = x + x.mT
         # a right-hand side that overflowed leaves f or q non-finite, which

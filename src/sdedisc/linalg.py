@@ -98,8 +98,7 @@ def _mat_exp_many(a: np.ndarray, ts) -> tuple:
         at = np.asarray(a, dtype=dtype) * np.asarray(ts, dtype=dtype)[
             :, None, None]
         norm1 = np.abs(at).sum(axis=1).max(axis=1, initial=0.0).tolist()
-        counts = [math.ceil(math.log2(x / _THETA13))
-                  if _THETA13 < x < math.inf else 0 for x in norm1]
+        counts = [_squarings(x) if x < math.inf else 0 for x in norm1]
         if any(counts):
             at /= np.array([2.0 ** c for c in counts], dtype=dtype)[
                 :, None, None]
@@ -112,6 +111,13 @@ def _mat_exp_many(a: np.ndarray, ts) -> tuple:
     if bad:
         ok[bad] = False
     return result, ok
+
+
+def _squarings(norm1: float) -> int:
+    """The least s >= 0 that brings a finite 1-norm norm1 to _THETA13 or
+    below, norm1 / 2^s <= _THETA13: the squarings of a Pade-13 exponential
+    of a matrix of that norm."""
+    return math.ceil(math.log2(norm1 / _THETA13)) if norm1 > _THETA13 else 0
 
 
 def _eigenvector_start(a, ev, vecs, tau_zero):

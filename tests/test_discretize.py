@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sdedisc import _kernels, discretize, linalg
 from sdedisc.bench import default_t_grid
@@ -674,6 +674,26 @@ def test_binary32_proposed_psd_at_paper_horizons(seed):
         assert np.linalg.eigvalsh(q)[0] >= floor * np.linalg.norm(q_ref, 2), t
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP items D2 and C: a caller's "
+                   "tau_zero just above LAPACK's chain moduli leaves an "
+                   "index-4 chain in the leading block, and no guard "
+                   "refuses the wrong Q")
+def test_proposed_chain_left_in_leading_block_right_or_refused():
+    # LAPACK puts the rotated index-4 chain of this system at moduli
+    # 1.350e-4; at tau_zero 1.01 times the smallest, the Schur form puts
+    # the chain above tau_zero, integrator_count reads 0 and the Lyapunov
+    # and Sylvester solves take the whole chain: Q comes back with norm
+    # 6.0e22 against 5.3, and nothing is raised.  The reference is built
+    # as perfbench/reference.py builds it.
+    m = gen_random_system(EnsembleSpec(8, 4, 4, seed=0), stream=14)
+    tau_zero = 1.01 * float(np.abs(np.linalg.eigvals(m.a)).min())
+    try:
+        q = discretize_proposed(m, 1.0, tau_zero).model.q
+    except SdeDiscError:
+        return
+    assert rel_err(q, scipy_doubling_q(m, 1.0)) <= 1e-9
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item D: the binary32 "
                    "tau_zero_default reaches the slow stable poles of n = 16 "
                    "systems, which are then counted as integrators")
@@ -748,35 +768,38 @@ def sylv_calls(monkeypatch):
     return calls
 
 
-def column_block_sizes(r):
-    """The widths of trsylv's column blocks for r, read from its zero
-    pattern."""
-    (blocks,) = _kernels.sylv_blocks(np.eye(1), r)
-    return {j - j0 for j0, j, _ in blocks}
+def column_spans(sylv):
+    """The column blocks (j0, j) of one of the plan's solves, last first."""
+    blocks, _ = sylv
+    return [(j0, j) for j0, j, _ in blocks]
 
 
-@pytest.mark.parametrize("model, tau_zero, a22_widths, f12_widths", [
-    (stable_system(0), None, set(), set()),      # p = 0
-    (constant_velocity(), None, {1}, {2}),       # k = 0
-    (mixed_system(2), None, {1}, {2}),
-    (mixed_system(3).astype(np.float32), None, {1}, {2}),
-    (mixed_system(0), None, {2}, {2}),           # a22 one 2x2 pair block
+@pytest.mark.parametrize("model, tau_zero, f12_spans, q12_spans, q11_spans", [
+    (stable_system(0), None, [], [], [(2, 6), (0, 2)]),  # p = 0
+    (constant_velocity(), None, [(0, 2)], [(0, 2)], []),  # k = 0
+    (mixed_system(2), None, [(0, 2)], [(0, 2)], [(0, 4)]),
+    (mixed_system(3).astype(np.float32), None, [(0, 2)], [(0, 2)],
+     [(0, 4)]),
+    (mixed_system(0), None, [(0, 2)], [(0, 2)], [(0, 4)]),  # a22 a 2x2 pair
     # a rotated index-3 chain: a22 is a 1x1 and a 2x2 block
     (gen_random_system(EnsembleSpec(6, 3, 3, seed=0), stream=3), 1e-3,
-     {1, 2}, {3}),
+     [(0, 3)], [(0, 3)], [(0, 3)]),
 ], ids=["p0", "k0", "mixed", "binary32", "a22-pair", "chain3-tau"])
-def test_proposed_warm_equals_cold(model, tau_zero, a22_widths, f12_widths):
+def test_proposed_warm_equals_cold(model, tau_zero, f12_spans, q12_spans,
+                                   q11_spans):
     want = [cold(model, t, tau_zero) for t in HORIZONS]
     discretize._last_plan = None
     for t, r in zip(HORIZONS, want):
         assert same_bits(discretize_proposed(model, t, tau_zero), r), t
     stacked = discretize._last_plan.reports(HORIZONS)
     assert all(same_bits(s, r) for s, r in zip(stacked, want, strict=True))
-    # the q12 solve takes column blocks as wide as a22's blocks, and the
-    # f12 solve one block as wide as a22 where a22 is coupled
+    # at n = 6 the narrowest blocks merge: each solve is one block of at
+    # most 32 unknowns, one product per horizon, except q11 with no
+    # integrator, whose six columns of 6 unknowns each would be 36
     plan = discretize._last_plan
-    assert column_block_sizes(plan.q12_sylv[1]) == a22_widths
-    assert column_block_sizes(plan.f12_sylv[1]) == f12_widths
+    assert column_spans(plan.f12_sylv) == f12_spans
+    assert column_spans(plan.q12_sylv) == q12_spans
+    assert column_spans(plan.q11_sylv) == q11_spans
 
 
 @pytest.mark.parametrize("spec", [EnsembleSpec(6, 4, 2, seed=100),
@@ -928,6 +951,89 @@ def test_proposed_warm_equals_cold_property(seed, p, ts):
     discretize._last_plan = None
     for t, r in zip(ts, want):
         assert same_bits(discretize_proposed(m, t), r)
+
+
+# ------------------------------------------------ the Pade power table
+
+
+def test_plan_exponential_stacked_equals_one_horizon():
+    for dtype in (np.float64, np.float32):
+        plan = discretize._ProposedPlan(mixed_system(2).astype(dtype), None,
+                                        None)
+        ts = (1e-3, 0.3, 2.0, 11.0, 40.0, 100.0)
+        assert len({linalg._squarings(plan.aug_norm * t) for t in ts}) >= 4
+        stack, ok = plan._exp11(ts)
+        assert stack.dtype == dtype and ok.all()
+        for t, got in zip(ts, stack, strict=True):
+            (alone,), _ = plan._exp11((t,))
+            assert got.tobytes() == alone.tobytes(), t
+
+
+def test_plan_exponential_empty_huge_and_flagged():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # k = 0: aug11 is 0 x 0 and sigma is 0 at any horizon
+        plan = discretize._ProposedPlan(constant_velocity(), None, None)
+        stack, ok = plan._exp11((1.0, 1e300))
+        assert stack.shape == (2, 0, 0) and ok.tolist() == [True, True]
+        for dtype, huge in ((np.float64, 1e308), (np.float32, 2e38)):
+            # |aug11|_1 = 2: at 2 huge the width is exceeded and the horizon
+            # flagged, while at huge / 4 the squarings (1020 in binary64,
+            # 124 in binary32) give a finite exponential
+            m = ContinuousModel(np.array([[-2.0]], dtype=dtype),
+                                np.array([[1.0]], dtype=dtype))
+            plan = discretize._ProposedPlan(m, None, None)
+            assert plan.aug_norm == 2.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                stack, ok = plan._exp11((huge / 4, huge))
+            assert ok.tolist() == [True, False]
+            assert np.isfinite(stack[0]).all()
+            good, bad = plan.reports((huge / 4, huge))
+            assert np.isfinite([good.model.f, good.model.q]).all()
+            assert isinstance(bad, MatrixOverflowError)
+            # an exponential that overflows the width is flagged too
+            m = ContinuousModel(np.array([[1.0]], dtype=dtype),
+                                np.array([[1.0]], dtype=dtype))
+            plan = discretize._ProposedPlan(m, None, None)
+            t_over = 100.0 if dtype is np.float32 else 800.0
+            good, bad = plan.reports((1.0, t_over))
+            assert good.model.f[0, 0] == pytest.approx(
+                math.e, rel=4 * np.finfo(dtype).eps)
+            assert isinstance(bad, MatrixOverflowError)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 16), p=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 31 - 1), squarings=st.integers(0, 10),
+       frac=st.floats(0.5, 1.0, exclude_min=True),
+       dtype=st.sampled_from([np.float64, np.float32]))
+def test_plan_exponential_matches_scipy(n, p, seed, squarings, frac, dtype):
+    # the horizon takes the table's exponential through the given number
+    # of squarings; its error against scipy's binary64 expm of the same
+    # aug11 is at most 4 times that of the nested Pade evaluation
+    # (_mat_exp_many) at the same width, or 8 (s + 1) m eps for m x m aug11
+    # and s squarings
+    expm = pytest.importorskip("scipy.linalg").expm
+    assume(p < n)
+    m = gen_random_system(EnsembleSpec(n, n - p, p, seed=seed))
+    try:
+        plan = discretize._ProposedPlan(m.astype(dtype), None, None)
+    except SdeDiscError:
+        assume(False)
+    assume(plan.k > 0)
+    t = linalg._THETA13 * 2.0 ** squarings * frac / plan.aug_norm
+    s = linalg._squarings(plan.aug_norm * t)
+    assert abs(s - squarings) <= 1
+    aug11 = discretize._augmented(plan.a11)
+    want = expm(aug11.astype(np.float64) * t)
+    (got,), (ok,) = plan._exp11((t,))
+    (nested,), _ = linalg._mat_exp_many(aug11, (t,))
+    assert ok and got.dtype == dtype
+
+    def err(x):
+        return np.linalg.norm(x - want) / np.linalg.norm(want)
+    tol = 8 * (s + 1) * aug11.shape[0] * np.finfo(dtype).eps
+    assert err(got) <= max(4.0 * err(nested), tol)
 
 
 # ------------------------------------------------------------ dispatch

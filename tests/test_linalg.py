@@ -769,14 +769,44 @@ def block_lower(rng, widths):
     return r
 
 
+def narrowest_spans(r):
+    """The narrowest column blocks of r, last first: for each end j, the
+    largest j0 < j with r[:j0, j0:j] == 0."""
+    spans, j = [], r.shape[0]
+    while j > 0:
+        j0 = next(j0 for j0 in range(j - 1, -1, -1)
+                  if not r[:j0, j0:j].any())
+        spans.append((j0, j))
+        j = j0
+    return spans
+
+
+def assert_maximal_blocks(spans, r, p):
+    """spans tile r's columns, last first, by unions of its narrowest
+    blocks; each has at most _INVERT_MAX unknowns (p per column) or is
+    one narrowest block; and no two neighbours could merge."""
+    narrowest = narrowest_spans(r)
+    ends = [r.shape[0]] + [j0 for j0, _ in spans]
+    assert [j for _, j in spans] == ends[:-1] and ends[-1] == 0
+    assert {j0 for j0, _ in spans} <= {j0 for j0, _ in narrowest}
+    assert all(s in narrowest or (j - j0) * p <= _kernels._INVERT_MAX
+               for s in spans for j0, j in [s])
+    assert all((j - j0) * p > _kernels._INVERT_MAX
+               for (_, j), (j0, _) in zip(spans, spans[1:]))
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("p", [4, 16, 17, 33])
 def test_trsylv_inverted_and_solved_blocks(p, dtype):
-    # ta is p x p, so a w-column block of r is w p wide: the 1- and
-    # 2-column blocks of the quasi-lower r are both inverted at p = 4 and
-    # 16, the 2-column ones solved at 17, both solved at 33; a block-lower
-    # r adds a 3-column block (inverted at p = 4 only), and an upper
-    # triangular r is one 7-column block (inverted at p = 4 only)
+    # ta is p x p, so a w-column block of r has w p unknowns, and the
+    # narrowest blocks merge while a union has at most 32: at p = 4 every
+    # r is one inverted block of 28; at p = 16 the quasi-lower r's last
+    # two 1-column blocks merge into one of 32, and its other blocks and
+    # those of the block-lower r (1, 3, 2 and 1 columns) stay apart, the
+    # 2-column ones inverted, the 3-column one solved; at 17 and 33 no
+    # block merges, the 2-column ones are solved at 17, and every block is
+    # solved at 33; an upper triangular r is one 7-column block, inverted
+    # at p = 4 only
     rng = np.random.default_rng(p)
     ta = quasi_upper(rng, p, 1 if p < 7 else 3).astype(dtype)
     rs = [quasi_upper(rng, 7, 2).T.astype(dtype) for _ in range(3)]
@@ -784,12 +814,18 @@ def test_trsylv_inverted_and_solved_blocks(p, dtype):
     rs += [block_lower(other, (1, 3, 2, 1)).astype(dtype),
            quasi_upper(other, 7, 0).astype(dtype),
            np.zeros((0, 0), dtype=dtype)]
-    want = 3 * [[(6, 7), (5, 6), (3, 5), (2, 3), (0, 2)]] + \
-        [[(6, 7), (4, 6), (1, 4), (0, 1)], [(0, 7)], []]
+    if p == 4:
+        want = 5 * [[(0, 7)]] + [[]]
+    else:
+        want = 3 * [[(6, 7), (5, 6), (3, 5), (2, 3), (0, 2)]] + \
+            [[(6, 7), (4, 6), (1, 4), (0, 1)], [(0, 7)], []]
+        if p == 16:
+            want[:3] = 3 * [[(5, 7), (3, 5), (2, 3), (0, 2)]]
     blocks = _kernels.sylv_blocks(ta, *rs)
     assert len(blocks) == len(rs)
     for r, got, spans in zip(rs, blocks, want):
         assert [(j0, j) for j0, j, _ in got] == spans
+        assert_maximal_blocks(spans, r, p)
         # one call for several operators gives the bits of one call each
         (alone,) = _kernels.sylv_blocks(ta, r)
         assert [(j0, j) for j0, j, _ in got] == \

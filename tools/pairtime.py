@@ -8,20 +8,27 @@ that a drift in host speed falls on both sides alike.
 Rows: ``discretize_proposed`` cold (the kept plan dropped before every call,
 so each call factors afresh) and warm (one model at many horizons, its plan
 kept) at n in {6, 16, 32, 48} on ``EnsembleSpec(n, n - 2, 2, seed=7)``, four
-streams per size; ``discretize_proposed`` cold on irregular-track's rotated
+streams per size, the warm rows at 16 horizons geometrically spaced in
+[1e-2, 1e2]; ``discretize_proposed`` warm on irregular-track's first model
+(``perfbench/workloads.py`` at seed 1, an n = 6 paper-ensemble model) at
+that workload's own 16 log-uniform horizons in [1e-3, 1e1];
+``discretize_proposed`` cold on irregular-track's rotated
 index-3 chains (``EnsembleSpec(6, 3, 3, seed=0)``, its 32 streams 3, 7, ..,
 127, of which 18 take real_schur's fallback start from ``A``, their
 eigenvector bases being too ill-conditioned); ``discretize_proposed`` cold
 and warm on index-3 chains at n = 16 (``EnsembleSpec(16, 13, 3, seed=1)``,
 four streams, ``tau_zero=1e-2``), whose coupled 3x3 integrator block makes
 the f12 solve one block of 39 unknowns, solved and not inverted;
+paper-sweep's binary32 proposed path, a fresh ``_ProposedPlan`` and its
+``reports(default_t_grid())`` at the 20 paper horizons, on
+``EnsembleSpec(6, 4, 2, seed=s)``, stream 0, s = 0 .. 3;
 ``discretize_lyap_p`` and ``discretize_lyap_q`` at n = 16 on
 ``EnsembleSpec(16, 16, 0, seed=3)``, four streams, whose Lyapunov solves
 are ``linalg.solve_lyapunov``; and ``real_schur`` at the default
 ``tau_zero`` on the drifts of tests/test_linalg.py's critically damped and
 coupled repeated pair families (rotated by seeds 0-7 and 0-3) whose
 eigenvector bases are refused, so that each factors from ``A`` itself;
-binary64.
+binary64 unless stated.
 A sample is the CPU time (``time.process_time``) per call over a fixed
 batch of calls, the batch sized once per row to take about
 ``--sample-ms``.  Each row prints both
@@ -40,6 +47,9 @@ import argparse, importlib.util, statistics, sys, time  # noqa: E401, E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import IrregularTrack  # noqa: E402
 
 SIZES = (6, 16, 32, 48)
 STREAMS = 4
@@ -71,6 +81,10 @@ def rows(pkg):
                       for s in range(STREAMS)]
             out.append((f"proposed {'warm' if warm else 'cold'} n={n}",
                         proposed(pkg, models, warm)))
+    track = IrregularTrack(pkg, 1).inputs[:IrregularTrack.horizons]
+    out.append(("proposed warm track", cycle(
+        [lambda op=op: pkg.discretize_proposed(op.model, op.t)
+         for op in track])))
     chains = [pkg.gen_random_system(pkg.EnsembleSpec(6, 3, 3, seed=0), s)
               for s in CHAIN_STREAMS]
     out.append(("proposed cold chains", proposed(pkg, chains, False)))
@@ -79,6 +93,10 @@ def rows(pkg):
     for warm in (False, True):
         out.append((f"proposed {'warm' if warm else 'cold'} p3 n=16",
                     proposed(pkg, chains, warm, 1e-2)))
+    grid = pkg.bench.default_t_grid()
+    out.append(("proposed f32 reports", cycle(
+        [lambda m=m: pkg.discretize._ProposedPlan(m, None, None).reports(grid)
+         for m in paper_models(pkg)])))
     models = [pkg.gen_random_system(pkg.EnsembleSpec(16, 16, 0, seed=3), s)
               for s in range(STREAMS)]
     for label, method in (("lyap-p", pkg.discretize_lyap_p),
@@ -95,6 +113,12 @@ def rows(pkg):
         [lambda a=a, tau=tau: linalg.real_schur(a, tau)
          for a, tau in drifts])))
     return out
+
+
+def paper_models(pkg):
+    """Paper-sweep's first systems at binary32."""
+    return [pkg.gen_random_system(pkg.EnsembleSpec(6, 4, 2, seed=s))
+            .astype(np.float32) for s in range(STREAMS)]
 
 
 def rotated(t0, seed):
