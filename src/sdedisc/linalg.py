@@ -88,36 +88,80 @@ def _mat_exp_many(a: np.ndarray, ts) -> tuple:
     """exp(a * t) for every t in ts as one (len(ts), n, n) stack, and a
     boolean array that is False where that exponential is not finite.  a
     must be square and finite.  Each slice is scaled by its own power of
-    two, the least that brings |a t|_1 to _THETA13 or below, and squared
-    back as often, so slice i does not depend on the other horizons."""
+    two, by _scalings of the binary64 |a|_1, and squared back as often, so
+    slice i does not depend on the other horizons."""
     dtype = np.dtype(a.dtype if a.dtype in (np.float32, np.float64)
                      else np.float64)
-    # an overflowing slice is reported in the returned flags, not as
-    # numpy's RuntimeWarning
+    a = np.asarray(a, dtype=dtype)
+    # overflow shows in the returned flags, not as numpy's RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
-        at = np.asarray(a, dtype=dtype) * np.asarray(ts, dtype=dtype)[
-            :, None, None]
-        norm1 = np.abs(at).sum(axis=1).max(axis=1, initial=0.0).tolist()
-        counts = [_squarings(x) if x < math.inf else 0 for x in norm1]
+        counts, bad = _scalings(_norm1(a), ts, float(np.finfo(dtype).max))
+        at = a * np.asarray(ts, dtype=dtype)[:, None, None]
+        if bad:  # where a * t may overflow, replaced by 0
+            at[bad] = 0.0
         if any(counts):
             at /= np.array([2.0 ** c for c in counts], dtype=dtype)[
                 :, None, None]
-        # where a * t overflowed, the slice is flagged and replaced by 0
-        bad = [i for i, x in enumerate(norm1) if not x < math.inf]
-        if bad:
-            at[bad] = 0.0
         result = _kernels.pade13_expm(at, counts)
-    ok = np.isfinite(result).all(axis=(1, 2))
+    return result, _finite(result, bad)
+
+
+def _exp_table(a: np.ndarray) -> tuple:
+    """_exp_at's horizon-free part for a square, finite a: its binary64
+    |a|_1, the exponent e of a power of two 2^e above it, and the table of
+    the powers of a / 2^e, which is exact and lets no power overflow."""
+    nu = _norm1(a)
+    e = math.frexp(nu)[1]
+    return nu, e, _kernels.pade13_powers(np.ldexp(a, -e))
+
+
+def _exp_at(table: tuple, ts) -> tuple:
+    """_mat_exp_many's stack and flags for the a of table = _exp_table(a),
+    by the same scaling, from the table: a t / 2^s is the table's a / 2^e
+    at sigma = 2^(e - s) t, or at sigma = 0 where |a|_1 t is 0 or flagged."""
+    nu, e, powers = table
+    limit = float(np.finfo(powers.dtype).max)
+    counts, bad = _scalings(nu, ts, limit)
+    sigmas = [math.ldexp(t, e - c) if 0.0 < nu * t <= limit else 0.0
+              for t, c in zip(ts, counts)]
+    big = _kernels.pade13_table_expm(powers, sigmas, counts)
+    return big, _finite(big, bad)
+
+
+def _norm1(a: np.ndarray) -> float:
+    """|a|_1, the largest column sum of magnitudes, summed in binary64."""
+    return float(np.abs(a).sum(axis=0, dtype=np.float64).max(initial=0.0))
+
+
+def _finite(stack: np.ndarray, bad: list) -> np.ndarray:
+    """Whether each matrix of the stack is finite and not listed in bad."""
+    ok = np.isfinite(stack).all(axis=(1, 2))
     if bad:
         ok[bad] = False
-    return result, ok
+    return ok
 
 
-def _squarings(norm1: float) -> int:
-    """The least s >= 0 that brings a finite 1-norm norm1 to _THETA13 or
-    below, norm1 / 2^s <= _THETA13: the squarings of a Pade-13 exponential
-    of a matrix of that norm."""
-    return math.ceil(math.log2(norm1 / _THETA13)) if norm1 > _THETA13 else 0
+def _squarings(nu: float, t: float) -> int:
+    """The squarings of a Pade-13 exponential of a matrix of 1-norm nu at
+    horizon t: the least s >= 0 with nu t / 2^s <= _THETA13 in binary64,
+    for nu, t >= 0, exact by ldexp even where nu t overflows."""
+    if not nu * t > _THETA13:
+        return 0
+    s = math.ceil(math.log2(nu) + math.log2(t) - math.log2(_THETA13))
+    while nu * math.ldexp(t, -s) > _THETA13:
+        s += 1
+    while s > 0 and nu * math.ldexp(t, 1 - s) <= _THETA13:
+        s -= 1
+    return s
+
+
+def _scalings(nu: float, ts, limit: float) -> tuple:
+    """(counts, bad) of a matrix of 1-norm nu at the horizons ts: bad lists
+    each horizon's index where nu |t| exceeds limit, the width's largest
+    number, and counts holds _squarings(nu, |t|), 0 for those in bad."""
+    bad = [i for i, t in enumerate(ts) if nu * abs(t) > limit]
+    return [0 if i in bad else _squarings(nu, abs(t))
+            for i, t in enumerate(ts)], bad
 
 
 def _eigenvector_start(a, ev, vecs, tau_zero):

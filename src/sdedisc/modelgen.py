@@ -24,8 +24,8 @@ class EnsembleSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.m < 0 or self.p < 0 or self.n != self.m + self.p:
-            raise ValueError(f"need n = m + p with m, p >= 0, got "
+        if min(self.m, self.p) < 0 or not 1 <= self.n == self.m + self.p:
+            raise ValueError(f"need n = m + p >= 1 with m, p >= 0, got "
                              f"n={self.n}, m={self.m}, p={self.p}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")

@@ -82,7 +82,12 @@ class ContinuousModel:
         return self.a.dtype
 
     def astype(self, dtype) -> "ContinuousModel":
-        return ContinuousModel(self.a.astype(dtype), self.s.astype(dtype))
+        """This model at another width; NonFiniteError if it overflows."""
+        with np.errstate(over="ignore"):
+            a, s = self.a.astype(dtype), self.s.astype(dtype)
+        if not (np.isfinite(a).all() and np.isfinite(s).all()):
+            raise NonFiniteError(f"model entries overflow {a.dtype.name}")
+        return ContinuousModel(a, s)
 
 
 @dataclass(frozen=True)

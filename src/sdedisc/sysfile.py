@@ -14,8 +14,9 @@ class SystemFileError(ValueError):
 def dumps(model: ContinuousModel, name: str | None = None) -> str:
     lines = []
     if name is not None:
-        if "\n" in name:
-            raise SystemFileError("name must be a single line")
+        # loads reads lines as str.splitlines splits them, then strips them
+        if name.splitlines() != [name] or not name.strip():
+            raise SystemFileError("name must be a single non-blank line")
         lines.append(f"name {name}")
     lines.append(f"n {model.n}")
     for key, mat in (("a", model.a), ("s", model.s)):

@@ -386,6 +386,34 @@ def test_huge_horizon_finite_or_typed_error(t, name, dtype):
             assert np.isfinite([report.model.f, report.model.q]).all()
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item N: the squarings "
+                   "raise the one-ulp Pade error on the identity block of "
+                   "[[a, I], [0, 0]] to the power 2^s, and Q decays to 0 "
+                   "with no error")
+def test_stable_scalar_q_at_huge_horizons_right_or_refused():
+    # Q = (1 - exp(-4 T)) / 4 for A = -2, S = 1
+    m = ContinuousModel(np.array([[-2.0]]), np.array([[1.0]]))
+    for method in (Method.PROPOSED, Method.LYAP_P, Method.LYAP_Q):
+        for t in (1e14, 1e16, 1e20):
+            try:
+                q = run_method(m, t, method).model.q[0, 0]
+            except SdeDiscError:
+                continue
+            assert q == pytest.approx(-math.expm1(-4.0 * t) / 4.0,
+                                      rel=1e-12, abs=0.0), (method, t)
+
+
+def test_model_astype_beyond_the_width_raises_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, s in ((np.array([[-1.0, 1e39], [0.0, -1.0]]), np.eye(2)),
+                     (-np.eye(2), 1e39 * np.eye(2))):
+            m = ContinuousModel(a, s)
+            assert m.astype(np.float64).a.tobytes() == a.tobytes()
+            with pytest.raises(NonFiniteError, match="float32"):
+                m.astype(np.float32)
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_discrete_model_rejects_non_finite(bad):
     good = np.eye(2)
@@ -961,11 +989,11 @@ def test_plan_exponential_stacked_equals_one_horizon():
         plan = discretize._ProposedPlan(mixed_system(2).astype(dtype), None,
                                         None)
         ts = (1e-3, 0.3, 2.0, 11.0, 40.0, 100.0)
-        assert len({linalg._squarings(plan.aug_norm * t) for t in ts}) >= 4
-        stack, ok = plan._exp11(ts)
+        assert len({linalg._squarings(plan.exp11[0], t) for t in ts}) >= 4
+        stack, ok = linalg._exp_at(plan.exp11, ts)
         assert stack.dtype == dtype and ok.all()
         for t, got in zip(ts, stack, strict=True):
-            (alone,), _ = plan._exp11((t,))
+            (alone,), _ = linalg._exp_at(plan.exp11, (t,))
             assert got.tobytes() == alone.tobytes(), t
 
 
@@ -974,7 +1002,7 @@ def test_plan_exponential_empty_huge_and_flagged():
         warnings.simplefilter("error")
         # k = 0: aug11 is 0 x 0 and sigma is 0 at any horizon
         plan = discretize._ProposedPlan(constant_velocity(), None, None)
-        stack, ok = plan._exp11((1.0, 1e300))
+        stack, ok = linalg._exp_at(plan.exp11, (1.0, 1e300))
         assert stack.shape == (2, 0, 0) and ok.tolist() == [True, True]
         for dtype, huge in ((np.float64, 1e308), (np.float32, 2e38)):
             # |aug11|_1 = 2: at 2 huge the width is exceeded and the horizon
@@ -983,9 +1011,9 @@ def test_plan_exponential_empty_huge_and_flagged():
             m = ContinuousModel(np.array([[-2.0]], dtype=dtype),
                                 np.array([[1.0]], dtype=dtype))
             plan = discretize._ProposedPlan(m, None, None)
-            assert plan.aug_norm == 2.0
+            assert plan.exp11[0] == 2.0
             with np.errstate(over="ignore", invalid="ignore"):
-                stack, ok = plan._exp11((huge / 4, huge))
+                stack, ok = linalg._exp_at(plan.exp11, (huge / 4, huge))
             assert ok.tolist() == [True, False]
             assert np.isfinite(stack[0]).all()
             good, bad = plan.reports((huge / 4, huge))
@@ -1021,12 +1049,12 @@ def test_plan_exponential_matches_scipy(n, p, seed, squarings, frac, dtype):
     except SdeDiscError:
         assume(False)
     assume(plan.k > 0)
-    t = linalg._THETA13 * 2.0 ** squarings * frac / plan.aug_norm
-    s = linalg._squarings(plan.aug_norm * t)
+    t = linalg._THETA13 * 2.0 ** squarings * frac / plan.exp11[0]
+    s = linalg._squarings(plan.exp11[0], t)
     assert abs(s - squarings) <= 1
     aug11 = discretize._augmented(plan.a11)
     want = expm(aug11.astype(np.float64) * t)
-    (got,), (ok,) = plan._exp11((t,))
+    (got,), (ok,) = linalg._exp_at(plan.exp11, (t,))
     (nested,), _ = linalg._mat_exp_many(aug11, (t,))
     assert ok and got.dtype == dtype
 

@@ -127,6 +127,37 @@ def _squarings(a, t):
     return max(0, math.ceil(math.log2(norm1 / linalg._THETA13)))
 
 
+def _least_squarings(nu, t):
+    """The least s with nu t / 2^s <= theta13 in binary64, by counting."""
+    s = 0
+    while nu * math.ldexp(t, -s) > linalg._THETA13:
+        s += 1
+    return s
+
+
+def test_squarings_is_the_least_count():
+    # 1-norms within 4 ulps of theta13 2^k, split between nu and t in three
+    # ways, and products nu t that overflow binary64
+    probes = []
+    for k in range(60):
+        x = math.ldexp(linalg._THETA13, k)
+        for d in range(-4, 5):
+            y = x + d * math.ulp(x)
+            probes += [(y, 1.0), (1.0, y), (math.ldexp(y, -30), 2.0 ** 30)]
+    huge = [(1e300, 1e10), (1e300, 1.7e308), (1.7e308, 1.7e308)]
+    assert all(math.isinf(nu * t) for nu, t in huge)
+    probes += huge + [(0.0, 1e300), (1e300, 0.0), (1.0, 5.0), (0.0, 0.0)]
+    wrong_by_log2 = 0
+    for nu, t in probes:
+        want = _least_squarings(nu, t)
+        assert linalg._squarings(nu, t) == want, (nu, t)
+        if 0.0 < nu * t < math.inf:
+            wrong_by_log2 += want != max(0, math.ceil(
+                math.log2(nu * t / linalg._THETA13)))
+    # the probes reach where a log2 rule picks one squaring too few
+    assert wrong_by_log2 > 0
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_mat_exp_many_is_mat_exp_slice_by_slice(dtype):
     rng = np.random.default_rng(12)
@@ -939,16 +970,6 @@ def test_stacked_spectral_norms_are_spectral_norm():
     stack = np.random.default_rng(19).standard_normal((2000, 6, 6))
     got = np.linalg.norm(stack, 2, axis=(1, 2))
     assert got.tolist() == [spectral_norm(a) for a in stack]
-
-
-def test_symmetric_eigvalues_sorted_and_correct():
-    rng = np.random.default_rng(18)
-    g = random_matrix(rng, 7)
-    a = g + g.T
-    got = np.sort(_kernels.jacobi_symm_eigvals(a.copy(), np.finfo(float).eps,
-                                               60))
-    want = np.sort(np.linalg.eigvalsh(a))
-    assert np.allclose(got, want, rtol=1e-11, atol=1e-11)
 
 
 def test_tau_zero_default_scales_with_norm():

@@ -22,6 +22,8 @@ def test_spec_validation():
         EnsembleSpec(n=5, m=4, p=2)
     with pytest.raises(ValueError):
         EnsembleSpec(n=4, m=-1, p=5)
+    with pytest.raises(ValueError, match=r"n = m \+ p >= 1"):
+        EnsembleSpec(n=0, m=0, p=0)
     with pytest.raises(ValueError):
         EnsembleSpec(n=6, m=4, p=2, seed=-1)
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,23 @@ def test_round_trip_bit_exact():
     back = sysfile.loads(text)
     assert np.array_equal(back.a, m.a)
     assert np.array_equal(back.s, m.s)
+
+
+@pytest.mark.parametrize("name", ["sample", " padded ", "a\tb", "#hash",
+                                  "", " ", "a\rb", "a\x0cb", "a\nb",
+                                  "trailing\n", "a\u2028b"])
+def test_names_round_trip_or_are_refused(name):
+    # a name dumps writes is one that loads reads back past
+    m = constant_velocity()
+    try:
+        text = sysfile.dumps(m, name=name)
+    except SystemFileError:
+        assert name.strip() in ("", "a\rb", "a\x0cb", "a\nb", "trailing",
+                                "a\u2028b")
+        return
+    assert text.splitlines()[0] == f"name {name}"
+    back = sysfile.loads(text)
+    assert np.array_equal(back.a, m.a) and np.array_equal(back.s, m.s)
 
 
 def test_round_trip_via_file(tmp_path):
@@ -146,7 +164,10 @@ def test_cli_parse_failure_exit_2(tmp_path, capsys):
     (["bench", "--out", "{out}", "--tol", "1e-8"],
      "unrecognized arguments: --tol 1e-8"),
     (["discretize", "{cv}", "--t", "1", "--tol", "1e-12"],
-     "unrecognized arguments: --tol 1e-12"),
+     "unrecognized arguments: --tol 1e-12"),    (["gen", "--out", "{out}", "--n", "0", "--m", "0", "--p", "0"],
+     "need n = m + p >= 1"),
+    (["bench", "--out", "{out}", "--n", "0", "--m", "0", "--p", "0",
+      "--runs", "1"], "need n = m + p >= 1"),
 ])
 def test_cli_bad_arguments_exit_2(args, message, cv_file, tmp_path, capsys):
     args = [a.format(cv=cv_file, out=str(tmp_path / "run")) for a in args]
@@ -219,6 +240,19 @@ def test_cli_width_flags(scalar_file, capsys):
     q64 = float(out64.splitlines()[3])
     assert q32 == pytest.approx(q64, rel=1e-5)
     assert q32 != q64  # binary32 rounding is visible at 17 digits
+
+
+def test_cli_f32_overflowing_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("n 1\na\n1e39\ns\n1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main(["discretize", str(path), "--t", "1", "--f32"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "bad system file" in err and "float32" in err
+    assert "Traceback" not in err
 
 
 def test_import_does_not_load_scipy():
