@@ -14,9 +14,10 @@ inverted where at most 32 wide; ``trsylv`` then makes per column block one
 product that folds in the solved columns and one product with the inverse
 (a LAPACK solve for a wider block), for one right-hand side or a stack of
 them.  ``pade13_expm`` evaluates Higham's degree-13 Pade approximant of a
-stack of scaled matrices; ``pade13_powers`` and ``pade13_table_expm`` give
-the same approximant of sigma x at many sigma from one table of the powers
-of x, one product per sigma, and share its solve and squarings.
+stack of scaled matrices and ``squared`` squares them back;
+``pade13_powers`` and ``pade13_table_expm`` give the same approximant of
+sigma x at many sigma from one table of the powers of x, one product per
+sigma, and share its solve.
 All kernels mutate or allocate arrays in the dtype of their inputs, so the
 same code serves binary32 and binary64.
 """
@@ -347,13 +348,13 @@ def pade13_expm(a, squarings):
     w1, w2, z1 = p6[:3] + p4[:3] + p2[:3]
     uu = a @ (a6 @ w1 + (w2 + b1_i))
     vv = a6 @ z1 + p6[3] + p4[3] + p2[3] + b0_i
-    return _pade_squared(vv - uu, vv + uu, squarings)
+    return squared(np.ascontiguousarray(np.linalg.solve(vv - uu, vv + uu)),
+                   squarings)
 
 
-def _pade_squared(den, num, squarings):
-    """The Pade quotient den^-1 num of every matrix of the stacks, each
-    squared as often as its count in squarings asks."""
-    r = np.ascontiguousarray(np.linalg.solve(den, num))
+def squared(r, squarings):
+    """Every matrix of the stack r squared as often as its count in
+    squarings asks; r may be overwritten."""
     # every matrix squares as often as the fewest count asks, then only
     # the matrices that ask for more
     fewest = min(squarings, default=0)
@@ -393,20 +394,20 @@ def _pade13_rows(sigma):
     return den, num
 
 
-def pade13_table_expm(table, sigmas, squarings):
-    """pade13_expm of sigma x for each sigma of sigmas, from the table of
-    powers of x that pade13_powers made, squared as often as squarings
-    asks: a (len(sigmas), m, m) stack.  Higham's U and V are fixed odd and
-    even polynomials in the scaled matrix, so only their coefficients
-    depend on sigma: per sigma they are rounded to the table's width once
-    each, and one product of the coefficient rows with the table gives
-    the denominator and numerator together.  Each slice is what its sigma
-    gives alone.  The quotient and the squarings are pade13_expm's."""
+def pade13_table_expm(table, sigmas):
+    """pade13_expm of sigma x for each sigma of sigmas, unsquared, from the
+    table of powers of x that pade13_powers made: a (len(sigmas), m, m)
+    stack.  Higham's U and V are fixed odd and even polynomials in the
+    scaled matrix, so only their coefficients depend on sigma: per sigma
+    they are rounded to the table's width once each, and one product of
+    the coefficient rows with the table gives the denominator and
+    numerator together.  Each slice is what its sigma gives alone.  The
+    quotient is pade13_expm's; squared squares it."""
     m = table.shape[-1]
     coefs = np.array([_pade13_rows(s) for s in sigmas],
                      dtype=table.dtype).reshape(len(sigmas), 2, 14)
     both = (coefs @ table.reshape(14, m * m)).reshape(len(sigmas), 2, m, m)
-    return _pade_squared(both[:, 0], both[:, 1], squarings)
+    return np.ascontiguousarray(np.linalg.solve(both[:, 0], both[:, 1]))
 
 
 # LAPACK, under the name perfbench's tracer resolves (ROADMAP H drops it)

@@ -5,8 +5,8 @@ method here produces the transition matrix F = exp(A T) and an estimate of
 the process-noise covariance Q = int_0^T exp(A tau) S exp(A^T tau) dtau:
 
 * ``discretize_lyap_p``   -- stationary-covariance route (stable A only).
-* ``discretize_lyap_q``   -- direct Lyapunov route (needs no eigenvalue
-  pair of A summing to zero; stability not required).
+* ``discretize_lyap_q``   -- direct Lyapunov route: proposed's leading
+  block, where no eigenvalue pair of A sums to zero (stable or not).
 * ``discretize_proposed`` -- Schur reordering splits off the integrator
   (zero-eigenvalue) block, whose covariance has a finite closed-form sum;
   the remaining blocks come from Sylvester/Lyapunov solves.
@@ -47,7 +47,6 @@ from .linalg import (
     order_schur_zeros_last,
     quasi_tri_eigvalues,
     real_schur,
-    solve_lyapunov,
     spectral_norm,
     tau_zero_default,
 )
@@ -74,20 +73,12 @@ def _trivial_report(m: ContinuousModel, method: Method) -> MethodReport:
 
 
 def _augmented(a: np.ndarray) -> np.ndarray:
-    """The augmented matrix [[a, I], [0, 0]] of _exp_and_integral."""
+    """The augmented [[a, I], [0, 0]] of linalg._exp_table and _exp_at."""
     n = a.shape[0]
     aug = np.zeros((2 * n, 2 * n), dtype=a.dtype)
     aug[:n, :n] = a
     aug[:n, n:] = np.eye(n, dtype=a.dtype)
     return aug
-
-
-def _exp_and_integral(aug: np.ndarray, t: float):
-    """(exp(a t), int_0^t exp(a tau) dtau) from one exponential of the
-    augmented matrix aug = _augmented(a) (Van Loan, 1978)."""
-    n = aug.shape[0] // 2
-    big = mat_exp(aug, t)
-    return big[:n, :n], big[:n, n:]
 
 
 def _fxft_minus_x(fm1: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -105,43 +96,19 @@ def _unwrap(out):
     return out
 
 
-def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
-    """Stationary-covariance method: A P + P A^T = -S, then
-    Q = P - F P F^T.  Requires a strictly stable drift, every eigenvalue's
-    real part below -tau_zero_default(A)."""
-    t = _check_horizon(t)
-    if t == 0.0:
-        return _trivial_report(m, Method.LYAP_P)
-    # one Schur factorization serves the stability check and the solve;
-    # Re(lambda) < -tau_zero keeps every lambda_i + lambda_j off zero
-    tau = tau_zero_default(m.a)
-    u, ta = real_schur(m.a, tau)
-    max_re = float(quasi_tri_eigvalues(ta).real.max(initial=-math.inf))
+def _lyap_p_check(ev, tau: float):
+    # Re(lambda) < -tau_zero_default(A) keeps every lambda_i + lambda_j off 0
+    max_re = float(ev.real.max(initial=-math.inf))
     if max_re >= -tau:
         raise MethodNotApplicableError(
             f"lyap-p requires Re(lambda) < -{tau:.3e}, the margin "
             "tau_zero_default(A), for every eigenvalue; max Re(lambda) = "
             f"{max_re:.3e} is not below it")
-    p = solve_lyapunov(u, ta, -m.s)
-    f, g = _exp_and_integral(_augmented(m.a), t)
-    q = _sym(-_fxft_minus_x(m.a @ g, p))
-    return MethodReport(DiscreteModel(f, q, t), Method.LYAP_P)
 
 
-def discretize_lyap_q(m: ContinuousModel, t: float) -> MethodReport:
-    """Direct Lyapunov method: A Q + Q A^T = -(S - F S F^T).
-
-    Applicable whenever no two eigenvalues of A sum to within
-    2 tau_zero_default(A) of zero; the drift need not be stable."""
-    t = _check_horizon(t)
-    if t == 0.0:
-        return _trivial_report(m, Method.LYAP_Q)
-    # one Schur factorization serves the pre-check and the solve
-    tau = tau_zero_default(m.a)
-    u, ta = real_schur(m.a, tau)
-    evs = quasi_tri_eigvalues(ta)
+def _lyap_q_check(ev, tau: float):
     try:
-        _eig_sum_guard(evs, evs, 2.0 * tau)
+        _eig_sum_guard(ev, ev, 2.0 * tau)
     except NearSingularError as exc:
         i, j = exc.pair
         raise MethodNotApplicableError(
@@ -149,15 +116,41 @@ def discretize_lyap_q(m: ContinuousModel, t: float) -> MethodReport:
             f"has |sum| = {abs(i + j):.3e} <= 2 tau_zero_default(A) = "
             f"{2.0 * tau:.3e}, the margin from 0 that lyap-q requires of "
             "every eigenvalue sum for a unique solution") from exc
-    f, g = _exp_and_integral(_augmented(m.a), t)
-    # the solve takes -V/2 and returns Q/2: for an unstable drift V is
-    # about -2 Q, and would overflow the width before Q does.  What still
-    # overflows is refused as non-finite, not warned about.
+
+
+def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
+    """Stationary-covariance method: A P + P A^T = -S, then
+    Q = P - F P F^T.  Requires a strictly stable drift, every eigenvalue's
+    real part below -tau_zero_default(A), so no integrators: P/2 comes
+    from the q11 solver of discretize_proposed's plan, which keeps it."""
+    t = _check_horizon(t)
+    if t == 0.0:
+        return _trivial_report(m, Method.LYAP_P)
+    plan = _proposed_plan(m, None, _lyap_p_check)
+    if plan.p_half is None:
+        plan.p_half = _kernels.trsylv(*plan.q11_sylv, -plan.st_half)
     with np.errstate(over="ignore", invalid="ignore"):
-        nv_half = _fxft_minus_x(m.a @ g, m.dtype.type(0.5) * m.s)
-        q_half = solve_lyapunov(u, ta, _sym(nv_half))
-        q = q_half + q_half
-    return MethodReport(DiscreteModel(f, q, t), Method.LYAP_Q)
+        (big,), (ok,) = _exp_at(plan.exp11, (t,))
+        if not ok:
+            raise _exp_overflow(big.dtype, t)
+        e, g = np.hsplit(big[:m.n], 2)
+        # Q/2 = P/2 - f (P/2) f^T in Schur coordinates, f - I = a g
+        x = plan.u @ -_fxft_minus_x(plan.a11 @ g, plan.p_half) @ plan.u.T
+        f = plan.u @ e @ plan.u_inv
+    return MethodReport(DiscreteModel(f, x + x.T, t), Method.LYAP_P)
+
+
+def discretize_lyap_q(m: ContinuousModel, t: float) -> MethodReport:
+    """Direct Lyapunov method: A Q + Q A^T = -(S - F S F^T).
+
+    Applicable whenever no two eigenvalues of A sum to within
+    2 tau_zero_default(A) of zero; the drift need not be stable, but has
+    no integrators: the result is discretize_proposed's, bit for bit."""
+    t = _check_horizon(t)
+    if t == 0.0:
+        return _trivial_report(m, Method.LYAP_Q)
+    (report,) = _proposed_plan(m, None, _lyap_q_check).reports((t,))
+    return MethodReport(_unwrap(report).model, Method.LYAP_Q)
 
 
 def q_nilpotent(a22: np.ndarray, s22: np.ndarray, t: float) -> np.ndarray:
@@ -233,24 +226,25 @@ def _nilpotent_sum(terms: np.ndarray, table: list, ts) -> np.ndarray:
 
 
 class _ProposedPlan:
-    """Everything discretize_proposed needs that depends on (A, S) and
-    tau_zero only, never on the horizon: the real Schur form with the
-    integrators reordered last, its blocks, u^-1 and half the transformed
-    S, after guarding the spectra the block equations need apart; the
-    Pade-13 power table of a11's augmented matrix (linalg._exp_table),
-    from which each horizon's exponential takes its U and V in one
-    product and its squarings by linalg's one rule; the column blocks of
+    """Everything proposed, lyap-q and lyap-p need that depends on (A, S)
+    and tau_zero only, never on the horizon: the real Schur form with the
+    integrators reordered last, its eigenvalues, its blocks, u^-1 and half
+    the transformed S, after a lyap method's check and guarding the
+    spectra the block equations need apart; the Pade-13 power table of
+    a11's augmented matrix (linalg._exp_table), from which each horizon's
+    exponential takes its U and V in one product; the column blocks of
     the three Bartels-Stewart solves, which share a11 and so come from one
     sylv_blocks call, merged and inverted wherever a union of them has at
-    most 32 unknowns, so that a horizon's solves are products (one each at
-    n = 6 with an integrator pair); and the integrator block's powers A^i
-    and products A^i (S/2) (A^j)^T, after checking that it is nilpotent,
-    with the (exponent, denominator) tables of their series.  A model that
-    fails a guard or the check raises here; ``reports`` evaluates
+    most 32 unknowns, so that a horizon's solves are products; the
+    integrator block's powers A^i and products A^i (S/2) (A^j)^T, after
+    checking that it is nilpotent, with the (exponent, denominator) tables
+    of their series; and lyap-p's P/2, from its first call on.  A model
+    that fails a check or a guard raises here; ``reports`` evaluates
     horizons."""
 
-    def __init__(self, m: ContinuousModel, tau_zero: float | None, key):
-        self.key = key
+    def __init__(self, m: ContinuousModel, tau_zero: float | None, key,
+                 check=None):
+        self.key, self.p_half = key, None
         tau_default = tau_zero_default(m.a)
         if tau_zero is None:
             tau_zero = tau_default
@@ -263,7 +257,9 @@ class _ProposedPlan:
         a22 = np.ascontiguousarray(at[k:, k:])
         # mirrored non-zero poles make the q11 Lyapunov solve singular, and
         # the f12 and q12 solves couple a11 with -a22 and with a22^T
-        ev = quasi_tri_eigvalues(at)
+        self.ev = ev = quasi_tri_eigvalues(at)
+        if check:
+            check(ev, tau_default)
         ev1, ev2 = ev[:k], ev[k:]
         eps = eps_of(m.a)
         mirrored = True
@@ -375,8 +371,8 @@ def _report(f, q, t, method, diagnostics=None):
         return exc
 
 
-# the plan of the last model discretize_proposed saw; replaced, never
-# mutated, so a call that reads it sees a whole plan
+# the plan of the last model an exact Schur method saw; replaced, never
+# mutated but for lyap-p's p_half, so a call that reads it sees a whole plan
 _last_plan = None
 
 
@@ -385,14 +381,17 @@ def _model_key(m: ContinuousModel) -> tuple:
     return (m.a.dtype, m.s.dtype, m.a.tobytes(), m.s.tobytes())
 
 
-def _proposed_plan(m: ContinuousModel, tau_zero: float | None):
+def _proposed_plan(m: ContinuousModel, tau_zero: float | None, check=None):
     """The kept plan if it was made for m and tau_zero, else a new one,
-    which is then kept."""
+    which is then kept.  A lyap method's check(ev, tau_zero_default(A))
+    runs on A's eigenvalues first, before a new plan's guards."""
     global _last_plan
     key = _model_key(m) + (tau_zero,)
     plan = _last_plan
     if plan is None or plan.key != key:
-        plan = _last_plan = _ProposedPlan(m, tau_zero, key)
+        plan = _last_plan = _ProposedPlan(m, tau_zero, key, check)
+    elif check:
+        check(plan.ev, tau_zero_default(m.a))
     return plan
 
 
@@ -461,7 +460,11 @@ def naive_q_a(m: ContinuousModel, t: float) -> np.ndarray:
     t = _check_horizon(t)
     if t == 0.0:
         raise ValueError("naive_q_a requires t > 0")
-    g = _exp_and_integral(_augmented(m.a), t)[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        (big,), (ok,) = _exp_at(_exp_table(_augmented(m.a)), (t,))
+    if not ok:
+        raise _exp_overflow(big.dtype, t)
+    g = big[:m.n, m.n:]
     return _sym((g @ m.s @ g.T) / m.dtype.type(t))
 
 

@@ -106,25 +106,33 @@ def _mat_exp_many(a: np.ndarray, ts) -> tuple:
     return result, _finite(result, bad)
 
 
-def _exp_table(a: np.ndarray) -> tuple:
-    """_exp_at's horizon-free part for a square, finite a: its binary64
-    |a|_1, the exponent e of a power of two 2^e above it, and the table of
-    the powers of a / 2^e, which is exact and lets no power overflow."""
-    nu = _norm1(a)
+def _exp_table(aug: np.ndarray) -> tuple:
+    """_exp_at's horizon-free part for aug = [[a, I], [0, 0]]: its binary64
+    |aug|_1, the exponent e of a power of two 2^e above it, and the exact
+    table of the powers of aug / 2^e, of which none overflows."""
+    nu = _norm1(aug)
     e = math.frexp(nu)[1]
-    return nu, e, _kernels.pade13_powers(np.ldexp(a, -e))
+    return nu, e, _kernels.pade13_powers(np.ldexp(aug, -e))
 
 
 def _exp_at(table: tuple, ts) -> tuple:
-    """_mat_exp_many's stack and flags for the a of table = _exp_table(a),
-    by the same scaling, from the table: a t / 2^s is the table's a / 2^e
-    at sigma = 2^(e - s) t, or at sigma = 0 where |a|_1 t is 0 or flagged."""
+    """_mat_exp_many's stack and flags for the aug of table = _exp_table(aug)
+    from the table at the scaled step h = t / 2^s (aug / 2^e at sigma =
+    2^(e - s) t, or at 0 where |aug|_1 t is 0 or flagged), its identity
+    block made exact before the squarings: [[f, g], [0, I]]^2 is then
+    [[f^2, f g + g], [0, I]] for f = exp(a h), g = int_0^h exp(a tau) dtau,
+    where a rounded identity block would be raised to the power 2^s and
+    decay g to 0.  Overflow shows in the flags, under the caller's
+    np.errstate."""
     nu, e, powers = table
     limit = float(np.finfo(powers.dtype).max)
     counts, bad = _scalings(nu, ts, limit)
     sigmas = [math.ldexp(t, e - c) if 0.0 < nu * t <= limit else 0.0
               for t, c in zip(ts, counts)]
-    big = _kernels.pade13_table_expm(powers, sigmas, counts)
+    big = _kernels.pade13_table_expm(powers, sigmas)
+    k = big.shape[-1] // 2
+    big[:, k:, k:] = powers[0, k:, k:]
+    big = _kernels.squared(big, counts)
     return big, _finite(big, bad)
 
 
@@ -355,7 +363,8 @@ def _sym(x: np.ndarray) -> np.ndarray:
 def solve_sylvester(ua, ta, ub, r, c):
     """Bartels-Stewart from given Schur factors: X with a @ X + X @ b = c,
     where a = ua @ ta @ ua.T with ta quasi-upper triangular and
-    b = ub @ r @ ub.T with r quasi-lower triangular."""
+    b = ub @ r @ ub.T with r quasi-lower triangular.  No caller is left;
+    perfbench's tracer names it and solve_lyapunov until ROADMAP H."""
     c = check_finite(np.asarray(c), "sylvester c")
     shape = (ta.shape[0], r.shape[0])
     if c.shape != shape:
@@ -365,7 +374,7 @@ def solve_sylvester(ua, ta, ub, r, c):
 
 
 def solve_lyapunov(u, t, c):
-    """a @ X + X @ a.T = c for a = u @ t @ u.T, symmetrized."""
+    """a @ X + X @ a.T = c for a = u @ t @ u.T, symmetrized; no caller."""
     return _sym(solve_sylvester(u, t, u, np.ascontiguousarray(t.T), c))
 
 

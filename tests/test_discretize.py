@@ -386,10 +386,6 @@ def test_huge_horizon_finite_or_typed_error(t, name, dtype):
             assert np.isfinite([report.model.f, report.model.q]).all()
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item N: the squarings "
-                   "raise the one-ulp Pade error on the identity block of "
-                   "[[a, I], [0, 0]] to the power 2^s, and Q decays to 0 "
-                   "with no error")
 def test_stable_scalar_q_at_huge_horizons_right_or_refused():
     # Q = (1 - exp(-4 T)) / 4 for A = -2, S = 1
     m = ContinuousModel(np.array([[-2.0]]), np.array([[1.0]]))
@@ -950,10 +946,90 @@ def test_vanloan_stacked_equals_one_horizon(dtype):
 
 @pytest.mark.parametrize("method", [discretize_lyap_p, discretize_lyap_q])
 def test_lyap_methods_factor_once_per_call(method, schur_count):
+    # the second call, at another horizon, reuses the kept plan
+    discretize._last_plan = None
     m = stable_system(1)
     for t in (0.5, 2.0):
         method(m, t)
-    assert len(schur_count) == 2
+    assert len(schur_count) == 1
+
+
+def test_exact_methods_share_one_plan(schur_count):
+    discretize._last_plan = None
+    m = stable_system(2)
+    for t, method in zip((0.5, 2.0, 7.0, 0.5),
+                         (discretize_lyap_p, discretize_lyap_q,
+                          discretize_proposed, discretize_lyap_p)):
+        method(m, t)
+    assert len(schur_count) == 1
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(n=st.integers(1, 16), seed=st.integers(0, 2 ** 31 - 1),
+       dtype=st.sampled_from([np.float64, np.float32]),
+       ts=st.lists(st.sampled_from([1e-3, 0.1, 1.0, 10.0, 100.0]),
+                   min_size=1, max_size=3))
+def test_lyap_q_is_proposed_without_integrators(n, seed, dtype, ts):
+    m = gen_random_system(EnsembleSpec(n, n, 0, seed=seed)).astype(dtype)
+    for t in ts:
+        try:
+            got = discretize_lyap_q(m, t)
+        except MethodNotApplicableError:
+            continue
+        want = cold(m, t)
+        assert got.method is Method.LYAP_Q and not got.diagnostics
+        assert want.diagnostics["integrator_count"] == 0.0
+        assert got.model.f.tobytes() == want.model.f.tobytes()
+        assert got.model.q.tobytes() == want.model.q.tobytes()
+
+
+def lyap_p_refusal(tau, max_re):
+    return (f"lyap-p requires Re(lambda) < -{tau}, the margin "
+            "tau_zero_default(A), for every eigenvalue; max Re(lambda) = "
+            f"{max_re} is not below it")
+
+
+def lyap_q_refusal(pair, total, margin):
+    return (f"lyap-q not applicable: eigenvalue pair {pair} has |sum| = "
+            f"{total} <= 2 tau_zero_default(A) = {margin}, the margin from 0 "
+            "that lyap-q requires of every eigenvalue sum for a unique "
+            "solution")
+
+
+# the Lyapunov methods' refusal messages, pinned, for a model that the
+# plan refuses itself (mirrored poles), an integrator chain and a slow pole
+LYAP_REFUSALS = [
+    (np.diag([1.0, -1.0]), np.eye(2),
+     lyap_p_refusal("2.980e-07", "1.000e+00"),
+     lyap_q_refusal("(1.000e+00+0.000e+00j, -1.000e+00+0.000e+00j)",
+                    "0.000e+00", "5.960e-07")),
+    (constant_velocity().a, constant_velocity().s,
+     lyap_p_refusal("2.107e-07", "0.000e+00"),
+     lyap_q_refusal("(0.000e+00+0.000e+00j, 0.000e+00+0.000e+00j)",
+                    "0.000e+00", "4.215e-07")),
+    (np.diag([-1.0, -1e-9, -2.0]), np.eye(3),
+     lyap_p_refusal("5.771e-07", "-1.000e-09"),
+     lyap_q_refusal("(-1.000e-09+0.000e+00j, -1.000e-09+0.000e+00j)",
+                    "2.000e-09", "1.154e-06")),
+]
+
+
+@pytest.mark.parametrize("a, s, msg_p, msg_q", LYAP_REFUSALS,
+                         ids=["mirrored", "constant-velocity", "slow-pole"])
+def test_lyap_refusal_messages(a, s, msg_p, msg_q):
+    m = ContinuousModel(a, s)
+    for method, msg in ((discretize_lyap_p, msg_p),
+                        (discretize_lyap_q, msg_q)):
+        for warm in (False, True):
+            discretize._last_plan = None
+            try:
+                if warm:  # checked on the plan proposed keeps, if any
+                    discretize_proposed(m, 1.0)
+            except UnsupportedSpectrumError:
+                pass
+            with pytest.raises(MethodNotApplicableError) as info:
+                method(m, 1.0)
+            assert str(info.value) == msg
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

@@ -23,8 +23,9 @@ paper-sweep's binary32 proposed path, a fresh ``_ProposedPlan`` and its
 ``reports(default_t_grid())`` at the 20 paper horizons, on
 ``EnsembleSpec(6, 4, 2, seed=s)``, stream 0, s = 0 .. 3;
 ``discretize_lyap_p`` and ``discretize_lyap_q`` at n = 16 on
-``EnsembleSpec(16, 16, 0, seed=3)``, four streams, whose Lyapunov solves
-are ``linalg.solve_lyapunov``; and ``real_schur`` at the default
+``EnsembleSpec(16, 16, 0, seed=3)``, cold (four streams in turn at T = 1,
+so that each call factors afresh) and warm (the first stream at the 16
+horizons of the warm ``proposed`` rows); and ``real_schur`` at the default
 ``tau_zero`` on the drifts of tests/test_linalg.py's critically damped and
 coupled repeated pair families (rotated by seeds 0-7 and 0-3) whose
 eigenvector bases are refused, so that each factors from ``A`` itself;
@@ -101,8 +102,10 @@ def rows(pkg):
               for s in range(STREAMS)]
     for label, method in (("lyap-p", pkg.discretize_lyap_p),
                           ("lyap-q", pkg.discretize_lyap_q)):
-        out.append((f"{label} n=16", cycle(
+        out.append((f"{label} cold n=16", cycle(
             [lambda m=m, f=method: f(m, 1.0) for m in models])))
+        out.append((f"{label} warm n=16", cycle(
+            [lambda t=t, f=method: f(models[0], t) for t in HORIZONS])))
     linalg = pkg.linalg
     drifts = []
     for a in fallback_drifts():
