@@ -13,28 +13,32 @@ triangular one), merged while a union has at most 32 unknowns, and
 inverted where at most 32 wide; ``trsylv`` then makes per column block one
 product that folds in the solved columns and one product with the inverse
 (a LAPACK solve for a wider block), for one right-hand side or a stack of
-them.  ``pade13_expm`` evaluates Higham's degree-13 Pade approximant of a
-stack of scaled matrices and ``squared`` squares them back;
-``pade13_powers`` and ``pade13_table_expm`` give the same approximant of
-sigma x at many sigma from one table of the powers of x, one product per
-sigma, and share its solve.
+them.  ``pade13_powers`` makes the table of the powers
+x^0 .. x^7 of a scaled matrix once, ``pade13_expm`` evaluates Higham's
+degree-13 Pade approximant of sigma x from it at many sigma, and
+``squared`` squares the results back.
 All kernels mutate or allocate arrays in the dtype of their inputs, so the
 same code serves binary32 and binary64.
 """
 
 import cmath
-import functools
 import math
 
 import numpy as np
 
-# Pade coefficients b_0 .. b_13 of the degree-13 diagonal approximant, and
-# the pairs (j, b_j)
+# Pade coefficients b_0 .. b_13 of the degree-13 diagonal approximant
 _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            1187353796428800.0, 129060195264000.0, 10559470521600.0,
            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
            960960.0, 16380.0, 182.0, 1.0)
-_PADE13_TERMS = tuple(enumerate(_PADE13))
+# each b_j and its degree j at its place in pade13_expm's coefficient rows
+# W1, W0, Lv and Lu over x^0 .. x^7, and 0 elsewhere
+_ROWS = [2 + j % 2 if j < 8 else j % 2 for j in range(14)]
+_COLS = [j if j < 8 else j - 6 - j % 2 for j in range(14)]
+_ROW_B = np.zeros((4, 8))
+_ROW_B[_ROWS, _COLS] = _PADE13
+_ROW_J = np.zeros((4, 8))
+_ROW_J[_ROWS, _COLS] = range(14)
 
 # sylv_blocks inverts the column-block matrices up to this dimension, and
 # trsylv multiplies by those inverses; wider blocks keep a LAPACK solve
@@ -317,39 +321,43 @@ def trsylv(blocks, r, c):
     return y
 
 
-@functools.lru_cache(maxsize=16)
-def _pade13_terms(dtype, n):
-    """pade13_expm's constants for one width and size: for each of a6, a4
-    and a2 its four coefficients (in w1, w2, z1 and vv) as a (4, 1, 1, 1)
-    array that broadcasts over the stack of powers, then b1 I and b0 I.
-    Cached, because building them costs more than using them."""
-    b = np.array(_PADE13, dtype=dtype)
-    ident = np.eye(n, dtype=dtype)
-    terms = tuple(b[list(rows)].reshape(4, 1, 1, 1)
-                  for rows in ((13, 7, 12, 6), (11, 5, 10, 4), (9, 3, 8, 2)))
-    terms += (b[1] * ident, b[0] * ident)
-    for x in terms:
-        x.flags.writeable = False
-    return terms
+def pade13_powers(x):
+    """The powers x^0 .. x^7 of the square matrix x as an (8, m, m) table
+    for pade13_expm, in three stacked products: the highest power x^k made
+    so far times each of x^1 .. x^k gives x^(k+1) .. x^(2k), up to x^7.
+    Meant for a scaled x, |x|_1 <= 1, so that no power overflows."""
+    m = x.shape[0]
+    powers = np.empty((8, m, m), dtype=x.dtype)
+    powers[0] = np.eye(m, dtype=x.dtype)
+    powers[1] = x
+    for k, top in ((1, 2), (2, 4), (4, 7)):
+        powers[k + 1:top + 1] = powers[k] @ powers[1:top - k + 1]
+    return powers
 
 
-def pade13_expm(a, squarings):
-    """Degree-13 diagonal Pade approximant of exp(a) followed by repeated
-    squaring, for a stack a of shape (k, n, n) and a list of k squaring
-    counts; each matrix must already be scaled so the approximant is
-    accurate."""
-    c6, c4, c2, b1_i, b0_i = _pade13_terms(a.dtype, a.shape[-1])
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    # each coefficient times each power in one product per power; the sums
-    # keep the association order of the scalar form term by term
-    p6, p4, p2 = c6 * a6, c4 * a4, c2 * a2
-    w1, w2, z1 = p6[:3] + p4[:3] + p2[:3]
-    uu = a @ (a6 @ w1 + (w2 + b1_i))
-    vv = a6 @ z1 + p6[3] + p4[3] + p2[3] + b0_i
-    return squared(np.ascontiguousarray(np.linalg.solve(vv - uu, vv + uu)),
-                   squarings)
+def pade13_expm(powers, sigmas):
+    """Higham's degree-13 diagonal Pade approximant of exp(sigma x) for
+    each sigma of sigmas, unsquared, from the table of powers of x that
+    pade13_powers made: a (len(sigmas), m, m) stack, each slice what its
+    sigma gives alone.  sigma x must be scaled so that the approximant is
+    accurate; squared squares it back.
+
+    Higham's nested form (SIMAX 26, 2005) on that table: with c_j =
+    b_j sigma^j, U = x^7 W0 + Lu and V = x^6 W1 + Lv for W0 = c_9 x^2 +
+    c_11 x^4 + c_13 x^6, W1 = c_8 x^2 + c_10 x^4 + c_12 x^6, and Lu, Lv the
+    sums of c_j x^j over odd and even j <= 7.  The fourteen c_j of every
+    sigma are computed in binary64 at once and rounded to the table's
+    width once each; one product of them with the table gives W1, W0, Lv
+    and Lu, one stacked product with [x^6, x^7] gives V and U, and one
+    solve gives (V - U)^-1 (V + U)."""
+    m = powers.shape[-1]
+    k = len(sigmas)
+    coefs = (_ROW_B * np.asarray(sigmas, dtype=np.float64).reshape(k, 1, 1)
+             ** _ROW_J).astype(powers.dtype, copy=False)
+    w = (coefs @ powers.reshape(8, m * m)).reshape(k, 4, m, m)
+    vu = powers[6:] @ w[:, :2] + w[:, 2:]
+    v, u = vu[:, 0], vu[:, 1]
+    return np.ascontiguousarray(np.linalg.solve(v - u, v + u))
 
 
 def squared(r, squarings):
@@ -364,50 +372,6 @@ def squared(r, squarings):
         live = [i for i, count in enumerate(squarings) if count > step]
         r[live] = r[live] @ r[live]
     return r
-
-
-def pade13_powers(x):
-    """The powers x^0 .. x^13 of the square matrix x as a (14, m, m) table
-    for pade13_table_expm, in four stacked products: the highest power
-    x^k made so far times each of x^1 .. x^k gives x^(k+1) .. x^(2k).
-    Meant for a scaled x, |x|_1 <= 1, so that no power overflows."""
-    m = x.shape[0]
-    powers = np.empty((14, m, m), dtype=x.dtype)
-    powers[0] = np.eye(m, dtype=x.dtype)
-    powers[1] = x
-    k = 1
-    while k < 13:
-        top = min(2 * k, 13)
-        powers[k + 1:top + 1] = powers[k] @ powers[1:top - k + 1]
-        k = top
-    return powers
-
-
-def _pade13_rows(sigma):
-    """The coefficients of the Pade-13 denominator V - U and numerator
-    V + U at sigma x in the powers x^0 .. x^13, as Python floats: with
-    U = sum over odd j and V = sum over even j of b_j sigma^j x^j, the row
-    of V + U is b_j sigma^j and that of V - U is (-1)^j b_j sigma^j."""
-    num = [b * sigma ** j for j, b in _PADE13_TERMS]
-    den = num.copy()
-    den[1::2] = [-c for c in num[1::2]]
-    return den, num
-
-
-def pade13_table_expm(table, sigmas):
-    """pade13_expm of sigma x for each sigma of sigmas, unsquared, from the
-    table of powers of x that pade13_powers made: a (len(sigmas), m, m)
-    stack.  Higham's U and V are fixed odd and even polynomials in the
-    scaled matrix, so only their coefficients depend on sigma: per sigma
-    they are rounded to the table's width once each, and one product of
-    the coefficient rows with the table gives the denominator and
-    numerator together.  Each slice is what its sigma gives alone.  The
-    quotient is pade13_expm's; squared squares it."""
-    m = table.shape[-1]
-    coefs = np.array([_pade13_rows(s) for s in sigmas],
-                     dtype=table.dtype).reshape(len(sigmas), 2, 14)
-    both = (coefs @ table.reshape(14, m * m)).reshape(len(sigmas), 2, m, m)
-    return np.ascontiguousarray(np.linalg.solve(both[:, 0], both[:, 1]))
 
 
 # LAPACK, under the name perfbench's tracer resolves (ROADMAP H drops it)

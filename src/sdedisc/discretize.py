@@ -73,7 +73,8 @@ def _trivial_report(m: ContinuousModel, method: Method) -> MethodReport:
 
 
 def _augmented(a: np.ndarray) -> np.ndarray:
-    """The augmented [[a, I], [0, 0]] of linalg._exp_table and _exp_at."""
+    """The augmented [[a, I], [0, 0]], whose exponential holds exp(a t) and
+    its integral int_0^t exp(a tau) dtau."""
     n = a.shape[0]
     aug = np.zeros((2 * n, 2 * n), dtype=a.dtype)
     aug[:n, :n] = a
@@ -160,10 +161,9 @@ def q_nilpotent(a22: np.ndarray, s22: np.ndarray, t: float) -> np.ndarray:
     Raises NilpotencyError when |A^p| exceeds a tolerance that allows
     for the eps^(1/p) spread of a perturbed index-p chain."""
     t = _check_horizon(t)
-    _, terms = _nilpotent_terms(a22, s22)
     with np.errstate(over="ignore", invalid="ignore"):
-        (q,) = _sym(_nilpotent_sum(terms, _nilpotent_table(terms.shape[-1]),
-                                   (t,)))
+        ((_, q),) = _nilpotent_sum(*_nilpotent_terms(a22, s22), (t,))
+        q = _sym(q)
     if not np.isfinite(q).all():
         raise MatrixOverflowError(
             f"nilpotent covariance overflowed {q.dtype.name} at t = {t:.3g}")
@@ -171,10 +171,14 @@ def q_nilpotent(a22: np.ndarray, s22: np.ndarray, t: float) -> np.ndarray:
 
 
 def _nilpotent_terms(a22: np.ndarray, s22: np.ndarray) -> tuple:
-    """q_nilpotent's horizon-free part: check that a22 is nilpotent and
-    return its powers A^i, i < p, as a (p, p, p) stack, and the products
-    A^i S (A^j)^T, i, j < p, as a (p*p, p, p) stack in the order
-    (i, j) = (0, 0), (0, 1), .., (p-1, p-1)."""
+    """The horizon-free part of the integrator block's two series: check
+    that a22 is nilpotent and return (terms, table).  terms stacks the
+    powers A^i, 0 < i < p, then the products A^i S (A^j)^T, i, j < p, in
+    the order (i, j) = (0, 0), (0, 1), .., (p-1, p-1); table holds each
+    term's series (0 or 1), exponent e and denominator d in
+        exp(A T) - I = sum_{0<i<p} T^i / i! A^i,
+        q_nilpotent before symmetrizing =
+            sum_{i,j<p} T^(i+j+1) / (i! j! (i+j+1)) A^i S (A^j)^T."""
     a22 = check_square(a22, "nilpotent block")
     s22 = check_square(s22, "nilpotent noise block")
     if s22.shape != a22.shape:
@@ -189,40 +193,36 @@ def _nilpotent_terms(a22: np.ndarray, s22: np.ndarray) -> tuple:
         raise NilpotencyError(
             f"block is not nilpotent of index {p}: |A^p| = "
             f"{np.linalg.norm(powers[p]):.3e} > {nil_tol:.3e}")
-    terms = np.empty((p * p, p, p), dtype=a22.dtype)
-    for i in range(p):
-        for j in range(p):
-            terms[i * p + j] = powers[i] @ s22 @ powers[j].T
-    return np.array(powers[:p], dtype=a22.dtype).reshape(p, p, p), terms
-
-
-def _nilpotent_table(p: int) -> list:
-    """The (exponent, denominator) of each coefficient
-    T^(i+j+1) / (i! j! (i+j+1)) of q_nilpotent's sum, in the order of
-    _nilpotent_terms' products."""
-    return [(i + j + 1, math.factorial(i) * math.factorial(j) * (i + j + 1))
-            for i in range(p) for j in range(p)]
+    pairs = [(i, j) for i in range(p) for j in range(p)]
+    terms = np.array(powers[1:p] + [powers[i] @ s22 @ powers[j].T
+                                    for i, j in pairs],
+                     dtype=a22.dtype).reshape(max(p - 1, 0) + p * p, p, p)
+    fact = math.factorial
+    return terms, ([(0, i, fact(i)) for i in range(1, p)]
+                   + [(1, i + j + 1, fact(i) * fact(j) * (i + j + 1))
+                      for i, j in pairs])
 
 
 def _nilpotent_sum(terms: np.ndarray, table: list, ts) -> np.ndarray:
-    """sum_k T^e_k / d_k terms[k] at every horizon T of ts, as a
-    (len(ts), p, p) stack, for the (e_k, d_k) of table: q_nilpotent before
-    symmetrizing, or exp(A T) - I from the powers A^1 .. A^(p-1) and the
-    table (i, i!).  A horizon whose sum overflows the width has a
-    non-finite slice (numpy warns of it unless the caller silences it with
-    np.errstate)."""
+    """Both series of _nilpotent_terms at every horizon T of ts, as a
+    (len(ts), 2, p, p) stack: slice [:, 0] is exp(A T) - I and [:, 1]
+    q_nilpotent before symmetrizing.  Each series is summed in one pass
+    over every term in order, the other series' terms with coefficient 0.
+    A horizon whose sum overflows the width has a non-finite slice (numpy
+    warns of it unless the caller silences it with np.errstate)."""
 
-    # the coefficients in Python floats, as for one horizon, then rounded
-    # to the width once each
-    def coefs_at(t):
+    # the coefficients T^e / d in Python floats, as for one horizon, then
+    # rounded to the width once each
+    def coef(t, e, d):
         try:
-            return [t ** e / d for e, d in table]
-        except OverflowError:  # t^(2p-1) is beyond binary64
-            return [math.inf] * len(table)
+            return t ** e / d
+        except OverflowError:  # t^e is beyond binary64
+            return math.inf
 
-    coefs = np.array([coefs_at(t) for t in ts],
-                     dtype=terms.dtype).reshape(len(ts), len(table), 1, 1)
-    return (coefs * terms).sum(axis=1)
+    coefs = np.array([[[coef(t, e, d) if row == series else 0.0
+                        for row, e, d in table] for series in (0, 1)]
+                      for t in ts], dtype=terms.dtype)
+    return (coefs.reshape(len(ts), 2, len(table), 1, 1) * terms).sum(axis=2)
 
 
 class _ProposedPlan:
@@ -230,17 +230,18 @@ class _ProposedPlan:
     and tau_zero only, never on the horizon: the real Schur form with the
     integrators reordered last, its eigenvalues, its blocks, u^-1 and half
     the transformed S, after a lyap method's check and guarding the
-    spectra the block equations need apart; the Pade-13 power table of
-    a11's augmented matrix (linalg._exp_table), from which each horizon's
-    exponential takes its U and V in one product; the column blocks of
+    spectra the block equations need apart; the table of the powers
+    x^0 .. x^7 of a11's scaled augmented matrix (linalg._exp_table), from
+    which each horizon's Pade-13 exponential takes its U and V in one
+    coefficient product and one stacked product; the column blocks of
     the three Bartels-Stewart solves, which share a11 and so come from one
     sylv_blocks call, merged and inverted wherever a union of them has at
-    most 32 unknowns, so that a horizon's solves are products; the
-    integrator block's powers A^i and products A^i (S/2) (A^j)^T, after
-    checking that it is nilpotent, with the (exponent, denominator) tables
-    of their series; and lyap-p's P/2, from its first call on.  A model
-    that fails a check or a guard raises here; ``reports`` evaluates
-    horizons."""
+    most 32 unknowns, so that a horizon's solves are products; one table
+    of the integrator block's terms, its powers A^i and products
+    A^i (S/2) (A^j)^T, after checking that it is nilpotent, from which
+    F22 - I and Q22/2 come in one pass (_nilpotent_sum); and lyap-p's
+    P/2, from its first call on.  A model that fails a check or a guard
+    raises here; ``reports`` evaluates horizons."""
 
     def __init__(self, m: ContinuousModel, tau_zero: float | None, key,
                  check=None):
@@ -301,12 +302,9 @@ class _ProposedPlan:
         # Q does; halving is exact, so no other bit changes
         self.st_half = m.dtype.type(0.5) * _sym(
             self.u_inv @ m.s @ self.u_inv.T)
-        powers, self.q22_terms = _nilpotent_terms(
+        # the terms of exp(a22 t) - I and Q22/2 (q_nilpotent of S/2)
+        self.nilpotent = _nilpotent_terms(
             a22, np.ascontiguousarray(self.st_half[k:, k:]))
-        self.q22_table = _nilpotent_table(a22.shape[0])
-        # exp(a22 t) - I = sum_{i=1}^{p-1} t^i / i! a22^i
-        self.f22_terms = powers[1:]
-        self.f22_table = [(i, math.factorial(i)) for i in range(1, m.n - k)]
 
     def reports(self, ts) -> list:
         """discretize_proposed at every positive horizon of ts in one pass:
@@ -327,8 +325,8 @@ class _ProposedPlan:
             big, exp_ok = _exp_at(self.exp11, ts)
             mt = np.zeros((len(ts), n, n), dtype=self.u.dtype)
             mt[:, :k, :k] = a11 @ big[:, :k, k:]
-            mt[:, k:, k:] = _nilpotent_sum(self.f22_terms, self.f22_table,
-                                           ts)
+            nil = _nilpotent_sum(*self.nilpotent, ts)
+            mt[:, k:, k:] = nil[:, 0]
             # f12: a11 X - X a22 = c
             c12 = mt[:, :k, :k] @ a12 - a12 @ mt[:, k:, k:]
             mt[:, :k, k:] = _kernels.trsylv(*self.f12_sylv, c12)
@@ -338,7 +336,7 @@ class _ProposedPlan:
             # of Q/2 solve a11 q12 + q12 a22^T = nv12 - a12 q22 and
             # a11 q11 + q11 a11^T = nv11 - a12 q12^T - q12 a12^T
             nv = _fxft_minus_x(mt, self.st_half)
-            q22 = _nilpotent_sum(self.q22_terms, self.q22_table, ts)
+            q22 = nil[:, 1]
             q12 = _kernels.trsylv(*self.q12_sylv, nv[:, :k, k:] - a12 @ q22)
             w = a12 @ q12.mT
             q11 = _kernels.trsylv(*self.q11_sylv, nv[:, :k, :k] - (w + w.mT))
@@ -406,9 +404,10 @@ def discretize_proposed(m: ContinuousModel, t: float,
     block a22 is 0 x 0 when there are none.
 
     The work that does not depend on t (Schur form, reordering, guards,
-    the Pade-13 power table of a11's augmented matrix, the solvers' column
-    blocks, inverted where small, the integrator block's nilpotency check
-    and noise products) is kept from the last call and reused when this
+    the power table x^0 .. x^7 of a11's scaled augmented matrix, the
+    solvers' column blocks, inverted where small, the integrator block's
+    nilpotency check and its one table of terms for F22 - I and Q22/2) is
+    kept from the last call and reused when this
     call's model has byte-equal ``a`` and ``s`` of the same dtypes and the
     same ``tau_zero``; any other
     model, or an edit to the arrays in place, makes it factor afresh.  A
@@ -462,10 +461,14 @@ def naive_q_a(m: ContinuousModel, t: float) -> np.ndarray:
         raise ValueError("naive_q_a requires t > 0")
     with np.errstate(over="ignore", invalid="ignore"):
         (big,), (ok,) = _exp_at(_exp_table(_augmented(m.a)), (t,))
-    if not ok:
-        raise _exp_overflow(big.dtype, t)
-    g = big[:m.n, m.n:]
-    return _sym((g @ m.s @ g.T) / m.dtype.type(t))
+        if not ok:
+            raise _exp_overflow(big.dtype, t)
+        g = big[:m.n, m.n:]
+        q = _sym((g @ m.s @ g.T) / m.dtype.type(t))
+    if not np.isfinite(q).all():
+        raise MatrixOverflowError(
+            f"G S G^T / T overflowed {m.dtype.name} at t = {t:.3g}")
+    return q
 
 
 def naive_q_b(m: ContinuousModel, t: float) -> np.ndarray:
@@ -531,8 +534,9 @@ def _q_oracle_many(m: ContinuousModel, ts) -> list:
     q = np.stack([_base_q(a, s, h0)] * 2)
     if steps[0]:
         dbl = h0[:sum(c > 0 for c in steps)]
-        e_full, _ = _mat_exp_many(a, dbl)
-        e_half, _ = _mat_exp_many(a, [0.5 * h for h in dbl])
+        table = _exp_table(a)
+        e_full, _ = _exp_at(table, dbl)
+        e_half, _ = _exp_at(table, [0.5 * h for h in dbl])
         f = np.stack([e_full, e_half @ e_half])
     for step in range(steps[0]):
         live_q = sum(c > step for c in steps)

@@ -1,6 +1,11 @@
 """Dense real linear-algebra layer: matrix exponential, real Schur form
 with eigenvalue reordering, Sylvester/Lyapunov solvers, and norms.
 
+Every exponential is _exp_at(_exp_table(a), ts): the table of the powers
+of a scaled a, made once (the proposed plan keeps it, the oracle shares it
+between its chains), then Pade-13 at each horizon's scaled step
+(_kernels.pade13_expm), a's zero rows set to unit rows, and squarings.
+
 Everything is parameterized by float width: pass float32 arrays and the
 whole computation stays in binary32, pass float64 and it stays in binary64.
 """
@@ -86,52 +91,46 @@ def _exp_overflow(dtype, t: float) -> MatrixOverflowError:
 
 def _mat_exp_many(a: np.ndarray, ts) -> tuple:
     """exp(a * t) for every t in ts as one (len(ts), n, n) stack, and a
-    boolean array that is False where that exponential is not finite.  a
-    must be square and finite.  Each slice is scaled by its own power of
-    two, by _scalings of the binary64 |a|_1, and squared back as often, so
-    slice i does not depend on the other horizons."""
+    boolean array that is False where that exponential is not finite: the
+    exponential of _exp_table(a) at ts, for a square and finite a."""
     dtype = np.dtype(a.dtype if a.dtype in (np.float32, np.float64)
                      else np.float64)
-    a = np.asarray(a, dtype=dtype)
     # overflow shows in the returned flags, not as numpy's RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
-        counts, bad = _scalings(_norm1(a), ts, float(np.finfo(dtype).max))
-        at = a * np.asarray(ts, dtype=dtype)[:, None, None]
-        if bad:  # where a * t may overflow, replaced by 0
-            at[bad] = 0.0
-        if any(counts):
-            at /= np.array([2.0 ** c for c in counts], dtype=dtype)[
-                :, None, None]
-        result = _kernels.pade13_expm(at, counts)
-    return result, _finite(result, bad)
+        return _exp_at(_exp_table(np.asarray(a, dtype=dtype)), ts)
 
 
-def _exp_table(aug: np.ndarray) -> tuple:
-    """_exp_at's horizon-free part for aug = [[a, I], [0, 0]]: its binary64
-    |aug|_1, the exponent e of a power of two 2^e above it, and the exact
-    table of the powers of aug / 2^e, of which none overflows."""
-    nu = _norm1(aug)
+def _exp_table(a: np.ndarray) -> tuple:
+    """_exp_at's horizon-free part for a square a: its binary64 |a|_1, the
+    exponent e of a power of two 2^e above it, the exact table of the
+    powers of a / 2^e (_kernels.pade13_powers), of which none overflows,
+    and where a's rows are zero, as an (n, 1) mask."""
+    nu = _norm1(a)
     e = math.frexp(nu)[1]
-    return nu, e, _kernels.pade13_powers(np.ldexp(aug, -e))
+    return (nu, e, _kernels.pade13_powers(np.ldexp(a, -e)),
+            ~a.any(axis=1, keepdims=True))
 
 
 def _exp_at(table: tuple, ts) -> tuple:
-    """_mat_exp_many's stack and flags for the aug of table = _exp_table(aug)
-    from the table at the scaled step h = t / 2^s (aug / 2^e at sigma =
-    2^(e - s) t, or at 0 where |aug|_1 t is 0 or flagged), its identity
-    block made exact before the squarings: [[f, g], [0, I]]^2 is then
-    [[f^2, f g + g], [0, I]] for f = exp(a h), g = int_0^h exp(a tau) dtau,
-    where a rounded identity block would be raised to the power 2^s and
-    decay g to 0.  Overflow shows in the flags, under the caller's
-    np.errstate."""
-    nu, e, powers = table
+    """exp(a t) at every horizon t of ts for the a of table = _exp_table(a),
+    as a stack, and the flags that are False where it is not finite or
+    |a|_1 |t| exceeds the width (_scalings).  Each slice is the Pade-13
+    approximant at the scaled step h = t / 2^s (a / 2^e at sigma =
+    2^(e - s) t, or at 0 where |a|_1 t is 0 or flagged), squared s times,
+    so slice i does not depend on the other horizons.  A zero row of a is
+    a unit row of exp(a h), and is set so before the squarings, which keep
+    it: the identity block of [[a, I], [0, 0]] stays exactly I, its
+    squares are [[f^2, f g + g], [0, I]] for f = exp(a h) and
+    g = int_0^h exp(a tau) dtau, and g does not decay to 0 as a rounded
+    identity block raised to the power 2^s would make it.  Overflow shows
+    in the flags, under the caller's np.errstate."""
+    nu, e, powers, zero_rows = table
     limit = float(np.finfo(powers.dtype).max)
     counts, bad = _scalings(nu, ts, limit)
-    sigmas = [math.ldexp(t, e - c) if 0.0 < nu * t <= limit else 0.0
+    sigmas = [math.ldexp(t, e - c) if 0.0 < nu * abs(t) <= limit else 0.0
               for t, c in zip(ts, counts)]
-    big = _kernels.pade13_table_expm(powers, sigmas)
-    k = big.shape[-1] // 2
-    big[:, k:, k:] = powers[0, k:, k:]
+    big = _kernels.pade13_expm(powers, sigmas)
+    np.copyto(big, powers[0], where=zero_rows)
     big = _kernels.squared(big, counts)
     return big, _finite(big, bad)
 

@@ -209,20 +209,23 @@ def test_q_nilpotent_overflow_is_typed():
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 def test_nilpotent_sum_matches_product_loop(p, dtype):
-    # the stacked sum adds the p^2 products in the loop's order, so every
-    # bit is the loop's, zero signs included
+    # each series adds every term of the merged table in the loop's order,
+    # the other series' terms with coefficient 0, so every bit is the
+    # loop's, zero signs included
     rng = np.random.default_rng(p)
     a = np.triu(rng.standard_normal((p, p)), 1).astype(dtype)
     s = rng.standard_normal((p, p))
-    _, terms = discretize._nilpotent_terms(a, (s @ s.T).astype(dtype))
-    table = discretize._nilpotent_table(p)
+    terms, table = discretize._nilpotent_terms(a, (s @ s.T).astype(dtype))
+    assert len(terms) == p - 1 + p * p
     ts = np.geomspace(1e-3, 1e3, 20).tolist()
     got = discretize._nilpotent_sum(terms, table, ts)
     for i, t in enumerate(ts):
-        q = np.zeros((p, p), dtype=dtype)
-        for (e, d), term in zip(table, terms):
-            q = q + dtype(t ** e / d) * term
-        assert got[i].tobytes() == q.tobytes()
+        want = np.zeros((2, p, p), dtype=dtype)
+        for (row, e, d), term in zip(table, terms, strict=True):
+            for series in (0, 1):
+                coef = t ** e / d if series == row else 0.0
+                want[series] = want[series] + dtype(coef) * term
+        assert got[i].tobytes() == want.tobytes()
 
 
 # -------------------------------------------------- cross-method checks
@@ -378,6 +381,26 @@ def test_huge_horizon_finite_or_typed_error(t, name, dtype):
     m = HUGE_MODELS[name].astype(dtype)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        for method in Method:
+            try:
+                report = run_method(m, t, method)
+            except SdeDiscError:
+                continue
+            assert np.isfinite([report.model.f, report.model.q]).all()
+
+
+@pytest.mark.parametrize("dtype, t", [(np.float32, 100.0),
+                                      (np.float32, 170.0),
+                                      (np.float64, 1000.0),
+                                      (np.float64, 1400.0)])
+def test_unstable_scalar_finite_or_typed_error(dtype, t):
+    # exp(A T) fits the width here, and G S G^T does not
+    m = ContinuousModel(np.array([[0.5]], dtype=dtype),
+                        np.array([[1.0]], dtype=dtype))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MatrixOverflowError):
+            naive_q_a(m, t)
         for method in Method:
             try:
                 report = run_method(m, t, method)
@@ -1060,6 +1083,43 @@ def test_proposed_warm_equals_cold_property(seed, p, ts):
 # ------------------------------------------------ the Pade power table
 
 
+def higham_expm(a, t):
+    """exp(a t) at a's width by Higham's degree-13 Pade approximant in his
+    nested form (SIMAX 26, 2005), evaluated on its own: a t scaled by 2^-s,
+    s = linalg._squarings(|a|_1, |t|), U and V from its squares a2, a4,
+    a6 with the coefficients b_j rounded to the width, one solve and s
+    squarings.  The yardstick the package's power-table evaluator is held
+    to."""
+    b = np.array(_kernels._PADE13, dtype=a.dtype)
+    s = linalg._squarings(linalg._norm1(a), abs(t))
+    x = a * a.dtype.type(t) / a.dtype.type(2.0 ** s)
+    eye = np.eye(len(a), dtype=a.dtype)
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x2 @ x4
+    w1 = b[13] * x6 + b[11] * x4 + b[9] * x2
+    w2 = b[7] * x6 + b[5] * x4 + b[3] * x2
+    z1 = b[12] * x6 + b[10] * x4 + b[8] * x2
+    u = x @ (x6 @ w1 + (w2 + b[1] * eye))
+    v = x6 @ z1 + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def exp_error_bound(x, t, dtype):
+    """The error against scipy's binary64 expm that the package's exp(x t)
+    at dtype may have: 4 times that of higham_expm, or 8 (s + 1) m eps
+    for m x m x and s squarings."""
+    want = pytest.importorskip("scipy.linalg").expm(x.astype(np.float64) * t)
+    s = linalg._squarings(linalg._norm1(x), t)
+    yardstick = np.linalg.norm(higham_expm(x, t) - want) / np.linalg.norm(
+        want)
+    return want, max(4.0 * yardstick,
+                     8 * (s + 1) * x.shape[0] * np.finfo(dtype).eps)
+
+
 def test_plan_exponential_stacked_equals_one_horizon():
     for dtype in (np.float64, np.float32):
         plan = discretize._ProposedPlan(mixed_system(2).astype(dtype), None,
@@ -1114,10 +1174,9 @@ def test_plan_exponential_empty_huge_and_flagged():
 def test_plan_exponential_matches_scipy(n, p, seed, squarings, frac, dtype):
     # the horizon takes the table's exponential through the given number
     # of squarings; its error against scipy's binary64 expm of the same
-    # aug11 is at most 4 times that of the nested Pade evaluation
-    # (_mat_exp_many) at the same width, or 8 (s + 1) m eps for m x m aug11
-    # and s squarings
-    expm = pytest.importorskip("scipy.linalg").expm
+    # aug11 is at most 4 times that of higham_expm at the same width, or
+    # 8 (s + 1) m eps for m x m aug11 and s squarings
+    pytest.importorskip("scipy.linalg")
     assume(p < n)
     m = gen_random_system(EnsembleSpec(n, n - p, p, seed=seed))
     try:
@@ -1126,18 +1185,36 @@ def test_plan_exponential_matches_scipy(n, p, seed, squarings, frac, dtype):
         assume(False)
     assume(plan.k > 0)
     t = linalg._THETA13 * 2.0 ** squarings * frac / plan.exp11[0]
-    s = linalg._squarings(plan.exp11[0], t)
-    assert abs(s - squarings) <= 1
+    assert abs(linalg._squarings(plan.exp11[0], t) - squarings) <= 1
     aug11 = discretize._augmented(plan.a11)
-    want = expm(aug11.astype(np.float64) * t)
     (got,), (ok,) = linalg._exp_at(plan.exp11, (t,))
-    (nested,), _ = linalg._mat_exp_many(aug11, (t,))
     assert ok and got.dtype == dtype
+    want, bound = exp_error_bound(aug11, t, dtype)
+    assert np.linalg.norm(got - want) / np.linalg.norm(want) <= bound
 
-    def err(x):
-        return np.linalg.norm(x - want) / np.linalg.norm(want)
-    tol = 8 * (s + 1) * aug11.shape[0] * np.finfo(dtype).eps
-    assert err(got) <= max(4.0 * err(nested), tol)
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 12), p=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 31 - 1), squarings=st.integers(0, 6),
+       frac=st.floats(0.5, 1.0, exclude_min=True),
+       kind=st.sampled_from(["a", "vanloan", "augmented"]),
+       dtype=st.sampled_from([np.float64, np.float32]))
+def test_mat_exp_matches_scipy(n, p, seed, squarings, frac, kind, dtype):
+    # the same bound for mat_exp on A, on Van Loan's [[A, S], [0, -A^T]]
+    # and on [[A, I], [0, 0]], at a horizon that takes about the given
+    # number of squarings
+    pytest.importorskip("scipy.linalg")
+    assume(p < n)
+    m = gen_random_system(EnsembleSpec(n, n - p, p, seed=seed)).astype(dtype)
+    zero = np.zeros((n, n), dtype=dtype)
+    x = {"a": m.a, "vanloan": np.block([[m.a, m.s], [zero, -m.a.T]]),
+         "augmented": discretize._augmented(m.a)}[kind]
+    t = linalg._THETA13 * 2.0 ** squarings * frac / linalg._norm1(x)
+    (got,), (ok,) = linalg._mat_exp_many(x, (t,))
+    assume(ok)
+    assert got.dtype == dtype
+    want, bound = exp_error_bound(x, t, dtype)
+    assert np.linalg.norm(got - want) / np.linalg.norm(want) <= bound
 
 
 # ------------------------------------------------------------ dispatch

@@ -15,7 +15,8 @@ from sdedisc.errors import (ConvergenceError, MatrixOverflowError,
 from sdedisc.linalg import (mat_exp, real_schur, order_schur_zeros_last,
                             quasi_tri_eigvalues, solve_sylvester,
                             solve_lyapunov, spectral_norm, tau_zero_default)
-from sdedisc.modelgen import EnsembleSpec, gen_random_system
+from sdedisc.modelgen import (EnsembleSpec, constant_velocity,
+                              gen_random_system, observer_canonical)
 
 
 def random_matrix(rng, n, scale=1.0):
@@ -60,6 +61,17 @@ def test_mat_exp_nilpotent_long_horizons():
     for t in (1e10, 1e50):
         f = mat_exp(a, t)
         assert np.allclose(f, [[1.0, t], [0.0, 1.0]], rtol=1e-15, atol=0.0)
+
+
+def test_mat_exp_zero_rows_are_unit_rows():
+    # a zero row of A is a unit row of exp(A t) at every horizon, exactly:
+    # the squarings keep it, and do not raise a rounded one to 2^s
+    for a in (constant_velocity().a,
+              observer_canonical([1, 2], [1, 0.5], p=1).a):
+        unit = np.eye(len(a))[-1].tolist()
+        assert not a[-1].any()
+        for t in (1e10, 1e50, 1e300):
+            assert mat_exp(a, t)[-1].tolist() == unit, (a, t)
 
 
 def test_mat_exp_rotation():

@@ -19,9 +19,11 @@ eigenvector bases being too ill-conditioned); ``discretize_proposed`` cold
 and warm on index-3 chains at n = 16 (``EnsembleSpec(16, 13, 3, seed=1)``,
 four streams, ``tau_zero=1e-2``), whose coupled 3x3 integrator block makes
 the f12 solve one block of 39 unknowns, solved and not inverted;
-paper-sweep's binary32 proposed path, a fresh ``_ProposedPlan`` and its
-``reports(default_t_grid())`` at the 20 paper horizons, on
-``EnsembleSpec(6, 4, 2, seed=s)``, stream 0, s = 0 .. 3;
+paper-sweep's three stacked callers at the 20 paper horizons
+(``default_t_grid()``) on ``EnsembleSpec(6, 4, 2, seed=s)``, stream 0,
+s = 0 .. 3: at binary32 the proposed path (a fresh ``_ProposedPlan`` and
+its ``reports``) and ``_vanloan_reports``, and the oracle's
+``_q_oracle_many`` on the binary64 models, as paper-sweep runs it;
 ``discretize_lyap_p`` and ``discretize_lyap_q`` at n = 16 on
 ``EnsembleSpec(16, 16, 0, seed=3)``, cold (four streams in turn at T = 1,
 so that each call factors afresh) and warm (the first stream at the 16
@@ -95,9 +97,16 @@ def rows(pkg):
         out.append((f"proposed {'warm' if warm else 'cold'} p3 n=16",
                     proposed(pkg, chains, warm, 1e-2)))
     grid = pkg.bench.default_t_grid()
-    out.append(("proposed f32 reports", cycle(
-        [lambda m=m: pkg.discretize._ProposedPlan(m, None, None).reports(grid)
-         for m in paper_models(pkg)])))
+    d = pkg.discretize
+    for label, width, stacked in (
+            ("proposed f32 reports", np.float32,
+             lambda m: d._ProposedPlan(m, None, None).reports(grid)),
+            ("vanloan f32 reports", np.float32,
+             lambda m: d._vanloan_reports(m, grid)),
+            ("oracle paper", np.float64,
+             lambda m: d._q_oracle_many(m, grid))):
+        out.append((label, cycle([lambda m=m, f=stacked: f(m)
+                                  for m in paper_models(pkg, width)])))
     models = [pkg.gen_random_system(pkg.EnsembleSpec(16, 16, 0, seed=3), s)
               for s in range(STREAMS)]
     for label, method in (("lyap-p", pkg.discretize_lyap_p),
@@ -118,10 +127,10 @@ def rows(pkg):
     return out
 
 
-def paper_models(pkg):
-    """Paper-sweep's first systems at binary32."""
+def paper_models(pkg, width):
+    """Paper-sweep's first systems at the given width."""
     return [pkg.gen_random_system(pkg.EnsembleSpec(6, 4, 2, seed=s))
-            .astype(np.float32) for s in range(STREAMS)]
+            .astype(width) for s in range(STREAMS)]
 
 
 def rotated(t0, seed):
