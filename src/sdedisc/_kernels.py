@@ -6,15 +6,15 @@ bottom half the accumulated orthogonal factor U.  ``similarity`` applies
 each orthogonal similarity -- a Householder reflector, a Givens rotation or
 a block-swap factor -- as two small matrix products: one on T's rows, one
 on the columns of T and U together.  ``sylv_blocks`` builds once the
-column-block matrices of the Sylvester equations ta Y + Y r = c that
-share ta, for any r: the narrowest blocks read from r's zero pattern (1
-and 2 columns for a quasi-lower triangular r, all of r for a coupled upper
-triangular one), merged while a union has at most 32 unknowns, and
-inverted where at most 32 wide; ``trsylv`` then makes per column block one
-product that folds in the solved columns and one product with the inverse
-(a LAPACK solve for a wider block), for one right-hand side or a stack of
-them.  ``pade13_powers`` makes the table of the powers
-x^0 .. x^7 of a scaled matrix once, ``pade13_expm`` evaluates Higham's
+column-block matrices of the Sylvester equation ta Y + Y r = c: the
+narrowest blocks read from r's zero pattern (1 and 2 columns for a
+quasi-lower triangular r, all of r for a coupled upper triangular one),
+merged while a union has at most 32 unknowns, and inverted where at most
+32 wide; ``trsylv`` then makes per column block one product that folds in
+the solved columns and one product with the inverse (a LAPACK solve for a
+wider block), for one right-hand side or a stack of them.
+``pade13_powers`` makes the table of the powers x^0 .. x^7 of a scaled
+matrix once, ``pade13_expm`` evaluates Higham's
 degree-13 Pade approximant of sigma x from it at many sigma, and
 ``squared`` squares the results back.
 All kernels mutate or allocate arrays in the dtype of their inputs, so the
@@ -213,10 +213,10 @@ def standardize_quasi_triangular(hu):
             i += 2
 
 
-def sylv_blocks(ta, *rs):
-    """The column blocks trsylv solves with for ta @ Y + Y @ r = c, for
-    each block-lower triangular r of rs: per r, a list of one
-    (j0, j, matrix) per column block j0 .. j-1 of Y, last block first.
+def sylv_blocks(ta, r):
+    """The column blocks trsylv solves with for ta @ Y + Y @ r = c, for a
+    block-lower triangular r: one (j0, j, matrix) per column block j0 ..
+    j-1 of Y, last block first.
     The blocks come from r's zero pattern: going from the last column,
     each narrowest block is the narrowest j0 .. j-1 with r[:j0, j0:j] == 0,
     so that it couples only with the columns solved before it (a
@@ -231,46 +231,43 @@ def sylv_blocks(ta, *rs):
     ta[i, i'] [b == c] + r[j0 + c, j0 + b] [i == i']; where its dimension
     is at most _INVERT_MAX, the list holds its inverse.
 
-    The matrices depend on ta and rs only, so a caller that solves with
+    The matrices depend on ta and r only, so a caller that solves with
     them again builds them once.  They are built as one stack per block
-    width, over all of rs, and each stack at most _INVERT_MAX wide is
-    inverted by one LAPACK call: up to that size a solve costs more in
-    call overhead than the inverse's extra flops, and above it the flops
-    win.  A solve by an explicit inverse is not backward stable, but its
-    forward error has the same cond * eps bound as an LU solve's (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 14.1;
-    Du Croz and Higham, IMA J. Numer. Anal. 12, 1992), and the forward
-    error is what the solution is used for.  Each slice of a stack is
-    built and inverted as it would be alone, so one call with several rs
-    gives the bits of one call per r."""
+    width, and each stack at most _INVERT_MAX wide is inverted by one
+    LAPACK call: up to that size a solve costs more in call overhead than
+    the inverse's extra flops, and above it the flops win.  A solve by an
+    explicit inverse is not backward stable, but its forward error has the
+    same cond * eps bound as an LU solve's (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., section 14.1; Du Croz and Higham,
+    IMA J. Numer. Anal. 12, 1992), and the forward error is what the
+    solution is used for."""
     p = ta.shape[0]
-    dtype = np.result_type(ta, *rs)
+    dtype = np.result_type(ta, r)
     d = np.arange(p)
-    spans = []  # (operator index, j0, j) of every column block
-    for k, r in enumerate(rs):
-        end = j = r.shape[0]
-        # each column's first non-zero row, its diagonal at the latest
-        nonzero = r != 0.0
-        nonzero.flat[::j + 1] = True
-        top = nonzero.argmax(axis=0).tolist() if j else []
-        while j > 0:
-            j0 = j - 1
-            while (above := min(top[j0:j])) < j0:
-                j0 = above
-            # the narrowest block j0 .. j-1 closes the merged block j .. end-1
-            # if it would take the union above _INVERT_MAX unknowns
-            if j < end and (end - j0) * p > _INVERT_MAX:
-                spans.append((k, j, end))
-                end = j
-            j = j0
-        if end:
-            spans.append((k, 0, end))
+    spans = []  # (j0, j) of every column block
+    end = j = r.shape[0]
+    # each column's first non-zero row, its diagonal at the latest
+    nonzero = r != 0.0
+    nonzero.flat[::j + 1] = True
+    top = nonzero.argmax(axis=0).tolist() if j else []
+    while j > 0:
+        j0 = j - 1
+        while (above := min(top[j0:j])) < j0:
+            j0 = above
+        # the narrowest block j0 .. j-1 closes the merged block j .. end-1
+        # if it would take the union above _INVERT_MAX unknowns
+        if j < end and (end - j0) * p > _INVERT_MAX:
+            spans.append((j, end))
+            end = j
+        j = j0
+    if end:
+        spans.append((0, end))
     mats = {}
-    for width in sorted({j - j0 for _, j0, j in spans}):
-        sel = [(k, j0) for k, j0, j in spans if j - j0 == width]
+    for width in sorted({j - j0 for j0, j in spans}):
+        sel = [j0 for j0, j in spans if j - j0 == width]
         # each block of r transposed, so that entry (b, c) is r[j0+c, j0+b]
-        entries = np.array([rs[k][j0:j0 + width, j0:j0 + width].T
-                            for k, j0 in sel], dtype=dtype)
+        entries = np.array([r[j0:j0 + width, j0:j0 + width].T
+                            for j0 in sel], dtype=dtype)
         # the unknowns are the block's Y[i, j0 + b] in row-major order:
         # ta on every column b, and r[j0 + c, j0 + b] on every row i
         mat = np.zeros((len(sel), p, width, p, width), dtype=dtype)
@@ -281,10 +278,7 @@ def sylv_blocks(ta, *rs):
         if width * p <= _INVERT_MAX:
             mat = np.linalg.inv(mat)
         mats.update(zip(sel, mat))
-    blocks = [[] for _ in rs]
-    for k, j0, j in spans:
-        blocks[k].append((j0, j, mats[k, j0]))
-    return blocks
+    return [(j0, j, mats[j0]) for j0, j in spans]
 
 
 def _solve_columns(mat, rhs):
@@ -301,7 +295,7 @@ def _solve_columns(mat, rhs):
 
 def trsylv(blocks, r, c):
     """Solve ta @ Y + Y @ r = c for block-lower triangular r, given
-    (blocks,) = sylv_blocks(ta, r): one column block of Y at a time, last
+    blocks = sylv_blocks(ta, r): one column block of Y at a time, last
     first, the solved columns folded in with one product, then one
     product with the block's inverse, or one LAPACK solve with a block
     matrix wider than _INVERT_MAX.  A single block that spans every column

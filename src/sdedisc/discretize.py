@@ -8,8 +8,9 @@ the process-noise covariance Q = int_0^T exp(A tau) S exp(A^T tau) dtau:
 * ``discretize_lyap_q``   -- direct Lyapunov route: proposed's leading
   block, where no eigenvalue pair of A sums to zero (stable or not).
 * ``discretize_proposed`` -- Schur reordering splits off the integrator
-  (zero-eigenvalue) block, whose covariance has a finite closed-form sum;
-  the remaining blocks come from Sylvester/Lyapunov solves.
+  (zero-eigenvalue) block, made exactly nilpotent by rank decisions; one
+  block-triangular exponential gives F and Q's integrator block column,
+  and a Lyapunov solve the rest.
 * ``discretize_vanloan``  -- exponential of the 2n x 2n augmented matrix.
 * ``naive_q_a``/``naive_q_b`` -- common approximations that are *not*
   consistent under interval splitting; kept as foils.
@@ -30,7 +31,6 @@ from .errors import (
     NearSingularError,
     NilpotencyError,
     NonFiniteError,
-    SdeDiscError,
     UnsupportedSpectrumError,
 )
 from .linalg import (
@@ -39,6 +39,7 @@ from .linalg import (
     _exp_overflow,
     _exp_table,
     _mat_exp_many,
+    _norm1,
     _scalings,
     _sym,
     check_square,
@@ -131,7 +132,7 @@ def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
     if plan.p_half is None:
         plan.p_half = _kernels.trsylv(*plan.q11_sylv, -plan.st_half)
     with np.errstate(over="ignore", invalid="ignore"):
-        (big,), (ok,) = _exp_at(plan.exp11, (t,))
+        (big,), (ok,) = _exp_at(plan.exp, (t,))
         if not ok:
             raise _exp_overflow(big.dtype, t)
         e, g = np.hsplit(big[:m.n], 2)
@@ -155,30 +156,13 @@ def discretize_lyap_q(m: ContinuousModel, t: float) -> MethodReport:
 
 
 def q_nilpotent(a22: np.ndarray, s22: np.ndarray, t: float) -> np.ndarray:
-    """Closed-form noise covariance for a nilpotent drift block:
-    sum_{i,j<p} T^(i+j+1) / (i! j! (i+j+1)) * A^i S (A^j)^T.
+    """The paper's closed-form noise covariance for a nilpotent drift
+    block, sum_{i,j<p} T^(i+j+1) / (i! j! (i+j+1)) * A^i S (A^j)^T, kept
+    as a reference: discretize_proposed takes it from an exponential.
 
     Raises NilpotencyError when |A^p| exceeds a tolerance that allows
     for the eps^(1/p) spread of a perturbed index-p chain."""
     t = _check_horizon(t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ((_, q),) = _nilpotent_sum(*_nilpotent_terms(a22, s22), (t,))
-        q = _sym(q)
-    if not np.isfinite(q).all():
-        raise MatrixOverflowError(
-            f"nilpotent covariance overflowed {q.dtype.name} at t = {t:.3g}")
-    return q
-
-
-def _nilpotent_terms(a22: np.ndarray, s22: np.ndarray) -> tuple:
-    """The horizon-free part of the integrator block's two series: check
-    that a22 is nilpotent and return (terms, table).  terms stacks the
-    powers A^i, 0 < i < p, then the products A^i S (A^j)^T, i, j < p, in
-    the order (i, j) = (0, 0), (0, 1), .., (p-1, p-1); table holds each
-    term's series (0 or 1), exponent e and denominator d in
-        exp(A T) - I = sum_{0<i<p} T^i / i! A^i,
-        q_nilpotent before symmetrizing =
-            sum_{i,j<p} T^(i+j+1) / (i! j! (i+j+1)) A^i S (A^j)^T."""
     a22 = check_square(a22, "nilpotent block")
     s22 = check_square(s22, "nilpotent noise block")
     if s22.shape != a22.shape:
@@ -193,55 +177,62 @@ def _nilpotent_terms(a22: np.ndarray, s22: np.ndarray) -> tuple:
         raise NilpotencyError(
             f"block is not nilpotent of index {p}: |A^p| = "
             f"{np.linalg.norm(powers[p]):.3e} > {nil_tol:.3e}")
-    pairs = [(i, j) for i in range(p) for j in range(p)]
-    terms = np.array(powers[1:p] + [powers[i] @ s22 @ powers[j].T
-                                    for i, j in pairs],
-                     dtype=a22.dtype).reshape(max(p - 1, 0) + p * p, p, p)
+    q = np.zeros_like(a22)
     fact = math.factorial
-    return terms, ([(0, i, fact(i)) for i in range(1, p)]
-                   + [(1, i + j + 1, fact(i) * fact(j) * (i + j + 1))
-                      for i, j in pairs])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, j in np.ndindex(p, p):
+            e = i + j + 1
+            coef = np.float64(t) ** e / (fact(i) * fact(j) * e)
+            q += a22.dtype.type(coef) * (powers[i] @ s22 @ powers[j].T)
+        q = _sym(q)
+    if not np.isfinite(q).all():
+        raise MatrixOverflowError(
+            f"nilpotent covariance overflowed {q.dtype.name} at t = {t:.3g}")
+    return q
 
 
-def _nilpotent_sum(terms: np.ndarray, table: list, ts) -> np.ndarray:
-    """Both series of _nilpotent_terms at every horizon T of ts, as a
-    (len(ts), 2, p, p) stack: slice [:, 0] is exp(A T) - I and [:, 1]
-    q_nilpotent before symmetrizing.  Each series is summed in one pass
-    over every term in order, the other series' terms with coefficient 0.
-    A horizon whose sum overflows the width has a non-finite slice (numpy
-    warns of it unless the caller silences it with np.errstate)."""
-
-    # the coefficients T^e / d in Python floats, as for one horizon, then
-    # rounded to the width once each
-    def coef(t, e, d):
-        try:
-            return t ** e / d
-        except OverflowError:  # t^e is beyond binary64
-            return math.inf
-
-    coefs = np.array([[[coef(t, e, d) if row == series else 0.0
-                        for row, e, d in table] for series in (0, 1)]
-                      for t in ts], dtype=terms.dtype)
-    return (coefs.reshape(len(ts), 2, len(table), 1, 1) * terms).sum(axis=2)
+def _staircase(hu: np.ndarray, k: int, tol: float) -> int:
+    """Make the leading d x d block of T[k:, k:] exactly nilpotent by
+    orthogonal similarities of the stacked hu = [T; U], and return d.
+    Each step takes the SVD of the rows and columns after those found so
+    far, puts the right singular vectors of the singular values <= tol
+    first and zeroes those columns exactly, so the block comes out
+    strictly block upper triangular: the staircase reduction
+    (Kublanovskaya 1966; Van Dooren, Linear Algebra Appl. 27, 1979).  It
+    stops at a step with no singular value <= tol, and leaves the rest,
+    which is not nilpotent, as it is.  T[k:, :k] must be zero."""
+    n = hu.shape[1]
+    d = k
+    while d < n:
+        _, sv, wt = np.linalg.svd(hu[d:n, d:])
+        null = int(np.count_nonzero(sv <= tol))
+        if not null:
+            break
+        _kernels.similarity(hu, d, wt[::-1].T)  # the null vectors first
+        hu[d:n, d:d + null] = 0.0
+        d += null
+    return d - k
 
 
 class _ProposedPlan:
     """Everything proposed, lyap-q and lyap-p need that depends on (A, S)
-    and tau_zero only, never on the horizon: the real Schur form with the
-    integrators reordered last, its eigenvalues, its blocks, u^-1 and half
-    the transformed S, after a lyap method's check and guarding the
-    spectra the block equations need apart; the table of the powers
-    x^0 .. x^7 of a11's scaled augmented matrix (linalg._exp_table), from
-    which each horizon's Pade-13 exponential takes its U and V in one
-    coefficient product and one stacked product; the column blocks of
-    the three Bartels-Stewart solves, which share a11 and so come from one
-    sylv_blocks call, merged and inverted wherever a union of them has at
-    most 32 unknowns, so that a horizon's solves are products; one table
-    of the integrator block's terms, its powers A^i and products
-    A^i (S/2) (A^j)^T, after checking that it is nilpotent, from which
-    F22 - I and Q22/2 come in one pass (_nilpotent_sum); and lyap-p's
-    P/2, from its first call on.  A model that fails a check or a guard
-    raises here; ``reports`` evaluates horizons."""
+    and tau_zero only, never on the horizon.  The real Schur form splits
+    at k with the eigenvalues of modulus <= tau_zero reordered last; its
+    eigenvalues pass a lyap method's check and the guard of the q11
+    Lyapunov solve; then _staircase makes the leading block of the
+    trailing p x p block a22 exactly nilpotent, so split_index k and
+    integrator_count, that block's size, differ where a slow pole joins
+    the split: a22 keeps it, and it is exponentiated, not refused.  The
+    plan keeps at with its blocks, u and u^-1, half the transformed S,
+    the power table (linalg._exp_table) of the (2n + p)-square
+        H = [[at, st_half[:, k:] / 2^shift, I], [0, -a22^T, 0], [0, 0, 0]],
+    whose exponential E = exp(H t) holds F = E[:n, :n], the integral of
+    exp(at tau) in E[:n, n + p:], and Q/2's trailing block column in
+    2^shift E[:n, n:n + p] F22^T (Van Loan, IEEE TAC 23, 1978, with
+    F21 = 0 and the growing -a11^T block dropped), the q11 solve's column
+    blocks (sylv_blocks), inverted where small, so that a horizon's solve
+    is a product, and lyap-p's P/2, from its first call on.  A model that
+    fails a check or the guard raises here; ``reports`` evaluates horizons."""
 
     def __init__(self, m: ContinuousModel, tau_zero: float | None, key,
                  check=None):
@@ -254,46 +245,30 @@ class _ProposedPlan:
         # an ill-conditioned eigenvalue, else it just classifies
         u, at, k = order_schur_zeros_last(*real_schur(m.a, tau_zero),
                                           tau_zero)
-        a11 = np.ascontiguousarray(at[:k, :k])
-        a22 = np.ascontiguousarray(at[k:, k:])
-        # mirrored non-zero poles make the q11 Lyapunov solve singular, and
-        # the f12 and q12 solves couple a11 with -a22 and with a22^T
         self.ev = ev = quasi_tri_eigvalues(at)
         if check:
             check(ev, tau_default)
-        ev1, ev2 = ev[:k], ev[k:]
         eps = eps_of(m.a)
-        mirrored = True
+        anorm = float(np.linalg.norm(m.a))
         try:
-            _eig_sum_guard(ev1, ev1, 200.0 * eps * float(np.linalg.norm(m.a)))
-            mirrored = False
-            _eig_sum_guard(ev1, np.concatenate([-ev2, ev2]),
-                           100.0 * eps * float(np.linalg.norm(a11)
-                                               + np.linalg.norm(a22)))
+            # mirrored non-zero poles make the q11 Lyapunov solve singular
+            _eig_sum_guard(ev[:k], ev[:k], 200.0 * eps * anorm)
         except NearSingularError as exc:
             i, j = exc.pair
             if abs(i) <= tau_default:
                 # an integrator by the default threshold: tau_zero was small
                 msg = (f"tau_zero={tau_zero:.3e} left integrators in the "
                        f"leading block (eigenvalue {i:.3e})")
-            elif mirrored:
+            else:
                 msg = ("non-zero poles mirrored in the imaginary axis: "
                        f"{i:.3e} and {j:.3e}")
-            else:
-                msg = f"proposed method not applicable: {exc}"
             raise UnsupportedSpectrumError(msg) from exc
-        self.u, self.k = u, k
-        self.a11, self.a12 = a11, at[:k, k:]
-        # the identity ft adds back to exp(at t) - I
-        self.eye = np.eye(m.n, dtype=u.dtype)
-        # a11's exponential and integral, from its augmented matrix's powers
-        self.exp11 = _exp_table(_augmented(a11))
-        # trsylv's (blocks, r) for the three solves: -a22 (f12), one
-        # column block where a22 is coupled, and the quasi-lower
-        # triangular a22^T (q12) and a11^T (q11)
-        rs = [np.ascontiguousarray(r) for r in (-a22, a22.T, a11.T)]
-        self.f12_sylv, self.q12_sylv, self.q11_sylv = zip(
-            _kernels.sylv_blocks(a11, *rs), rs)
+        n, p = m.n, m.n - k
+        hu = np.concatenate([at, u])
+        self.integrators = _staircase(hu, k, 100.0 * eps * anorm)
+        at, u = hu[:n], hu[n:]
+        self.at, self.u, self.k = at, u, k
+        self.a11, self.a12 = np.ascontiguousarray(at[:k, :k]), at[:k, k:]
         # computed inverse rather than transpose: u is only orthogonal to
         # rounding, and the back-transform error is smaller with the inverse
         self.u_inv = np.linalg.inv(u)
@@ -302,9 +277,19 @@ class _ProposedPlan:
         # Q does; halving is exact, so no other bit changes
         self.st_half = m.dtype.type(0.5) * _sym(
             self.u_inv @ m.s @ self.u_inv.T)
-        # the terms of exp(a22 t) - I and Q22/2 (q_nilpotent of S/2)
-        self.nilpotent = _nilpotent_terms(
-            a22, np.ascontiguousarray(self.st_half[k:, k:]))
+        # a large S would add squarings to F: its block enters H divided by
+        # 2^shift, to a 1-norm <= max(|at|_1, 1), and reports undoes it
+        sn, cap = _norm1(self.st_half[:, k:]), max(_norm1(at), 1.0)
+        self.shift = math.frexp(sn / cap)[1] if sn > cap else 0
+        h = np.zeros((2 * n + p, 2 * n + p), dtype=u.dtype)
+        h[:n, :n] = at
+        h[:n, n:n + p] = np.ldexp(self.st_half[:, k:], -self.shift)
+        h[n:n + p, n:n + p] = -at[k:, k:].T
+        h[:n, n + p:] = np.eye(n, dtype=u.dtype)
+        self.exp = _exp_table(h)
+        # trsylv's (blocks, r) for q11: the quasi-lower triangular a11^T
+        r = np.ascontiguousarray(self.a11.T)
+        self.q11_sylv = _kernels.sylv_blocks(self.a11, r), r
 
     def reports(self, ts) -> list:
         """discretize_proposed at every positive horizon of ts in one pass:
@@ -314,37 +299,30 @@ class _ProposedPlan:
         is bit for bit what ts[i] alone gives; a horizon whose numbers
         overflow fails alone."""
         n, k = self.u.shape[0], self.k
-        a11, a12 = self.a11, self.a12
+        p = n - k
         with np.errstate(over="ignore", invalid="ignore"):
-            # assemble mt = exp(at * t) - I blockwise (the whole-matrix
-            # exponential loses accuracy for large t * |A| through repeated
-            # squaring; the coupling block follows from A f - f A = 0).  At
-            # short horizons f is I plus small entries: st - f st f^T would
-            # cancel their digits, while f - I keeps them.  f11 itself comes
-            # from the exponential of aug11, with its integral g11.
-            big, exp_ok = _exp_at(self.exp11, ts)
-            mt = np.zeros((len(ts), n, n), dtype=self.u.dtype)
-            mt[:, :k, :k] = a11 @ big[:, :k, k:]
-            nil = _nilpotent_sum(*self.nilpotent, ts)
-            mt[:, k:, k:] = nil[:, 0]
-            # f12: a11 X - X a22 = c
-            c12 = mt[:, :k, :k] @ a12 - a12 @ mt[:, k:, k:]
-            mt[:, :k, k:] = _kernels.trsylv(*self.f12_sylv, c12)
-            ft = mt + self.eye
-            ft[:, :k, :k] = big[:, :k, :k]
-            # nv = -V/2 = f (st/2) f^T - st/2 from mt = f - I; the blocks
-            # of Q/2 solve a11 q12 + q12 a22^T = nv12 - a12 q22 and
+            big, exp_ok = _exp_at(self.exp, ts)
+            ft = big[:, :n, :n]
+            # f - I = at g from the integral g on the diagonal blocks: at
+            # short horizons f is I plus small entries, and st - f st f^T
+            # would cancel their digits, while f - I keeps them.  f12 has
+            # no I to subtract, and a11 g12 + a12 g22 would cancel digits
+            # of order t^2 where f12 grows like t
+            mt = self.at @ big[:, :n, n + p:]
+            mt[:, :k, k:] = ft[:, :k, k:]
+            # Q/2 = G F^T (Van Loan) on the trailing block column, where
+            # F^T is zero above F22^T
+            qt = np.empty_like(mt)
+            g = np.ldexp(big[:, :n, n:n + p], self.shift)
+            qt[:, :, k:] = g @ ft[:, k:, k:].mT
+            q12 = qt[:, :k, k:]
+            qt[:, k:, :k] = q12.mT
+            # nv = -V/2 = f (st/2) f^T - st/2; q11 solves
             # a11 q11 + q11 a11^T = nv11 - a12 q12^T - q12 a12^T
             nv = _fxft_minus_x(mt, self.st_half)
-            q22 = nil[:, 1]
-            q12 = _kernels.trsylv(*self.q12_sylv, nv[:, :k, k:] - a12 @ q22)
-            w = a12 @ q12.mT
-            q11 = _kernels.trsylv(*self.q11_sylv, nv[:, :k, :k] - (w + w.mT))
-            qt = np.empty_like(mt)
-            qt[:, :k, :k] = q11
-            qt[:, :k, k:] = q12
-            qt[:, k:, :k] = q12.mT
-            qt[:, k:, k:] = q22
+            w = self.a12 @ q12.mT
+            qt[:, :k, :k] = _kernels.trsylv(*self.q11_sylv,
+                                            nv[:, :k, :k] - (w + w.mT))
             f = self.u @ ft @ self.u_inv
             # qt is Q/2 in Schur coordinates, symmetric to rounding:
             # Q = x + x^T is Q symmetrized
@@ -354,7 +332,7 @@ class _ProposedPlan:
         # the report refuses
         return [_report(f[i], q[i], t, Method.PROPOSED,
                         {"split_index": float(k),
-                         "integrator_count": float(n - k)})
+                         "integrator_count": float(self.integrators)})
                 if exp_ok[i] else _exp_overflow(big.dtype, t)
                 for i, t in enumerate(ts)]
 
@@ -395,24 +373,26 @@ def _proposed_plan(m: ContinuousModel, tau_zero: float | None, check=None):
 
 def discretize_proposed(m: ContinuousModel, t: float,
                         tau_zero: float | None = None) -> MethodReport:
-    """Combined method: Schur-reorder integrators into the trailing block,
-    solve that block in closed form, the rest via Sylvester/Lyapunov
-    equations, and transform back.
+    """Combined method: Schur-reorder integrators into the trailing block
+    and make it exactly nilpotent, take F and Q's trailing block column
+    from one exponential of a block upper triangular matrix, the leading
+    block of Q from a Lyapunov equation, and transform back.  The paper
+    couples the blocks by Sylvester equations and sums the integrator
+    block in closed form (q_nilpotent); the exponential, which has no
+    growing block, replaces both, and has no 1/sep(a11, a22) error.
 
     One block formula for every integrator count: the leading block a11
     is 0 x 0 when every eigenvalue is an integrator, and the trailing
     block a22 is 0 x 0 when there are none.
 
-    The work that does not depend on t (Schur form, reordering, guards,
-    the power table x^0 .. x^7 of a11's scaled augmented matrix, the
-    solvers' column blocks, inverted where small, the integrator block's
-    nilpotency check and its one table of terms for F22 - I and Q22/2) is
-    kept from the last call and reused when this
-    call's model has byte-equal ``a`` and ``s`` of the same dtypes and the
-    same ``tau_zero``; any other
-    model, or an edit to the arrays in place, makes it factor afresh.  A
-    call therefore evaluates only the horizon, as the one-horizon case of
-    the plan's stacked evaluation.  Results are the same either way."""
+    The work that does not depend on t (Schur form, reordering, guard,
+    staircase, the exponential's power table, the Lyapunov solver's
+    column blocks, inverted where small) is kept from the last call and
+    reused when this call's model has byte-equal ``a`` and ``s`` of the
+    same dtypes and the same ``tau_zero``; any other model, or an edit to
+    the arrays in place, makes it factor afresh.  A call therefore
+    evaluates only the horizon, as the one-horizon case of the plan's
+    stacked evaluation.  Results are the same either way."""
     t = _check_horizon(t)
     if tau_zero is not None and not tau_zero >= 0.0:
         raise ValueError(f"tau_zero must be >= 0 or None, got {tau_zero}")

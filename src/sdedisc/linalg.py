@@ -4,7 +4,7 @@ with eigenvalue reordering, Sylvester/Lyapunov solvers, and norms.
 Every exponential is _exp_at(_exp_table(a), ts): the table of the powers
 of a scaled a, made once (the proposed plan keeps it, the oracle shares it
 between its chains), then Pade-13 at each horizon's scaled step
-(_kernels.pade13_expm), a's zero rows set to unit rows, and squarings.
+(_kernels.pade13_expm), a's structural zeros and ones set, and squarings.
 
 Everything is parameterized by float width: pass float32 arrays and the
 whole computation stays in binary32, pass float64 and it stays in binary64.
@@ -104,11 +104,19 @@ def _exp_table(a: np.ndarray) -> tuple:
     """_exp_at's horizon-free part for a square a: its binary64 |a|_1, the
     exponent e of a power of two 2^e above it, the exact table of the
     powers of a / 2^e (_kernels.pade13_powers), of which none overflows,
-    and where a's rows are zero, as an (n, 1) mask."""
+    and the mask of the entries of exp(a t) that a's zero pattern fixes,
+    from the pattern's transitive closure: 0 at (i, j) with no path from
+    i to j, and 1 on a diagonal entry on no cycle.  So a zero row of a is
+    a unit row of exp(a t), and a zero diagonal block of a block-triangular
+    a an identity block."""
     nu = _norm1(a)
     e = math.frexp(nu)[1]
-    return (nu, e, _kernels.pade13_powers(np.ldexp(a, -e)),
-            ~a.any(axis=1, keepdims=True))
+    reach, wider = None, a != 0.0  # the paths of length >= 1
+    while not np.array_equal(reach, wider):
+        reach = wider
+        step = reach.astype(a.dtype)  # squared by a float product
+        wider = reach | (step @ step > 0.0)
+    return nu, e, _kernels.pade13_powers(np.ldexp(a, -e)), ~reach
 
 
 def _exp_at(table: tuple, ts) -> tuple:
@@ -117,20 +125,20 @@ def _exp_at(table: tuple, ts) -> tuple:
     |a|_1 |t| exceeds the width (_scalings).  Each slice is the Pade-13
     approximant at the scaled step h = t / 2^s (a / 2^e at sigma =
     2^(e - s) t, or at 0 where |a|_1 t is 0 or flagged), squared s times,
-    so slice i does not depend on the other horizons.  A zero row of a is
-    a unit row of exp(a h), and is set so before the squarings, which keep
-    it: the identity block of [[a, I], [0, 0]] stays exactly I, its
-    squares are [[f^2, f g + g], [0, I]] for f = exp(a h) and
-    g = int_0^h exp(a tau) dtau, and g does not decay to 0 as a rounded
-    identity block raised to the power 2^s would make it.  Overflow shows
-    in the flags, under the caller's np.errstate."""
-    nu, e, powers, zero_rows = table
+    so slice i does not depend on the other horizons.  The table's exact
+    entries are set before the squarings, which keep them: the identity
+    block of [[a, I], [0, 0]] stays exactly I, its squares are
+    [[f^2, f g + g], [0, I]] for f = exp(a h) and g = int_0^h exp(a tau)
+    dtau, and neither g nor the diagonal of a nilpotent a's exponential
+    decays as a rounded identity raised to the power 2^s would.
+    Overflow shows in the flags, under the caller's np.errstate."""
+    nu, e, powers, exact = table
     limit = float(np.finfo(powers.dtype).max)
     counts, bad = _scalings(nu, ts, limit)
     sigmas = [math.ldexp(t, e - c) if 0.0 < nu * abs(t) <= limit else 0.0
               for t, c in zip(ts, counts)]
     big = _kernels.pade13_expm(powers, sigmas)
-    np.copyto(big, powers[0], where=zero_rows)
+    np.copyto(big, powers[0], where=exact)
     big = _kernels.squared(big, counts)
     return big, _finite(big, bad)
 
@@ -285,7 +293,7 @@ def _swap_adjacent_blocks(hu, i, p1, p2):
     j, k = i + p1, i + p1 + p2
     # b1 @ X - X @ b2 = t12 for the blocks b1, b2 and their coupling t12
     r = -hu[j:k, j:k]
-    (blocks,) = _kernels.sylv_blocks(hu[i:j, i:j], r)
+    blocks = _kernels.sylv_blocks(hu[i:j, i:j], r)
     x = _kernels.trsylv(blocks, r, hu[i:j, j:k])
     q, _ = np.linalg.qr(np.vstack([-x, np.eye(p2, dtype=hu.dtype)]),
                         mode="complete")
@@ -368,7 +376,7 @@ def solve_sylvester(ua, ta, ub, r, c):
     shape = (ta.shape[0], r.shape[0])
     if c.shape != shape:
         raise DimensionError(f"rhs shape {c.shape} incompatible with {shape}")
-    (blocks,) = _kernels.sylv_blocks(ta, r)
+    blocks = _kernels.sylv_blocks(ta, r)
     return ua @ _kernels.trsylv(blocks, r, ua.T @ c @ ub) @ ub.T
 
 

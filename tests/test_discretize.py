@@ -206,28 +206,6 @@ def test_q_nilpotent_overflow_is_typed():
                 q_nilpotent(m.a, m.s, t)
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
-def test_nilpotent_sum_matches_product_loop(p, dtype):
-    # each series adds every term of the merged table in the loop's order,
-    # the other series' terms with coefficient 0, so every bit is the
-    # loop's, zero signs included
-    rng = np.random.default_rng(p)
-    a = np.triu(rng.standard_normal((p, p)), 1).astype(dtype)
-    s = rng.standard_normal((p, p))
-    terms, table = discretize._nilpotent_terms(a, (s @ s.T).astype(dtype))
-    assert len(terms) == p - 1 + p * p
-    ts = np.geomspace(1e-3, 1e3, 20).tolist()
-    got = discretize._nilpotent_sum(terms, table, ts)
-    for i, t in enumerate(ts):
-        want = np.zeros((2, p, p), dtype=dtype)
-        for (row, e, d), term in zip(table, terms, strict=True):
-            for series in (0, 1):
-                coef = t ** e / d if series == row else 0.0
-                want[series] = want[series] + dtype(coef) * term
-        assert got[i].tobytes() == want.tobytes()
-
-
 # -------------------------------------------------- cross-method checks
 
 
@@ -300,13 +278,23 @@ def test_mirrored_poles_unsupported_by_proposed():
     assert q[0, 0] == pytest.approx((math.exp(2.0) - 1.0) / 2.0, rel=1e-10)
 
 
-def test_coupled_poles_unsupported_by_proposed():
+def diagonal_q(poles, t):
+    """Q of A = diag(poles), S = I: (exp(2 lambda t) - 1) / (2 lambda)."""
+    return np.diag([math.expm1(2.0 * lam * t) / (2.0 * lam)
+                    for lam in poles])
+
+
+def test_coupled_poles_right_in_proposed():
     # tau_zero = 1 splits -(1 + 2 eps) from +1: the leading and trailing
-    # blocks then hold poles that sum to ~0, and f12 and q12 are singular
-    a = np.diag([-(1.0 + 2 * np.finfo(float).eps), 1.0])
-    m = ContinuousModel(a, np.eye(2))
-    with pytest.raises(UnsupportedSpectrumError, match="not applicable"):
-        discretize_proposed(m, 1.0, tau_zero=1.0)
+    # blocks hold poles that sum to ~0, which no solve couples, since the
+    # trailing block column comes from the exponential
+    poles = [-(1.0 + 2 * np.finfo(float).eps), 1.0]
+    m = ContinuousModel(np.diag(poles), np.eye(2))
+    for t in (1.0, 50.0):
+        report = discretize_proposed(m, t, tau_zero=1.0)
+        assert report.diagnostics == {"split_index": 1.0,
+                                      "integrator_count": 0.0}
+        assert rel_err(report.model.q, diagonal_q(poles, t)) <= 1e-12, t
 
 
 # ----------------------------------------------------------- stationary
@@ -696,9 +684,9 @@ def _triangular_chain3():
     (gen_random_system(EnsembleSpec(7, 3, 4, seed=1)), 2e-3, 4),
 ], ids=["triangular-p3", "observer-p3", "rotated-p3", "rotated-p4"])
 def test_proposed_deep_integrator_chains(m, tau_zero, p):
-    # the coupling block f12 of three or more integrators: a22 is then
-    # upper triangular beyond its first superdiagonal, and the f12 solve
-    # takes all of it as one column block
+    # the coupling block F12 of three or more integrators: the staircase
+    # leaves a22 strictly upper triangular beyond its first superdiagonal,
+    # and F12 comes from the plan's exponential with F22
     expm = pytest.importorskip("scipy.linalg").expm
     for t in (0.1, 1.0, 10.0):
         report = discretize_proposed(m, t, tau_zero=tau_zero)
@@ -741,16 +729,89 @@ def test_proposed_chain_left_in_leading_block_right_or_refused():
     assert rel_err(q, scipy_doubling_q(m, 1.0)) <= 1e-9
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item D: the binary32 "
-                   "tau_zero_default reaches the slow stable poles of n = 16 "
-                   "systems, which are then counted as integrators")
 def test_binary32_proposed_counts_integrators_n16():
+    # the binary32 tau_zero_default puts a slow stable pole of these
+    # systems in the trailing block, next to the integrator pair; the
+    # staircase counts the pair alone and exponentiates the pole
     expm = pytest.importorskip("scipy.linalg").expm
-    m = gen_random_system(EnsembleSpec(16, 14, 2, seed=3))
-    report = discretize_proposed(m.astype(np.float32), 100.0)
-    assert report.diagnostics["integrator_count"] == 2
-    f_ref = expm(m.a * 100.0)
-    assert rel_err(report.model.f, f_ref) < 1e-3
+    for seed, t in ((3, 100.0), (5, 10.0)):
+        m = gen_random_system(EnsembleSpec(16, 14, 2, seed=seed))
+        report = discretize_proposed(m.astype(np.float32), t)
+        assert report.diagnostics["integrator_count"] == 2, seed
+        assert rel_err(report.model.f, expm(m.a * t)) < 1e-3, seed
+
+
+@pytest.mark.parametrize("n", [24, 32, 48])
+def test_binary32_proposed_right_on_slow_stable_poles(n):
+    # stable models with no integrator whose slowest poles lie within the
+    # binary32 tau_zero_default of 0: the trailing block holds them, and
+    # is exponentiated, not refused as a non-nilpotent integrator block
+    for stream in range(4):
+        m = gen_random_system(EnsembleSpec(n, n, 0, seed=2), stream)
+        report = discretize_proposed(m.astype(np.float32), 1.0)
+        assert report.diagnostics["integrator_count"] == 0.0
+        assert rel_err(report.model.q, q_oracle(m, 1.0)) <= 1e-5, stream
+
+
+def _integrator_q(m, p, t):
+    """The closed form of the p trailing integrators of a block upper
+    triangular A = [[a11, a12], [0, N]] with a stable a11, lifted by the
+    basis [x; I] of their generalized null space (a11 x - x N = -a12).
+    It differs from Q by a part that stays bounded as t grows, while Q
+    grows like t^(2p - 1)."""
+    sla = pytest.importorskip("scipy.linalg")
+    k = m.n - p
+    a = m.a.astype(np.float64)
+    basis = np.vstack([sla.solve_sylvester(a[:k, :k], -a[k:, k:],
+                                           -a[:k, k:]), np.eye(p)])
+    s22 = m.s[k:, k:].astype(np.float64)
+    return basis @ q_nilpotent(a[k:, k:], s22, t) @ basis.T
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("m, p", [
+    (constant_velocity(), 2),
+    (observer_canonical([3.0, 2.0], [1.0, 0.5], p=2), 2),
+    (observer_canonical([1.0, 2.0], [1.0, 0.5], p=3), 3),
+], ids=["cv", "observer-p2", "observer-p3"])
+def test_proposed_huge_horizons_right_or_refused(m, p, dtype):
+    # within 100 eps of the integrators' closed form, which is exact to
+    # binary64 rounding from t = 1e6 on; refused, with a typed error, only
+    # where the width cannot hold t or that Q
+    big = float(np.finfo(dtype).max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1e6, 1e10, 1e50, 1e100):
+            try:
+                want = _integrator_q(m, p, t)
+                fits = t <= big and np.abs(want).max() <= big
+            except MatrixOverflowError:
+                fits = False
+            try:
+                q = discretize_proposed(m.astype(dtype), t).model.q
+            except SdeDiscError:
+                assert not fits, t
+                continue
+            assert rel_err(q, want) <= 100 * np.finfo(dtype).eps, t
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("t", [1.0, 10.0])
+@pytest.mark.parametrize("m", [
+    ContinuousModel(np.diag([-1.0, 0.0]), np.eye(2)),
+    observer_canonical([3.0, 2.0], [1.0, 0.5], p=2),
+], ids=["diag", "observer-p2"])
+def test_proposed_accuracy_independent_of_noise_scale(m, t, dtype):
+    # Q is linear in S, so a large S must cost F and Q no digits: both
+    # stay within the bound they meet at S = I, 8 eps
+    sla = pytest.importorskip("scipy.linalg")
+    tol = 8 * np.finfo(dtype).eps
+    f_want = sla.expm(m.a * t)
+    for scale in (1.0, 1e6):
+        big = ContinuousModel(m.a, scale * m.s)
+        report = discretize_proposed(big.astype(dtype), t)
+        assert rel_err(report.model.f, f_want) <= tol, scale
+        assert rel_err(report.model.q, q_oracle(big, t)) <= tol, scale
 
 
 # -------------------------------------------------------------- widths
@@ -821,32 +882,27 @@ def column_spans(sylv):
     return [(j0, j) for j0, j, _ in blocks]
 
 
-@pytest.mark.parametrize("model, tau_zero, f12_spans, q12_spans, q11_spans", [
-    (stable_system(0), None, [], [], [(2, 6), (0, 2)]),  # p = 0
-    (constant_velocity(), None, [(0, 2)], [(0, 2)], []),  # k = 0
-    (mixed_system(2), None, [(0, 2)], [(0, 2)], [(0, 4)]),
-    (mixed_system(3).astype(np.float32), None, [(0, 2)], [(0, 2)],
-     [(0, 4)]),
-    (mixed_system(0), None, [(0, 2)], [(0, 2)], [(0, 4)]),  # a22 a 2x2 pair
+@pytest.mark.parametrize("model, tau_zero, q11_spans", [
+    (stable_system(0), None, [(2, 6), (0, 2)]),  # p = 0
+    (constant_velocity(), None, []),  # k = 0
+    (mixed_system(2), None, [(0, 4)]),
+    (mixed_system(3).astype(np.float32), None, [(0, 4)]),
+    (mixed_system(0), None, [(0, 4)]),  # a22 a 2x2 pair
     # a rotated index-3 chain: a22 is a 1x1 and a 2x2 block
     (gen_random_system(EnsembleSpec(6, 3, 3, seed=0), stream=3), 1e-3,
-     [(0, 3)], [(0, 3)], [(0, 3)]),
+     [(0, 3)]),
 ], ids=["p0", "k0", "mixed", "binary32", "a22-pair", "chain3-tau"])
-def test_proposed_warm_equals_cold(model, tau_zero, f12_spans, q12_spans,
-                                   q11_spans):
+def test_proposed_warm_equals_cold(model, tau_zero, q11_spans):
     want = [cold(model, t, tau_zero) for t in HORIZONS]
     discretize._last_plan = None
     for t, r in zip(HORIZONS, want):
         assert same_bits(discretize_proposed(model, t, tau_zero), r), t
     stacked = discretize._last_plan.reports(HORIZONS)
     assert all(same_bits(s, r) for s, r in zip(stacked, want, strict=True))
-    # at n = 6 the narrowest blocks merge: each solve is one block of at
-    # most 32 unknowns, one product per horizon, except q11 with no
-    # integrator, whose six columns of 6 unknowns each would be 36
-    plan = discretize._last_plan
-    assert column_spans(plan.f12_sylv) == f12_spans
-    assert column_spans(plan.q12_sylv) == q12_spans
-    assert column_spans(plan.q11_sylv) == q11_spans
+    # at n = 6 the narrowest blocks merge: the q11 solve is one block of at
+    # most 32 unknowns, one product per horizon, except with no integrator,
+    # where its six columns of 6 unknowns each would be 36
+    assert column_spans(discretize._last_plan.q11_sylv) == q11_spans
 
 
 @pytest.mark.parametrize("spec", [EnsembleSpec(6, 4, 2, seed=100),
@@ -918,25 +974,23 @@ def test_proposed_plan_failure_raises_every_call(schur_count):
     assert len(schur_count) == 3  # a failed plan is not kept
 
 
-def test_proposed_plan_checks_nilpotency(schur_count):
-    # tau_zero puts the pole at -1e-3 in the integrator block, which is
-    # then not nilpotent: the plan fails and is not kept
-    m = ContinuousModel(np.diag([-1.0, -1e-3]), np.eye(2))
-    messages = set()
+def test_proposed_plan_exponentiates_a_slow_trailing_pole(schur_count):
+    # tau_zero puts the pole at -1e-3 in the trailing block, where the
+    # staircase finds no integrator and leaves the pole to the exponential
+    poles = [-1.0, -1e-3]
+    m = ContinuousModel(np.diag(poles), np.eye(2))
     for t in (1.0, 2.0, 1.0):
-        with pytest.raises(NilpotencyError,
-                           match="not nilpotent of index 1") as info:
-            discretize_proposed(m, t, tau_zero=1e-2)
-        messages.add(str(info.value))
-    assert len(messages) == 1
-    assert len(schur_count) == 3
+        report = discretize_proposed(m, t, tau_zero=1e-2)
+        assert report.diagnostics == {"split_index": 1.0,
+                                      "integrator_count": 0.0}
+        assert rel_err(report.model.q, diagonal_q(poles, t)) <= 1e-14, t
+    assert len(schur_count) == 1
 
 
 def test_proposed_prepares_solvers_once_per_plan(sylv_calls):
     m = mixed_system(4)
     discretize_proposed(m, 1.0)
-    # one call for the f12, q12 and q11 solves; the others are the
-    # reordering's swaps
+    # one call for the q11 solve; the others are the reordering's swaps
     a11 = discretize._last_plan.a11
     assert sum(ta is a11 for ta in sylv_calls) == 1
     count = len(sylv_calls)
@@ -1125,31 +1179,37 @@ def test_plan_exponential_stacked_equals_one_horizon():
         plan = discretize._ProposedPlan(mixed_system(2).astype(dtype), None,
                                         None)
         ts = (1e-3, 0.3, 2.0, 11.0, 40.0, 100.0)
-        assert len({linalg._squarings(plan.exp11[0], t) for t in ts}) >= 4
-        stack, ok = linalg._exp_at(plan.exp11, ts)
+        assert len({linalg._squarings(plan.exp[0], t) for t in ts}) >= 4
+        stack, ok = linalg._exp_at(plan.exp, ts)
         assert stack.dtype == dtype and ok.all()
         for t, got in zip(ts, stack, strict=True):
-            (alone,), _ = linalg._exp_at(plan.exp11, (t,))
+            (alone,), _ = linalg._exp_at(plan.exp, (t,))
             assert got.tobytes() == alone.tobytes(), t
 
 
 def test_plan_exponential_empty_huge_and_flagged():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # k = 0: aug11 is 0 x 0 and sigma is 0 at any horizon
+        # k = 0: H is the nilpotent 6 x 6 [[at, st/2, I], [0, -at^T, 0],
+        # [0, 0, 0]], whose exponential has a diagonal of exact ones at
+        # any horizon; at 1e300 its t^3 entries overflow and are flagged
         plan = discretize._ProposedPlan(constant_velocity(), None, None)
-        stack, ok = linalg._exp_at(plan.exp11, (1.0, 1e300))
-        assert stack.shape == (2, 0, 0) and ok.tolist() == [True, True]
+        assert plan.k == 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack, ok = linalg._exp_at(plan.exp, (1.0, 1e50, 1e300))
+        assert stack.shape == (3, 6, 6)
+        assert ok.tolist() == [True, True, False]
+        assert (np.diagonal(stack[:2], axis1=1, axis2=2) == 1.0).all()
         for dtype, huge in ((np.float64, 1e308), (np.float32, 2e38)):
-            # |aug11|_1 = 2: at 2 huge the width is exceeded and the horizon
+            # |H|_1 = 2: at 2 huge the width is exceeded and the horizon
             # flagged, while at huge / 4 the squarings (1020 in binary64,
             # 124 in binary32) give a finite exponential
             m = ContinuousModel(np.array([[-2.0]], dtype=dtype),
                                 np.array([[1.0]], dtype=dtype))
             plan = discretize._ProposedPlan(m, None, None)
-            assert plan.exp11[0] == 2.0
+            assert plan.exp[0] == 2.0
             with np.errstate(over="ignore", invalid="ignore"):
-                stack, ok = linalg._exp_at(plan.exp11, (huge / 4, huge))
+                stack, ok = linalg._exp_at(plan.exp, (huge / 4, huge))
             assert ok.tolist() == [True, False]
             assert np.isfinite(stack[0]).all()
             good, bad = plan.reports((huge / 4, huge))
@@ -1174,8 +1234,9 @@ def test_plan_exponential_empty_huge_and_flagged():
 def test_plan_exponential_matches_scipy(n, p, seed, squarings, frac, dtype):
     # the horizon takes the table's exponential through the given number
     # of squarings; its error against scipy's binary64 expm of the same
-    # aug11 is at most 4 times that of higham_expm at the same width, or
-    # 8 (s + 1) m eps for m x m aug11 and s squarings
+    # H = [[at, st/2[:, k:] / 2^shift, I], [0, -a22^T, 0], [0, 0, 0]] is
+    # at most 4 times that of higham_expm at the same width, or
+    # 8 (s + 1) m eps for m x m H and s squarings
     pytest.importorskip("scipy.linalg")
     assume(p < n)
     m = gen_random_system(EnsembleSpec(n, n - p, p, seed=seed))
@@ -1183,13 +1244,17 @@ def test_plan_exponential_matches_scipy(n, p, seed, squarings, frac, dtype):
         plan = discretize._ProposedPlan(m.astype(dtype), None, None)
     except SdeDiscError:
         assume(False)
-    assume(plan.k > 0)
-    t = linalg._THETA13 * 2.0 ** squarings * frac / plan.exp11[0]
-    assert abs(linalg._squarings(plan.exp11[0], t) - squarings) <= 1
-    aug11 = discretize._augmented(plan.a11)
-    (got,), (ok,) = linalg._exp_at(plan.exp11, (t,))
+    k = plan.k
+    zero = np.zeros((n, n), dtype=dtype)
+    h = np.block([[plan.at, np.ldexp(plan.st_half[:, k:], -plan.shift),
+                   np.eye(n, dtype=dtype)],
+                  [zero[k:], -plan.at[k:, k:].T, zero[k:]],
+                  [zero, zero[:, k:], zero]])
+    t = linalg._THETA13 * 2.0 ** squarings * frac / plan.exp[0]
+    assert abs(linalg._squarings(plan.exp[0], t) - squarings) <= 1
+    (got,), (ok,) = linalg._exp_at(plan.exp, (t,))
     assert ok and got.dtype == dtype
-    want, bound = exp_error_bound(aug11, t, dtype)
+    want, bound = exp_error_bound(h, t, dtype)
     assert np.linalg.norm(got - want) / np.linalg.norm(want) <= bound
 
 
