@@ -14,13 +14,13 @@ merged while a union has at most 32 unknowns, and inverted where at most
 the solved columns and one product with the inverse (a LAPACK solve for a
 wider block), for one right-hand side or a stack of them.
 ``pade13_powers`` makes the table of the powers x^0 .. x^7 of a scaled
-matrix once, ``pade13_expm`` evaluates Higham's
-degree-13 Pade approximant of sigma x from it at many sigma, and
-``squared`` squares the results back.
+matrix once, ``pade13_expm`` evaluates Higham's degree-13 Pade approximant
+of sigma x from it at many sigma, and ``squared`` squares the results back.
 All kernels mutate or allocate arrays in the dtype of their inputs, so the
 same code serves binary32 and binary64.
 """
 
+import bisect
 import cmath
 import math
 
@@ -356,14 +356,16 @@ def pade13_expm(powers, sigmas):
 
 def squared(r, squarings):
     """Every matrix of the stack r squared as often as its count in
-    squarings asks; r may be overwritten."""
-    # every matrix squares as often as the fewest count asks, then only
-    # the matrices that ask for more
-    fewest = min(squarings, default=0)
+    squarings asks, each slice what it gives alone; r may be overwritten.
+    Where the counts do not decrease (a sorted horizon grid), the slices
+    left after the shared squarings are a suffix, squared with no gather."""
+    fewest, most = min(squarings, default=0), max(squarings, default=0)
     for _ in range(fewest):
         r = r @ r
-    for step in range(fewest, max(squarings, default=0)):
-        live = [i for i, count in enumerate(squarings) if count > step]
+    ordered = most == fewest or list(squarings) == sorted(squarings)
+    for step in range(fewest, most):
+        live = (slice(bisect.bisect_right(squarings, step), None) if ordered
+                else [i for i, count in enumerate(squarings) if count > step])
         r[live] = r[live] @ r[live]
     return r
 

@@ -488,7 +488,8 @@ def _norms(x: np.ndarray) -> list:
 def _q_oracle_many(m: ContinuousModel, ts) -> list:
     """q_oracle at every horizon of ts in one pass: entry i is Q at ts[i],
     or the SdeDiscError that horizon raised.  The base steps and both
-    chains' doublings share stacked products; each horizon keeps its own
+    chains' doublings share stacked products, and both chains' exp(A h0)
+    and exp(A h0/2) come from one _exp_at call; each horizon keeps its own
     base step and doubling count, and every slice runs the same
     operations, so entry i is what q_oracle(m, ts[i]) computes alone."""
     ts = [_check_horizon(t) for t in ts]
@@ -514,10 +515,8 @@ def _q_oracle_many(m: ContinuousModel, ts) -> list:
     q = np.stack([_base_q(a, s, h0)] * 2)
     if steps[0]:
         dbl = h0[:sum(c > 0 for c in steps)]
-        table = _exp_table(a)
-        e_full, _ = _exp_at(table, dbl)
-        e_half, _ = _exp_at(table, [0.5 * h for h in dbl])
-        f = np.stack([e_full, e_half @ e_half])
+        e, _ = _exp_at(_exp_table(a), dbl + [0.5 * h for h in dbl])
+        f = np.stack([e[:len(dbl)], e[len(dbl):] @ e[len(dbl):]])
     for step in range(steps[0]):
         live_q = sum(c > step for c in steps)
         q[:, :live_q] = _sym(_kernels.propagated_outer_sum(

@@ -140,20 +140,15 @@ def _exp_at(table: tuple, ts) -> tuple:
     big = _kernels.pade13_expm(powers, sigmas)
     np.copyto(big, powers[0], where=exact)
     big = _kernels.squared(big, counts)
-    return big, _finite(big, bad)
+    ok = np.isfinite(big).all(axis=(1, 2))
+    if bad:
+        ok[bad] = False
+    return big, ok
 
 
 def _norm1(a: np.ndarray) -> float:
     """|a|_1, the largest column sum of magnitudes, summed in binary64."""
     return float(np.abs(a).sum(axis=0, dtype=np.float64).max(initial=0.0))
-
-
-def _finite(stack: np.ndarray, bad: list) -> np.ndarray:
-    """Whether each matrix of the stack is finite and not listed in bad."""
-    ok = np.isfinite(stack).all(axis=(1, 2))
-    if bad:
-        ok[bad] = False
-    return ok
 
 
 def _squarings(nu: float, t: float) -> int:
@@ -391,3 +386,11 @@ def spectral_norm(m: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
+
+
+def _spectral_norms(stack: np.ndarray) -> np.ndarray:
+    """spectral_norm of each matrix of a finite stack: max |lambda| of one
+    symmetric eigensolve if all are exactly symmetric, else the SVD's."""
+    if np.array_equal(stack, stack.mT):
+        return np.abs(np.linalg.eigvalsh(stack)).max(axis=-1)
+    return np.linalg.norm(stack, 2, axis=(-2, -1))

@@ -26,11 +26,15 @@ EXACT_METHODS = (Method.LYAP_P, Method.LYAP_Q, Method.PROPOSED,
                  Method.VANLOAN, Method.ORACLE)
 
 
+def _check_width(dtype) -> None:
+    if dtype not in (np.float32, np.float64):
+        raise TypeError(f"model dtype {dtype} is not float32 or float64")
+
+
 def _float_width(x: np.ndarray) -> np.ndarray:
     if x.dtype.kind in "biu":
         return x.astype(np.float64)
-    if x.dtype not in (np.float32, np.float64):
-        raise TypeError(f"model dtype {x.dtype} is not float32 or float64")
+    _check_width(x.dtype)
     return x
 
 
@@ -82,7 +86,9 @@ class ContinuousModel:
         return self.a.dtype
 
     def astype(self, dtype) -> "ContinuousModel":
-        """This model at another width; NonFiniteError if it overflows."""
+        """This model at another width, float32 or float64, else TypeError;
+        NonFiniteError if it overflows."""
+        _check_width(np.dtype(dtype))
         with np.errstate(over="ignore"):
             a, s = self.a.astype(dtype), self.s.astype(dtype)
         if not (np.isfinite(a).all() and np.isfinite(s).all()):

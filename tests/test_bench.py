@@ -16,7 +16,7 @@ from sdedisc.bench import (BenchConfig, BenchRecord, CellStatus,
                            summary_to_csv, default_t_grid)
 from sdedisc.discretize import q_oracle, run_method
 from sdedisc.errors import ConvergenceError, MatrixOverflowError
-from sdedisc.linalg import spectral_norm
+from sdedisc.linalg import _spectral_norms
 from sdedisc.modelgen import EnsembleSpec, gen_random_system
 from sdedisc.models import (ContinuousModel, DiscreteModel, Method,
                             MethodReport)
@@ -48,6 +48,10 @@ def test_config_validation():
     for grid in [(math.nan,), (1.0, math.inf), (0.0, 1.0)]:
         with pytest.raises(ValueError, match="t_grid"):
             small_cfg(t_grid=grid)
+    # a non-float width would truncate the model, or fail mid-run
+    for width in (np.int32, np.float16, np.bool_):
+        with pytest.raises(ValueError, match="width"):
+            small_cfg(width=width)
 
 
 def test_single_scalar_cell():
@@ -128,8 +132,8 @@ def test_each_cell_is_one_run_method_call_and_scores_its_report(monkeypatch):
         q_true = q_oracle(model, rec.t)
         q_hat = 2 * run_method(model.astype(cfg.width), rec.t,
                                rec.method).model.q
-        assert rec.epsilon == spectral_norm(q_hat - q_true) / \
-            spectral_norm(q_true)
+        assert rec.epsilon == _spectral_norms(q_hat - q_true) / \
+            _spectral_norms(q_true)
 
 
 def test_failed_plan_fails_every_proposed_cell(monkeypatch):
@@ -149,8 +153,8 @@ def test_failed_plan_fails_every_proposed_cell(monkeypatch):
         q_true = q_oracle(model, rec.t)
         q_hat = discretize.discretize_vanloan(model.astype(cfg.width),
                                               rec.t).model.q
-        assert rec.epsilon == spectral_norm(q_hat - q_true) / \
-            spectral_norm(q_true)
+        assert rec.epsilon == _spectral_norms(q_hat - q_true) / \
+            _spectral_norms(q_true)
 
 
 def test_paper_sweep_seam_scores_every_record(monkeypatch):
@@ -209,7 +213,8 @@ def test_oracle_failure_recorded_not_raised(monkeypatch):
 
 def test_records_match_per_cell_definition():
     # one truth per (system, t) from q_oracle, each method through
-    # run_method, scored as relative spectral-norm error
+    # run_method, scored as relative spectral-norm error, the norms those
+    # of the symmetric eigensolve that run_benchmark stacks
     cfg = small_cfg(ensemble=EnsembleSpec(n=6, m=4, p=2, seed=3),
                     t_grid=(0.01, 1.0, 100.0),
                     methods=(Method.PROPOSED, Method.VANLOAN))
@@ -226,8 +231,9 @@ def test_records_match_per_cell_definition():
                     want.append(BenchRecord(sid, method, t, None,
                                             CellStatus.OVERFLOW))
                     continue
-                eps = (spectral_norm(q_hat.astype(np.float64) - q_true)
-                       / spectral_norm(q_true))
+                eps = float(_spectral_norms(q_hat.astype(np.float64)
+                                            - q_true)
+                            / _spectral_norms(q_true))
                 want.append(BenchRecord(sid, method, t, eps, CellStatus.OK))
     assert CellStatus.OVERFLOW in {r.status for r in want}
     assert run_benchmark(cfg) == want

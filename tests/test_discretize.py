@@ -421,6 +421,15 @@ def test_model_astype_beyond_the_width_raises_without_warning():
                 m.astype(np.float32)
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.float16, np.bool_,
+                                   np.complex128])
+def test_model_astype_refuses_non_float_widths(dtype):
+    # int32 would keep one entry of A and none of S, float16 fail later
+    m = gen_random_system(EnsembleSpec(6, 4, 2, seed=1))
+    with pytest.raises(TypeError, match="is not float32 or float64"):
+        m.astype(dtype)
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_discrete_model_rejects_non_finite(bad):
     good = np.eye(2)

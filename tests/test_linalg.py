@@ -190,6 +190,26 @@ def test_mat_exp_many_is_mat_exp_slice_by_slice(dtype):
     assert ok.all() == (dtype is np.float64)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 6),
+       dtype=st.sampled_from([np.float64, np.float32]),
+       counts=st.lists(st.integers(0, 5), max_size=8),
+       order=st.sampled_from(["drawn", "ascending", "descending"]))
+def test_squared_is_a_per_slice_loop(seed, n, dtype, counts, order):
+    # empty, single, tied and shuffled count lists, and sorted ones, whose
+    # squarings take the suffix path
+    if order != "drawn":
+        counts.sort(reverse=order == "descending")
+    rng = np.random.default_rng(seed)
+    r = (rng.standard_normal((len(counts), n, n)) / n).astype(dtype)
+    want = r.copy()
+    for i, count in enumerate(counts):
+        for _ in range(count):
+            want[i] = want[i] @ want[i]
+    got = _kernels.squared(r.copy(), counts)
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
 def test_mat_exp_many_empty_matrix_and_stack():
     stack, ok = linalg._mat_exp_many(np.zeros((0, 0)), [0.5, 2.0])
     assert stack.shape == (2, 0, 0) and ok.tolist() == [True, True]
@@ -970,10 +990,44 @@ def test_spectral_norm_matches_svd():
 
 
 def test_stacked_spectral_norms_are_spectral_norm():
-    # run_benchmark takes the truths' norms in one stacked call
+    # _spectral_norms, which scores run_benchmark, takes an asymmetric
+    # stack's norms from one stacked SVD: spectral_norm's bits
     stack = np.random.default_rng(19).standard_normal((2000, 6, 6))
-    got = np.linalg.norm(stack, 2, axis=(1, 2))
+    got = linalg._spectral_norms(stack)
     assert got.tolist() == [spectral_norm(a) for a in stack]
+
+
+def symmetric_stacks(seed):
+    """Exactly symmetric binary64 stacks, indefinite and semidefinite."""
+    rng = np.random.default_rng(seed)
+    for n in range(1, 9):
+        x = rng.standard_normal((200, n, n)) * 10.0 ** rng.integers(-3, 4)
+        yield x + x.mT
+        psd = x @ x.mT
+        yield 0.5 * psd + 0.5 * psd.mT
+
+
+def test_symmetric_spectral_norms_agree_with_svd():
+    for stack in symmetric_stacks(23):
+        got = linalg._spectral_norms(stack)
+        want = np.array([spectral_norm(a) for a in stack])
+        assert (abs(got - want) <= 1e-14 * want).all()
+
+
+def test_stacked_symmetric_norms_are_per_matrix():
+    for stack in symmetric_stacks(29):
+        got = linalg._spectral_norms(stack)
+        assert got.tolist() == [float(linalg._spectral_norms(a))
+                                for a in stack]
+
+
+def test_asymmetric_spectral_norms_take_the_svd():
+    # the lower triangle of [[0, 1], [0, 0]] reads as 0; one asymmetric
+    # matrix sends the whole stack to the SVD
+    a = np.array([[0.0, 1.0], [0.0, 0.0]])
+    assert linalg._spectral_norms(a) == spectral_norm(a) == 1.0
+    stack = np.stack([np.eye(2), a, -np.eye(2)])
+    assert linalg._spectral_norms(stack).tolist() == [1.0, 1.0, 1.0]
 
 
 def test_tau_zero_default_scales_with_norm():
