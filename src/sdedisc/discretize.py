@@ -135,9 +135,9 @@ def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
         (big,), (ok,) = _exp_at(plan.exp, (t,))
         if not ok:
             raise _exp_overflow(big.dtype, t)
-        e, g = np.hsplit(big[:m.n], 2)
-        # Q/2 = P/2 - f (P/2) f^T in Schur coordinates, f - I = a g
-        x = plan.u @ -_fxft_minus_x(plan.a11 @ g, plan.p_half) @ plan.u.T
+        e, fm1 = np.hsplit(big[:m.n], 2)
+        # Q/2 = P/2 - f (P/2) f^T in Schur coordinates, from fm1 = f - I
+        x = plan.u @ -_fxft_minus_x(fm1, plan.p_half) @ plan.u.T
         f = plan.u @ e @ plan.u_inv
     return MethodReport(DiscreteModel(f, x + x.T, t), Method.LYAP_P)
 
@@ -225,9 +225,10 @@ class _ProposedPlan:
     the split: a22 keeps it, and it is exponentiated, not refused.  The
     plan keeps at with its blocks, u and u^-1, half the transformed S,
     the power table (linalg._exp_table) of the (2n + p)-square
-        H = [[at, st_half[:, k:] / 2^shift, I], [0, -a22^T, 0], [0, 0, 0]],
-    whose exponential E = exp(H t) holds F = E[:n, :n], the integral of
-    exp(at tau) in E[:n, n + p:], and Q/2's trailing block column in
+        H = [[at, st_half[:, k:] / 2^shift, at], [0, -a22^T, 0], [0, 0, 0]],
+    whose exponential E = exp(H t) holds F = E[:n, :n], F - I =
+    int_0^t exp(at tau) at dtau in E[:n, n + p:], with no I subtracted,
+    and Q/2's trailing block column in
     2^shift E[:n, n:n + p] F22^T (Van Loan, IEEE TAC 23, 1978, with
     F21 = 0 and the growing -a11^T block dropped), the q11 solve's column
     blocks (sylv_blocks), inverted where small, so that a horizon's solve
@@ -285,7 +286,7 @@ class _ProposedPlan:
         h[:n, :n] = at
         h[:n, n:n + p] = np.ldexp(self.st_half[:, k:], -self.shift)
         h[n:n + p, n:n + p] = -at[k:, k:].T
-        h[:n, n + p:] = np.eye(n, dtype=u.dtype)
+        h[:n, n + p:] = at
         self.exp = _exp_table(h)
         # trsylv's (blocks, r) for q11: the quasi-lower triangular a11^T
         r = np.ascontiguousarray(self.a11.T)
@@ -302,14 +303,9 @@ class _ProposedPlan:
         p = n - k
         with np.errstate(over="ignore", invalid="ignore"):
             big, exp_ok = _exp_at(self.exp, ts)
-            ft = big[:, :n, :n]
-            # f - I = at g from the integral g on the diagonal blocks: at
-            # short horizons f is I plus small entries, and st - f st f^T
-            # would cancel their digits, while f - I keeps them.  f12 has
-            # no I to subtract, and a11 g12 + a12 g22 would cancel digits
-            # of order t^2 where f12 grows like t
-            mt = self.at @ big[:, :n, n + p:]
-            mt[:, :k, k:] = ft[:, :k, k:]
+            # f - I from E, whose digits st - f st f^T would cancel where
+            # a short horizon leaves f near I
+            ft, mt = big[:, :n, :n], big[:, :n, n + p:]
             # Q/2 = G F^T (Van Loan) on the trailing block column, where
             # F^T is zero above F22^T
             qt = np.empty_like(mt)

@@ -127,10 +127,12 @@ def _exp_at(table: tuple, ts) -> tuple:
     2^(e - s) t, or at 0 where |a|_1 t is 0 or flagged), squared s times,
     so slice i does not depend on the other horizons.  The table's exact
     entries are set before the squarings, which keep them: the identity
-    block of [[a, I], [0, 0]] stays exactly I, its squares are
+    block of naive_q_a's [[a, I], [0, 0]] stays exactly I, its squares are
     [[f^2, f g + g], [0, I]] for f = exp(a h) and g = int_0^h exp(a tau)
-    dtau, and neither g nor the diagonal of a nilpotent a's exponential
-    decays as a rounded identity raised to the power 2^s would.
+    dtau, and so do the identity blocks that the zero diagonal blocks of
+    the proposed plan's H give; neither g, the plan's f - I nor the
+    diagonal of a nilpotent a's exponential decays as a rounded identity
+    raised to the power 2^s would.
     Overflow shows in the flags, under the caller's np.errstate."""
     nu, e, powers, exact = table
     limit = float(np.finfo(powers.dtype).max)

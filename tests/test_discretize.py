@@ -762,6 +762,27 @@ def test_binary32_proposed_right_on_slow_stable_poles(n):
         assert rel_err(report.model.q, q_oracle(m, 1.0)) <= 1e-5, stream
 
 
+@pytest.mark.xfail(strict=True, raises=MatrixOverflowError,
+                   reason="ROADMAP item D: a slow stable pole left in a22 "
+                   "is carried as -a22^T, whose exponential overflows "
+                   "binary32 where Q fits")
+@pytest.mark.parametrize("spec, stream, t", [
+    (EnsembleSpec(48, 48, 0, seed=2), 0, 1e3),
+    (EnsembleSpec(48, 48, 0, seed=2), 0, 1e4),
+    (EnsembleSpec(24, 24, 0, seed=2), 1, 3e3),
+    (EnsembleSpec(16, 14, 2, seed=3), 0, 1e3),
+], ids=["n48-1e3", "n48-1e4", "n24-3e3", "n16-1e3"])
+def test_binary32_proposed_slow_pole_in_a22_at_long_horizons(spec, stream,
+                                                             t):
+    # the binary32 tau_zero_default puts the slowest stable poles of these
+    # models (-0.089 at n = 48) in the trailing block; q_oracle's Q has
+    # norm 1.8, 2.6 and 7.7e9, which binary32 holds, and the same models
+    # come back within 2e-4 at T = 100 or 1e3.  Three digits are asked for
+    m = gen_random_system(spec, stream)
+    q = discretize_proposed(m.astype(np.float32), t).model.q
+    assert rel_err(q, q_oracle(m, t)) <= 1e-3
+
+
 def _integrator_q(m, p, t):
     """The closed form of the p trailing integrators of a block upper
     triangular A = [[a11, a12], [0, N]] with a stable a11, lifted by the
@@ -1243,7 +1264,7 @@ def test_plan_exponential_empty_huge_and_flagged():
 def test_plan_exponential_matches_scipy(n, p, seed, squarings, frac, dtype):
     # the horizon takes the table's exponential through the given number
     # of squarings; its error against scipy's binary64 expm of the same
-    # H = [[at, st/2[:, k:] / 2^shift, I], [0, -a22^T, 0], [0, 0, 0]] is
+    # H = [[at, st/2[:, k:] / 2^shift, at], [0, -a22^T, 0], [0, 0, 0]] is
     # at most 4 times that of higham_expm at the same width, or
     # 8 (s + 1) m eps for m x m H and s squarings
     pytest.importorskip("scipy.linalg")
@@ -1256,7 +1277,7 @@ def test_plan_exponential_matches_scipy(n, p, seed, squarings, frac, dtype):
     k = plan.k
     zero = np.zeros((n, n), dtype=dtype)
     h = np.block([[plan.at, np.ldexp(plan.st_half[:, k:], -plan.shift),
-                   np.eye(n, dtype=dtype)],
+                   plan.at],
                   [zero[k:], -plan.at[k:, k:].T, zero[k:]],
                   [zero, zero[:, k:], zero]])
     t = linalg._THETA13 * 2.0 ** squarings * frac / plan.exp[0]
@@ -1265,6 +1286,33 @@ def test_plan_exponential_matches_scipy(n, p, seed, squarings, frac, dtype):
     assert ok and got.dtype == dtype
     want, bound = exp_error_bound(h, t, dtype)
     assert np.linalg.norm(got - want) / np.linalg.norm(want) <= bound
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("spec, check", [
+    (EnsembleSpec(6, 4, 2, seed=7), None),
+    (EnsembleSpec(16, 14, 2, seed=7), None),
+    (EnsembleSpec(6, 6, 0, seed=1), discretize._lyap_p_check),
+], ids=["proposed-6", "proposed-16", "lyap_p-6"])
+def test_plan_exponential_gives_f_minus_i(spec, check, dtype):
+    # the table's last block column is F - I = A G, with G the integral
+    # of exp(A tau) from scipy's binary64 expm of [[A, I], [0, 0]] t;
+    # F minus I would be off by about eps / (|A| t) relative, 2e-6 in
+    # binary64 and 1 in binary32 at t = 1e-10
+    expm = pytest.importorskip("scipy.linalg").expm
+    m = gen_random_system(spec).astype(dtype)
+    plan = discretize._ProposedPlan(m, None, None, check)
+    n, p = m.n, m.n - plan.k
+    assert check is None or plan.k == n
+    a = m.a.astype(np.float64)
+    aug = np.block([[a, np.eye(n)], [np.zeros((n, 2 * n))]])
+    u, u_inv = plan.u.astype(np.float64), plan.u_inv.astype(np.float64)
+    for t in (1e-10, 1e-6, 1e-2, 1.0):
+        (big,), (ok,) = linalg._exp_at(plan.exp, (t,))
+        assert ok
+        got = u @ big[:n, n + p:].astype(np.float64) @ u_inv
+        want = a @ expm(aug * t)[:n, n:]
+        assert rel_err(got, want) <= 1000 * np.finfo(dtype).eps, t
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
