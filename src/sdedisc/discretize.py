@@ -58,6 +58,12 @@ _TINY = 1e-300
 # this, relative to the first chain's norm
 _ORACLE_CHAIN_TOL = 1e-8
 
+# the oracle's base step sums the Taylor terms k = 0 .. 16 (see _base_q)
+_TAYLOR_TERMS = 17
+_TAYLOR_K = np.arange(_TAYLOR_TERMS, dtype=np.float64)
+_FACTORIALS = np.array([math.factorial(k)
+                        for k in range(_TAYLOR_TERMS + 1)], dtype=np.float64)
+
 
 def _check_horizon(t: float) -> float:
     t = float(t)
@@ -459,9 +465,10 @@ def naive_q_b(m: ContinuousModel, t: float) -> np.ndarray:
 
 
 def q_oracle(m: ContinuousModel, t: float) -> np.ndarray:
-    """Reference covariance, always in binary64.  A fixed Taylor series
-    gives Q over a base step h0 = T / 2^k, the least k with
-    max(|A|_1, |A|_inf) h0 <= theta13 (see _base_q); exact interval
+    """Reference covariance, always in binary64.  A fixed Taylor series,
+    summed from horizon-free power tables (see _base_q), gives Q over a
+    base step h0 = T / 2^k, the least k with
+    max(|A|_1, |A|_inf) h0 <= theta13; exact interval
     doubling, Q(2h) = F(h) Q(h) F(h)^T + Q(h) with F(2h) = F(h)^2, carries
     it to T from the Pade exponential F(h0) = exp(A h0).  A second chain,
     started from exp(A h0/2)^2 in place of exp(A h0), checks the
@@ -483,11 +490,12 @@ def _norms(x: np.ndarray) -> list:
 @np.errstate(over="ignore", invalid="ignore")
 def _q_oracle_many(m: ContinuousModel, ts) -> list:
     """q_oracle at every horizon of ts in one pass: entry i is Q at ts[i],
-    or the SdeDiscError that horizon raised.  The base steps and both
-    chains' doublings share stacked products, and both chains' exp(A h0)
-    and exp(A h0/2) come from one _exp_at call; each horizon keeps its own
-    base step and doubling count, and every slice runs the same
-    operations, so entry i is what q_oracle(m, ts[i]) computes alone."""
+    or the SdeDiscError that horizon raised.  One _exp_table(A) serves the
+    base steps' series and both chains' exp(A h0) and exp(A h0/2), which
+    come from one _exp_at call; the base steps and both chains' doublings
+    share stacked products.  Each horizon keeps its own base step and
+    doubling count, and every slice runs the same operations, so entry i
+    is what q_oracle(m, ts[i]) computes alone."""
     ts = [_check_horizon(t) for t in ts]
     a = np.ascontiguousarray(m.a, dtype=np.float64)
     s = np.ascontiguousarray(m.s, dtype=np.float64)
@@ -508,10 +516,11 @@ def _q_oracle_many(m: ContinuousModel, ts) -> list:
     live.sort(key=lambda i: -counts[i])
     steps = [counts[i] for i in live]
     h0 = [math.ldexp(ts[i], -counts[i]) for i in live]
-    q = np.stack([_base_q(a, s, h0)] * 2)
+    table = _exp_table(a)
+    q = np.stack([_base_q(a, s, h0, table)] * 2)
     if steps[0]:
         dbl = h0[:sum(c > 0 for c in steps)]
-        e, _ = _exp_at(_exp_table(a), dbl + [0.5 * h for h in dbl])
+        e, _ = _exp_at(table, dbl + [0.5 * h for h in dbl])
         f = np.stack([e[:len(dbl)], e[len(dbl):] @ e[len(dbl):]])
     for step in range(steps[0]):
         live_q = sum(c > step for c in steps)
@@ -538,28 +547,47 @@ def _q_oracle_many(m: ContinuousModel, ts) -> list:
     return out
 
 
-def _base_q(a: np.ndarray, s: np.ndarray, hs) -> np.ndarray:
+def _base_q(a: np.ndarray, s: np.ndarray, hs, table: tuple) -> np.ndarray:
     """int_0^h exp(A tau) S exp(A^T tau) dtau at every step h of hs, as a
-    (len(hs), n, n) stack in binary64, for max(|A|_1, |A|_inf) h <= theta13.
-    With L(X) = A X + X A^T the integrand is exp(tau L) S, so at g = h/16
-        Q(g) = g sum_k (g L)^k S / (k+1)!,
-    summed by Horner to k = 16 alongside exp(A g) = sum_k (A g)^k / k!;
-    four doublings with that exp(A g) carry Q(g) to Q(h).  As
-    |L(X)|_1 <= (|A|_1 + |A|_inf) |X|_1, |g L|_1 <= theta13/8 < 0.68, and
-    the dropped terms sum to below 2e-19 g |S|_1: the series needs no stop
-    test, and every slice runs the same operations."""
+    (len(hs), n, n) stack in binary64, for max(|A|_1, |A|_inf) h <= theta13,
+    from table = _exp_table(a).  With L(X) = A X + X A^T the integrand is
+    exp(tau L) S, so at g = h/16
+        Q(g) = g sum_k (g L)^k S / (k+1)!,   exp(A g) = sum_k (A g)^k / k!,
+    both to k = 16.  The horizon-free terms are made once: the table's
+    powers of x = A/2^e, extended to x^16, and X_k = (L/c)^k S for
+    c = 2^(d+1), 2^d above max(|A|_1, |A|_inf), each X_(k+1) = Y + Y^T
+    for Y = (A/c) X_k, so |X_k|_1 <= |S|_1 and no term overflows.  Each
+    step's series is then one product of its binary64 coefficient rows,
+    g (g c)^k/(k+1)! and (g 2^e)^k/k!, with those terms; four doublings
+    with that exp(A g) carry Q(g) to Q(h).  As |L(X)|_1 <= (|A|_1 +
+    |A|_inf) |X|_1, |g L|_1 <= theta13/8 < 0.68, and the dropped terms
+    sum to below 2e-19 g |S|_1: the series needs no stop test, and every
+    slice runs the same operations."""
+    nu, e, powers, _ = table
+    n = len(a)
+    terms = np.empty((2, _TAYLOR_TERMS, n, n))
+    terms[1, :8] = powers
+    terms[1, 8:15] = powers[7] @ powers[1:]
+    terms[1, 15:] = terms[1, 14] @ powers[1:3]
+    d = math.frexp(max(nu, _norm1(a.mT)))[1]
+    b = np.ldexp(a, -d - 1)
+    terms[0, 0] = s
+    for k in range(_TAYLOR_TERMS - 1):
+        y = b @ terms[0, k]
+        np.add(y, y.T, out=terms[0, k + 1])
     g = np.array(hs).reshape(-1, 1, 1) / 16.0
-    x, eye = s, np.eye(len(a))
-    e = eye
-    for k in range(16, 0, -1):
-        ax = a @ x
-        x = s + g / (k + 1) * (ax + ax.mT)
-        e = eye + g / k * (a @ e)
-    q = g * x
+    # a zero A has only its k = 0 terms, and its step may be so long that
+    # (g c)^k overflows
+    gc, gx = (np.ldexp(g, i) if nu else 0.0 * g for i in (d + 1, e))
+    coefs = np.concatenate([g * gc ** _TAYLOR_K / _FACTORIALS[1:],
+                            gx ** _TAYLOR_K / _FACTORIALS[:-1]], axis=1)
+    qf = coefs[:, :, None] @ terms.reshape(2, _TAYLOR_TERMS, n * n)
+    qf = qf.reshape(len(hs), 2, n, n)
+    q, f = qf[:, 0], qf[:, 1]
     for split in range(4):
         if split:
-            e = e @ e
-        q = _sym(_kernels.propagated_outer_sum(q, e))
+            f = f @ f
+        q = _sym(_kernels.propagated_outer_sum(q, f))
     return q
 
 

@@ -3,8 +3,9 @@ with eigenvalue reordering, Sylvester/Lyapunov solvers, and norms.
 
 Every exponential is _exp_at(_exp_table(a), ts): the table of the powers
 of a scaled a, made once (the proposed plan keeps it, the oracle shares it
-between its chains), then Pade-13 at each horizon's scaled step
-(_kernels.pade13_expm), a's structural zeros and ones set, and squarings.
+between its base step's Taylor series and its chains), then Pade-13 at
+each horizon's scaled step (_kernels.pade13_expm), a's structural zeros
+and ones set, and squarings.
 
 Everything is parameterized by float width: pass float32 arrays and the
 whole computation stays in binary32, pass float64 and it stays in binary64.
@@ -55,6 +56,14 @@ def tau_zero_default(a: np.ndarray) -> float:
     """
     n = a.shape[0]
     return float(np.sqrt(100.0 * n * eps_of(a)) * np.linalg.norm(a))
+
+
+def _unit_scaled(x: np.ndarray) -> np.ndarray:
+    """x / 2^e for the least e with every |entry| below 1 (x itself if it
+    is zero): exact, so that the norms and spectra taken of it in place of
+    x's do not overflow."""
+    e = math.frexp(float(np.abs(x).max(initial=0.0)))[1]
+    return np.ldexp(x, -e)
 
 
 def check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:

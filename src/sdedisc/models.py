@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, NonFiniteError
-from .linalg import eps_of
+from .linalg import _unit_scaled, eps_of
 
 
 class Method(enum.Enum):
@@ -61,19 +61,19 @@ class ContinuousModel:
         if not (np.isfinite(a).all() and np.isfinite(s).all()):
             raise NonFiniteError("model matrices must be finite")
         # halves first, so that entries near the width's maximum do not
-        # overflow; the norm and the spectrum are taken in binary64 for
-        # the same reason
+        # overflow; the norm and the spectrum are taken of s in binary64,
+        # scaled by a power of two to entries below 1, for the same reason
         half = s.dtype.type(0.5)
         s = half * s + half * s.T
-        s64 = s.astype(np.float64)
-        snorm = float(np.linalg.norm(s64))
+        s1 = _unit_scaled(s.astype(np.float64))
+        snorm = float(np.linalg.norm(s1))
         if snorm > 0.0:
             tau_psd = 100.0 * a.shape[0] * eps_of(s) * snorm
-            lowest = float(np.linalg.eigvalsh(s64)[0])
+            lowest = float(np.linalg.eigvalsh(s1)[0])
             if lowest < -tau_psd:
                 raise ValueError(
-                    "noise intensity is not positive semidefinite "
-                    f"(min eigenvalue {lowest:.3e})")
+                    "noise intensity is not positive semidefinite (min "
+                    f"eigenvalue {lowest / snorm:.3e} relative to its norm)")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "s", s)
 

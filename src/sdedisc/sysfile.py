@@ -4,6 +4,7 @@ significant digits, so binary64 values round-trip bit-for-bit."""
 
 import numpy as np
 
+from .linalg import _unit_scaled
 from .models import ContinuousModel
 
 
@@ -62,15 +63,18 @@ def loads(text: str) -> ContinuousModel:
                 raise SystemFileError(
                     f"block '{key}' row {i}: non-numeric entry") from exc
         blocks[key] = np.array(rows, dtype=np.float64)
+        if not np.isfinite(blocks[key]).all():
+            raise SystemFileError(f"block '{key}' has a non-finite entry")
         pos += n
     if pos != len(lines):
         raise SystemFileError("trailing content after the 's' block")
 
-    s = blocks["s"]
+    # scaled so that neither norm overflows
+    s = _unit_scaled(blocks["s"])
     snorm = float(np.linalg.norm(s))
     if snorm > 0.0 and float(np.linalg.norm(s - s.T)) > 1e-12 * snorm:
         raise SystemFileError("noise intensity block is not symmetric")
-    return ContinuousModel(blocks["a"], s)
+    return ContinuousModel(blocks["a"], blocks["s"])
 
 
 def write(path, model: ContinuousModel, name: str | None = None) -> None:

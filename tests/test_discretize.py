@@ -475,6 +475,65 @@ def test_q_oracle_scalar_closed_form():
         assert got == pytest.approx(1.0 - math.exp(-2.0 * t), rel=1e-11)
 
 
+def base_q(a, s, hs):
+    return discretize._base_q(a, s, hs, linalg._exp_table(a))
+
+
+def base_q_step_limit(a):
+    """The longest step _base_q takes: theta13 / max(|A|_1, |A|_inf)."""
+    nu = max(np.abs(a).sum(axis=0).max(), np.abs(a).sum(axis=1).max())
+    return linalg._THETA13 / nu
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_base_q_matches_symmetric_closed_form(seed):
+    # A = U diag(lam) U^T: Q(h) = U (S~ o Phi) U^T with S~ = U^T S U and
+    # Phi_ij = expm1((lam_i + lam_j) h) / (lam_i + lam_j), or h where the
+    # sum is 0 (lam holds 0 and the pair +-1.5).  Tolerance 1e-13 relative,
+    # fixed before the errors were looked at
+    rng = np.random.default_rng(seed)
+    lam = np.array([0.0, -1.5, 1.5, -0.3, 2.0, -4.0])
+    u, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    a = u @ np.diag(lam) @ u.T
+    b = rng.standard_normal((6, 3))
+    s = b @ b.T
+    st = u.T @ s @ u
+    total = lam[:, None] + lam[None, :]
+    hs = np.geomspace(1e-8, base_q_step_limit(a), 12).tolist()
+    for h, q in zip(hs, base_q(a, s, hs)):
+        safe = np.where(total == 0.0, 1.0, total)
+        phi = np.where(total == 0.0, h, np.expm1(total * h) / safe)
+        want = u @ (st * phi) @ u.T
+        assert rel_err(q, want) < 1e-13, h
+
+
+def test_base_q_matches_nilpotent_closed_form():
+    # strictly upper triangular A against q_nilpotent's finite sum, to the
+    # same 1e-13 relative
+    rng = np.random.default_rng(3)
+    a = np.triu(rng.standard_normal((4, 4)), k=1)
+    b = rng.standard_normal((4, 4))
+    s = b @ b.T
+    hs = np.geomspace(1e-8, base_q_step_limit(a), 12).tolist()
+    for h, q in zip(hs, base_q(a, s, hs)):
+        assert rel_err(q, q_nilpotent(a, s, h)) < 1e-13, h
+
+
+def test_base_q_slices_do_not_depend_on_the_stack():
+    m = gen_random_system(EnsembleSpec(6, 4, 2, seed=5), stream=0)
+    hs = np.geomspace(1e-6, base_q_step_limit(m.a), 20).tolist()
+    whole = base_q(m.a, m.s, hs)
+    backward = base_q(m.a, m.s, hs[::-1])[::-1]
+    assert whole.tobytes() == backward.tobytes()
+    for i, h in enumerate(hs):
+        j = (i + 7) % len(hs)
+        (alone,) = base_q(m.a, m.s, [h])
+        pair = base_q(m.a, m.s, [h, hs[j]])
+        swapped = base_q(m.a, m.s, [hs[j], h])
+        for got in (alone, pair[0], swapped[1]):
+            assert got.tobytes() == whole[i].tobytes(), h
+
+
 def test_q_oracle_symmetric_output():
     m = mixed_system(4)
     q = q_oracle(m, 3.0)

@@ -1,6 +1,8 @@
 """Model generator tests: ensemble contracts, fixtures, and the
 observer-canonical builder."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,17 @@ def test_model_keeps_binary32_noise_near_the_width_maximum():
     # an overflowed norm would make the PSD tolerance inf and pass anything
     with pytest.raises(ValueError, match="not positive semidefinite"):
         ContinuousModel(a, np.diag([3e38, -3e38]).astype(np.float32))
+
+
+def test_model_psd_check_does_not_overflow_binary64():
+    # |S|_F of these overflows binary64, which once made the PSD
+    # tolerance inf: the check is taken on S scaled by a power of two
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            ContinuousModel(np.zeros((2, 2)), np.diag([1e200, -1e200]))
+        m = ContinuousModel(np.zeros((2, 2)), np.diag([1e200, 1e200]))
+    assert m.s.tolist() == [[1e200, 0.0], [0.0, 1e200]]
 
 
 def test_model_converts_integer_and_bool():

@@ -60,6 +60,37 @@ def test_loads_rejects_asymmetric_noise():
         sysfile.loads(text)
 
 
+# the s blocks loads refuses without a numpy warning: non-finite entries,
+# an asymmetric block whose norms overflow binary64, and a symmetric one
+# that is indefinite
+BAD_NOISE = ["inf 0\n0 1", "1 0\n0 nan", "-inf 0\n0 -inf",
+             "1e200 1e200\n-1e200 1e200", "1e200 0\n0 -1e200"]
+BAD_NOISE_IDS = ["inf", "nan", "-inf", "asymmetric-1e200", "indefinite-1e200"]
+
+
+@pytest.mark.parametrize("s", BAD_NOISE, ids=BAD_NOISE_IDS)
+def test_loads_refuses_bad_noise_without_warnings(s):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            sysfile.loads(f"n 2\na\n0 1\n0 0\ns\n{s}\n")
+        m = sysfile.loads("n 2\na\n0 1\n0 0\ns\n1e200 0\n0 1e200\n")
+    assert m.s.tolist() == [[1e200, 0.0], [0.0, 1e200]]
+
+
+@pytest.mark.parametrize("s", BAD_NOISE, ids=BAD_NOISE_IDS)
+def test_cli_bad_noise_file_exits_2(s, tmp_path, capsys):
+    path = tmp_path / "noise.txt"
+    path.write_text(f"n 2\na\n0 1\n0 0\ns\n{s}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main(["discretize", str(path), "--t", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"bad system file {path}: ")
+
+
 @pytest.mark.parametrize("text", [
     "",
     "n 0\na\ns\n",

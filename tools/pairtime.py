@@ -24,6 +24,9 @@ paper-sweep's three stacked callers at the 20 paper horizons
 s = 0 .. 3: at binary32 the proposed path (a fresh ``_ProposedPlan`` and
 its ``reports``) and ``_vanloan_reports``, and the oracle's
 ``_q_oracle_many`` on the binary64 models, as paper-sweep runs it;
+``q_oracle`` at one horizon, T = 1, on ``EnsembleSpec(n, n - 2, 2,
+seed=7)``, four streams in turn, at n in {16, 48}, as the tests and
+``run_method`` call it;
 ``discretize_lyap_p`` and ``discretize_lyap_q`` at n = 16 on
 ``EnsembleSpec(16, 16, 0, seed=3)``, cold (four streams in turn at T = 1,
 so that each call factors afresh) and warm (the first stream at the 16
@@ -55,6 +58,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import IrregularTrack  # noqa: E402
 
 SIZES = (6, 16, 32, 48)
+ORACLE_SIZES = (16, 48)
 STREAMS = 4
 # irregular-track's chain streams: every fourth of its 128 models
 CHAIN_STREAMS = range(3, 128, 4)
@@ -107,6 +111,12 @@ def rows(pkg):
              lambda m: d._q_oracle_many(m, grid))):
         out.append((label, cycle([lambda m=m, f=stacked: f(m)
                                   for m in paper_models(pkg, width)])))
+    for n in ORACLE_SIZES:
+        models = [pkg.gen_random_system(pkg.EnsembleSpec(n, n - 2, 2,
+                                                         seed=7), s)
+                  for s in range(STREAMS)]
+        out.append((f"oracle one n={n}", cycle(
+            [lambda m=m: d.q_oracle(m, 1.0) for m in models])))
     models = [pkg.gen_random_system(pkg.EnsembleSpec(16, 16, 0, seed=3), s)
               for s in range(STREAMS)]
     for label, method in (("lyap-p", pkg.discretize_lyap_p),
