@@ -9,9 +9,8 @@ quadrature, including systems with integrators (zero eigenvalues).
 from . import _backend  # noqa: F401  (read by perfbench/run.py)
 from .errors import (SdeDiscError, DimensionError, NonFiniteError,
                      MatrixOverflowError, ConvergenceError,
-                     NearSingularError, ClassificationError,
-                     NilpotencyError, UnsupportedSpectrumError,
-                     MethodNotApplicableError)
+                     ClassificationError, NilpotencyError,
+                     UnsupportedSpectrumError, MethodNotApplicableError)
 from .models import ContinuousModel, DiscreteModel, Method, MethodReport
 from .linalg import mat_exp, spectral_norm, tau_zero_default
 from .discretize import (discretize_lyap_p, discretize_lyap_q,
@@ -27,9 +26,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SdeDiscError", "DimensionError", "NonFiniteError",
-    "MatrixOverflowError", "ConvergenceError", "NearSingularError",
-    "ClassificationError", "NilpotencyError", "UnsupportedSpectrumError",
-    "MethodNotApplicableError",
+    "MatrixOverflowError", "ConvergenceError", "ClassificationError",
+    "NilpotencyError", "UnsupportedSpectrumError", "MethodNotApplicableError",
     "ContinuousModel", "DiscreteModel", "Method", "MethodReport",
     "mat_exp", "spectral_norm", "tau_zero_default",
     "discretize_lyap_p", "discretize_lyap_q", "discretize_proposed",

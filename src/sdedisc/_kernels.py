@@ -6,11 +6,10 @@ bottom half the accumulated orthogonal factor U.  ``similarity`` applies
 each orthogonal similarity -- a Householder reflector, a Givens rotation or
 a block-swap factor -- as two small matrix products: one on T's rows, one
 on the columns of T and U together.  ``sylv_blocks`` builds once the
-column-block matrices of the Sylvester equation ta Y + Y r = c: the
-narrowest blocks read from r's zero pattern (1 and 2 columns for a
-quasi-lower triangular r, all of r for a coupled upper triangular one),
-merged while a union has at most 32 unknowns, and inverted where at most
-32 wide; ``trsylv`` then makes per column block one product that folds in
+column-block matrices of the Sylvester equation ta Y + Y r = c for a
+quasi-lower triangular r: its 1- and 2-column diagonal blocks, merged
+while a union has at most 32 unknowns, and inverted where at most 32
+wide; ``trsylv`` then makes per column block one product that folds in
 the solved columns and one product with the inverse (a LAPACK solve for a
 wider block), for one right-hand side or a stack of them.
 ``pade13_powers`` makes the table of the powers x^0 .. x^7 of a scaled
@@ -215,13 +214,11 @@ def standardize_quasi_triangular(hu):
 
 def sylv_blocks(ta, r):
     """The column blocks trsylv solves with for ta @ Y + Y @ r = c, for a
-    block-lower triangular r: one (j0, j, matrix) per column block j0 ..
+    quasi-lower triangular r: one (j0, j, matrix) per column block j0 ..
     j-1 of Y, last block first.
-    The blocks come from r's zero pattern: going from the last column,
-    each narrowest block is the narrowest j0 .. j-1 with r[:j0, j0:j] == 0,
-    so that it couples only with the columns solved before it (a
-    quasi-lower triangular r gives its 1x1 and 2x2 diagonal blocks, a full
-    upper triangular one a single block).  Consecutive narrowest blocks
+    Going from the last column, each narrowest block is a 1x1 diagonal
+    block of r, or a 2x2 one where r[j-2, j-1] != 0, so that it couples
+    only with the columns solved before it.  Consecutive narrowest blocks
     then merge, from the last, while their union has at most _INVERT_MAX
     unknowns (p = ta.shape[0] per column): a union of such blocks still
     couples only with the columns after it, and one product with its
@@ -246,14 +243,8 @@ def sylv_blocks(ta, r):
     d = np.arange(p)
     spans = []  # (j0, j) of every column block
     end = j = r.shape[0]
-    # each column's first non-zero row, its diagonal at the latest
-    nonzero = r != 0.0
-    nonzero.flat[::j + 1] = True
-    top = nonzero.argmax(axis=0).tolist() if j else []
     while j > 0:
-        j0 = j - 1
-        while (above := min(top[j0:j])) < j0:
-            j0 = above
+        j0 = j - 2 if j > 1 and r[j - 2, j - 1] != 0.0 else j - 1
         # the narrowest block j0 .. j-1 closes the merged block j .. end-1
         # if it would take the union above _INVERT_MAX unknowns
         if j < end and (end - j0) * p > _INVERT_MAX:
@@ -294,7 +285,7 @@ def _solve_columns(mat, rhs):
 
 
 def trsylv(blocks, r, c):
-    """Solve ta @ Y + Y @ r = c for block-lower triangular r, given
+    """Solve ta @ Y + Y @ r = c for quasi-lower triangular r, given
     blocks = sylv_blocks(ta, r): one column block of Y at a time, last
     first, the solved columns folded in with one product, then one
     product with the block's inverse, or one LAPACK solve with a block

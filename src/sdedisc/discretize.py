@@ -19,6 +19,7 @@ the process-noise covariance Q = int_0^T exp(A tau) S exp(A^T tau) dtau:
   checked by a second doubling chain.
 """
 
+import bisect
 import math
 
 import numpy as np
@@ -28,17 +29,16 @@ from .errors import (
     ConvergenceError,
     MatrixOverflowError,
     MethodNotApplicableError,
-    NearSingularError,
     NilpotencyError,
     NonFiniteError,
     UnsupportedSpectrumError,
 )
 from .linalg import (
-    _eig_sum_guard,
     _exp_at,
     _exp_overflow,
     _exp_table,
     _mat_exp_many,
+    _nearest_sum,
     _norm1,
     _scalings,
     _sym,
@@ -115,15 +115,13 @@ def _lyap_p_check(ev, tau: float):
 
 
 def _lyap_q_check(ev, tau: float):
-    try:
-        _eig_sum_guard(ev, ev, 2.0 * tau)
-    except NearSingularError as exc:
-        i, j = exc.pair
+    near, i, j = _nearest_sum(ev)
+    if near <= 2.0 * tau:
         raise MethodNotApplicableError(
             f"lyap-q not applicable: eigenvalue pair ({i:.3e}, {j:.3e}) "
             f"has |sum| = {abs(i + j):.3e} <= 2 tau_zero_default(A) = "
             f"{2.0 * tau:.3e}, the margin from 0 that lyap-q requires of "
-            "every eigenvalue sum for a unique solution") from exc
+            "every eigenvalue sum for a unique solution")
 
 
 def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
@@ -257,11 +255,9 @@ class _ProposedPlan:
             check(ev, tau_default)
         eps = eps_of(m.a)
         anorm = float(np.linalg.norm(m.a))
-        try:
-            # mirrored non-zero poles make the q11 Lyapunov solve singular
-            _eig_sum_guard(ev[:k], ev[:k], 200.0 * eps * anorm)
-        except NearSingularError as exc:
-            i, j = exc.pair
+        # mirrored non-zero poles make the q11 Lyapunov solve singular
+        near, i, j = _nearest_sum(ev[:k])
+        if near <= 200.0 * eps * anorm:
             if abs(i) <= tau_default:
                 # an integrator by the default threshold: tau_zero was small
                 msg = (f"tau_zero={tau_zero:.3e} left integrators in the "
@@ -269,7 +265,7 @@ class _ProposedPlan:
             else:
                 msg = ("non-zero poles mirrored in the imaginary axis: "
                        f"{i:.3e} and {j:.3e}")
-            raise UnsupportedSpectrumError(msg) from exc
+            raise UnsupportedSpectrumError(msg)
         n, p = m.n, m.n - k
         hu = np.concatenate([at, u])
         self.integrators = _staircase(hu, k, 100.0 * eps * anorm)
@@ -441,11 +437,8 @@ def naive_q_a(m: ContinuousModel, t: float) -> np.ndarray:
     t = _check_horizon(t)
     if t == 0.0:
         raise ValueError("naive_q_a requires t > 0")
+    g = mat_exp(_augmented(m.a), t)[:m.n, m.n:]
     with np.errstate(over="ignore", invalid="ignore"):
-        (big,), (ok,) = _exp_at(_exp_table(_augmented(m.a)), (t,))
-        if not ok:
-            raise _exp_overflow(big.dtype, t)
-        g = big[:m.n, m.n:]
         q = _sym((g @ m.s @ g.T) / m.dtype.type(t))
     if not np.isfinite(q).all():
         raise MatrixOverflowError(
@@ -515,18 +508,20 @@ def _q_oracle_many(m: ContinuousModel, ts) -> list:
     # most doublings first, so that each step's live slices are a prefix
     live.sort(key=lambda i: -counts[i])
     steps = [counts[i] for i in live]
+    # doubling[d]: how many slices double more than d times
+    doubling = [bisect.bisect_left(steps, -d, key=lambda c: -c)
+                for d in range(steps[0] + 1)]
     h0 = [math.ldexp(ts[i], -counts[i]) for i in live]
     table = _exp_table(a)
     q = np.stack([_base_q(a, s, h0, table)] * 2)
     if steps[0]:
-        dbl = h0[:sum(c > 0 for c in steps)]
+        dbl = h0[:doubling[0]]
         e, _ = _exp_at(table, dbl + [0.5 * h for h in dbl])
         f = np.stack([e[:len(dbl)], e[len(dbl):] @ e[len(dbl):]])
     for step in range(steps[0]):
-        live_q = sum(c > step for c in steps)
+        live_q, live_f = doubling[step], doubling[step + 1]
         q[:, :live_q] = _sym(_kernels.propagated_outer_sum(
             q[:, :live_q], f[:, :live_q]))
-        live_f = sum(c > step + 1 for c in steps)
         f[:, :live_f] = f[:, :live_f] @ f[:, :live_f]
     finite = np.isfinite(q).all(axis=(0, 2, 3)).tolist()
     scales = _norms(q[0])

@@ -30,20 +30,6 @@ class ConvergenceError(SdeDiscError, RuntimeError):
         self.sweeps = sweeps
 
 
-class NearSingularError(SdeDiscError, ArithmeticError):
-    """Eigenvalue-sum condition for a unique Sylvester/Lyapunov solution
-    is violated (lambda_i(A) + lambda_j(B) ~= 0).
-
-    Attributes
-    ----------
-    pair : the offending eigenvalue pair (complex, complex).
-    """
-
-    def __init__(self, msg, pair=None):
-        super().__init__(msg)
-        self.pair = pair
-
-
 class ClassificationError(SdeDiscError, RuntimeError):
     """The eigenvalue reordering failed to move every block classified as
     zero (integrator) last."""
@@ -55,7 +41,9 @@ class NilpotencyError(SdeDiscError, ValueError):
 
 class UnsupportedSpectrumError(SdeDiscError, ValueError):
     """The system has non-zero poles mirrored in the imaginary axis,
-    which no exact method in this library supports."""
+    which no exact method in this library supports, or a caller's
+    tau_zero left integrators in the leading block, where they pair up
+    the same way."""
 
 
 class MethodNotApplicableError(SdeDiscError, RuntimeError):

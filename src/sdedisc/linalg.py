@@ -1,5 +1,7 @@
 """Dense real linear-algebra layer: matrix exponential, real Schur form
-with eigenvalue reordering, Sylvester/Lyapunov solvers, and norms.
+with eigenvalue reordering, and norms.  Its Sylvester/Lyapunov solvers
+(solve_sylvester, solve_lyapunov) have no caller in the package: the
+exact methods solve through _kernels.sylv_blocks and _kernels.trsylv.
 
 Every exponential is _exp_at(_exp_table(a), ts): the table of the powers
 of a scaled a, made once (the proposed plan keeps it, the oracle shares it
@@ -21,7 +23,6 @@ from .errors import (
     ConvergenceError,
     DimensionError,
     MatrixOverflowError,
-    NearSingularError,
     NonFiniteError,
 )
 
@@ -352,19 +353,17 @@ def order_schur_zeros_last(u: np.ndarray, t: np.ndarray, tau_zero: float):
     return hu[n:], hu[:n], split
 
 
-def _eig_sum_guard(ev_a, ev_b, threshold):
-    """Raise NearSingularError when some lambda_i(a) + lambda_j(b) has
-    modulus <= threshold; an empty spectrum on either side passes."""
-    if not (ev_a.size and ev_b.size):
-        return
-    sums = np.abs(ev_a[:, None] + ev_b[None, :])
+def _nearest_sum(ev) -> tuple:
+    """(|lambda_i + lambda_j|, lambda_i, lambda_j) for the pair of ev,
+    the first in row-major order, whose sum is nearest 0: a Sylvester or
+    Lyapunov equation on a matrix of spectrum ev has a unique solution
+    only if no such sum is 0.  An empty ev gives (nan, 0, 0), which no
+    threshold test passes, not even an infinite threshold's."""
+    if not ev.size:
+        return math.nan, 0j, 0j
+    sums = np.abs(ev[:, None] + ev[None, :])
     i, j = np.unravel_index(np.argmin(sums), sums.shape)
-    if sums[i, j] <= threshold:
-        raise NearSingularError(
-            f"eigenvalue sum {ev_a[i] + ev_b[j]:.3e} (|.| = {sums[i, j]:.3e}) "
-            f"below singularity threshold {threshold:.3e}: no unique "
-            "Sylvester/Lyapunov solution",
-            pair=(complex(ev_a[i]), complex(ev_b[j])))
+    return float(sums[i, j]), complex(ev[i]), complex(ev[j])
 
 
 def _sym(x: np.ndarray) -> np.ndarray:

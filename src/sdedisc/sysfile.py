@@ -36,8 +36,9 @@ def loads(text: str) -> ContinuousModel:
     if pos >= len(lines) or not lines[pos].startswith("n "):
         raise SystemFileError("expected 'n <dimension>' header line")
     try:
-        n = int(lines[pos].split()[1])
-    except (IndexError, ValueError) as exc:
+        _, n = lines[pos].split()
+        n = int(n)
+    except ValueError as exc:
         raise SystemFileError("bad dimension line") from exc
     if n < 1:
         raise SystemFileError("dimension must be >= 1")

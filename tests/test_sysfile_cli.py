@@ -91,6 +91,21 @@ def test_cli_bad_noise_file_exits_2(s, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith(f"bad system file {path}: ")
 
 
+@pytest.mark.parametrize("header", ["n 2 junk", "n 2 3", "n 2 # two"])
+def test_dimension_line_with_trailing_text_refused(header, tmp_path,
+                                                   capsys):
+    text = f"{header}\na\n-1 0\n0 -1\ns\n1 0\n0 1\n"
+    with pytest.raises(SystemFileError, match="bad dimension line"):
+        sysfile.loads(text)
+    path = tmp_path / "dim.txt"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["discretize", str(path), "--t", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"bad system file {path}: ")
+
+
 @pytest.mark.parametrize("text", [
     "",
     "n 0\na\ns\n",

@@ -14,7 +14,15 @@ exception type names on the four models of
 ``test_proposed_deep_integrator_chains`` (index-3 and index-4 integrator
 chains, which no workload discretizes successfully), with their
 ``tau_zero``, at T in {0.1, 1, 10} and at both widths; it does not depend
-on ``--seed`` either.  Workload inputs come from
+on ``--seed`` either.  A seventh, ``refusals-and-foils``, hashes the type
+and message of every refusal below, and the ``naive-a`` and ``naive-b`` Q
+on the ``lyap-methods`` models at both widths and the same T: mirrored
+poles ``diag(1, -1)`` under ``proposed``, ``lyap-p`` and ``lyap-q`` at
+both widths; the binary32 ``EnsembleSpec(24, 24, 0, seed=2)`` stream 1
+under ``lyap-p`` and ``lyap-q``; and ``discretize_proposed`` with a
+caller's ``tau_zero`` of 0 and 1e-8 on ``EnsembleSpec(6, 4, 2, seed=100)``
+stream 0, which leaves integrators in the leading block; all at T = 1.
+It does not depend on ``--seed``.  Workload inputs come from
 perfbench/workloads.py and the package from this checkout's src/, so two
 checkouts that print the same lines compute the same bits on those inputs.
 """
@@ -52,6 +60,21 @@ def triangular_chain3():
     return sdedisc.ContinuousModel(a, g @ g.T / sdedisc.spectral_norm(g @ g.T))
 
 
+# (call, model, method or tau_zero) of each refusal whose message is
+# hashed, each called at T = 1
+MIRRORED = sdedisc.ContinuousModel(np.diag([1.0, -1.0]), np.eye(2))
+WIDE32 = sdedisc.gen_random_system(sdedisc.EnsembleSpec(24, 24, 0, seed=2),
+                                   1).astype(np.float32)
+MIXED = sdedisc.gen_random_system(sdedisc.EnsembleSpec(6, 4, 2, seed=100))
+REFUSALS = [(sdedisc.run_method, MIRRORED.astype(dtype), method)
+            for dtype in (np.float64, np.float32)
+            for method in (sdedisc.Method.PROPOSED, sdedisc.Method.LYAP_P,
+                           sdedisc.Method.LYAP_Q)]
+REFUSALS += [(sdedisc.run_method, WIDE32, method)
+             for method in (sdedisc.Method.LYAP_P, sdedisc.Method.LYAP_Q)]
+REFUSALS += [(sdedisc.discretize_proposed, MIXED, tau_zero)
+             for tau_zero in (0.0, 1e-8)]
+
 # (model, tau_zero) of each deep integrator chain
 CHAIN_MODELS = [
     (triangular_chain3(), None),
@@ -62,11 +85,21 @@ CHAIN_MODELS = [
 ]
 
 
-def feed(h, out, records=True):
-    """Hash the arrays, exception names and, unless records is False, the
-    bench records in one operation's output."""
+def attempt(call, *args):
+    """call(*args), or the exception it raised."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return exc
+
+
+def feed(h, out, records=True, messages=False):
+    """Hash the arrays, exception names (with their messages if messages
+    is True) and, unless records is False, the bench records in one
+    operation's output."""
     if isinstance(out, Exception):
-        h.update(type(out).__name__.encode())
+        h.update((f"{type(out).__name__}: {out}" if messages
+                  else type(out).__name__).encode())
     elif isinstance(out, np.ndarray):
         h.update(out.dtype.str.encode() + out.tobytes())
     elif isinstance(out, sdedisc.BenchRecord):
@@ -78,7 +111,7 @@ def feed(h, out, records=True):
         feed(h, (out.model.f, out.model.q))
     elif isinstance(out, (tuple, list)):
         for item in out:
-            feed(h, item, records)
+            feed(h, item, records, messages)
 
 
 if __name__ == "__main__":
@@ -89,10 +122,7 @@ if __name__ == "__main__":
     for name, workload in WORKLOADS.items():
         wl, h = workload(sdedisc, seed), hashlib.sha256()
         for op in wl.inputs:
-            try:
-                out = wl.run(op)
-            except Exception as exc:
-                out = exc
+            out = attempt(wl.run, op)
             feed(h, out)
             if name == "paper-sweep":
                 feed(methods, out, records=False)
@@ -103,20 +133,23 @@ if __name__ == "__main__":
         for dtype in (np.float64, np.float32):
             for method in (sdedisc.Method.LYAP_P, sdedisc.Method.LYAP_Q):
                 for t in (1e-3, 1.0, 100.0):
-                    try:
-                        out = sdedisc.run_method(m.astype(dtype), t, method)
-                    except Exception as exc:
-                        out = exc
-                    feed(lyap, out)
+                    feed(lyap, attempt(sdedisc.run_method, m.astype(dtype),
+                                       t, method))
     print("lyap-methods", lyap.hexdigest())
     chains = hashlib.sha256()
     for m, tau_zero in CHAIN_MODELS:
         for dtype in (np.float64, np.float32):
             for t in (0.1, 1.0, 10.0):
-                try:
-                    out = sdedisc.discretize_proposed(m.astype(dtype), t,
-                                                      tau_zero)
-                except Exception as exc:
-                    out = exc
-                feed(chains, out)
+                feed(chains, attempt(sdedisc.discretize_proposed,
+                                     m.astype(dtype), t, tau_zero))
     print("deep-chains", chains.hexdigest())
+    refused = hashlib.sha256()
+    for call, m, arg in REFUSALS:
+        feed(refused, attempt(call, m, 1.0, arg), messages=True)
+    for m in LYAP_MODELS:
+        for dtype in (np.float64, np.float32):
+            for foil in (sdedisc.naive_q_a, sdedisc.naive_q_b):
+                for t in (1e-3, 1.0, 100.0):
+                    feed(refused, attempt(foil, m.astype(dtype), t),
+                         messages=True)
+    print("refusals-and-foils", refused.hexdigest())
