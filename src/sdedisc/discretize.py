@@ -5,8 +5,8 @@ method here produces the transition matrix F = exp(A T) and an estimate of
 the process-noise covariance Q = int_0^T exp(A tau) S exp(A^T tau) dtau:
 
 * ``discretize_lyap_p``   -- stationary-covariance route (stable A only).
-* ``discretize_lyap_q``   -- direct Lyapunov route: proposed's leading
-  block, where no eigenvalue pair of A sums to zero (stable or not).
+* ``discretize_lyap_q``   -- direct Lyapunov route: proposed, where its
+  plan has no trailing block (stable or not).
 * ``discretize_proposed`` -- Schur reordering splits off the integrator
   (zero-eigenvalue) block, made exactly nilpotent by rank decisions; one
   block-triangular exponential gives F and Q's integrator block column,
@@ -37,6 +37,7 @@ from .linalg import (
     _exp_at,
     _exp_overflow,
     _exp_table,
+    _fro_norm,
     _mat_exp_many,
     _nearest_sum,
     _norm1,
@@ -114,25 +115,17 @@ def _lyap_p_check(ev, tau: float):
             f"{max_re:.3e} is not below it")
 
 
-def _lyap_q_check(ev, tau: float):
-    near, i, j = _nearest_sum(ev)
-    if near <= 2.0 * tau:
-        raise MethodNotApplicableError(
-            f"lyap-q not applicable: eigenvalue pair ({i:.3e}, {j:.3e}) "
-            f"has |sum| = {abs(i + j):.3e} <= 2 tau_zero_default(A) = "
-            f"{2.0 * tau:.3e}, the margin from 0 that lyap-q requires of "
-            "every eigenvalue sum for a unique solution")
-
-
 def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
     """Stationary-covariance method: A P + P A^T = -S, then
     Q = P - F P F^T.  Requires a strictly stable drift, every eigenvalue's
-    real part below -tau_zero_default(A), so no integrators: P/2 comes
-    from the q11 solver of discretize_proposed's plan, which keeps it."""
+    real part below -tau_zero_default(A), which leaves the plan no trailing
+    block: P/2 comes from the q11 solver of discretize_proposed's plan,
+    which keeps it."""
     t = _check_horizon(t)
     if t == 0.0:
         return _trivial_report(m, Method.LYAP_P)
-    plan = _proposed_plan(m, None, _lyap_p_check)
+    plan = _proposed_plan(m, None)
+    _lyap_p_check(plan.ev, plan.tau)
     if plan.p_half is None:
         plan.p_half = _kernels.trsylv(*plan.q11_sylv, -plan.st_half)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -149,13 +142,20 @@ def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
 def discretize_lyap_q(m: ContinuousModel, t: float) -> MethodReport:
     """Direct Lyapunov method: A Q + Q A^T = -(S - F S F^T).
 
-    Applicable whenever no two eigenvalues of A sum to within
-    2 tau_zero_default(A) of zero; the drift need not be stable, but has
-    no integrators: the result is discretize_proposed's, bit for bit."""
+    Applicable where discretize_proposed's plan has no trailing block (no
+    |lambda| <= tau_zero_default(A)), stable or not; the result is then
+    proposed's, bit for bit, and a model the plan refuses raises its error."""
     t = _check_horizon(t)
     if t == 0.0:
         return _trivial_report(m, Method.LYAP_Q)
-    (report,) = _proposed_plan(m, None, _lyap_q_check).reports((t,))
+    plan = _proposed_plan(m, None)
+    if plan.k < m.n:
+        raise MethodNotApplicableError(
+            f"lyap-q not applicable: n - k = {m.n - plan.k} eigenvalues of "
+            f"modulus <= tau_zero_default(A) = {plan.tau:.3e} trail the Schur "
+            f"form, integrator_count {plan.integrators} of them, and only "
+            "proposed solves that trailing block")
+    (report,) = plan.reports((t,))
     return MethodReport(_unwrap(report).model, Method.LYAP_Q)
 
 
@@ -222,43 +222,39 @@ class _ProposedPlan:
     """Everything proposed, lyap-q and lyap-p need that depends on (A, S)
     and tau_zero only, never on the horizon.  The real Schur form splits
     at k with the eigenvalues of modulus <= tau_zero reordered last; its
-    eigenvalues pass a lyap method's check and the guard of the q11
-    Lyapunov solve; then _staircase makes the leading block of the
-    trailing p x p block a22 exactly nilpotent, so split_index k and
-    integrator_count, that block's size, differ where a slow pole joins
-    the split: a22 keeps it, and it is exponentiated, not refused.  The
-    plan keeps at with its blocks, u and u^-1, half the transformed S,
-    the power table (linalg._exp_table) of the (2n + p)-square
+    eigenvalues ev pass the guard of the q11 Lyapunov solve; then _staircase
+    makes the leading block of the trailing p x p block a22 exactly
+    nilpotent, so split_index k and integrator_count, that block's size,
+    differ where a slow pole joins the split: a22 keeps it, and it is
+    exponentiated, not refused.  The plan keeps at with its blocks, u and
+    u^-1, half the transformed S, the power table (linalg._exp_table) of
+    the (2n + p)-square
         H = [[at, st_half[:, k:] / 2^shift, at], [0, -a22^T, 0], [0, 0, 0]],
     whose exponential E = exp(H t) holds F = E[:n, :n], F - I =
     int_0^t exp(at tau) at dtau in E[:n, n + p:], with no I subtracted,
-    and Q/2's trailing block column in
-    2^shift E[:n, n:n + p] F22^T (Van Loan, IEEE TAC 23, 1978, with
-    F21 = 0 and the growing -a11^T block dropped), the q11 solve's column
-    blocks (sylv_blocks), inverted where small, so that a horizon's solve
-    is a product, and lyap-p's P/2, from its first call on.  A model that
-    fails a check or the guard raises here; ``reports`` evaluates horizons."""
+    and Q/2's trailing block column in 2^shift E[:n, n:n + p] F22^T (Van
+    Loan, IEEE TAC 23, 1978, with F21 = 0 and the growing -a11^T block
+    dropped), the q11 solve's column blocks (sylv_blocks), inverted where
+    small, so that a horizon's solve is a product, and lyap-p's P/2, from
+    its first call on.  Its tolerances scale _fro_norm(A), and tau is
+    tau_zero_default(A).  A model that fails the guard raises here;
+    ``reports`` evaluates horizons."""
 
-    def __init__(self, m: ContinuousModel, tau_zero: float | None, key,
-                 check=None):
+    def __init__(self, m: ContinuousModel, tau_zero: float | None, key):
         self.key, self.p_half = key, None
-        tau_default = tau_zero_default(m.a)
-        if tau_zero is None:
-            tau_zero = tau_default
+        self.tau = tau_zero_default(m.a)
+        tau_zero = self.tau if tau_zero is None else tau_zero
         # shifted so that the integrators finish last: the reordering swaps
         # only where tau_zero parts LAPACK's and the Schur form's modulus of
         # an ill-conditioned eigenvalue, else it just classifies
         u, at, k = order_schur_zeros_last(*real_schur(m.a, tau_zero),
                                           tau_zero)
         self.ev = ev = quasi_tri_eigvalues(at)
-        if check:
-            check(ev, tau_default)
-        eps = eps_of(m.a)
-        anorm = float(np.linalg.norm(m.a))
+        eps, anorm = eps_of(m.a), _fro_norm(m.a)
         # mirrored non-zero poles make the q11 Lyapunov solve singular
         near, i, j = _nearest_sum(ev[:k])
         if near <= 200.0 * eps * anorm:
-            if abs(i) <= tau_default:
+            if abs(i) <= self.tau:
                 # an integrator by the default threshold: tau_zero was small
                 msg = (f"tau_zero={tau_zero:.3e} left integrators in the "
                        f"leading block (eigenvalue {i:.3e})")
@@ -355,17 +351,14 @@ def _model_key(m: ContinuousModel) -> tuple:
     return (m.a.dtype, m.s.dtype, m.a.tobytes(), m.s.tobytes())
 
 
-def _proposed_plan(m: ContinuousModel, tau_zero: float | None, check=None):
+def _proposed_plan(m: ContinuousModel, tau_zero: float | None):
     """The kept plan if it was made for m and tau_zero, else a new one,
-    which is then kept.  A lyap method's check(ev, tau_zero_default(A))
-    runs on A's eigenvalues first, before a new plan's guards."""
+    which is then kept."""
     global _last_plan
     key = _model_key(m) + (tau_zero,)
     plan = _last_plan
     if plan is None or plan.key != key:
-        plan = _last_plan = _ProposedPlan(m, tau_zero, key, check)
-    elif check:
-        check(plan.ev, tau_zero_default(m.a))
+        plan = _last_plan = _ProposedPlan(m, tau_zero, key)
     return plan
 
 
@@ -595,15 +588,13 @@ def lemma2_residual(m: ContinuousModel, f: np.ndarray,
     ``report.model.f`` and ``report.model.q``."""
     if f.shape != m.a.shape or q.shape != m.a.shape:
         raise ValueError("shape mismatch in lemma2_residual")
-    a = m.a.astype(np.float64)
-    s = m.s.astype(np.float64)
-    f = f.astype(np.float64)
-    q = q.astype(np.float64)
+    a, s, f, q = (x.astype(np.float64) for x in (m.a, m.s, f, q))
     defect = a @ q + q @ a.T + s - f @ s @ f.T
-    snorm = spectral_norm(s)
-    scale = 1.0 + spectral_norm(f) ** 2
+    snorm, fnorm = spectral_norm(s), spectral_norm(f)
+    # |S| (1 + |F|^2), with no |F|^2 alone to overflow where |F S F^T| fits
+    scale = snorm + snorm * fnorm * fnorm
     floor = eps_of(np.float64) * snorm + _TINY
-    return float(spectral_norm(defect) / max(snorm * scale, floor))
+    return float(spectral_norm(defect) / max(scale, floor))
 
 
 def run_method(m: ContinuousModel, t: float, method: Method) -> MethodReport:
@@ -626,12 +617,9 @@ def run_method(m: ContinuousModel, t: float, method: Method) -> MethodReport:
         q = naive_q_a(m, t) if method is Method.NAIVE_A else naive_q_b(m, t)
         f = mat_exp(m.a, t)
         return MethodReport(DiscreteModel(f, q, t), method)
-    if method is Method.ORACLE:
-        if t == 0.0:
-            return _trivial_report(m, method)
-        q = q_oracle(m, t)
-        f = mat_exp(m.a.astype(np.float64), t)
-        return MethodReport(DiscreteModel(f, q, t), method)
+    if method is Method.ORACLE:  # binary64 at every horizon, 0 included
+        f = np.eye(m.n) if t == 0.0 else mat_exp(m.a.astype(np.float64), t)
+        return MethodReport(DiscreteModel(f, q_oracle(m, t), t), method)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -40,10 +40,10 @@ class NilpotencyError(SdeDiscError, ValueError):
 
 
 class UnsupportedSpectrumError(SdeDiscError, ValueError):
-    """The system has non-zero poles mirrored in the imaginary axis,
-    which no exact method in this library supports, or a caller's
-    tau_zero left integrators in the leading block, where they pair up
-    the same way."""
+    """proposed's plan cannot solve its Lyapunov equation: mirrored
+    non-zero poles, or integrators a caller's tau_zero left in the leading
+    block, which pair up the same way.  lyap-p and lyap-q raise it too, as
+    they run on that plan; Van Loan and the oracle take mirrored poles."""
 
 
 class MethodNotApplicableError(SdeDiscError, RuntimeError):

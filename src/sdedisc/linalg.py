@@ -56,15 +56,29 @@ def tau_zero_default(a: np.ndarray) -> float:
     for deeper chains.
     """
     n = a.shape[0]
-    return float(np.sqrt(100.0 * n * eps_of(a)) * np.linalg.norm(a))
+    return math.sqrt(100.0 * n * eps_of(a)) * _fro_norm(a)
 
 
-def _unit_scaled(x: np.ndarray) -> np.ndarray:
-    """x / 2^e for the least e with every |entry| below 1 (x itself if it
-    is zero): exact, so that the norms and spectra taken of it in place of
-    x's do not overflow."""
+def _unit_scaled(x: np.ndarray) -> tuple:
+    """(x / 2^e, e) for the least e with every |entry| below 2^e (e = 0 if
+    x is zero): exact, so that the norms and spectra taken of x / 2^e in
+    place of x's do not overflow."""
     e = math.frexp(float(np.abs(x).max(initial=0.0)))[1]
-    return np.ldexp(x, -e)
+    return np.ldexp(x, -e), e
+
+
+@np.errstate(over="ignore")
+def _fro_norm(a: np.ndarray) -> float:
+    """||a||_F, which every tolerance on A scales: np.linalg.norm(a), or
+    where that overflows the width, the norm of _unit_scaled(a) scaled
+    back, and MatrixOverflowError beyond binary64's largest number."""
+    norm = float(np.linalg.norm(a))
+    if norm == math.inf:
+        x, e = _unit_scaled(a)
+        norm = float(np.ldexp(float(np.linalg.norm(x)), e))
+    if norm == math.inf:
+        raise MatrixOverflowError("||A||_F overflows binary64")
+    return norm
 
 
 def check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -217,8 +231,7 @@ def _eigenvector_start(a, ev, vecs, tau_zero):
     below = np.tri(n, k=-1, dtype=bool)
     below[:, len(cols):] = False
     below[[j + 1 for j in pairs], pairs] = False
-    if (np.linalg.norm(t0[below]) > _EIGVEC_START_TOL * n * eps_of(a)
-            * float(np.linalg.norm(a))):
+    if _fro_norm(t0[below]) > _EIGVEC_START_TOL * n * eps_of(a) * _fro_norm(a):
         return None
     t0[below] = 0.0
     return np.concatenate([t0, q]), len(cols)
@@ -253,8 +266,7 @@ def real_schur(a: np.ndarray, tau_zero: float):
         if start is not None:
             hu, top = start
     _kernels.hessenberg(hu, top)
-    iterations, ok = _kernels.francis_qr(hu, eps_of(dtype),
-                                         float(np.linalg.norm(a)),
+    iterations, ok = _kernels.francis_qr(hu, eps_of(dtype), _fro_norm(a),
                                          _MAX_QR_SWEEPS, zeros, top)
     if not ok:
         raise ConvergenceError(

@@ -65,7 +65,7 @@ class ContinuousModel:
         # scaled by a power of two to entries below 1, for the same reason
         half = s.dtype.type(0.5)
         s = half * s + half * s.T
-        s1 = _unit_scaled(s.astype(np.float64))
+        s1, _ = _unit_scaled(s.astype(np.float64))
         snorm = float(np.linalg.norm(s1))
         if snorm > 0.0:
             tau_psd = 100.0 * a.shape[0] * eps_of(s) * snorm

@@ -71,7 +71,7 @@ def loads(text: str) -> ContinuousModel:
         raise SystemFileError("trailing content after the 's' block")
 
     # scaled so that neither norm overflows
-    s = _unit_scaled(blocks["s"])
+    s, _ = _unit_scaled(blocks["s"])
     snorm = float(np.linalg.norm(s))
     if snorm > 0.0 and float(np.linalg.norm(s - s.T)) > 1e-12 * snorm:
         raise SystemFileError("noise intensity block is not symmetric")

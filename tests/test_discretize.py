@@ -248,17 +248,19 @@ def test_integrator_lyap_q_not_applicable():
 def test_lyap_refusals_name_their_margin():
     # a stable drift without integrators: its slowest pole, -6.3e-2, lies
     # within tau_zero_default(A) = 7.0e-2 of the imaginary axis at
-    # binary32, so both Lyapunov methods refuse it, by that margin
+    # binary32, so lyap-p refuses it by that margin, and lyap-q because
+    # the plan puts that pole, of modulus below it, in a trailing block
     m = gen_random_system(EnsembleSpec(24, 24, 0, seed=2), 1).astype(
         np.float32)
-    tau = tau_zero_default(m.a)
-    for method, margin in ((discretize_lyap_p, tau),
-                           (discretize_lyap_q, 2.0 * tau)):
-        with pytest.raises(MethodNotApplicableError) as info:
-            method(m, 1.0)
-        msg = str(info.value)
-        assert "tau_zero_default(A)" in msg and f"{margin:.3e}" in msg
-        assert "integrator" not in msg
+    tau = f"tau_zero_default(A) = {tau_zero_default(m.a):.3e}"
+    with pytest.raises(MethodNotApplicableError) as info:
+        discretize_lyap_p(m, 1.0)
+    assert f"-{tau_zero_default(m.a):.3e}, the margin tau_zero_default(A)" \
+        in str(info.value)
+    with pytest.raises(MethodNotApplicableError) as info:
+        discretize_lyap_q(m, 1.0)
+    assert f"n - k = 1 eigenvalues of modulus <= {tau}" in str(info.value)
+    assert "integrator_count 0 of them" in str(info.value)
 
 
 def test_observer_canonical_proposed_matches_oracle():
@@ -276,6 +278,46 @@ def test_mirrored_poles_unsupported_by_proposed():
     # the oracle still works there
     q = q_oracle(m, 1.0)
     assert q[0, 0] == pytest.approx((math.exp(2.0) - 1.0) / 2.0, rel=1e-10)
+
+
+# drifts whose squared entries overflow the width, so that numpy's norm of
+# A is inf: (dtype, a, the error at T = 1), with S = I
+OVERFLOWING_NORMS = [
+    (dtype, a, error)
+    for dtype, big in ((np.float64, 1e200), (np.float32, 1e20))
+    for a, error in ((np.array([[0.0, big], [0.0, 0.0]]), MatrixOverflowError),
+                     (np.diag([big, -big]), UnsupportedSpectrumError))]
+
+
+@pytest.mark.parametrize("dtype, a, error", OVERFLOWING_NORMS,
+                         ids=["chain-64", "mirrored-64", "chain-32",
+                              "mirrored-32"])
+def test_overflowing_norm_is_refused_or_right(dtype, a, error):
+    # the tolerances take |A|_F scaled by a power of two, so they stay
+    # finite (an infinite one would count every eigenvalue an integrator
+    # and zero A, giving Q = T I): at T = 1 the chain's Q (T + a^2 T^3 / 3)
+    # overflows and the mirrored pair is refused; at T = 1e-300 the chain's
+    # Q is T I to the width's rounding
+    m = ContinuousModel(a.astype(dtype), np.eye(2, dtype=dtype))
+    assert math.isfinite(tau_zero_default(m.a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            cold(m, 1.0)
+        for method in (discretize_lyap_p, discretize_lyap_q):
+            with pytest.raises(SdeDiscError):
+                method(m, 1.0)
+        t = 1e-300
+        if error is UnsupportedSpectrumError:
+            with pytest.raises(error):
+                cold(m, t)
+            return
+        b = float(a[0, 1])
+        want = np.array([[t + (b * t) ** 2 * t / 3, b * t * t / 2],
+                         [b * t * t / 2, t]]).astype(dtype)
+        got = cold(m, t).model.q
+        np.testing.assert_allclose(got, want, rtol=4 * np.finfo(dtype).eps,
+                                   atol=0.0)
 
 
 def diagonal_q(poles, t):
@@ -473,6 +515,11 @@ def test_q_oracle_scalar_closed_form():
     for t in (0.01, 1.0, 25.0):
         got = q_oracle(SCALAR, t)[0, 0]
         assert got == pytest.approx(1.0 - math.exp(-2.0 * t), rel=1e-11)
+    # run_method's oracle is binary64 for a binary32 model, at T = 0 too
+    for t in (0.0, 1.0):
+        got = run_method(SCALAR.astype(np.float32), t, Method.ORACLE).model
+        assert got.f.dtype == got.q.dtype == np.float64
+        assert got.q[0, 0] == pytest.approx(-math.expm1(-2.0 * t), rel=1e-7)
 
 
 def base_q(a, s, hs):
@@ -1149,40 +1196,116 @@ def test_lyap_q_is_proposed_without_integrators(n, seed, dtype, ts):
         assert got.model.q.tobytes() == want.model.q.tobytes()
 
 
+# the diagonal blocks of spectrum_model's drift, by kind, and their sizes
+SPECTRUM_BLOCKS = {"stable": 1, "slow": 1, "damped": 2, "chain": 2,
+                   "mirrored": 2}
+
+
+def spectrum_model(kinds, seed, dtype):
+    """A drift with one diagonal block per kind, rotated by a random
+    orthogonal matrix, and a random PSD noise intensity: a stable pole in
+    [-2, -0.2]; a slow real pole of either sign, 0.5 to 2 times tau0, about
+    tau_zero_default(A) (tau0 takes the norm of the other blocks); a pair
+    -zeta +- i omega, omega in [0.5, 2], damped by zeta = 0.5 to 2 tau0;
+    an integrator pair [[0, 1], [0, 0]]; and a mirrored pair +-lambda."""
+    rng = np.random.default_rng(seed)
+    n = sum(SPECTRUM_BLOCKS[kind] for kind in kinds)
+    b, slow, i = np.zeros((n, n)), [], 0
+    for kind in kinds:
+        if kind == "stable":
+            b[i, i] = -rng.uniform(0.2, 2.0)
+        elif kind == "slow":
+            slow.append(([i], rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2)))
+        elif kind == "damped":
+            b[i, i + 1] = rng.uniform(0.5, 2.0)
+            b[i + 1, i] = -b[i, i + 1]
+            slow.append(([i, i + 1], -rng.uniform(0.5, 2.0)))
+        elif kind == "chain":
+            b[i, i + 1] = 1.0
+        else:
+            b[i, i] = rng.uniform(0.2, 2.0)
+            b[i + 1, i + 1] = -b[i, i]
+        i += SPECTRUM_BLOCKS[kind]
+    tau0 = math.sqrt(100.0 * n * np.finfo(dtype).eps) * np.linalg.norm(b)
+    for rows, scale in slow:
+        b[rows, rows] = scale * tau0
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    g = rng.standard_normal((n, n))
+    return ContinuousModel(u @ b @ u.T, g @ g.T / n).astype(dtype)
+
+
+def outcome(call, *args):
+    """The F and Q bytes of call(*args), or the type and message of the
+    SdeDiscError it raised."""
+    try:
+        report = call(*args)
+    except SdeDiscError as exc:
+        return type(exc), str(exc)
+    return report.model.f.tobytes(), report.model.q.tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(kinds=st.lists(st.sampled_from(list(SPECTRUM_BLOCKS)), min_size=1,
+                      max_size=6),
+       seed=st.integers(0, 2 ** 31 - 1),
+       dtype=st.sampled_from([np.float64, np.float32]),
+       t=st.sampled_from([1e-3, 1.0, 10.0]))
+def test_lyap_methods_take_what_the_plan_decides(kinds, seed, dtype, t):
+    # lyap-q refuses exactly where proposed's plan has a trailing block
+    # (k < n), raises the plan's own error, or is proposed bit for bit;
+    # lyap-p returns only where k = n
+    m = spectrum_model(kinds, seed, dtype)
+    discretize._last_plan = None
+    try:
+        plan = discretize._proposed_plan(m, None)
+    except SdeDiscError as exc:
+        plan = type(exc), str(exc)
+    got_q = outcome(discretize_lyap_q, m, t)
+    got_p = outcome(discretize_lyap_p, m, t)
+    if isinstance(plan, tuple):
+        assert got_q == got_p == plan
+    elif plan.k < m.n:
+        assert got_q[0] is MethodNotApplicableError
+        assert f"n - k = {m.n - plan.k} eigenvalues" in got_q[1]
+        assert got_p[0] is MethodNotApplicableError
+    else:
+        assert got_q == outcome(cold, m, t)
+        assert got_p[0] is not UnsupportedSpectrumError
+
+
 def lyap_p_refusal(tau, max_re):
     return (f"lyap-p requires Re(lambda) < -{tau}, the margin "
             "tau_zero_default(A), for every eigenvalue; max Re(lambda) = "
             f"{max_re} is not below it")
 
 
-def lyap_q_refusal(pair, total, margin):
-    return (f"lyap-q not applicable: eigenvalue pair {pair} has |sum| = "
-            f"{total} <= 2 tau_zero_default(A) = {margin}, the margin from 0 "
-            "that lyap-q requires of every eigenvalue sum for a unique "
-            "solution")
+def lyap_q_refusal(trailing, tau, integrators):
+    return (f"lyap-q not applicable: n - k = {trailing} eigenvalues of "
+            f"modulus <= tau_zero_default(A) = {tau} trail the Schur form, "
+            f"integrator_count {integrators} of them, and only proposed "
+            "solves that trailing block")
 
+
+MIRRORED = ("non-zero poles mirrored in the imaginary axis: "
+            "1.000e+00+0.000e+00j and -1.000e+00+0.000e+00j")
 
 # the Lyapunov methods' refusal messages, pinned, for a model that the
 # plan refuses itself (mirrored poles), an integrator chain and a slow pole
 LYAP_REFUSALS = [
-    (np.diag([1.0, -1.0]), np.eye(2),
-     lyap_p_refusal("2.980e-07", "1.000e+00"),
-     lyap_q_refusal("(1.000e+00+0.000e+00j, -1.000e+00+0.000e+00j)",
-                    "0.000e+00", "5.960e-07")),
-    (constant_velocity().a, constant_velocity().s,
+    (np.diag([1.0, -1.0]), np.eye(2), UnsupportedSpectrumError,
+     MIRRORED, MIRRORED),
+    (constant_velocity().a, constant_velocity().s, MethodNotApplicableError,
      lyap_p_refusal("2.107e-07", "0.000e+00"),
-     lyap_q_refusal("(0.000e+00+0.000e+00j, 0.000e+00+0.000e+00j)",
-                    "0.000e+00", "4.215e-07")),
-    (np.diag([-1.0, -1e-9, -2.0]), np.eye(3),
+     lyap_q_refusal(2, "2.107e-07", 2)),
+    (np.diag([-1.0, -1e-9, -2.0]), np.eye(3), MethodNotApplicableError,
      lyap_p_refusal("5.771e-07", "-1.000e-09"),
-     lyap_q_refusal("(-1.000e-09+0.000e+00j, -1.000e-09+0.000e+00j)",
-                    "2.000e-09", "1.154e-06")),
+     lyap_q_refusal(1, "5.771e-07", 0)),
 ]
 
 
-@pytest.mark.parametrize("a, s, msg_p, msg_q", LYAP_REFUSALS,
+@pytest.mark.parametrize("a, s, error, msg_p, msg_q", LYAP_REFUSALS,
                          ids=["mirrored", "constant-velocity", "slow-pole"])
-def test_lyap_refusal_messages(a, s, msg_p, msg_q):
+def test_lyap_refusal_messages(a, s, error, msg_p, msg_q):
     m = ContinuousModel(a, s)
     for method, msg in ((discretize_lyap_p, msg_p),
                         (discretize_lyap_q, msg_q)):
@@ -1193,7 +1316,7 @@ def test_lyap_refusal_messages(a, s, msg_p, msg_q):
                     discretize_proposed(m, 1.0)
             except UnsupportedSpectrumError:
                 pass
-            with pytest.raises(MethodNotApplicableError) as info:
+            with pytest.raises(error) as info:
                 method(m, 1.0)
             assert str(info.value) == msg
 
@@ -1360,7 +1483,9 @@ def test_plan_exponential_gives_f_minus_i(spec, check, dtype):
     # binary64 and 1 in binary32 at t = 1e-10
     expm = pytest.importorskip("scipy.linalg").expm
     m = gen_random_system(spec).astype(dtype)
-    plan = discretize._ProposedPlan(m, None, None, check)
+    plan = discretize._ProposedPlan(m, None, None)
+    if check:
+        check(plan.ev, plan.tau)
     n, p = m.n, m.n - plan.k
     assert check is None or plan.k == n
     a = m.a.astype(np.float64)

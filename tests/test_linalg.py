@@ -232,6 +232,31 @@ def test_mat_exp_many_flags_overflow_without_warning():
 # ------------------------------------------------------------- real_schur
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_fro_norm_is_numpy_norm_where_finite(dtype):
+    # bit for bit np.linalg.norm where that is finite, at any scale the
+    # width holds; past it finite up to binary64's largest number, and
+    # MatrixOverflowError beyond
+    rng = np.random.default_rng(0)
+    huge = float(np.finfo(dtype).max)
+    for n in (0, 1, 3, 16):
+        for scale in (1.0, 1e-3, 1e12, 1e-12, 2.0 ** 60):
+            a = random_matrix(rng, n, scale).astype(dtype)
+            with np.errstate(over="ignore"):
+                want = float(np.linalg.norm(a))
+            got = linalg._fro_norm(a)
+            assert got == want or not math.isfinite(want) and got < math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for big in (huge / 2, math.sqrt(huge) * 4):
+            a = np.array([[0.0, big], [big, 0.0]], dtype=dtype)
+            assert linalg._fro_norm(a) == pytest.approx(
+                math.sqrt(2.0) * float(a[0, 1]), rel=2 * np.finfo(dtype).eps)
+        assert math.isfinite(tau_zero_default(a))
+        with pytest.raises(MatrixOverflowError):
+            linalg._fro_norm(np.full((2, 2), 1.5e308))
+
+
 def check_real_schur(a, tau_zero=None):
     """real_schur(a, tau_zero) against its contract, to 64 n eps ||a||
     (times each eigenvalue's condition number for the eigenvalues): u

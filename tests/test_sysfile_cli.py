@@ -256,6 +256,23 @@ def test_cli_gen_fixture_and_discretize(tmp_path, capsys):
     assert np.array_equal(m.a, constant_velocity().a)
 
 
+def test_cli_residual_of_a_huge_f_is_finite(tmp_path, capsys):
+    # A = 1, S = 1e-300, T = 400: |F| = 5.2e173, whose square overflows
+    # binary64, while F, Q = 1.4e47 and F S F^T are finite
+    path = str(tmp_path / "huge_f.txt")
+    sysfile.write(path, ContinuousModel(np.array([[1.0]]),
+                                        np.array([[1e-300]])))
+    assert main(["discretize", path, "--t", "400"]) == 0
+    lemma = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("lemma2_residual ")]
+    assert len(lemma) == 1 and float(lemma[0].split()[1]) < 1e-12
+    assert main(["check", path, "--t", "400"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    proposed = [row for row in rows if row.startswith("proposed,")]
+    assert len(proposed) == 1
+    assert float(proposed[0].split(",")[1]) < 1e-12
+
+
 def test_cli_gen_ensemble_deterministic(tmp_path):
     p1, p2 = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
     args = ["gen", "--n", "4", "--m", "3", "--p", "1", "--seed", "7"]

@@ -21,7 +21,11 @@ poles ``diag(1, -1)`` under ``proposed``, ``lyap-p`` and ``lyap-q`` at
 both widths; the binary32 ``EnsembleSpec(24, 24, 0, seed=2)`` stream 1
 under ``lyap-p`` and ``lyap-q``; and ``discretize_proposed`` with a
 caller's ``tau_zero`` of 0 and 1e-8 on ``EnsembleSpec(6, 4, 2, seed=100)``
-stream 0, which leaves integrators in the leading block; all at T = 1.
+stream 0, which leaves integrators in the leading block; and
+``discretize_proposed`` on four drifts whose squared entries overflow
+the width, with S = I: binary64 ``[[0, 1e200], [0, 0]]`` and
+``diag(1e200, -1e200)``, binary32 ``[[0, 1e20], [0, 0]]`` and
+``diag(1e20, -1e20)``; all at T = 1.
 It does not depend on ``--seed``.  Workload inputs come from
 perfbench/workloads.py and the package from this checkout's src/, so two
 checkouts that print the same lines compute the same bits on those inputs.
@@ -74,6 +78,12 @@ REFUSALS += [(sdedisc.run_method, WIDE32, method)
              for method in (sdedisc.Method.LYAP_P, sdedisc.Method.LYAP_Q)]
 REFUSALS += [(sdedisc.discretize_proposed, MIXED, tau_zero)
              for tau_zero in (0.0, 1e-8)]
+REFUSALS += [(sdedisc.run_method, sdedisc.ContinuousModel(
+                  a.astype(dtype), np.eye(2, dtype=dtype)),
+              sdedisc.Method.PROPOSED)
+             for dtype, big in ((np.float64, 1e200), (np.float32, 1e20))
+             for a in (np.array([[0.0, big], [0.0, 0.0]]),
+                       np.diag([big, -big]))]
 
 # (model, tau_zero) of each deep integrator chain
 CHAIN_MODELS = [
