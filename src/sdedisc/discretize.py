@@ -6,9 +6,9 @@ the process-noise covariance Q = int_0^T exp(A tau) S exp(A^T tau) dtau:
 
 * ``discretize_lyap_p``   -- stationary-covariance route (stable A only).
 * ``discretize_lyap_q``   -- direct Lyapunov route: proposed, where its
-  plan has no trailing block (stable or not).
-* ``discretize_proposed`` -- Schur reordering splits off the integrator
-  (zero-eigenvalue) block, made exactly nilpotent by rank decisions; one
+  plan has no integrator (stable or not).
+* ``discretize_proposed`` -- SVD rank decisions split off the integrator
+  (zero-eigenvalue) block, exactly nilpotent, ahead of the Schur form; one
   block-triangular exponential gives F and Q's integrator block column,
   and a Lyapunov solve the rest.
 * ``discretize_vanloan``  -- exponential of the 2n x 2n augmented matrix.
@@ -118,14 +118,14 @@ def _lyap_p_check(ev, tau: float):
 def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
     """Stationary-covariance method: A P + P A^T = -S, then
     Q = P - F P F^T.  Requires a strictly stable drift, every eigenvalue's
-    real part below -tau_zero_default(A), which leaves the plan no trailing
+    real part below -tau_zero_default(A), so the plan has no trailing
     block: P/2 comes from the q11 solver of discretize_proposed's plan,
     which keeps it."""
     t = _check_horizon(t)
     if t == 0.0:
         return _trivial_report(m, Method.LYAP_P)
     plan = _proposed_plan(m, None)
-    _lyap_p_check(plan.ev, plan.tau)
+    _lyap_p_check(plan.ev, tau_zero_default(m.a))
     if plan.p_half is None:
         plan.p_half = _kernels.trsylv(*plan.q11_sylv, -plan.st_half)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -143,18 +143,16 @@ def discretize_lyap_q(m: ContinuousModel, t: float) -> MethodReport:
     """Direct Lyapunov method: A Q + Q A^T = -(S - F S F^T).
 
     Applicable where discretize_proposed's plan has no trailing block (no
-    |lambda| <= tau_zero_default(A)), stable or not; the result is then
-    proposed's, bit for bit, and a model the plan refuses raises its error."""
+    integrator), stable or not; the result is then proposed's, bit for
+    bit, and a model the plan refuses raises its error."""
     t = _check_horizon(t)
     if t == 0.0:
         return _trivial_report(m, Method.LYAP_Q)
     plan = _proposed_plan(m, None)
     if plan.k < m.n:
         raise MethodNotApplicableError(
-            f"lyap-q not applicable: n - k = {m.n - plan.k} eigenvalues of "
-            f"modulus <= tau_zero_default(A) = {plan.tau:.3e} trail the Schur "
-            f"form, integrator_count {plan.integrators} of them, and only "
-            "proposed solves that trailing block")
+            f"lyap-q not applicable: n - k = {m.n - plan.k} eigenvalues are "
+            "integrators, and only proposed solves that trailing block")
     (report,) = plan.reports((t,))
     return MethodReport(_unwrap(report).model, Method.LYAP_Q)
 
@@ -164,29 +162,32 @@ def q_nilpotent(a22: np.ndarray, s22: np.ndarray, t: float) -> np.ndarray:
     block, sum_{i,j<p} T^(i+j+1) / (i! j! (i+j+1)) * A^i S (A^j)^T, kept
     as a reference: discretize_proposed takes it from an exponential.
 
-    Raises NilpotencyError when |A^p| exceeds a tolerance that allows
-    for the eps^(1/p) spread of a perturbed index-p chain."""
+    Each term is c^(i+j) B^i S (B^j)^T for B = A / c, c = max(|A|_F, 1),
+    no power overflowing.  Raises NilpotencyError when |B^p| exceeds a
+    tolerance that allows for the eps^(1/p) spread of an index-p chain."""
     t = _check_horizon(t)
     a22 = check_square(a22, "nilpotent block")
     s22 = check_square(s22, "nilpotent noise block")
     if s22.shape != a22.shape:
         raise ValueError("drift and noise blocks must have equal shape")
     p = a22.shape[0]
+    c = max(_fro_norm(a22), 1.0)
+    b = (a22.astype(np.float64) / c).astype(a22.dtype)
     powers = [np.eye(p, dtype=a22.dtype)]
     for _ in range(p):
-        powers.append(powers[-1] @ a22)
-    anorm = float(np.linalg.norm(a22))
-    nil_tol = math.sqrt(100.0 * p * eps_of(a22)) * max(anorm, 1.0) ** p
-    if float(np.linalg.norm(powers[p])) > nil_tol:
+        powers.append(powers[-1] @ b)
+    nil_tol = math.sqrt(100.0 * p * eps_of(a22))
+    if _fro_norm(powers[p]) > nil_tol:
         raise NilpotencyError(
-            f"block is not nilpotent of index {p}: |A^p| = "
-            f"{np.linalg.norm(powers[p]):.3e} > {nil_tol:.3e}")
+            f"block is not nilpotent of index {p}: |(A/c)^p| = "
+            f"{_fro_norm(powers[p]):.3e} > {nil_tol:.3e}, c = {c:.3e}")
     q = np.zeros_like(a22)
     fact = math.factorial
     with np.errstate(over="ignore", invalid="ignore"):
+        tc = np.float64(t) * c
         for i, j in np.ndindex(p, p):
             e = i + j + 1
-            coef = np.float64(t) ** e / (fact(i) * fact(j) * e)
+            coef = t * tc ** (e - 1) / (fact(i) * fact(j) * e)
             q += a22.dtype.type(coef) * (powers[i] @ s22 @ powers[j].T)
         q = _sym(q)
     if not np.isfinite(q).all():
@@ -195,40 +196,39 @@ def q_nilpotent(a22: np.ndarray, s22: np.ndarray, t: float) -> np.ndarray:
     return q
 
 
-def _staircase(hu: np.ndarray, k: int, tol: float) -> int:
-    """Make the leading d x d block of T[k:, k:] exactly nilpotent by
-    orthogonal similarities of the stacked hu = [T; U], and return d.
-    Each step takes the SVD of the rows and columns after those found so
-    far, puts the right singular vectors of the singular values <= tol
-    first and zeroes those columns exactly, so the block comes out
-    strictly block upper triangular: the staircase reduction
-    (Kublanovskaya 1966; Van Dooren, Linear Algebra Appl. 27, 1979).  It
-    stops at a step with no singular value <= tol, and leaves the rest,
-    which is not nilpotent, as it is.  T[k:, :k] must be zero."""
-    n = hu.shape[1]
-    d = k
-    while d < n:
-        _, sv, wt = np.linalg.svd(hu[d:n, d:])
+def _split(a: np.ndarray, tol: float) -> tuple:
+    """(v, at, k): orthogonal v and at = v^T a v, at[k:, :k] exactly 0 and
+    N = at[k:, k:] strictly upper triangular: a's n - k integrators.  The
+    staircase reduction (Kublanovskaya 1966; Van Dooren, Linear Algebra
+    Appl. 27, 1979) on [m; v], m = at^T: each step moves the right singular
+    vectors of the singular values <= tol of m's leading block last and
+    zeroes those columns, a backward error of at most tol each on a.  The
+    first step with no such value ends it."""
+    n = a.shape[0]
+    hu = np.concatenate([a.T, np.eye(n, dtype=a.dtype)])
+    size = n
+    while size:
+        _, sv, wt = np.linalg.svd(hu[:size, :size])
         null = int(np.count_nonzero(sv <= tol))
         if not null:
             break
-        _kernels.similarity(hu, d, wt[::-1].T)  # the null vectors first
-        hu[d:n, d:d + null] = 0.0
-        d += null
-    return d - k
+        _kernels.similarity(hu, 0, wt.T)
+        hu[:size, size - null:size] = 0.0
+        size -= null
+    return hu[n:], np.ascontiguousarray(hu[:n].T), size
 
 
 class _ProposedPlan:
     """Everything proposed, lyap-q and lyap-p need that depends on (A, S)
-    and tau_zero only, never on the horizon.  The real Schur form splits
-    at k with the eigenvalues of modulus <= tau_zero reordered last; its
-    eigenvalues ev pass the guard of the q11 Lyapunov solve; then _staircase
-    makes the leading block of the trailing p x p block a22 exactly
-    nilpotent, so split_index k and integrator_count, that block's size,
-    differ where a slow pole joins the split: a22 keeps it, and it is
-    exponentiated, not refused.  The plan keeps at with its blocks, u and
-    u^-1, half the transformed S, the power table (linalg._exp_table) of
-    the (2n + p)-square
+    and tau_zero only, never on the horizon.  _split puts the integrators
+    last as an exactly nilpotent N, integrator_count in size, which the
+    real Schur form of the whole transformed A keeps bit for bit, as
+    LAPACK's balancing isolates N's eigenvalues as exact zeros.  The
+    reordering moves a11's eigenvalues of modulus <= tau_zero (none by
+    default) into a22, the trailing p x p block from split_index k on, with
+    N.  a11's spectrum ev[:k] passes the q11 solve's guard.  The plan keeps
+    at with its blocks, u and u^-1, half the transformed S, the power table
+    (linalg._exp_table) of the (2n + p)-square
         H = [[at, st_half[:, k:] / 2^shift, at], [0, -a22^T, 0], [0, 0, 0]],
     whose exponential E = exp(H t) holds F = E[:n, :n], F - I =
     int_0^t exp(at tau) at dtau in E[:n, n + p:], with no I subtracted,
@@ -236,36 +236,25 @@ class _ProposedPlan:
     Loan, IEEE TAC 23, 1978, with F21 = 0 and the growing -a11^T block
     dropped), the q11 solve's column blocks (sylv_blocks), inverted where
     small, so that a horizon's solve is a product, and lyap-p's P/2, from
-    its first call on.  Its tolerances scale _fro_norm(A), and tau is
-    tau_zero_default(A).  A model that fails the guard raises here;
-    ``reports`` evaluates horizons."""
+    its first call on.  Its tolerances scale _fro_norm(A).  A model that
+    fails the guard raises here; ``reports`` evaluates horizons."""
 
     def __init__(self, m: ContinuousModel, tau_zero: float | None, key):
         self.key, self.p_half = key, None
-        self.tau = tau_zero_default(m.a)
-        tau_zero = self.tau if tau_zero is None else tau_zero
-        # shifted so that the integrators finish last: the reordering swaps
-        # only where tau_zero parts LAPACK's and the Schur form's modulus of
-        # an ill-conditioned eigenvalue, else it just classifies
-        u, at, k = order_schur_zeros_last(*real_schur(m.a, tau_zero),
-                                          tau_zero)
+        n, eps, anorm = m.n, eps_of(m.a), _fro_norm(m.a)
+        v, at, k = _split(m.a, 100.0 * eps * anorm)
+        self.integrators = n - k
+        u, at, k = order_schur_zeros_last(*real_schur(at, 0.0),
+                                          tau_zero or 0.0)
+        u = v @ u
         self.ev = ev = quasi_tri_eigvalues(at)
-        eps, anorm = eps_of(m.a), _fro_norm(m.a)
         # mirrored non-zero poles make the q11 Lyapunov solve singular
         near, i, j = _nearest_sum(ev[:k])
         if near <= 200.0 * eps * anorm:
-            if abs(i) <= self.tau:
-                # an integrator by the default threshold: tau_zero was small
-                msg = (f"tau_zero={tau_zero:.3e} left integrators in the "
-                       f"leading block (eigenvalue {i:.3e})")
-            else:
-                msg = ("non-zero poles mirrored in the imaginary axis: "
-                       f"{i:.3e} and {j:.3e}")
-            raise UnsupportedSpectrumError(msg)
-        n, p = m.n, m.n - k
-        hu = np.concatenate([at, u])
-        self.integrators = _staircase(hu, k, 100.0 * eps * anorm)
-        at, u = hu[:n], hu[n:]
+            raise UnsupportedSpectrumError(
+                f"non-zero poles mirrored in the imaginary axis: {i:.3e} and "
+                f"{j:.3e}")
+        p = n - k
         self.at, self.u, self.k = at, u, k
         self.a11, self.a12 = np.ascontiguousarray(at[:k, :k]), at[:k, k:]
         # computed inverse rather than transpose: u is only orthogonal to
@@ -364,20 +353,23 @@ def _proposed_plan(m: ContinuousModel, tau_zero: float | None):
 
 def discretize_proposed(m: ContinuousModel, t: float,
                         tau_zero: float | None = None) -> MethodReport:
-    """Combined method: Schur-reorder integrators into the trailing block
-    and make it exactly nilpotent, take F and Q's trailing block column
-    from one exponential of a block upper triangular matrix, the leading
-    block of Q from a Lyapunov equation, and transform back.  The paper
-    couples the blocks by Sylvester equations and sums the integrator
-    block in closed form (q_nilpotent); the exponential, which has no
-    growing block, replaces both, and has no 1/sep(a11, a22) error.
+    """Combined method: split the integrators off A as an exactly nilpotent
+    trailing block by SVD rank decisions, take the Schur form of the rest,
+    F and Q's trailing block column from one exponential of a block upper
+    triangular matrix, the leading block of Q from a Lyapunov equation, and
+    transform back.  A caller's tau_zero moves the leading block's
+    eigenvalues of modulus <= tau_zero (none by default) into the trailing
+    block, never an integrator out of it.  The paper couples the
+    blocks by Sylvester equations and sums the integrator block in closed
+    form (q_nilpotent); the exponential, which has no growing block,
+    replaces both, and has no 1/sep(a11, a22) error.
 
     One block formula for every integrator count: the leading block a11
     is 0 x 0 when every eigenvalue is an integrator, and the trailing
     block a22 is 0 x 0 when there are none.
 
-    The work that does not depend on t (Schur form, reordering, guard,
-    staircase, the exponential's power table, the Lyapunov solver's
+    The work that does not depend on t (rank decisions, Schur form,
+    reordering, guard, the exponential's power table, the Lyapunov solver's
     column blocks, inverted where small) is kept from the last call and
     reused when this call's model has byte-equal ``a`` and ``s`` of the
     same dtypes and the same ``tau_zero``; any other model, or an edit to

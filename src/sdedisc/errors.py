@@ -40,9 +40,8 @@ class NilpotencyError(SdeDiscError, ValueError):
 
 
 class UnsupportedSpectrumError(SdeDiscError, ValueError):
-    """proposed's plan cannot solve its Lyapunov equation: mirrored
-    non-zero poles, or integrators a caller's tau_zero left in the leading
-    block, which pair up the same way.  lyap-p and lyap-q raise it too, as
+    """proposed's plan cannot solve its Lyapunov equation: non-zero poles
+    mirrored in the imaginary axis.  lyap-p and lyap-q raise it too, as
     they run on that plan; Van Loan and the oracle take mirrored poles."""
 
 

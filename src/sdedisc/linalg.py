@@ -45,15 +45,15 @@ def eps_of(arr_or_dtype) -> float:
 
 
 def tau_zero_default(a: np.ndarray) -> float:
-    """Default threshold below which a computed eigenvalue modulus is
-    classified as an integrator (zero) eigenvalue.
+    """lyap-p's margin: it takes a drift only if every eigenvalue's real
+    part is below -tau_zero_default(A), sqrt(100 n eps) ||A||_F.
 
     Computed eigenvalues of a nilpotent block of index p carry rounding
-    noise on the order of ||A|| * eps^(1/p), so a threshold linear in eps
-    would misclassify every transformed integrator chain.  The square-root
-    scaling covers chains up to index 2 with a wide margin and keeps well
-    below any physical pole of magnitude >> sqrt(eps).  Override per call
-    for deeper chains.
+    noise on the order of ||A|| * eps^(1/p), so a margin linear in eps
+    would pass a transformed integrator pair.  The square-root scaling
+    covers that noise up to index 2 with a wide margin and keeps well
+    below any physical pole of magnitude >> sqrt(eps).  The integrators
+    themselves are found by rank decisions, not by this threshold.
     """
     n = a.shape[0]
     return math.sqrt(100.0 * n * eps_of(a)) * _fro_norm(a)
@@ -148,9 +148,9 @@ def _exp_at(table: tuple, ts) -> tuple:
     as a stack, and the flags that are False where it is not finite or
     |a|_1 |t| exceeds the width (_scalings).  Each slice is the Pade-13
     approximant at the scaled step h = t / 2^s (a / 2^e at sigma =
-    2^(e - s) t, or at 0 where |a|_1 t is 0 or flagged), squared s times,
-    so slice i does not depend on the other horizons.  The table's exact
-    entries are set before the squarings, which keep them: the identity
+    2^(e - s) t, or the identity where |a|_1 t is 0 or flagged), squared s
+    times, so slice i does not depend on the other horizons.  The table's
+    exact entries are set before the squarings, which keep them: the identity
     block of naive_q_a's [[a, I], [0, 0]] stays exactly I, its squares are
     [[f^2, f g + g], [0, I]] for f = exp(a h) and g = int_0^h exp(a tau)
     dtau, and so do the identity blocks that the zero diagonal blocks of
@@ -164,6 +164,9 @@ def _exp_at(table: tuple, ts) -> tuple:
     sigmas = [math.ldexp(t, e - c) if 0.0 < nu * abs(t) <= limit else 0.0
               for t, c in zip(ts, counts)]
     big = _kernels.pade13_expm(powers, sigmas)
+    zero = [i for i, sigma in enumerate(sigmas) if not sigma]
+    if zero:  # an empty fancy assignment costs a few microseconds
+        big[zero] = powers[0]
     np.copyto(big, powers[0], where=exact)
     big = _kernels.squared(big, counts)
     ok = np.isfinite(big).all(axis=(1, 2))

@@ -167,11 +167,15 @@ def test_tau_zero_bounds_accepted():
 
 
 @pytest.mark.parametrize("tau_zero", [0.0, 1e-8])
-def test_small_tau_zero_blamed_for_leftover_integrators(tau_zero):
-    # the rounding spread of the integrator pair (1.8e-8) is above these
-    # thresholds, so the pair stays in the leading block and trips a guard
-    with pytest.raises(UnsupportedSpectrumError, match="tau_zero"):
-        discretize_proposed(mixed_system(0), 1.0, tau_zero=tau_zero)
+def test_small_tau_zero_still_finds_integrators(tau_zero):
+    # the rounding spread of the integrator pair's eigenvalues (1.8e-8) is
+    # above these thresholds, but the integrators are found by rank
+    # decisions, never by tau_zero
+    m = mixed_system(0)
+    for t in (0.01, 1.0, 100.0):
+        report = discretize_proposed(m, t, tau_zero=tau_zero)
+        assert report.diagnostics["integrator_count"] == 2.0
+        assert rel_err(report.model.q, scipy_doubling_q(m, t)) <= 1e-9, t
 
 
 # ------------------------------------------------------------ nilpotent
@@ -204,6 +208,55 @@ def test_q_nilpotent_overflow_is_typed():
             m = cv.astype(dtype)
             with pytest.raises(MatrixOverflowError):
                 q_nilpotent(m.a, m.s, t)
+
+
+def exact_q_nilpotent(a, s, t):
+    """q_nilpotent's sum in 40 digits on the binary64 values of a, s and
+    t, rounded to binary64 (inf beyond it)."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(40):
+        a, s, t = mp.matrix(a.tolist()), mp.matrix(s.tolist()), mp.mpf(t)
+        p = a.rows
+        powers = [mp.eye(p)]
+        for _ in range(p - 1):
+            powers.append(powers[-1] * a)
+        q = mp.zeros(p, p)
+        for i, j in np.ndindex(p, p):
+            e = i + j + 1
+            q += (t ** e / (math.factorial(i) * math.factorial(j) * e)
+                  * powers[i] * s * powers[j].T)
+        return np.array([[float(x) for x in q[r, :]] for r in range(p)])
+
+
+# nilpotent blocks whose norms' powers overflow the width, with S = I, and
+# the horizons they are taken at
+LARGE_NILPOTENT = [
+    (np.float64, np.diag([1e110, 1e110], 1), (1e-300, 1.0)),
+    (np.float64, np.array([[0.0, 1e200], [0.0, 0.0]]), (1e-300, 1.0)),
+    (np.float32, np.diag([1e13, 1e13], 1), (1e-30, 1.0)),
+    (np.float32, np.array([[0.0, 1e20], [0.0, 0.0]]), (1e-30, 1.0)),
+]
+
+
+@pytest.mark.parametrize("dtype, a, ts", LARGE_NILPOTENT,
+                         ids=["chain3-64", "chain2-64", "chain3-32",
+                              "chain2-32"])
+def test_q_nilpotent_large_blocks_right_or_refused(dtype, a, ts):
+    # the powers are of A / max(|A|_F, 1), so neither the nilpotency
+    # tolerance nor a norm overflows: Q is right, or refused with a typed
+    # error where the width cannot hold it
+    a, s = a.astype(dtype), np.eye(len(a), dtype=dtype)
+    big = float(np.finfo(dtype).max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in ts:
+            want = exact_q_nilpotent(a, s, t)
+            try:
+                q = q_nilpotent(a, s, t)
+            except (MatrixOverflowError, NilpotencyError):
+                assert not np.abs(want).max() <= big, t
+                continue
+            assert rel_err(q, want) <= 4 * np.finfo(dtype).eps, t
 
 
 # -------------------------------------------------- cross-method checks
@@ -248,19 +301,16 @@ def test_integrator_lyap_q_not_applicable():
 def test_lyap_refusals_name_their_margin():
     # a stable drift without integrators: its slowest pole, -6.3e-2, lies
     # within tau_zero_default(A) = 7.0e-2 of the imaginary axis at
-    # binary32, so lyap-p refuses it by that margin, and lyap-q because
-    # the plan puts that pole, of modulus below it, in a trailing block
-    m = gen_random_system(EnsembleSpec(24, 24, 0, seed=2), 1).astype(
-        np.float32)
-    tau = f"tau_zero_default(A) = {tau_zero_default(m.a):.3e}"
+    # binary32, so lyap-p refuses it by that margin; lyap-q, whose plan
+    # has no trailing block, solves it
+    m64 = gen_random_system(EnsembleSpec(24, 24, 0, seed=2), 1)
+    m = m64.astype(np.float32)
     with pytest.raises(MethodNotApplicableError) as info:
         discretize_lyap_p(m, 1.0)
     assert f"-{tau_zero_default(m.a):.3e}, the margin tau_zero_default(A)" \
         in str(info.value)
-    with pytest.raises(MethodNotApplicableError) as info:
-        discretize_lyap_q(m, 1.0)
-    assert f"n - k = 1 eigenvalues of modulus <= {tau}" in str(info.value)
-    assert "integrator_count 0 of them" in str(info.value)
+    assert rel_err(discretize_lyap_q(m, 1.0).model.q, q_oracle(m64, 1.0)) \
+        <= 1e-5
 
 
 def test_observer_canonical_proposed_matches_oracle():
@@ -799,8 +849,9 @@ def _triangular_chain3():
     (gen_random_system(EnsembleSpec(7, 3, 4, seed=1)), 2e-3, 4),
 ], ids=["triangular-p3", "observer-p3", "rotated-p3", "rotated-p4"])
 def test_proposed_deep_integrator_chains(m, tau_zero, p):
-    # the coupling block F12 of three or more integrators: the staircase
-    # leaves a22 strictly upper triangular beyond its first superdiagonal,
+    # the coupling block F12 of three or more integrators: the rank
+    # decisions leave a22 strictly upper triangular, full beyond its first
+    # superdiagonal,
     # and F12 comes from the plan's exponential with F22
     expm = pytest.importorskip("scipy.linalg").expm
     for t in (0.1, 1.0, 10.0):
@@ -824,17 +875,12 @@ def test_binary32_proposed_psd_at_paper_horizons(seed):
         assert np.linalg.eigvalsh(q)[0] >= floor * np.linalg.norm(q_ref, 2), t
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP items D2 and C: a caller's "
-                   "tau_zero just above LAPACK's chain moduli leaves an "
-                   "index-4 chain in the leading block, and no guard "
-                   "refuses the wrong Q")
 def test_proposed_chain_left_in_leading_block_right_or_refused():
     # LAPACK puts the rotated index-4 chain of this system at moduli
-    # 1.350e-4; at tau_zero 1.01 times the smallest, the Schur form puts
-    # the chain above tau_zero, integrator_count reads 0 and the Lyapunov
-    # and Sylvester solves take the whole chain: Q comes back with norm
-    # 6.0e22 against 5.3, and nothing is raised.  The reference is built
-    # as perfbench/reference.py builds it.
+    # 1.350e-4: a split by moduli at tau_zero 1.01 times the smallest would
+    # leave the chain in the leading block, to the Lyapunov solve, while
+    # the rank decisions find it whatever tau_zero is.  The reference is
+    # built as perfbench/reference.py builds it.
     m = gen_random_system(EnsembleSpec(8, 4, 4, seed=0), stream=14)
     tau_zero = 1.01 * float(np.abs(np.linalg.eigvals(m.a)).min())
     try:
@@ -844,10 +890,57 @@ def test_proposed_chain_left_in_leading_block_right_or_refused():
     assert rel_err(q, scipy_doubling_q(m, 1.0)) <= 1e-9
 
 
+# the deep-chain contract: every cell within this relative error of the
+# binary64 reference, or refused with an SdeDiscError
+DEEP_CHAIN_TOL = {np.float64: 1e-6, np.float32: 1e-2}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("spec", [EnsembleSpec(6, 3, 3, seed=0),
+                                  EnsembleSpec(8, 4, 4, seed=0)],
+                         ids=["p3", "p4"])
+def test_deep_chains_right_or_refused(spec, dtype):
+    # rotated index-3 and index-4 chains, whose computed eigenvalues spread
+    # by eps^(1/p) |A| around 0, past any threshold on moduli
+    for stream in range(10):
+        m = gen_random_system(spec, stream)
+        for t in (1e-3, 0.1, 10.0):
+            want = scipy_doubling_q(m, t)
+            for method in (discretize_lyap_p, discretize_lyap_q,
+                           discretize_proposed):
+                try:
+                    q = method(m.astype(dtype), t).model.q
+                except SdeDiscError:
+                    continue
+                assert rel_err(q, want) <= DEEP_CHAIN_TOL[dtype], \
+                    (stream, t, method.__name__)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("spec", [(6, 4, 2), (6, 3, 3), (8, 4, 4),
+                                  (16, 14, 2), (48, 46, 2)], ids=str)
+def test_plan_keeps_the_split(spec, dtype):
+    # the Schur form and the reordering keep _split's zeros below the split
+    # and its strictly upper triangular N bit for bit, and N's size is the
+    # ensemble's integrator count
+    n, _, p = spec
+    for seed in range(5):
+        for stream in range(4):
+            m = gen_random_system(EnsembleSpec(*spec, seed=seed),
+                                  stream).astype(dtype)
+            plan = discretize._ProposedPlan(m, None, None)
+            _, at, k = discretize._split(
+                m.a, 100.0 * np.finfo(dtype).eps * linalg._fro_norm(m.a))
+            assert plan.k == k == n - p and plan.integrators == p
+            assert not plan.at[k:, :k].any()
+            assert plan.at[k:, k:].tobytes() == at[k:, k:].tobytes()
+            assert not np.tril(at[k:, k:]).any()
+
+
 def test_binary32_proposed_counts_integrators_n16():
-    # the binary32 tau_zero_default puts a slow stable pole of these
-    # systems in the trailing block, next to the integrator pair; the
-    # staircase counts the pair alone and exponentiates the pole
+    # a slow stable pole of these systems lies within the binary32
+    # tau_zero_default of 0; the rank decisions count the integrator pair
+    # alone
     expm = pytest.importorskip("scipy.linalg").expm
     for seed, t in ((3, 100.0), (5, 10.0)):
         m = gen_random_system(EnsembleSpec(16, 14, 2, seed=seed))
@@ -859,8 +952,8 @@ def test_binary32_proposed_counts_integrators_n16():
 @pytest.mark.parametrize("n", [24, 32, 48])
 def test_binary32_proposed_right_on_slow_stable_poles(n):
     # stable models with no integrator whose slowest poles lie within the
-    # binary32 tau_zero_default of 0: the trailing block holds them, and
-    # is exponentiated, not refused as a non-nilpotent integrator block
+    # binary32 tau_zero_default of 0: no integrator is counted, and the
+    # Lyapunov solve takes them
     for stream in range(4):
         m = gen_random_system(EnsembleSpec(n, n, 0, seed=2), stream)
         report = discretize_proposed(m.astype(np.float32), 1.0)
@@ -868,10 +961,6 @@ def test_binary32_proposed_right_on_slow_stable_poles(n):
         assert rel_err(report.model.q, q_oracle(m, 1.0)) <= 1e-5, stream
 
 
-@pytest.mark.xfail(strict=True, raises=MatrixOverflowError,
-                   reason="ROADMAP item D: a slow stable pole left in a22 "
-                   "is carried as -a22^T, whose exponential overflows "
-                   "binary32 where Q fits")
 @pytest.mark.parametrize("spec, stream, t", [
     (EnsembleSpec(48, 48, 0, seed=2), 0, 1e3),
     (EnsembleSpec(48, 48, 0, seed=2), 0, 1e4),
@@ -880,10 +969,12 @@ def test_binary32_proposed_right_on_slow_stable_poles(n):
 ], ids=["n48-1e3", "n48-1e4", "n24-3e3", "n16-1e3"])
 def test_binary32_proposed_slow_pole_in_a22_at_long_horizons(spec, stream,
                                                              t):
-    # the binary32 tau_zero_default puts the slowest stable poles of these
-    # models (-0.089 at n = 48) in the trailing block; q_oracle's Q has
-    # norm 1.8, 2.6 and 7.7e9, which binary32 holds, and the same models
-    # come back within 2e-4 at T = 100 or 1e3.  Three digits are asked for
+    # the slowest stable poles of these models (-0.089 at n = 48) lie
+    # within the binary32 tau_zero_default of 0; in a22 they would be
+    # carried as -a22^T, whose exponential overflows, so they must stay in
+    # the Lyapunov solve.  q_oracle's Q has norm 1.8, 2.6 and 7.7e9, which
+    # binary32 holds, and the same models come back within 2e-4 at T = 100
+    # or 1e3.  Three digits are asked for
     m = gen_random_system(spec, stream)
     q = discretize_proposed(m.astype(np.float32), t).model.q
     assert rel_err(q, q_oracle(m, t)) <= 1e-3
@@ -1023,8 +1114,8 @@ def column_spans(sylv):
     (constant_velocity(), None, []),  # k = 0
     (mixed_system(2), None, [(0, 4)]),
     (mixed_system(3).astype(np.float32), None, [(0, 4)]),
-    (mixed_system(0), None, [(0, 4)]),  # a22 a 2x2 pair
-    # a rotated index-3 chain: a22 is a 1x1 and a 2x2 block
+    (mixed_system(0), None, [(0, 4)]),
+    # a rotated index-3 chain, a22 strictly upper triangular
     (gen_random_system(EnsembleSpec(6, 3, 3, seed=0), stream=3), 1e-3,
      [(0, 3)]),
 ], ids=["p0", "k0", "mixed", "binary32", "a22-pair", "chain3-tau"])
@@ -1044,7 +1135,7 @@ def test_proposed_warm_equals_cold(model, tau_zero, q11_spans):
 @pytest.mark.parametrize("spec", [EnsembleSpec(6, 4, 2, seed=100),
                                   EnsembleSpec(16, 14, 2, seed=7)])
 def test_proposed_plan_makes_no_swaps(spec, monkeypatch):
-    # the plan's shifts finish the integrators last, so the reordering
+    # the rank decisions put the integrators last, so the reordering
     # only classifies the blocks
     swaps = []
     swap = linalg._swap_adjacent_blocks
@@ -1057,18 +1148,20 @@ def test_proposed_plan_makes_no_swaps(spec, monkeypatch):
 
 
 def test_proposed_caller_tau_zero_swaps_blocks(monkeypatch):
-    # LAPACK puts the integrator pair at |lambda| = 5.14e-8 and the Schur
-    # form at 4.84e-8: a tau_zero between the two counts no zero for the
-    # shifts, and the reordering swaps the pair last
+    # a tau_zero just above the slowest stable pole, -0.135, moves it into
+    # the exponentiated block: the reordering swaps it past the complex
+    # pair that follows it in a11's Schur form
     swaps = []
     swap = linalg._swap_adjacent_blocks
     monkeypatch.setattr(linalg, "_swap_adjacent_blocks",
                         lambda *args: swaps.append(1) or swap(*args))
     m = gen_random_system(EnsembleSpec(6, 4, 2, seed=0), stream=0)
-    tau_zero = 0.99 * float(np.abs(np.linalg.eigvals(m.a)).min())
+    # past the integrator pair's two moduli
+    tau_zero = 1.01 * float(np.sort(np.abs(np.linalg.eigvals(m.a)))[2])
     for t in (0.01, 1.0, 100.0):
         report = discretize_proposed(m, t, tau_zero)
-        assert report.diagnostics["integrator_count"] == 2.0
+        assert report.diagnostics == {"split_index": 3.0,
+                                      "integrator_count": 2.0}
         assert rel_err(report.model.q, scipy_doubling_q(m, t)) <= 1e-9, t
     assert swaps
 
@@ -1112,7 +1205,7 @@ def test_proposed_plan_failure_raises_every_call(schur_count):
 
 def test_proposed_plan_exponentiates_a_slow_trailing_pole(schur_count):
     # tau_zero puts the pole at -1e-3 in the trailing block, where the
-    # staircase finds no integrator and leaves the pole to the exponential
+    # rank decisions find no integrator, and the exponential takes it
     poles = [-1.0, -1e-3]
     m = ContinuousModel(np.diag(poles), np.eye(2))
     for t in (1.0, 2.0, 1.0):
@@ -1279,27 +1372,26 @@ def lyap_p_refusal(tau, max_re):
             f"{max_re} is not below it")
 
 
-def lyap_q_refusal(trailing, tau, integrators):
-    return (f"lyap-q not applicable: n - k = {trailing} eigenvalues of "
-            f"modulus <= tau_zero_default(A) = {tau} trail the Schur form, "
-            f"integrator_count {integrators} of them, and only proposed "
-            "solves that trailing block")
+def lyap_q_refusal(integrators):
+    return (f"lyap-q not applicable: n - k = {integrators} eigenvalues are "
+            "integrators, and only proposed solves that trailing block")
 
 
 MIRRORED = ("non-zero poles mirrored in the imaginary axis: "
             "1.000e+00+0.000e+00j and -1.000e+00+0.000e+00j")
 
+SLOW_POLES = [-1.0, -1e-9, -2.0]
+
 # the Lyapunov methods' refusal messages, pinned, for a model that the
-# plan refuses itself (mirrored poles), an integrator chain and a slow pole
+# plan refuses itself (mirrored poles), an integrator chain and a slow
+# pole, which lyap-q solves (None)
 LYAP_REFUSALS = [
     (np.diag([1.0, -1.0]), np.eye(2), UnsupportedSpectrumError,
      MIRRORED, MIRRORED),
     (constant_velocity().a, constant_velocity().s, MethodNotApplicableError,
-     lyap_p_refusal("2.107e-07", "0.000e+00"),
-     lyap_q_refusal(2, "2.107e-07", 2)),
-    (np.diag([-1.0, -1e-9, -2.0]), np.eye(3), MethodNotApplicableError,
-     lyap_p_refusal("5.771e-07", "-1.000e-09"),
-     lyap_q_refusal(1, "5.771e-07", 0)),
+     lyap_p_refusal("2.107e-07", "0.000e+00"), lyap_q_refusal(2)),
+    (np.diag(SLOW_POLES), np.eye(3), MethodNotApplicableError,
+     lyap_p_refusal("5.771e-07", "-1.000e-09"), None),
 ]
 
 
@@ -1316,6 +1408,10 @@ def test_lyap_refusal_messages(a, s, error, msg_p, msg_q):
                     discretize_proposed(m, 1.0)
             except UnsupportedSpectrumError:
                 pass
+            if msg is None:
+                q = method(m, 1.0).model.q
+                assert rel_err(q, diagonal_q(SLOW_POLES, 1.0)) <= 1e-14
+                continue
             with pytest.raises(error) as info:
                 method(m, 1.0)
             assert str(info.value) == msg
@@ -1485,7 +1581,7 @@ def test_plan_exponential_gives_f_minus_i(spec, check, dtype):
     m = gen_random_system(spec).astype(dtype)
     plan = discretize._ProposedPlan(m, None, None)
     if check:
-        check(plan.ev, plan.tau)
+        check(plan.ev, tau_zero_default(m.a))
     n, p = m.n, m.n - plan.k
     assert check is None or plan.k == n
     a = m.a.astype(np.float64)

@@ -72,6 +72,21 @@ def test_mat_exp_zero_rows_are_unit_rows():
             assert mat_exp(a, t)[-1].tolist() == unit, (a, t)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_mat_exp_at_zero_is_identity(dtype):
+    # sigma = 0 takes the table's identity, not a Pade quotient rounded to
+    # one ulp off it; a stacked horizon of 1.0 keeps the bits it has alone
+    a = gen_random_system(EnsembleSpec(6, 4, 2, seed=0)).a.astype(dtype)
+    eye = np.eye(6, dtype=dtype)
+    assert mat_exp(a, 0.0).tobytes() == eye.tobytes()
+    table = linalg._exp_table(a)
+    (at_zero, at_one), ok = linalg._exp_at(table, (0.0, 1.0))
+    (alone,), _ = linalg._exp_at(table, (1.0,))
+    assert ok.all()
+    assert at_zero.tobytes() == eye.tobytes()
+    assert at_one.tobytes() == alone.tobytes()
+
+
 def test_mat_exp_rotation():
     w = 1.3
     a = np.array([[0.0, w], [-w, 0.0]])

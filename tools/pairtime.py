@@ -14,11 +14,14 @@ streams per size, the warm rows at 16 horizons geometrically spaced in
 that workload's own 16 log-uniform horizons in [1e-3, 1e1];
 ``discretize_proposed`` cold on irregular-track's rotated
 index-3 chains (``EnsembleSpec(6, 3, 3, seed=0)``, its 32 streams 3, 7, ..,
-127, of which 18 take real_schur's fallback start from ``A``, their
-eigenvector bases being too ill-conditioned); ``discretize_proposed`` cold
-and warm on index-3 chains at n = 16 (``EnsembleSpec(16, 13, 3, seed=1)``,
-four streams, ``tau_zero=1e-2``), whose 3x3 integrator block, exactly
-nilpotent after the staircase, makes the plan's exponential 35 x 35;
+127; a checkout that splits them by eigenvalue moduli starts 18 of their
+Schur forms from ``A``, their eigenvector bases being too
+ill-conditioned);
+``discretize_proposed`` cold and warm on index-3 chains at n = 16
+(``EnsembleSpec(16, 13, 3, seed=1)``, four streams), whose 3x3 integrator
+block makes the plan's exponential 35 x 35, with ``tau_zero=1e-2``, which
+a split by moduli needed to find the chain and which selects none of
+these models' stable poles (the slowest is -0.065);
 paper-sweep's three stacked callers at the 20 paper horizons
 (``default_t_grid()``) on ``EnsembleSpec(6, 4, 2, seed=s)``, stream 0,
 s = 0 .. 3: at binary32 the proposed path (a fresh ``_ProposedPlan`` and
