@@ -125,8 +125,8 @@ def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
     if t == 0.0:
         return _trivial_report(m, Method.LYAP_P)
     plan = _proposed_plan(m, None)
-    _lyap_p_check(plan.ev, tau_zero_default(m.a))
-    if plan.p_half is None:
+    if plan.p_half is None:  # a refused plan never sets it
+        _lyap_p_check(plan.ev, tau_zero_default(m.a))
         plan.p_half = _kernels.trsylv(*plan.q11_sylv, -plan.st_half)
     with np.errstate(over="ignore", invalid="ignore"):
         (big,), (ok,) = _exp_at(plan.exp, (t,))
@@ -196,25 +196,41 @@ def q_nilpotent(a22: np.ndarray, s22: np.ndarray, t: float) -> np.ndarray:
     return q
 
 
+def _least_sv(c: np.ndarray) -> float:
+    """The least singular value of a square c: |c| for a 1 x 1 c, the SVD's
+    otherwise."""
+    if c.shape[0] == 1:
+        return abs(float(c[0, 0]))
+    return float(np.linalg.svd(c, compute_uv=False)[-1])
+
+
 def _split(a: np.ndarray, tol: float) -> tuple:
     """(v, at, k): orthogonal v and at = v^T a v, at[k:, :k] exactly 0 and
     N = at[k:, k:] strictly upper triangular: a's n - k integrators.  The
     staircase reduction (Kublanovskaya 1966; Van Dooren, Linear Algebra
     Appl. 27, 1979) on [m; v], m = at^T: each step moves the right singular
     vectors of the singular values <= tol of m's leading block last and
-    zeroes those columns, a backward error of at most tol each on a.  The
-    first step with no such value ends it."""
+    zeroes those columns, a backward error of at most tol each on a.  A
+    step with no such value ends it, and so does the CS decomposition
+    (Paige & Wei, Linear Algebra Appl. 208/209, 1994) without that step's
+    SVD: a step on the block w sigma u^T that drops d values leaves the
+    next block c11 diag(kept sigma), c = u^T w, whose least singular value
+    is at least that of the trailing d x d block c22 times the least kept
+    sigma; when that bound exceeds 2 tol, a margin for the rounding of the
+    bound and of the block, the next step would drop nothing."""
     n = a.shape[0]
     hu = np.concatenate([a.T, np.eye(n, dtype=a.dtype)])
     size = n
     while size:
-        _, sv, wt = np.linalg.svd(hu[:size, :size])
-        null = int(np.count_nonzero(sv <= tol))
-        if not null:
+        w, sv, ut = np.linalg.svd(hu[:size, :size])
+        keep = int(np.count_nonzero(sv > tol))
+        if keep == size:
             break
-        _kernels.similarity(hu, 0, wt.T)
-        hu[:size, size - null:size] = 0.0
-        size -= null
+        _kernels.similarity(hu, 0, ut.T)
+        hu[:size, keep:size] = 0.0
+        size, c22 = keep, ut[keep:] @ w[:, keep:]
+        if size and _least_sv(c22) * float(sv[size - 1]) > 2.0 * tol:
+            break
     return hu[n:], np.ascontiguousarray(hu[:n].T), size
 
 
@@ -223,12 +239,13 @@ class _ProposedPlan:
     and tau_zero only, never on the horizon.  _split puts the integrators
     last as an exactly nilpotent N, integrator_count in size, which the
     real Schur form of the whole transformed A keeps bit for bit, as
-    LAPACK's balancing isolates N's eigenvalues as exact zeros.  The
-    reordering moves a11's eigenvalues of modulus <= tau_zero (none by
-    default) into a22, the trailing p x p block from split_index k on, with
-    N.  a11's spectrum ev[:k] passes the q11 solve's guard.  The plan keeps
-    at with its blocks, u and u^-1, half the transformed S, the power table
-    (linalg._exp_table) of the (2n + p)-square
+    LAPACK's balancing isolates N's eigenvalues as exact zeros, so a
+    default plan (tau_zero None or 0) takes split_index k from _split and
+    runs no reordering pass.  A positive tau_zero's reordering moves a11's
+    eigenvalues of modulus <= tau_zero into a22, the trailing p x p block
+    from k on, with N.  a11's spectrum ev[:k] passes the q11 solve's
+    guard.  The plan keeps at with its blocks, u and u^-1, half the
+    transformed S, the power table (linalg._exp_table) of the (2n + p)-square
         H = [[at, st_half[:, k:] / 2^shift, at], [0, -a22^T, 0], [0, 0, 0]],
     whose exponential E = exp(H t) holds F = E[:n, :n], F - I =
     int_0^t exp(at tau) at dtau in E[:n, n + p:], with no I subtracted,
@@ -244,8 +261,9 @@ class _ProposedPlan:
         n, eps, anorm = m.n, eps_of(m.a), _fro_norm(m.a)
         v, at, k = _split(m.a, 100.0 * eps * anorm)
         self.integrators = n - k
-        u, at, k = order_schur_zeros_last(*real_schur(at, 0.0),
-                                          tau_zero or 0.0)
+        u, at = real_schur(at, 0.0)
+        if tau_zero:
+            u, at, k = order_schur_zeros_last(u, at, tau_zero)
         u = v @ u
         self.ev = ev = quasi_tri_eigvalues(at)
         # mirrored non-zero poles make the q11 Lyapunov solve singular
@@ -357,12 +375,13 @@ def discretize_proposed(m: ContinuousModel, t: float,
     trailing block by SVD rank decisions, take the Schur form of the rest,
     F and Q's trailing block column from one exponential of a block upper
     triangular matrix, the leading block of Q from a Lyapunov equation, and
-    transform back.  A caller's tau_zero moves the leading block's
-    eigenvalues of modulus <= tau_zero (none by default) into the trailing
-    block, never an integrator out of it.  The paper couples the
-    blocks by Sylvester equations and sums the integrator block in closed
-    form (q_nilpotent); the exponential, which has no growing block,
-    replaces both, and has no 1/sep(a11, a22) error.
+    transform back.  By default the split is the rank decisions', with no
+    reordering pass; a caller's positive tau_zero moves the leading block's
+    eigenvalues of modulus <= tau_zero into the trailing block, never an
+    integrator out of it.  The paper couples the blocks by Sylvester
+    equations and sums the integrator block in closed form (q_nilpotent);
+    the exponential, which has no growing block, replaces both, and has no
+    1/sep(a11, a22) error.
 
     One block formula for every integrator count: the leading block a11
     is 0 x 0 when every eigenvalue is an integrator, and the trailing

@@ -203,7 +203,7 @@ def _scalings(nu: float, ts, limit: float) -> tuple:
             for i, t in enumerate(ts)], bad
 
 
-def _eigenvector_start(a, ev, vecs, tau_zero):
+def _eigenvector_start(a, ev, vecs, tau_zero, anorm=None):
     """(hu, top): the stacked hu = [t0; q] real_schur starts from, with q
     orthogonal and a = q t0 q^T up to the entries t0 drops, built from the
     eigenvectors vecs of a's eigenvalues ev (np.linalg.eig), and the
@@ -216,7 +216,8 @@ def _eigenvector_start(a, ev, vecs, tau_zero):
     subspace, so q^T a q is quasi-upper triangular there (a 2x2 block per
     pair) and zero below it, to rounding times the basis's condition
     number.  t0 is q^T a q with the entries below that structure zeroed,
-    provided their norm is at most _EIGVEC_START_TOL n eps ||a||_F."""
+    provided their norm is at most _EIGVEC_START_TOL n eps ||a||_F, where
+    ||a||_F is anorm, or taken here if that is None."""
     n = a.shape[0]
     cols, pairs = [], []
     for i, lam in enumerate(ev.tolist()):
@@ -234,7 +235,9 @@ def _eigenvector_start(a, ev, vecs, tau_zero):
     below = np.tri(n, k=-1, dtype=bool)
     below[:, len(cols):] = False
     below[[j + 1 for j in pairs], pairs] = False
-    if _fro_norm(t0[below]) > _EIGVEC_START_TOL * n * eps_of(a) * _fro_norm(a):
+    if anorm is None:
+        anorm = _fro_norm(a)
+    if _fro_norm(t0[below]) > _EIGVEC_START_TOL * n * eps_of(a) * anorm:
         return None
     t0[below] = 0.0
     return np.concatenate([t0, q]), len(cols)
@@ -261,15 +264,15 @@ def real_schur(a: np.ndarray, tau_zero: float):
     dtype = a.dtype if a.dtype in (np.float32, np.float64) else np.float64
     n = a.shape[0]
     hu = np.concatenate([np.asarray(a, dtype=dtype), np.eye(n, dtype=dtype)])
-    zeros, top = 0, 0
+    zeros, top, anorm = 0, 0, _fro_norm(a)
     if n > 2:  # francis_qr has no work below 3
         ev, vecs = np.linalg.eig(hu[:n])
         zeros = int(np.count_nonzero(np.abs(ev) <= tau_zero))
-        start = _eigenvector_start(hu[:n], ev, vecs, tau_zero)
+        start = _eigenvector_start(hu[:n], ev, vecs, tau_zero, anorm)
         if start is not None:
             hu, top = start
     _kernels.hessenberg(hu, top)
-    iterations, ok = _kernels.francis_qr(hu, eps_of(dtype), _fro_norm(a),
+    iterations, ok = _kernels.francis_qr(hu, eps_of(dtype), anorm,
                                          _MAX_QR_SWEEPS, zeros, top)
     if not ok:
         raise ConvergenceError(

@@ -937,6 +937,107 @@ def test_plan_keeps_the_split(spec, dtype):
             assert not np.tril(at[k:, k:]).any()
 
 
+def confirmed_staircase(a, tol):
+    """_split's staircase that confirms every stop with one more SVD."""
+    n = a.shape[0]
+    hu = np.concatenate([a.T, np.eye(n, dtype=a.dtype)])
+    size = n
+    while size:
+        _, sv, wt = np.linalg.svd(hu[:size, :size])
+        null = int(np.count_nonzero(sv <= tol))
+        if not null:
+            break
+        _kernels.similarity(hu, 0, wt.T)
+        hu[:size, size - null:size] = 0.0
+        size -= null
+    return hu[n:], np.ascontiguousarray(hu[:n].T), size
+
+
+def split_tol(a):
+    """The plan's rank tolerance on a."""
+    return 100.0 * linalg.eps_of(a) * linalg._fro_norm(a)
+
+
+def separate_integrators(m, d, seed):
+    """A stable m x m ensemble block beside d separate integrators, coupled
+    to them and rotated."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((m + d, m + d))
+    if m:
+        a[:m, :m] = gen_random_system(EnsembleSpec(m, m, 0, seed=seed)).a
+    a[:m, m:] = rng.standard_normal((m, d))
+    q, _ = np.linalg.qr(rng.standard_normal(a.shape))
+    return q @ a @ q.T
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """The shape of every np.linalg.svd argument, in the order called."""
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda x, *args, **kw: shapes.append(x.shape) or
+                        svd(x, *args, **kw))
+    return shapes
+
+
+def check_split(a, tol):
+    """_split(a, tol), bit for bit confirmed_staircase(a, tol)."""
+    v, at, k = discretize._split(a, tol)
+    want_v, want_at, want_k = confirmed_staircase(a, tol)
+    assert k == want_k
+    assert v.tobytes() == want_v.tobytes()
+    assert at.tobytes() == want_at.tobytes()
+    return k
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(family=st.sampled_from(["chain", "separate", "none", "large"]),
+       p=st.integers(1, 4), m=st.integers(0, 10),
+       seed=st.integers(0, 2 ** 31 - 1), stream=st.integers(0, 63))
+def test_split_stops_early_with_the_same_bits(family, p, m, seed, stream):
+    # the CS bound stops the staircase where the confirming SVD would drop
+    # nothing: the same (v, at, k) bit for bit at both widths on rotated
+    # index-1 to index-4 chains, two separate integrators, drifts with no
+    # integrator and large-state's ensemble
+    if family == "chain":
+        a = gen_random_system(EnsembleSpec(m + p, m, p, seed=seed), stream).a
+    elif family == "separate":
+        a = separate_integrators(m, 2, seed)
+    elif family == "none":
+        a = gen_random_system(EnsembleSpec(m + 1, m + 1, 0, seed=seed),
+                              stream).a
+    else:
+        a = gen_random_system(EnsembleSpec(16, 14, 2, seed=seed), stream).a
+    for dtype in (np.float64, np.float32):
+        x = a.astype(dtype)
+        check_split(x, split_tol(x))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_split_takes_one_svd_per_chain_step(p, svd_shapes):
+    # an index-p chain drops one value per step, and the bound after the
+    # p-th replaces the confirming SVD
+    for stream in range(4):
+        m = gen_random_system(EnsembleSpec(12, 12 - p, p, seed=0), stream)
+        for dtype in (np.float64, np.float32):
+            a = m.a.astype(dtype)
+            svd_shapes.clear()
+            assert discretize._split(a, split_tol(a))[2] == 12 - p
+            assert svd_shapes == [(12 - i, 12 - i) for i in range(p)]
+
+
+def test_split_confirms_when_the_bound_is_within_twice_tol(svd_shapes):
+    # diag(-1, eps, 0) rotated: the step that drops the 0 bounds the next
+    # block's least singular value by eps, within 2 tol for eps = 1.5 tol,
+    # so the confirming SVD runs, and it keeps eps, past tol
+    q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 3)))
+    a = q @ np.diag([-1.0, 1.5e-12, 0.0]) @ q.T
+    assert check_split(a, 1e-12) == 2
+    # _split's SVDs, then the reference's
+    assert svd_shapes == [(3, 3), (2, 2)] * 2
+
+
 def test_binary32_proposed_counts_integrators_n16():
     # a slow stable pole of these systems lies within the binary32
     # tau_zero_default of 0; the rank decisions count the integrator pair
@@ -1219,9 +1320,9 @@ def test_proposed_plan_exponentiates_a_slow_trailing_pole(schur_count):
 def test_proposed_prepares_solvers_once_per_plan(sylv_calls):
     m = mixed_system(4)
     discretize_proposed(m, 1.0)
-    # one call for the q11 solve; the others are the reordering's swaps
+    # one call, for the q11 solve: a default plan makes no reordering pass
     a11 = discretize._last_plan.a11
-    assert sum(ta is a11 for ta in sylv_calls) == 1
+    assert len(sylv_calls) == 1 and sylv_calls[0] is a11
     count = len(sylv_calls)
     for t in np.geomspace(1e-3, 10.0, 15):
         discretize_proposed(m, t)
@@ -1258,6 +1359,25 @@ def test_lyap_methods_factor_once_per_call(method, schur_count):
     for t in (0.5, 2.0):
         method(m, t)
     assert len(schur_count) == 1
+
+
+def test_lyap_p_checks_its_margin_once_per_plan(monkeypatch):
+    # a kept plan with P/2 passed the margin check; a refused one keeps
+    # no P/2 and raises on every call
+    checks = []
+    check = discretize._lyap_p_check
+    monkeypatch.setattr(discretize, "_lyap_p_check",
+                        lambda *args: checks.append(1) or check(*args))
+    m = stable_system(1)
+    for t in (0.5, 2.0, 0.5):
+        discretize_lyap_p(m, t)
+    assert len(checks) == 1
+    m = gen_random_system(EnsembleSpec(24, 24, 0, seed=2),
+                          1).astype(np.float32)
+    for t in (0.5, 2.0, 0.5):
+        with pytest.raises(MethodNotApplicableError, match="lyap-p requires"):
+            discretize_lyap_p(m, t)
+    assert len(checks) == 4
 
 
 def test_exact_methods_share_one_plan(schur_count):

@@ -15,6 +15,7 @@ from sdedisc.errors import (ConvergenceError, MatrixOverflowError,
 from sdedisc.linalg import (mat_exp, real_schur, order_schur_zeros_last,
                             quasi_tri_eigvalues, solve_sylvester,
                             solve_lyapunov, spectral_norm, tau_zero_default)
+from sdedisc.models import ContinuousModel
 from sdedisc.modelgen import (EnsembleSpec, constant_velocity,
                               gen_random_system, observer_canonical)
 
@@ -710,6 +711,47 @@ def test_cold_plan_makes_no_sweep_in_leading_block(qr_results,
             gen_random_system(EnsembleSpec(16, 14, 2, seed=7), stream), 1.0)
         assert qr_results[-1] == (1, True)
         assert not reflectors
+
+
+def _default_plan_models():
+    """The three workloads' model families (paper-sweep's and
+    irregular-track's n = 6 ensembles, irregular-track's index-3 chains,
+    large-state's n = 16 ensemble) and the critically damped and coupled
+    pair drifts, with S = I, some of whose Schur forms start from A itself,
+    at both widths."""
+    specs = [EnsembleSpec(6, 4, 2, seed=s) for s in range(4)]
+    specs += [EnsembleSpec(6, 3, 3, seed=0), EnsembleSpec(16, 14, 2, seed=7)]
+    drifts = [gen_random_system(spec, stream).a
+              for spec in specs for stream in range(4)]
+    drifts += list(_ill_conditioned_bases("critically-damped"))
+    drifts += list(_ill_conditioned_bases("coupled-pairs"))
+    for a in drifts:
+        for dtype in (np.float64, np.float32):
+            n = a.shape[0]
+            yield ContinuousModel(a.astype(dtype), np.eye(n, dtype=dtype))
+
+
+def test_default_plan_takes_the_split_with_no_reordering(monkeypatch,
+                                                         eigvec_starts):
+    # with no caller tau_zero, None or 0.0, the plan's split is _split's k
+    # and no reordering pass runs; a 0.0 plan is the None plan bit for bit
+    calls = []
+    order = discretize.order_schur_zeros_last
+    monkeypatch.setattr(discretize, "order_schur_zeros_last",
+                        lambda *args: calls.append(1) or order(*args))
+    for m in _default_plan_models():
+        plan = discretize._ProposedPlan(m, None, None)
+        zero = discretize._ProposedPlan(m, 0.0, None)
+        eps = linalg.eps_of(m.a)
+        k = discretize._split(m.a, 100.0 * eps * linalg._fro_norm(m.a))[2]
+        assert plan.k == zero.k == k
+        for x, y in zip(plan.reports((1e-3, 1.0, 100.0)),
+                        zero.reports((1e-3, 1.0, 100.0))):
+            assert x.model.f.tobytes() == y.model.f.tobytes()
+            assert x.model.q.tobytes() == y.model.q.tobytes()
+            assert x.diagnostics == y.diagnostics
+    assert not calls
+    assert not all(eigvec_starts)
 
 
 def _standardized_quasi_triangular(rng, n):

@@ -33,10 +33,15 @@ seed=7)``, four streams in turn, at n in {16, 48}, as the tests and
 ``discretize_lyap_p`` and ``discretize_lyap_q`` at n = 16 on
 ``EnsembleSpec(16, 16, 0, seed=3)``, cold (four streams in turn at T = 1,
 so that each call factors afresh) and warm (the first stream at the 16
-horizons of the warm ``proposed`` rows); and ``real_schur`` at the default
-``tau_zero`` on the drifts of tests/test_linalg.py's critically damped and
-coupled repeated pair families (rotated by seeds 0-7 and 0-3) whose
-eigenvector bases are refused, so that each factors from ``A`` itself;
+horizons of the warm ``proposed`` rows); the staircase of a cold plan
+alone (``discretize._split`` at the plan's tolerance, 100 eps ||A||_F) on
+``EnsembleSpec(n, n - 2, 2, seed=7)``, four streams, at n in {16, 48}, and
+on the index-3 chains of the ``cold chains`` and ``p3`` rows, so that a
+change to the rank decisions shows at their layer; and ``real_schur`` at
+the default ``tau_zero`` on the drifts of tests/test_linalg.py's
+critically damped and coupled repeated pair families (rotated by seeds
+0-7 and 0-3) whose eigenvector bases are refused, so that each factors
+from ``A`` itself;
 binary64 unless stated.
 A sample is the CPU time (``time.process_time``) per call over a fixed
 batch of calls, the batch sized once per row to take about
@@ -129,6 +134,19 @@ def rows(pkg):
         out.append((f"{label} warm n=16", cycle(
             [lambda t=t, f=method: f(models[0], t) for t in HORIZONS])))
     linalg = pkg.linalg
+    for label, spec, streams in (
+            ("staircase n=16", pkg.EnsembleSpec(16, 14, 2, seed=7),
+             range(STREAMS)),
+            ("staircase n=48", pkg.EnsembleSpec(48, 46, 2, seed=7),
+             range(STREAMS)),
+            ("staircase chains", pkg.EnsembleSpec(6, 3, 3, seed=0),
+             CHAIN_STREAMS),
+            ("staircase p3 n=16", pkg.EnsembleSpec(16, 13, 3, seed=1),
+             range(STREAMS))):
+        drifts = [pkg.gen_random_system(spec, s).a for s in streams]
+        out.append((label, cycle(
+            [lambda a=a: d._split(a, 100.0 * linalg.eps_of(a)
+                                  * linalg._fro_norm(a)) for a in drifts])))
     drifts = []
     for a in fallback_drifts():
         tau = linalg.tau_zero_default(a)
