@@ -14,7 +14,9 @@ the solved columns and one product with the inverse (a LAPACK solve for a
 wider block), for one right-hand side or a stack of them.
 ``pade13_powers`` makes the table of the powers x^0 .. x^7 of a scaled
 matrix once, ``pade13_expm`` evaluates Higham's degree-13 Pade approximant
-of sigma x from it at many sigma, and ``squared`` squares the results back.
+of sigma x from it at many sigma, with the leading columns of the
+approximant less I beside it where asked, and ``squared`` squares the
+results back, making only the rows that change.
 All kernels mutate or allocate arrays in the dtype of their inputs, so the
 same code serves binary32 and binary64.
 """
@@ -320,12 +322,15 @@ def pade13_powers(x):
     return powers
 
 
-def pade13_expm(powers, sigmas):
-    """Higham's degree-13 diagonal Pade approximant of exp(sigma x) for
-    each sigma of sigmas, unsquared, from the table of powers of x that
-    pade13_powers made: a (len(sigmas), m, m) stack, each slice what its
-    sigma gives alone.  sigma x must be scaled so that the approximant is
-    accurate; squared squares it back.
+def pade13_expm(powers, sigmas, lead):
+    """Higham's degree-13 diagonal Pade approximant of exp(sigma y) for
+    each sigma of sigmas, unsquared, where y = [[x, x[:, :lead]], [0, 0]]
+    and pade13_powers made the table of powers of the m x m x: a
+    (len(sigmas), m + lead, m + lead) stack, each slice what its sigma
+    gives alone.  The approximant of y is [[r_13, (r_13 - I)[:, :lead]],
+    [0, I]] for r_13 that of x, so x's table serves; lead = 0 gives r_13.
+    sigma x must be scaled so that the approximant is accurate; squared
+    squares it back.
 
     Higham's nested form (SIMAX 26, 2005) on that table: with c_j =
     b_j sigma^j, U = x^7 W0 + Lu and V = x^6 W1 + Lv for W0 = c_9 x^2 +
@@ -334,7 +339,10 @@ def pade13_expm(powers, sigmas):
     sigma are computed in binary64 at once and rounded to the table's
     width once each; one product of them with the table gives W1, W0, Lv
     and Lu, one stacked product with [x^6, x^7] gives V and U, and one
-    solve gives (V - U)^-1 (V + U)."""
+    solve gives r_13 = (V - U)^-1 (V + U) and, from the same factors,
+    r_13 - I = 2 (V - U)^-1 U, with no I subtracted.  Neither is formed
+    from the other: a decaying mode of sigma x near theta_13 leaves r_13
+    near e^-5.4, and I + (r_13 - I) would lose up to 2.3 of its digits."""
     m = powers.shape[-1]
     k = len(sigmas)
     coefs = (_ROW_B * np.asarray(sigmas, dtype=np.float64).reshape(k, 1, 1)
@@ -342,22 +350,37 @@ def pade13_expm(powers, sigmas):
     w = (coefs @ powers.reshape(8, m * m)).reshape(k, 4, m, m)
     vu = powers[6:] @ w[:, :2] + w[:, 2:]
     v, u = vu[:, 0], vu[:, 1]
-    return np.ascontiguousarray(np.linalg.solve(v - u, v + u))
+    if not lead:
+        return np.ascontiguousarray(np.linalg.solve(v - u, v + u))
+    twice = u[:, :, :lead] + u[:, :, :lead]
+    r = np.zeros((k, m + lead, m + lead), dtype=powers.dtype)
+    r[:, :m] = np.linalg.solve(v - u, np.concatenate([v + u, twice], axis=2))
+    r[:, m:, m:] = powers[0, :lead, :lead]
+    return r
 
 
-def squared(r, squarings):
+def squared(r, squarings, top):
     """Every matrix of the stack r squared as often as its count in
-    squarings asks, each slice what it gives alone; r may be overwritten.
+    squarings asks, each slice what it gives alone, for matrices whose
+    rows top .. are [0, I]: each squaring makes only rows :top, one
+    product r[:top] r, and keeps the others.  So [[E, C], [0, I]] squares
+    to [[E^2, E C + C], [0, I]]: where C is the first columns of E - I, C
+    stays those of E^2 - I with no I subtracted.  r may be overwritten.
     Where the counts do not decrease (a sorted horizon grid), the slices
     left after the shared squarings are a suffix, squared with no gather."""
     fewest, most = min(squarings, default=0), max(squarings, default=0)
-    for _ in range(fewest):
-        r = r @ r
+    if fewest:  # two buffers in turn, the product written into the other
+        y = r.copy()
+        r_top, y_top = r[:, :top], y[:, :top]
+        for _ in range(fewest):
+            np.matmul(r_top, r, out=y_top)
+            r, y, r_top, y_top = y, r, y_top, r_top
     ordered = most == fewest or list(squarings) == sorted(squarings)
     for step in range(fewest, most):
         live = (slice(bisect.bisect_right(squarings, step), None) if ordered
                 else [i for i, count in enumerate(squarings) if count > step])
-        r[live] = r[live] @ r[live]
+        x = r[live]
+        r[live, :top] = x[:, :top] @ x
     return r
 
 

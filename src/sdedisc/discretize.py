@@ -120,7 +120,8 @@ def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
     Q = P - F P F^T.  Requires a strictly stable drift, every eigenvalue's
     real part below -tau_zero_default(A), so the plan has no trailing
     block: P/2 comes from the q11 solver of discretize_proposed's plan,
-    which keeps it."""
+    which keeps it.  With no trailing block, the plan's H is at alone, and
+    its exponential gives F and F - I with no I subtracted."""
     t = _check_horizon(t)
     if t == 0.0:
         return _trivial_report(m, Method.LYAP_P)
@@ -129,10 +130,9 @@ def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
         _lyap_p_check(plan.ev, tau_zero_default(m.a))
         plan.p_half = _kernels.trsylv(*plan.q11_sylv, -plan.st_half)
     with np.errstate(over="ignore", invalid="ignore"):
-        (big,), (ok,) = _exp_at(plan.exp, (t,))
+        (e,), (fm1,), (ok,) = _exp_at(plan.exp, (t,))
         if not ok:
-            raise _exp_overflow(big.dtype, t)
-        e, fm1 = np.hsplit(big[:m.n], 2)
+            raise _exp_overflow(e.dtype, t)
         # Q/2 = P/2 - f (P/2) f^T in Schur coordinates, from fm1 = f - I
         x = plan.u @ -_fxft_minus_x(fm1, plan.p_half) @ plan.u.T
         f = plan.u @ e @ plan.u_inv
@@ -245,15 +245,17 @@ class _ProposedPlan:
     eigenvalues of modulus <= tau_zero into a22, the trailing p x p block
     from k on, with N.  a11's spectrum ev[:k] passes the q11 solve's
     guard.  The plan keeps at with its blocks, u and u^-1, half the
-    transformed S, the power table (linalg._exp_table) of the (2n + p)-square
-        H = [[at, st_half[:, k:] / 2^shift, at], [0, -a22^T, 0], [0, 0, 0]],
-    whose exponential E = exp(H t) holds F = E[:n, :n], F - I =
-    int_0^t exp(at tau) at dtau in E[:n, n + p:], with no I subtracted,
-    and Q/2's trailing block column in 2^shift E[:n, n:n + p] F22^T (Van
-    Loan, IEEE TAC 23, 1978, with F21 = 0 and the growing -a11^T block
-    dropped), the q11 solve's column blocks (sylv_blocks), inverted where
-    small, so that a horizon's solve is a product, and lyap-p's P/2, from
-    its first call on.  Its tolerances scale _fro_norm(A).  A model that
+    transformed S, the q11 solve's column blocks (sylv_blocks), inverted
+    where small, so that a horizon's solve is a product, lyap-p's P/2,
+    from its first call on, and the power table (linalg._exp_table) of the
+    (n + p)-square
+        H = [[at, st_half[:, k:] / 2^shift], [0, -a22^T]].
+    E = exp(H t) holds F = E[:n, :n] and Q/2's trailing block column in
+    2^shift E[:n, n:] F22^T, F22 = E[k:n, k:n] (Van Loan, IEEE TAC 23,
+    1978, with F21 = 0 and the growing -a11^T block dropped); F - I =
+    int_0^t exp(at tau) at dtau comes beside it with no I subtracted, from
+    the Pade quotient's r_13 - I through the squarings (linalg._exp_at,
+    the table's lead n).  Its tolerances scale _fro_norm(A).  A model that
     fails the guard raises here; ``reports`` evaluates horizons."""
 
     def __init__(self, m: ContinuousModel, tau_zero: float | None, key):
@@ -287,12 +289,11 @@ class _ProposedPlan:
         # 2^shift, to a 1-norm <= max(|at|_1, 1), and reports undoes it
         sn, cap = _norm1(self.st_half[:, k:]), max(_norm1(at), 1.0)
         self.shift = math.frexp(sn / cap)[1] if sn > cap else 0
-        h = np.zeros((2 * n + p, 2 * n + p), dtype=u.dtype)
+        h = np.zeros((n + p, n + p), dtype=u.dtype)
         h[:n, :n] = at
-        h[:n, n:n + p] = np.ldexp(self.st_half[:, k:], -self.shift)
-        h[n:n + p, n:n + p] = -at[k:, k:].T
-        h[:n, n + p:] = at
-        self.exp = _exp_table(h)
+        h[:n, n:] = np.ldexp(self.st_half[:, k:], -self.shift)
+        h[n:, n:] = -at[k:, k:].T
+        self.exp = _exp_table(h, n)
         # trsylv's (blocks, r) for q11: the quasi-lower triangular a11^T
         r = np.ascontiguousarray(self.a11.T)
         self.q11_sylv = _kernels.sylv_blocks(self.a11, r), r
@@ -305,22 +306,21 @@ class _ProposedPlan:
         is bit for bit what ts[i] alone gives; a horizon whose numbers
         overflow fails alone."""
         n, k = self.u.shape[0], self.k
-        p = n - k
         with np.errstate(over="ignore", invalid="ignore"):
-            big, exp_ok = _exp_at(self.exp, ts)
-            # f - I from E, whose digits st - f st f^T would cancel where
-            # a short horizon leaves f near I
-            ft, mt = big[:, :n, :n], big[:, :n, n + p:]
+            # f - I carried beside E, whose digits st - f st f^T would
+            # cancel where a short horizon leaves f near I
+            big, fm1, exp_ok = _exp_at(self.exp, ts)
+            ft = big[:, :n, :n]
             # Q/2 = G F^T (Van Loan) on the trailing block column, where
             # F^T is zero above F22^T
-            qt = np.empty_like(mt)
-            g = np.ldexp(big[:, :n, n:n + p], self.shift)
+            qt = np.empty_like(fm1)
+            g = np.ldexp(big[:, :n, n:], self.shift)
             qt[:, :, k:] = g @ ft[:, k:, k:].mT
             q12 = qt[:, :k, k:]
             qt[:, k:, :k] = q12.mT
             # nv = -V/2 = f (st/2) f^T - st/2; q11 solves
             # a11 q11 + q11 a11^T = nv11 - a12 q12^T - q12 a12^T
-            nv = _fxft_minus_x(mt, self.st_half)
+            nv = _fxft_minus_x(fm1, self.st_half)
             w = self.a12 @ q12.mT
             qt[:, :k, :k] = _kernels.trsylv(*self.q11_sylv,
                                             nv[:, :k, :k] - (w + w.mT))
@@ -520,7 +520,7 @@ def _q_oracle_many(m: ContinuousModel, ts) -> list:
     q = np.stack([_base_q(a, s, h0, table)] * 2)
     if steps[0]:
         dbl = h0[:doubling[0]]
-        e, _ = _exp_at(table, dbl + [0.5 * h for h in dbl])
+        e, _, _ = _exp_at(table, dbl + [0.5 * h for h in dbl])
         f = np.stack([e[:len(dbl)], e[len(dbl):] @ e[len(dbl):]])
     for step in range(steps[0]):
         live_q, live_f = doubling[step], doubling[step + 1]
@@ -562,7 +562,7 @@ def _base_q(a: np.ndarray, s: np.ndarray, hs, table: tuple) -> np.ndarray:
     |A|_inf) |X|_1, |g L|_1 <= theta13/8 < 0.68, and the dropped terms
     sum to below 2e-19 g |S|_1: the series needs no stop test, and every
     slice runs the same operations."""
-    nu, e, powers, _ = table
+    nu, e, powers, _, _ = table
     n = len(a)
     terms = np.empty((2, _TAYLOR_TERMS, n, n))
     terms[1, :8] = powers

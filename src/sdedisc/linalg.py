@@ -7,7 +7,9 @@ Every exponential is _exp_at(_exp_table(a), ts): the table of the powers
 of a scaled a, made once (the proposed plan keeps it, the oracle shares it
 between its base step's Taylor series and its chains), then Pade-13 at
 each horizon's scaled step (_kernels.pade13_expm), a's structural zeros
-and ones set, and squarings.
+and ones set, and squarings; where the table asks for it, the leading
+block of exp(a t) - I comes from the same solve and rides through the
+squarings with no I subtracted.
 
 Everything is parameterized by float width: pass float32 arrays and the
 whole computation stays in binary32, pass float64 and it stays in binary64.
@@ -121,17 +123,21 @@ def _mat_exp_many(a: np.ndarray, ts) -> tuple:
                      else np.float64)
     # overflow shows in the returned flags, not as numpy's RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
-        return _exp_at(_exp_table(np.asarray(a, dtype=dtype)), ts)
+        big, _, ok = _exp_at(_exp_table(np.asarray(a, dtype=dtype)), ts)
+    return big, ok
 
 
-def _exp_table(a: np.ndarray) -> tuple:
-    """_exp_at's horizon-free part for a square a: its binary64 |a|_1, the
-    exponent e of a power of two 2^e above it, the exact table of the
-    powers of a / 2^e (_kernels.pade13_powers), of which none overflows,
-    and the mask of the entries of exp(a t) that a's zero pattern fixes,
-    from the pattern's transitive closure: 0 at (i, j) with no path from
-    i to j, and 1 on a diagonal entry on no cycle.  So a zero row of a is
-    a unit row of exp(a t), and a zero diagonal block of a block-triangular
+def _exp_table(a: np.ndarray, lead: int = 0) -> tuple:
+    """_exp_at's horizon-free part for a square m x m a: its binary64
+    |a|_1, the exponent e of a power of two 2^e above it, the exact table
+    of the powers of a / 2^e (_kernels.pade13_powers), of which none
+    overflows, and the values and mask of the entries of the exponential
+    that _exp_at squares, [[exp(a t), (exp(a t) - I)[:, :lead]], [0, I]]
+    (exp(a t) alone for lead = 0), that a's zero pattern fixes.  From the
+    pattern's transitive closure: 0 in either block at (i, j) with no path
+    from i to j, 1 in exp(a t) and 0 in exp(a t) - I on a diagonal entry
+    on no cycle, and the trailing [0, I] rows.  So a zero row of a is a
+    unit row of exp(a t), and a zero diagonal block of a block-triangular
     a an identity block."""
     nu = _norm1(a)
     e = math.frexp(nu)[1]
@@ -140,39 +146,52 @@ def _exp_table(a: np.ndarray) -> tuple:
         reach = wider
         step = reach.astype(a.dtype)  # squared by a float product
         wider = reach | (step @ step > 0.0)
-    return nu, e, _kernels.pade13_powers(np.ldexp(a, -e)), ~reach
+    powers = _kernels.pade13_powers(np.ldexp(a, -e))
+    fixed, exact = powers[0], ~reach
+    if lead:
+        m = len(a)
+        fixed = np.eye(m + lead, dtype=a.dtype)
+        exact = np.ones(fixed.shape, dtype=bool)
+        exact[:m, :m] = ~reach
+        exact[:m, m:] = exact[:m, :lead]
+    return nu, e, powers, fixed, exact
 
 
 def _exp_at(table: tuple, ts) -> tuple:
-    """exp(a t) at every horizon t of ts for the a of table = _exp_table(a),
-    as a stack, and the flags that are False where it is not finite or
-    |a|_1 |t| exceeds the width (_scalings).  Each slice is the Pade-13
-    approximant at the scaled step h = t / 2^s (a / 2^e at sigma =
-    2^(e - s) t, or the identity where |a|_1 t is 0 or flagged), squared s
-    times, so slice i does not depend on the other horizons.  The table's
-    exact entries are set before the squarings, which keep them: the identity
-    block of naive_q_a's [[a, I], [0, 0]] stays exactly I, its squares are
-    [[f^2, f g + g], [0, I]] for f = exp(a h) and g = int_0^h exp(a tau)
-    dtau, and so do the identity blocks that the zero diagonal blocks of
-    the proposed plan's H give; neither g, the plan's f - I nor the
-    diagonal of a nilpotent a's exponential decays as a rounded identity
-    raised to the power 2^s would.
+    """exp(a t) at every horizon t of ts for the a of table =
+    _exp_table(a, lead), as a stack, the stack of its leading lead x lead
+    blocks less I, and the flags that are False where either is not
+    finite or |a|_1 |t| exceeds the width (_scalings).  Each slice is the
+    Pade-13 approximant at the scaled step h = t / 2^s (a / 2^e at
+    sigma = 2^(e - s) t, or the identity where |a|_1 t is 0 or flagged)
+    of [[a, a[:, :lead]], [0, 0]] from a's table (_kernels.pade13_expm),
+    squared s times (_kernels.squared), so slice i does not depend on the
+    other horizons.  The table's fixed entries are set before the
+    squarings, which keep them: the identity block of naive_q_a's
+    [[a, I], [0, 0]] stays exactly I, its squares are [[f^2, f g + g],
+    [0, I]] for f = exp(a h) and g = int_0^h exp(a tau) dtau, and the
+    carried columns of f - I, int_0^h exp(a tau) a dtau, square as g
+    does; neither g, f - I nor the diagonal of a nilpotent a's
+    exponential decays as a rounded identity raised to the power 2^s
+    would.
     Overflow shows in the flags, under the caller's np.errstate."""
-    nu, e, powers, exact = table
+    nu, e, powers, fixed, exact = table
+    m = powers.shape[-1]
+    lead = len(fixed) - m
     limit = float(np.finfo(powers.dtype).max)
     counts, bad = _scalings(nu, ts, limit)
     sigmas = [math.ldexp(t, e - c) if 0.0 < nu * abs(t) <= limit else 0.0
               for t, c in zip(ts, counts)]
-    big = _kernels.pade13_expm(powers, sigmas)
+    big = _kernels.pade13_expm(powers, sigmas, lead)
     zero = [i for i, sigma in enumerate(sigmas) if not sigma]
     if zero:  # an empty fancy assignment costs a few microseconds
-        big[zero] = powers[0]
-    np.copyto(big, powers[0], where=exact)
-    big = _kernels.squared(big, counts)
+        big[zero] = fixed
+    np.copyto(big, fixed, where=exact)
+    big = _kernels.squared(big, counts, m)
     ok = np.isfinite(big).all(axis=(1, 2))
     if bad:
         ok[bad] = False
-    return big, ok
+    return big[:, :m, :m], big[:, :lead, m:], ok
 
 
 def _norm1(a: np.ndarray) -> float:

@@ -178,6 +178,19 @@ def test_small_tau_zero_still_finds_integrators(tau_zero):
         assert rel_err(report.model.q, scipy_doubling_q(m, t)) <= 1e-9, t
 
 
+def test_tau_zero_just_above_a_chains_moduli():
+    # an index-4 chain whose four LAPACK eigenvalues have moduli 1.350e-4,
+    # with tau_zero 1.01 times the least of them: a Schur form that put
+    # the chain's eigenvalues above tau_zero once left integrator_count 0
+    # and a Q wrong by 22 orders of magnitude; the rank decisions find
+    # all four integrators
+    m = gen_random_system(EnsembleSpec(8, 4, 4, seed=0), 14)
+    tau_zero = 1.01 * float(np.abs(np.linalg.eigvals(m.a)).min())
+    report = discretize_proposed(m, 1.0, tau_zero=tau_zero)
+    assert report.diagnostics["integrator_count"] == 4.0
+    assert rel_err(report.model.q, scipy_doubling_q(m, 1.0)) <= 1e-9
+
+
 # ------------------------------------------------------------ nilpotent
 
 
@@ -1590,14 +1603,26 @@ def higham_expm(a, t):
     return r
 
 
+def rel_fro(got, want):
+    """|got - want|_F / |want|_F in binary64, both scaled by one power of
+    two first, so that no norm underflows where want is tiny, as a stable
+    drift's exponential is at long horizons; 0 where both are 0."""
+    got = np.asarray(got, dtype=np.float64)
+    want = np.asarray(want, dtype=np.float64)
+    if not want.any():
+        return 0.0 if not got.any() else math.inf
+    e = math.frexp(float(np.abs(want).max()))[1]
+    got, want = np.ldexp(got, -e), np.ldexp(want, -e)
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
 def exp_error_bound(x, t, dtype):
     """The error against scipy's binary64 expm that the package's exp(x t)
-    at dtype may have: 4 times that of higham_expm, or 8 (s + 1) m eps
-    for m x m x and s squarings."""
+    at dtype may have, by rel_fro: 4 times that of higham_expm, or
+    8 (s + 1) m eps for m x m x and s squarings."""
     want = pytest.importorskip("scipy.linalg").expm(x.astype(np.float64) * t)
     s = linalg._squarings(linalg._norm1(x), t)
-    yardstick = np.linalg.norm(higham_expm(x, t) - want) / np.linalg.norm(
-        want)
+    yardstick = rel_fro(higham_expm(x, t), want)
     return want, max(4.0 * yardstick,
                      8 * (s + 1) * x.shape[0] * np.finfo(dtype).eps)
 
@@ -1608,26 +1633,29 @@ def test_plan_exponential_stacked_equals_one_horizon():
                                         None)
         ts = (1e-3, 0.3, 2.0, 11.0, 40.0, 100.0)
         assert len({linalg._squarings(plan.exp[0], t) for t in ts}) >= 4
-        stack, ok = linalg._exp_at(plan.exp, ts)
-        assert stack.dtype == dtype and ok.all()
-        for t, got in zip(ts, stack, strict=True):
-            (alone,), _ = linalg._exp_at(plan.exp, (t,))
+        stack, fm1, ok = linalg._exp_at(plan.exp, ts)
+        assert stack.dtype == fm1.dtype == dtype and ok.all()
+        for t, got, got_fm1 in zip(ts, stack, fm1, strict=True):
+            (alone,), (alone_fm1,), _ = linalg._exp_at(plan.exp, (t,))
             assert got.tobytes() == alone.tobytes(), t
+            assert got_fm1.tobytes() == alone_fm1.tobytes(), t
 
 
 def test_plan_exponential_empty_huge_and_flagged():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # k = 0: H is the nilpotent 6 x 6 [[at, st/2, I], [0, -at^T, 0],
-        # [0, 0, 0]], whose exponential has a diagonal of exact ones at
-        # any horizon; at 1e300 its t^3 entries overflow and are flagged
+        # k = 0: H is the nilpotent 4 x 4 [[at, st/2], [0, -at^T]], whose
+        # exponential has a diagonal of exact ones at any horizon, and the
+        # carried F - I one of exact zeros; at 1e300 its t^3 entries
+        # overflow and are flagged
         plan = discretize._ProposedPlan(constant_velocity(), None, None)
         assert plan.k == 0
         with np.errstate(over="ignore", invalid="ignore"):
-            stack, ok = linalg._exp_at(plan.exp, (1.0, 1e50, 1e300))
-        assert stack.shape == (3, 6, 6)
+            stack, fm1, ok = linalg._exp_at(plan.exp, (1.0, 1e50, 1e300))
+        assert stack.shape == (3, 4, 4) and fm1.shape == (3, 2, 2)
         assert ok.tolist() == [True, True, False]
         assert (np.diagonal(stack[:2], axis1=1, axis2=2) == 1.0).all()
+        assert (np.diagonal(fm1[:2], axis1=1, axis2=2) == 0.0).all()
         for dtype, huge in ((np.float64, 1e308), (np.float32, 2e38)):
             # |H|_1 = 2: at 2 huge the width is exceeded and the horizon
             # flagged, while at huge / 4 the squarings (1020 in binary64,
@@ -1637,9 +1665,9 @@ def test_plan_exponential_empty_huge_and_flagged():
             plan = discretize._ProposedPlan(m, None, None)
             assert plan.exp[0] == 2.0
             with np.errstate(over="ignore", invalid="ignore"):
-                stack, ok = linalg._exp_at(plan.exp, (huge / 4, huge))
+                stack, fm1, ok = linalg._exp_at(plan.exp, (huge / 4, huge))
             assert ok.tolist() == [True, False]
-            assert np.isfinite(stack[0]).all()
+            assert np.isfinite(stack[0]).all() and np.isfinite(fm1[0]).all()
             good, bad = plan.reports((huge / 4, huge))
             assert np.isfinite([good.model.f, good.model.q]).all()
             assert isinstance(bad, MatrixOverflowError)
@@ -1662,9 +1690,11 @@ def test_plan_exponential_empty_huge_and_flagged():
 def test_plan_exponential_matches_scipy(n, p, seed, squarings, frac, dtype):
     # the horizon takes the table's exponential through the given number
     # of squarings; its error against scipy's binary64 expm of the same
-    # H = [[at, st/2[:, k:] / 2^shift, at], [0, -a22^T, 0], [0, 0, 0]] is
-    # at most 4 times that of higham_expm at the same width, or
-    # 8 (s + 1) m eps for m x m H and s squarings
+    # H = [[at, st/2[:, k:] / 2^shift], [0, -a22^T]] is at most 4 times
+    # that of higham_expm at the same width, or 8 (s + 1) m eps for m x m
+    # H and s squarings; the carried F - I meets the bound of the
+    # 3-column [[at, st/2[:, k:] / 2^shift, at], [0, -a22^T, 0],
+    # [0, 0, 0]] on that matrix's last block column, F - I
     pytest.importorskip("scipy.linalg")
     assume(p < n)
     m = gen_random_system(EnsembleSpec(n, n - p, p, seed=seed))
@@ -1674,16 +1704,19 @@ def test_plan_exponential_matches_scipy(n, p, seed, squarings, frac, dtype):
         assume(False)
     k = plan.k
     zero = np.zeros((n, n), dtype=dtype)
-    h = np.block([[plan.at, np.ldexp(plan.st_half[:, k:], -plan.shift),
-                   plan.at],
-                  [zero[k:], -plan.at[k:, k:].T, zero[k:]],
-                  [zero, zero[:, k:], zero]])
+    s12 = np.ldexp(plan.st_half[:, k:], -plan.shift)
+    h = np.block([[plan.at, s12], [zero[k:], -plan.at[k:, k:].T]])
+    h3 = np.block([[plan.at, s12, plan.at],
+                   [zero[k:], -plan.at[k:, k:].T, zero[k:]],
+                   [zero, zero[:, k:], zero]])
     t = linalg._THETA13 * 2.0 ** squarings * frac / plan.exp[0]
     assert abs(linalg._squarings(plan.exp[0], t) - squarings) <= 1
-    (got,), (ok,) = linalg._exp_at(plan.exp, (t,))
-    assert ok and got.dtype == dtype
+    (got,), (fm1,), (ok,) = linalg._exp_at(plan.exp, (t,))
+    assert ok and got.dtype == fm1.dtype == dtype
     want, bound = exp_error_bound(h, t, dtype)
-    assert np.linalg.norm(got - want) / np.linalg.norm(want) <= bound
+    assert rel_fro(got, want) <= bound
+    want, bound = exp_error_bound(h3, t, dtype)
+    assert rel_fro(fm1, want[:n, n + p:]) <= bound
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -1693,8 +1726,8 @@ def test_plan_exponential_matches_scipy(n, p, seed, squarings, frac, dtype):
     (EnsembleSpec(6, 6, 0, seed=1), discretize._lyap_p_check),
 ], ids=["proposed-6", "proposed-16", "lyap_p-6"])
 def test_plan_exponential_gives_f_minus_i(spec, check, dtype):
-    # the table's last block column is F - I = A G, with G the integral
-    # of exp(A tau) from scipy's binary64 expm of [[A, I], [0, 0]] t;
+    # the carried block is F - I = A G, with G the integral of
+    # exp(A tau) from scipy's binary64 expm of [[A, I], [0, 0]] t;
     # F minus I would be off by about eps / (|A| t) relative, 2e-6 in
     # binary64 and 1 in binary32 at t = 1e-10
     expm = pytest.importorskip("scipy.linalg").expm
@@ -1702,15 +1735,15 @@ def test_plan_exponential_gives_f_minus_i(spec, check, dtype):
     plan = discretize._ProposedPlan(m, None, None)
     if check:
         check(plan.ev, tau_zero_default(m.a))
-    n, p = m.n, m.n - plan.k
+    n = m.n
     assert check is None or plan.k == n
     a = m.a.astype(np.float64)
     aug = np.block([[a, np.eye(n)], [np.zeros((n, 2 * n))]])
     u, u_inv = plan.u.astype(np.float64), plan.u_inv.astype(np.float64)
     for t in (1e-10, 1e-6, 1e-2, 1.0):
-        (big,), (ok,) = linalg._exp_at(plan.exp, (t,))
+        _, (fm1,), (ok,) = linalg._exp_at(plan.exp, (t,))
         assert ok
-        got = u @ big[:n, n + p:].astype(np.float64) @ u_inv
+        got = u @ fm1.astype(np.float64) @ u_inv
         want = a @ expm(aug * t)[:n, n:]
         assert rel_err(got, want) <= 1000 * np.finfo(dtype).eps, t
 

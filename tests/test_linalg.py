@@ -81,8 +81,8 @@ def test_mat_exp_at_zero_is_identity(dtype):
     eye = np.eye(6, dtype=dtype)
     assert mat_exp(a, 0.0).tobytes() == eye.tobytes()
     table = linalg._exp_table(a)
-    (at_zero, at_one), ok = linalg._exp_at(table, (0.0, 1.0))
-    (alone,), _ = linalg._exp_at(table, (1.0,))
+    (at_zero, at_one), _, ok = linalg._exp_at(table, (0.0, 1.0))
+    (alone,), _, _ = linalg._exp_at(table, (1.0,))
     assert ok.all()
     assert at_zero.tobytes() == eye.tobytes()
     assert at_one.tobytes() == alone.tobytes()
@@ -210,19 +210,23 @@ def test_mat_exp_many_is_mat_exp_slice_by_slice(dtype):
 @given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 6),
        dtype=st.sampled_from([np.float64, np.float32]),
        counts=st.lists(st.integers(0, 5), max_size=8),
-       order=st.sampled_from(["drawn", "ascending", "descending"]))
-def test_squared_is_a_per_slice_loop(seed, n, dtype, counts, order):
+       order=st.sampled_from(["drawn", "ascending", "descending"]),
+       kept=st.integers(0, 6))
+def test_squared_is_a_per_slice_loop(seed, n, dtype, counts, order, kept):
     # empty, single, tied and shuffled count lists, and sorted ones, whose
-    # squarings take the suffix path
+    # squarings take the suffix path; where the trailing rows top .. are
+    # kept (up to n - 1 of them), as the carried [[E, C], [0, I]] keeps
+    # [0, I], each squaring makes rows :top alone, with the same bits
     if order != "drawn":
         counts.sort(reverse=order == "descending")
+    top = n - min(kept, n - 1)
     rng = np.random.default_rng(seed)
     r = (rng.standard_normal((len(counts), n, n)) / n).astype(dtype)
     want = r.copy()
     for i, count in enumerate(counts):
         for _ in range(count):
-            want[i] = want[i] @ want[i]
-    got = _kernels.squared(r.copy(), counts)
+            want[i, :top] = want[i, :top] @ want[i]
+    got = _kernels.squared(r.copy(), counts, top)
     assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
 

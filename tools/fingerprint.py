@@ -14,17 +14,19 @@ exception type names on the four models of
 ``test_proposed_deep_integrator_chains`` (index-3 and index-4 integrator
 chains), with their
 ``tau_zero``, at T in {0.1, 1, 10} and at both widths; it does not depend
-on ``--seed`` either.  A seventh, ``refusals-and-foils``, hashes the type
-and message of every refusal below, and the ``naive-a`` and ``naive-b`` Q
-on the ``lyap-methods`` models at both widths and the same T: mirrored
-poles ``diag(1, -1)`` under ``proposed``, ``lyap-p`` and ``lyap-q`` at
-both widths; the binary32 ``EnsembleSpec(24, 24, 0, seed=2)`` stream 1,
-whose slowest pole is within lyap-p's margin, under ``lyap-p``; and
-``discretize_proposed`` on four drifts whose squared entries overflow
-the width, with S = I: binary64 ``[[0, 1e200], [0, 0]]`` and
-``diag(1e200, -1e200)``, binary32 ``[[0, 1e20], [0, 0]]`` and
-``diag(1e20, -1e20)``; all at T = 1.
-It does not depend on ``--seed``.  Workload inputs come from
+on ``--seed`` either.  A seventh, ``refusals``, hashes the type and
+message of every refusal below: mirrored poles ``diag(1, -1)`` under
+``proposed``, ``lyap-p`` and ``lyap-q`` at both widths; the binary32
+``EnsembleSpec(24, 24, 0, seed=2)`` stream 1, whose slowest pole is within
+lyap-p's margin, under ``lyap-p``; and ``discretize_proposed`` on four
+drifts whose squared entries overflow the width, with S = I: binary64
+``[[0, 1e200], [0, 0]]`` and ``diag(1e200, -1e200)``, binary32
+``[[0, 1e20], [0, 0]]`` and ``diag(1e20, -1e20)``; all at T = 1.  An
+eighth, ``foils``, hashes the ``naive-a`` and ``naive-b`` Q (or the type
+and message of what they raise) on the ``lyap-methods`` models at both
+widths and the same T, so that a change to the exponential's bits that
+moves the foils leaves the ``refusals`` line alone.
+Neither depends on ``--seed``.  Workload inputs come from
 perfbench/workloads.py and the package from this checkout's src/, so two
 checkouts that print the same lines compute the same bits on those inputs.
 """
@@ -150,10 +152,12 @@ if __name__ == "__main__":
     refused = hashlib.sha256()
     for call, m, arg in REFUSALS:
         feed(refused, attempt(call, m, 1.0, arg), messages=True)
+    print("refusals", refused.hexdigest())
+    foils = hashlib.sha256()
     for m in LYAP_MODELS:
         for dtype in (np.float64, np.float32):
             for foil in (sdedisc.naive_q_a, sdedisc.naive_q_b):
                 for t in (1e-3, 1.0, 100.0):
-                    feed(refused, attempt(foil, m.astype(dtype), t),
+                    feed(foils, attempt(foil, m.astype(dtype), t),
                          messages=True)
-    print("refusals-and-foils", refused.hexdigest())
+    print("foils", foils.hexdigest())

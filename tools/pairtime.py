@@ -27,6 +27,12 @@ paper-sweep's three stacked callers at the 20 paper horizons
 s = 0 .. 3: at binary32 the proposed path (a fresh ``_ProposedPlan`` and
 its ``reports``) and ``_vanloan_reports``, and the oracle's
 ``_q_oracle_many`` on the binary64 models, as paper-sweep runs it;
+the plan's exponential alone (``linalg._exp_at`` on a kept
+``_ProposedPlan``'s table): ``plan exp n=16`` at T = 1 on the tables of
+``EnsembleSpec(16, 14, 2, seed=7)``, four streams in turn, and ``plan exp
+f32 paper`` at the 20 paper horizons on the binary32 paper-sweep models'
+tables, so that the exponential's own cost shows beside the rows that
+run it;
 ``q_oracle`` at one horizon, T = 1, on ``EnsembleSpec(n, n - 2, 2,
 seed=7)``, four streams in turn, at n in {16, 48}, as the tests and
 ``run_method`` call it;
@@ -119,6 +125,17 @@ def rows(pkg):
              lambda m: d._q_oracle_many(m, grid))):
         out.append((label, cycle([lambda m=m, f=stacked: f(m)
                                   for m in paper_models(pkg, width)])))
+    linalg = pkg.linalg
+    for label, width, models, ts in (
+            ("plan exp n=16", np.float64,
+             [pkg.gen_random_system(pkg.EnsembleSpec(16, 14, 2, seed=7), s)
+              for s in range(STREAMS)], (1.0,)),
+            ("plan exp f32 paper", np.float32,
+             paper_models(pkg, np.float32), grid)):
+        tables = [d._ProposedPlan(m.astype(width), None, None).exp
+                  for m in models]
+        out.append((label, cycle([lambda x=x, ts=ts: linalg._exp_at(x, ts)
+                                  for x in tables])))
     for n in ORACLE_SIZES:
         models = [pkg.gen_random_system(pkg.EnsembleSpec(n, n - 2, 2,
                                                          seed=7), s)
@@ -133,7 +150,6 @@ def rows(pkg):
             [lambda m=m, f=method: f(m, 1.0) for m in models])))
         out.append((f"{label} warm n=16", cycle(
             [lambda t=t, f=method: f(models[0], t) for t in HORIZONS])))
-    linalg = pkg.linalg
     for label, spec, streams in (
             ("staircase n=16", pkg.EnsembleSpec(16, 14, 2, seed=7),
              range(STREAMS)),
