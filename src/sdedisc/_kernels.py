@@ -12,6 +12,10 @@ while a union has at most 32 unknowns, and inverted where at most 32
 wide; ``trsylv`` then makes per column block one product that folds in
 the solved columns and one product with the inverse (a LAPACK solve for a
 wider block), for one right-hand side or a stack of them.
+``lyap_eigbasis`` keeps the eigenbasis of ta for the Lyapunov equation
+ta Y + Y ta^T = c where its eigenvector matrix passes a conditioning limit,
+and ``eig_lyap`` then solves it with four complex products and no
+back-substitution.
 ``pade13_powers`` makes the table of the powers x^0 .. x^7 of a scaled
 matrix once, ``pade13_expm`` evaluates Higham's degree-13 Pade approximant
 of sigma x from it at many sigma, with the leading columns of the
@@ -306,6 +310,38 @@ def trsylv(blocks, r, c):
             rhs = rhs - y[..., j:] @ r[j:, j0:j]
         y[..., j0:j] = _solve_columns(mat, rhs)
     return y
+
+
+def lyap_eigbasis(ta, limit):
+    """(v, v^-1, d) for eig_lyap's solve of ta @ Y + Y @ ta^T = c, or None
+    where the eigenvector matrix v of ta (np.linalg.eig, at ta's width,
+    unit columns) is too ill-conditioned for it: singular, or
+    |v|_F |v^-1|_F above limit.  That product is ta's dimension for a
+    unitary v.  d[i, j] = 1 / (lambda_i + conj(lambda_j))."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            lam, v = np.linalg.eig(ta)
+            v_inv = np.linalg.inv(v)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.linalg.norm(v) * np.linalg.norm(v_inv) <= limit:
+            return None
+        return v, v_inv, 1.0 / (lam[:, None] + lam.conj()[None, :])
+
+
+def eig_lyap(basis, c):
+    """Y of ta @ Y + Y @ ta^T = c for a real ta, given basis =
+    lyap_eigbasis(ta, limit): with ta = v diag(lambda) v^-1, Y = v Z v^H
+    turns the equation into lambda_i Z_ij + Z_ij conj(lambda_j) =
+    (v^-1 c v^-H)_ij, so Y = Re(v [(v^-1 c v^-H) o d] v^H), four complex
+    products and no back-substitution.  Its error grows like cond(v)^2
+    times a triangular solve's (Bartels and Stewart, CACM 15, 1972;
+    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    chapter 16), hence lyap_eigbasis's limit.  c may be a stack of
+    right-hand sides, each solved as it would be alone."""
+    v, v_inv, d = basis
+    z = (v_inv @ c @ v_inv.mT.conj()) * d
+    return (v @ z @ v.mT.conj()).real
 
 
 def pade13_powers(x):

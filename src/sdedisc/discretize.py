@@ -58,6 +58,11 @@ _TINY = 1e-300
 # q_oracle refuses a horizon whose two doubling chains differ by more than
 # this, relative to the first chain's norm
 _ORACLE_CHAIN_TOL = 1e-8
+# the plan solves q11 in a11's eigenbasis only where |V|_F |V^-1|_F <= this
+# times k, k for a unitary V: that route's error grows like cond(V)^2 times
+# trsylv's, and on the tests' coupled drifts below this gate Q's error stays
+# within 4x of trsylv's
+_Q11_EIG_GATE = 1.25
 
 # the oracle's base step sums the Taylor terms k = 0 .. 16 (see _base_q)
 _TAYLOR_TERMS = 17
@@ -120,7 +125,8 @@ def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
     Q = P - F P F^T.  Requires a strictly stable drift, every eigenvalue's
     real part below -tau_zero_default(A), so the plan has no trailing
     block: P/2 comes from the q11 solver of discretize_proposed's plan,
-    which keeps it.  With no trailing block, the plan's H is at alone, and
+    a11's eigenbasis or trsylv as the plan decided, and the plan keeps
+    it.  With no trailing block, the plan's H is at alone, and
     its exponential gives F and F - I with no I subtracted."""
     t = _check_horizon(t)
     if t == 0.0:
@@ -128,7 +134,7 @@ def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
     plan = _proposed_plan(m, None)
     if plan.p_half is None:  # a refused plan never sets it
         _lyap_p_check(plan.ev, tau_zero_default(m.a))
-        plan.p_half = _kernels.trsylv(*plan.q11_sylv, -plan.st_half)
+        plan.p_half = plan.solve_q11(-plan.st_half)
     with np.errstate(over="ignore", invalid="ignore"):
         (e,), (fm1,), (ok,) = _exp_at(plan.exp, (t,))
         if not ok:
@@ -245,18 +251,23 @@ class _ProposedPlan:
     eigenvalues of modulus <= tau_zero into a22, the trailing p x p block
     from k on, with N.  a11's spectrum ev[:k] passes the q11 solve's
     guard.  The plan keeps at with its blocks, u and u^-1, half the
-    transformed S, the q11 solve's column blocks (sylv_blocks), inverted
-    where small, so that a horizon's solve is a product, lyap-p's P/2,
-    from its first call on, and the power table (linalg._exp_table) of the
-    (n + p)-square
+    transformed S, the q11 solver, lyap-p's P/2 from its first call on,
+    and the power table (linalg._exp_table) of the (n + p)-square
         H = [[at, st_half[:, k:] / 2^shift], [0, -a22^T]].
     E = exp(H t) holds F = E[:n, :n] and Q/2's trailing block column in
     2^shift E[:n, n:] F22^T, F22 = E[k:n, k:n] (Van Loan, IEEE TAC 23,
     1978, with F21 = 0 and the growing -a11^T block dropped); F - I =
     int_0^t exp(at tau) at dtau comes beside it with no I subtracted, from
     the Pade quotient's r_13 - I through the squarings (linalg._exp_at,
-    the table's lead n).  Its tolerances scale _fro_norm(A).  A model that
-    fails the guard raises here; ``reports`` evaluates horizons."""
+    the table's lead n).  The q11 solver is a fact of the plan: where
+    trsylv would need more than one column block (k^2 unknowns above
+    _kernels._INVERT_MAX) and a11's eigenvector matrix V passes the gate
+    |V|_F |V^-1|_F <= _Q11_EIG_GATE k, the eigenbasis (lambda, V, V^-1 and
+    1/(lambda_i + conj(lambda_j))) of _kernels.lyap_eigbasis, so that a
+    horizon's solve is four products; otherwise the column blocks of
+    _kernels.sylv_blocks, inverted where small, one product where they are
+    one block.  Its tolerances scale _fro_norm(A).  A model that fails the
+    guard raises here; ``reports`` evaluates horizons."""
 
     def __init__(self, m: ContinuousModel, tau_zero: float | None, key):
         self.key, self.p_half = key, None
@@ -294,9 +305,22 @@ class _ProposedPlan:
         h[:n, n:] = np.ldexp(self.st_half[:, k:], -self.shift)
         h[n:, n:] = -at[k:, k:].T
         self.exp = _exp_table(h, n)
-        # trsylv's (blocks, r) for q11: the quasi-lower triangular a11^T
-        r = np.ascontiguousarray(self.a11.T)
-        self.q11_sylv = _kernels.sylv_blocks(self.a11, r), r
+        # q11's solver: a11's eigenbasis where trsylv would need more than
+        # one column block and that basis passes the gate, else trsylv's
+        # (blocks, r) for the quasi-lower triangular a11^T
+        self.q11_eig = self.q11_sylv = None
+        if k * k > _kernels._INVERT_MAX:
+            self.q11_eig = _kernels.lyap_eigbasis(self.a11, _Q11_EIG_GATE * k)
+        if self.q11_eig is None:
+            r = np.ascontiguousarray(self.a11.T)
+            self.q11_sylv = _kernels.sylv_blocks(self.a11, r), r
+
+    def solve_q11(self, c):
+        """q11 of a11 q11 + q11 a11^T = c, c a stack or not, by the
+        plan's solver."""
+        if self.q11_eig is not None:
+            return _kernels.eig_lyap(self.q11_eig, c)
+        return _kernels.trsylv(*self.q11_sylv, c)
 
     def reports(self, ts) -> list:
         """discretize_proposed at every positive horizon of ts in one pass:
@@ -322,8 +346,7 @@ class _ProposedPlan:
             # a11 q11 + q11 a11^T = nv11 - a12 q12^T - q12 a12^T
             nv = _fxft_minus_x(fm1, self.st_half)
             w = self.a12 @ q12.mT
-            qt[:, :k, :k] = _kernels.trsylv(*self.q11_sylv,
-                                            nv[:, :k, :k] - (w + w.mT))
+            qt[:, :k, :k] = self.solve_q11(nv[:, :k, :k] - (w + w.mT))
             f = self.u @ ft @ self.u_inv
             # qt is Q/2 in Schur coordinates, symmetric to rounding:
             # Q = x + x^T is Q symmetrized
@@ -388,8 +411,10 @@ def discretize_proposed(m: ContinuousModel, t: float,
     block a22 is 0 x 0 when there are none.
 
     The work that does not depend on t (rank decisions, Schur form,
-    reordering, guard, the exponential's power table, the Lyapunov solver's
-    column blocks, inverted where small) is kept from the last call and
+    reordering, guard, the exponential's power table, and the Lyapunov
+    solver: a11's eigenbasis where it is well conditioned and a11 is wider
+    than one column block, else the column blocks of a Bartels-Stewart
+    back-substitution, inverted where small) is kept from the last call and
     reused when this call's model has byte-equal ``a`` and ``s`` of the
     same dtypes and the same ``tau_zero``; any other model, or an edit to
     the arrays in place, makes it factor afresh.  A call therefore

@@ -1,6 +1,7 @@
 """Discretization method tests: closed forms, cross-method agreement,
 invariant certificates, and failure modes."""
 
+import itertools
 import math
 import warnings
 
@@ -1224,7 +1225,7 @@ def column_spans(sylv):
 
 
 @pytest.mark.parametrize("model, tau_zero, q11_spans", [
-    (stable_system(0), None, [(2, 6), (0, 2)]),  # p = 0
+    (stable_system(0), None, None),  # p = 0: q11 in a11's eigenbasis
     (constant_velocity(), None, []),  # k = 0
     (mixed_system(2), None, [(0, 4)]),
     (mixed_system(3).astype(np.float32), None, [(0, 4)]),
@@ -1232,7 +1233,12 @@ def column_spans(sylv):
     # a rotated index-3 chain, a22 strictly upper triangular
     (gen_random_system(EnsembleSpec(6, 3, 3, seed=0), stream=3), 1e-3,
      [(0, 3)]),
-], ids=["p0", "k0", "mixed", "binary32", "a22-pair", "chain3-tau"])
+    # k = 14: q11 in a11's eigenbasis at both widths
+    (gen_random_system(EnsembleSpec(16, 14, 2, seed=7)), None, None),
+    (gen_random_system(EnsembleSpec(16, 14, 2, seed=7)).astype(np.float32),
+     None, None),
+], ids=["p0", "k0", "mixed", "binary32", "a22-pair", "chain3-tau", "eig-n16",
+        "eig-n16-binary32"])
 def test_proposed_warm_equals_cold(model, tau_zero, q11_spans):
     want = [cold(model, t, tau_zero) for t in HORIZONS]
     discretize._last_plan = None
@@ -1242,8 +1248,14 @@ def test_proposed_warm_equals_cold(model, tau_zero, q11_spans):
     assert all(same_bits(s, r) for s, r in zip(stacked, want, strict=True))
     # at n = 6 the narrowest blocks merge: the q11 solve is one block of at
     # most 32 unknowns, one product per horizon, except with no integrator,
-    # where its six columns of 6 unknowns each would be 36
-    assert column_spans(discretize._last_plan.q11_sylv) == q11_spans
+    # where its six columns of 6 unknowns each would be 36, and the normal
+    # a11 takes its eigenbasis instead
+    plan = discretize._last_plan
+    if q11_spans is None:
+        assert plan.q11_sylv is None and plan.q11_eig is not None
+    else:
+        assert plan.q11_eig is None
+        assert column_spans(plan.q11_sylv) == q11_spans
 
 
 @pytest.mark.parametrize("spec", [EnsembleSpec(6, 4, 2, seed=100),
@@ -1343,6 +1355,79 @@ def test_proposed_prepares_solvers_once_per_plan(sylv_calls):
     discretize_proposed(mixed_system(5), 1.0)
     a11 = discretize._last_plan.a11
     assert sum(ta is a11 for ta in sylv_calls[count:]) == 1
+
+
+def coupled_system(n, kappa, seed):
+    """The coupled family, Q (D + kappa triu(N(0, 1), 1)) Q^T with
+    S = G G^T: D's poles uniform in (-3, -0.2), Q a seeded random
+    orthogonal matrix.  The drift is non-normal, its eigenvector matrix the
+    worse conditioned the larger kappa; the models of one (n, seed) differ
+    in kappa alone."""
+    rng = np.random.default_rng([seed, n])
+    poles = rng.uniform(-3.0, -0.2, n)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q = q * np.sign(np.diagonal(r))
+    coupling = kappa * np.triu(rng.standard_normal((n, n)), 1)
+    g = rng.standard_normal((n, n))
+    return ContinuousModel(q @ (np.diag(poles) + coupling) @ q.T, g @ g.T)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n", [8, 16, 48])
+def test_normal_a11_solves_q11_in_its_eigenbasis(n, dtype):
+    # a normal drift's eigenvector matrix is unitary: a plan whose q11
+    # would take more than one column block solves it in a11's eigenbasis,
+    # as trsylv does on the same a11, for a stack of symmetric sides
+    for stream in range(2):
+        m = gen_random_system(EnsembleSpec(n, n - 2, 2, seed=stream),
+                              stream).astype(dtype)
+        plan = discretize._ProposedPlan(m, None, None)
+        assert plan.q11_sylv is None and plan.q11_eig is not None
+        k, r = plan.k, np.ascontiguousarray(plan.a11.T)
+        c = np.random.default_rng(stream).standard_normal((4, k, k))
+        c = (c + c.mT).astype(dtype)
+        got = plan.solve_q11(c)
+        want = _kernels.trsylv(_kernels.sylv_blocks(plan.a11, r), r, c)
+        assert got.dtype == dtype
+        for g, w in zip(got, want, strict=True):
+            assert rel_fro(g, w) <= k * np.finfo(dtype).eps
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_eigenbasis_gate_keeps_q_within_4x_of_trsylv(dtype, monkeypatch):
+    # on the coupled family, the plans the gate lets into a11's eigenbasis
+    # are within 4x of trsylv's error against the oracle of the model at
+    # its width; the family runs from normal to far past the gate
+    cells = list(itertools.product((8, 16), (0.003, 0.01, 0.03, 0.1, 0.3),
+                                   range(5)))
+    taken = 0
+    for n, kappa, seed in cells:
+        m = coupled_system(n, kappa, seed).astype(dtype)
+        plan = discretize._ProposedPlan(m, None, None)
+        if plan.q11_eig is None:
+            continue
+        taken += 1
+        with monkeypatch.context() as patch:
+            patch.setattr(discretize, "_Q11_EIG_GATE", 0.0)
+            fallback = discretize._ProposedPlan(m, None, None)
+        assert fallback.q11_eig is None
+        ts = (0.01, 1.0, 10.0)
+        for t, got, want in zip(ts, plan.reports(ts), fallback.reports(ts)):
+            truth = q_oracle(m, t)
+            assert (rel_fro(got.model.q, truth)
+                    <= 4.0 * rel_fro(want.model.q, truth)), (n, kappa, seed, t)
+    assert 0 < taken < len(cells)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_coupled_drift_past_the_gate_keeps_sylv_blocks(dtype, sylv_calls):
+    m = coupled_system(16, 0.3, 0).astype(dtype)
+    discretize_proposed(m, 1.0)
+    plan = discretize._last_plan
+    assert plan.q11_eig is None
+    assert len(sylv_calls) == 1 and sylv_calls[0] is plan.a11
+    assert rel_err(plan.reports((1.0,))[0].model.q, q_oracle(m, 1.0)) <= (
+        1e3 * np.finfo(dtype).eps)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -1769,7 +1854,7 @@ def test_mat_exp_matches_scipy(n, p, seed, squarings, frac, kind, dtype):
     assume(ok)
     assert got.dtype == dtype
     want, bound = exp_error_bound(x, t, dtype)
-    assert np.linalg.norm(got - want) / np.linalg.norm(want) <= bound
+    assert rel_fro(got, want) <= bound
 
 
 # ------------------------------------------------------------ dispatch

@@ -22,6 +22,11 @@ ill-conditioned);
 block makes the plan's exponential 35 x 35, with ``tau_zero=1e-2``, which
 a split by moduli needed to find the chain and which selects none of
 these models' stable poles (the slowest is -0.065);
+``discretize_proposed`` cold and warm on tests/test_discretize.py's
+coupled drifts at n = 16 (``coupled_system(16, 0.3, seed)``, seeds
+0 .. 3), whose eigenvector bases are too ill-conditioned for the plan's
+eigenbasis q11 solve, so that its back-substitution route shows at its
+own row;
 paper-sweep's three stacked callers at the 20 paper horizons
 (``default_t_grid()``) on ``EnsembleSpec(6, 4, 2, seed=s)``, stream 0,
 s = 0 .. 3: at binary32 the proposed path (a fresh ``_ProposedPlan`` and
@@ -114,6 +119,10 @@ def rows(pkg):
     for warm in (False, True):
         out.append((f"proposed {'warm' if warm else 'cold'} p3 n=16",
                     proposed(pkg, chains, warm, 1e-2)))
+    coupled = [coupled_system(pkg, 16, 0.3, seed) for seed in range(STREAMS)]
+    for warm in (False, True):
+        out.append((f"proposed {'warm' if warm else 'cold'} coupled n=16",
+                    proposed(pkg, coupled, warm)))
     grid = pkg.bench.default_t_grid()
     d = pkg.discretize
     for label, width, stacked in (
@@ -178,6 +187,19 @@ def paper_models(pkg, width):
     """Paper-sweep's first systems at the given width."""
     return [pkg.gen_random_system(pkg.EnsembleSpec(6, 4, 2, seed=s))
             .astype(width) for s in range(STREAMS)]
+
+
+def coupled_system(pkg, n, kappa, seed):
+    """tests/test_discretize.py's coupled drift Q (D + kappa triu(N(0, 1),
+    1)) Q^T with S = G G^T, D's poles uniform in (-3, -0.2)."""
+    rng = np.random.default_rng([seed, n])
+    poles = rng.uniform(-3.0, -0.2, n)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q = q * np.sign(np.diagonal(r))
+    coupling = kappa * np.triu(rng.standard_normal((n, n)), 1)
+    g = rng.standard_normal((n, n))
+    return pkg.ContinuousModel(q @ (np.diag(poles) + coupling) @ q.T,
+                               g @ g.T)
 
 
 def rotated(t0, seed):
