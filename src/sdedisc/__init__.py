@@ -10,7 +10,7 @@ from . import _backend  # noqa: F401  (read by perfbench/run.py)
 from .errors import (SdeDiscError, DimensionError, NonFiniteError,
                      MatrixOverflowError, ConvergenceError,
                      ClassificationError, NilpotencyError,
-                     UnsupportedSpectrumError, MethodNotApplicableError)
+                     MethodNotApplicableError)
 from .models import ContinuousModel, DiscreteModel, Method, MethodReport
 from .linalg import mat_exp, spectral_norm, tau_zero_default
 from .discretize import (discretize_lyap_p, discretize_lyap_q,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "SdeDiscError", "DimensionError", "NonFiniteError",
     "MatrixOverflowError", "ConvergenceError", "ClassificationError",
-    "NilpotencyError", "UnsupportedSpectrumError", "MethodNotApplicableError",
+    "NilpotencyError", "MethodNotApplicableError",
     "ContinuousModel", "DiscreteModel", "Method", "MethodReport",
     "mat_exp", "spectral_norm", "tau_zero_default",
     "discretize_lyap_p", "discretize_lyap_q", "discretize_proposed",

@@ -95,7 +95,7 @@ def _stacked(model_w, ts, method) -> list:
     that error at every horizon."""
     try:
         if method is Method.PROPOSED:
-            return _proposed_plan(model_w, None).reports(ts)
+            return _proposed_plan(model_w).reports(ts)
         return _vanloan_reports(model_w, ts)
     except (SdeDiscError, np.linalg.LinAlgError) as exc:
         return [exc] * len(ts)

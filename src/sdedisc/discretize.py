@@ -8,9 +8,10 @@ the process-noise covariance Q = int_0^T exp(A tau) S exp(A^T tau) dtau:
 * ``discretize_lyap_q``   -- direct Lyapunov route: proposed, where its
   plan has no integrator (stable or not).
 * ``discretize_proposed`` -- SVD rank decisions split off the integrator
-  (zero-eigenvalue) block, exactly nilpotent, ahead of the Schur form; one
-  block-triangular exponential gives F and Q's integrator block column,
-  and a Lyapunov solve the rest.
+  (zero-eigenvalue) block, exactly nilpotent, ahead of the Schur form, and
+  the eigenvalues with Re(lambda) >= -delta join it; one block-triangular
+  exponential gives F and Q's trailing block column, and a Lyapunov solve
+  the rest.
 * ``discretize_vanloan``  -- exponential of the 2n x 2n augmented matrix.
 * ``naive_q_a``/``naive_q_b`` -- common approximations that are *not*
   consistent under interval splitting; kept as foils.
@@ -31,7 +32,6 @@ from .errors import (
     MethodNotApplicableError,
     NilpotencyError,
     NonFiniteError,
-    UnsupportedSpectrumError,
 )
 from .linalg import (
     _exp_at,
@@ -39,7 +39,6 @@ from .linalg import (
     _exp_table,
     _fro_norm,
     _mat_exp_many,
-    _nearest_sum,
     _norm1,
     _scalings,
     _sym,
@@ -131,7 +130,7 @@ def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
     t = _check_horizon(t)
     if t == 0.0:
         return _trivial_report(m, Method.LYAP_P)
-    plan = _proposed_plan(m, None)
+    plan = _proposed_plan(m)
     if plan.p_half is None:  # a refused plan never sets it
         _lyap_p_check(plan.ev, tau_zero_default(m.a))
         plan.p_half = plan.solve_q11(-plan.st_half)
@@ -148,16 +147,17 @@ def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
 def discretize_lyap_q(m: ContinuousModel, t: float) -> MethodReport:
     """Direct Lyapunov method: A Q + Q A^T = -(S - F S F^T).
 
-    Applicable where discretize_proposed's plan has no trailing block (no
-    integrator), stable or not; the result is then proposed's, bit for
-    bit, and a model the plan refuses raises its error."""
+    Applicable where discretize_proposed's staircase finds no integrator,
+    stable or not; the result is then proposed's, bit for bit, whose
+    exponential takes the eigenvalues with Re(lambda) >= -delta, and a
+    model the plan refuses raises its error."""
     t = _check_horizon(t)
     if t == 0.0:
         return _trivial_report(m, Method.LYAP_Q)
-    plan = _proposed_plan(m, None)
-    if plan.k < m.n:
+    plan = _proposed_plan(m)
+    if plan.integrators:
         raise MethodNotApplicableError(
-            f"lyap-q not applicable: n - k = {m.n - plan.k} eigenvalues are "
+            f"lyap-q not applicable: {plan.integrators} eigenvalues are "
             "integrators, and only proposed solves that trailing block")
     (report,) = plan.reports((t,))
     return MethodReport(_unwrap(report).model, Method.LYAP_Q)
@@ -242,17 +242,20 @@ def _split(a: np.ndarray, tol: float) -> tuple:
 
 class _ProposedPlan:
     """Everything proposed, lyap-q and lyap-p need that depends on (A, S)
-    and tau_zero only, never on the horizon.  _split puts the integrators
-    last as an exactly nilpotent N, integrator_count in size, which the
-    real Schur form of the whole transformed A keeps bit for bit, as
-    LAPACK's balancing isolates N's eigenvalues as exact zeros, so a
-    default plan (tau_zero None or 0) takes split_index k from _split and
-    runs no reordering pass.  A positive tau_zero's reordering moves a11's
-    eigenvalues of modulus <= tau_zero into a22, the trailing p x p block
-    from k on, with N.  a11's spectrum ev[:k] passes the q11 solve's
-    guard.  The plan keeps at with its blocks, u and u^-1, half the
-    transformed S, the q11 solver, lyap-p's P/2 from its first call on,
-    and the power table (linalg._exp_table) of the (n + p)-square
+    only, never on the horizon.  _split puts the integrators last as an
+    exactly nilpotent N, integrator_count in size, which the real Schur
+    form of the whole transformed A keeps bit for bit, as LAPACK's
+    balancing isolates N's eigenvalues as exact zeros.  Where every other
+    eigenvalue has Re(lambda) < -delta, delta = 200 eps |A|_F, the plan
+    takes split_index k from _split and runs no reordering pass; else
+    order_schur_zeros_last moves a11's eigenvalues with Re(lambda) >=
+    -delta (undamped pairs, unstable poles) into a22, the trailing p x p
+    block from k on, with N.  Every lambda_i + lambda_j of a11 then has
+    real part below -2 delta, so the q11 solve is never singular, and
+    -a22^T grows no faster than exp(delta t).  The plan keeps at with its
+    blocks, u and u^-1, half the transformed S, the q11 solver, lyap-p's
+    P/2 from its first call on, and the power table (linalg._exp_table)
+    of the (n + p)-square
         H = [[at, st_half[:, k:] / 2^shift], [0, -a22^T]].
     E = exp(H t) holds F = E[:n, :n] and Q/2's trailing block column in
     2^shift E[:n, n:] F22^T, F22 = E[k:n, k:n] (Van Loan, IEEE TAC 23,
@@ -266,25 +269,21 @@ class _ProposedPlan:
     1/(lambda_i + conj(lambda_j))) of _kernels.lyap_eigbasis, so that a
     horizon's solve is four products; otherwise the column blocks of
     _kernels.sylv_blocks, inverted where small, one product where they are
-    one block.  Its tolerances scale _fro_norm(A).  A model that fails the
-    guard raises here; ``reports`` evaluates horizons."""
+    one block.  Its tolerances scale _fro_norm(A).  A model whose
+    factorization fails raises here; ``reports`` evaluates horizons."""
 
-    def __init__(self, m: ContinuousModel, tau_zero: float | None, key):
+    def __init__(self, m: ContinuousModel, key=None):
         self.key, self.p_half = key, None
         n, eps, anorm = m.n, eps_of(m.a), _fro_norm(m.a)
         v, at, k = _split(m.a, 100.0 * eps * anorm)
         self.integrators = n - k
         u, at = real_schur(at, 0.0)
-        if tau_zero:
-            u, at, k = order_schur_zeros_last(u, at, tau_zero)
+        self.ev = quasi_tri_eigvalues(at)
+        delta = 200.0 * eps * anorm
+        if self.ev[:k].real.max(initial=-math.inf) >= -delta:
+            u, at, k = order_schur_zeros_last(u, at, delta)
+            self.ev = quasi_tri_eigvalues(at)
         u = v @ u
-        self.ev = ev = quasi_tri_eigvalues(at)
-        # mirrored non-zero poles make the q11 Lyapunov solve singular
-        near, i, j = _nearest_sum(ev[:k])
-        if near <= 200.0 * eps * anorm:
-            raise UnsupportedSpectrumError(
-                f"non-zero poles mirrored in the imaginary axis: {i:.3e} and "
-                f"{j:.3e}")
         p = n - k
         self.at, self.u, self.k = at, u, k
         self.a11, self.a12 = np.ascontiguousarray(at[:k, :k]), at[:k, k:]
@@ -381,29 +380,30 @@ def _model_key(m: ContinuousModel) -> tuple:
     return (m.a.dtype, m.s.dtype, m.a.tobytes(), m.s.tobytes())
 
 
-def _proposed_plan(m: ContinuousModel, tau_zero: float | None):
-    """The kept plan if it was made for m and tau_zero, else a new one,
-    which is then kept."""
+def _proposed_plan(m: ContinuousModel):
+    """The kept plan if it was made for m, else a new one, which is then
+    kept."""
     global _last_plan
-    key = _model_key(m) + (tau_zero,)
+    key = _model_key(m)
     plan = _last_plan
     if plan is None or plan.key != key:
-        plan = _last_plan = _ProposedPlan(m, tau_zero, key)
+        plan = _last_plan = _ProposedPlan(m, key)
     return plan
 
 
-def discretize_proposed(m: ContinuousModel, t: float,
-                        tau_zero: float | None = None) -> MethodReport:
+def discretize_proposed(m: ContinuousModel, t: float) -> MethodReport:
     """Combined method: split the integrators off A as an exactly nilpotent
     trailing block by SVD rank decisions, take the Schur form of the rest,
     F and Q's trailing block column from one exponential of a block upper
     triangular matrix, the leading block of Q from a Lyapunov equation, and
-    transform back.  By default the split is the rank decisions', with no
-    reordering pass; a caller's positive tau_zero moves the leading block's
-    eigenvalues of modulus <= tau_zero into the trailing block, never an
-    integrator out of it.  The paper couples the blocks by Sylvester
-    equations and sums the integrator block in closed form (q_nilpotent);
-    the exponential, which has no growing block, replaces both, and has no
+    transform back.  The eigenvalues with Re(lambda) >= -delta, delta =
+    200 eps |A|_F (undamped pairs, unstable poles), join the integrators in
+    the trailing block, whose exponential grows no faster than
+    exp(delta t) in -a22^T, so the Lyapunov equation is never singular; a
+    model with none runs no reordering pass.  The paper solves a Lyapunov equation for every
+    non-zero eigenvalue, which needs lambda_i + lambda_j != 0, couples the
+    blocks by Sylvester equations and sums the integrator block in closed
+    form (q_nilpotent); the exponential replaces the last two, and has no
     1/sep(a11, a22) error.
 
     One block formula for every integrator count: the leading block a11
@@ -411,31 +411,33 @@ def discretize_proposed(m: ContinuousModel, t: float,
     block a22 is 0 x 0 when there are none.
 
     The work that does not depend on t (rank decisions, Schur form,
-    reordering, guard, the exponential's power table, and the Lyapunov
-    solver: a11's eigenbasis where it is well conditioned and a11 is wider
-    than one column block, else the column blocks of a Bartels-Stewart
+    reordering, the exponential's power table, and the Lyapunov solver:
+    a11's eigenbasis where it is well conditioned and a11 is wider than one
+    column block, else the column blocks of a Bartels-Stewart
     back-substitution, inverted where small) is kept from the last call and
     reused when this call's model has byte-equal ``a`` and ``s`` of the
-    same dtypes and the same ``tau_zero``; any other model, or an edit to
-    the arrays in place, makes it factor afresh.  A call therefore
-    evaluates only the horizon, as the one-horizon case of the plan's
-    stacked evaluation.  Results are the same either way."""
+    same dtypes; any other model, or an edit to the arrays in place, makes
+    it factor afresh.  A call therefore evaluates only the horizon, as the
+    one-horizon case of the plan's stacked evaluation.  Results are the
+    same either way."""
     t = _check_horizon(t)
-    if tau_zero is not None and not tau_zero >= 0.0:
-        raise ValueError(f"tau_zero must be >= 0 or None, got {tau_zero}")
     if t == 0.0:
         return _trivial_report(m, Method.PROPOSED)
-    (report,) = _proposed_plan(m, tau_zero).reports((t,))
+    (report,) = _proposed_plan(m).reports((t,))
     return _unwrap(report)
 
 
 def discretize_vanloan(m: ContinuousModel, t: float) -> MethodReport:
     """Van Loan's method: one exponential of [[A, S], [0, -A^T]].
 
-    For large t * |Re(lambda)| the lower-right block grows like
-    exp(+|lambda| t); the exponential then loses all accuracy or
-    overflows, which is surfaced as MatrixOverflowError.  The one-horizon
-    case of _vanloan_reports."""
+    For large t * |Re(lambda)| of a stable pole the lower-right block grows
+    like exp(+|lambda| t), and Q = G F^T cancels: Q comes back wrong with
+    no error, in binary64 by 2e3 relative on a rotated 5 x 5 drift (pole
+    -5, an undamped pair, a constant-velocity chain) at T = 10 and by 2e70
+    on rotated diag(1, -1, -3, -0.5) at T = 100 (the rotated models of
+    tests/test_discretize.py's AXIS_MODELS).  MatrixOverflowError is raised
+    only where the exponential overflows.  The one-horizon case of
+    _vanloan_reports."""
     t = _check_horizon(t)
     if t == 0.0:
         return _trivial_report(m, Method.VANLOAN)

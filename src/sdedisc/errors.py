@@ -31,18 +31,12 @@ class ConvergenceError(SdeDiscError, RuntimeError):
 
 
 class ClassificationError(SdeDiscError, RuntimeError):
-    """The eigenvalue reordering failed to move every block classified as
-    zero (integrator) last."""
+    """The eigenvalue reordering failed to move every selected block
+    last."""
 
 
 class NilpotencyError(SdeDiscError, ValueError):
     """Matrix expected to be nilpotent is not, within tolerance."""
-
-
-class UnsupportedSpectrumError(SdeDiscError, ValueError):
-    """proposed's plan cannot solve its Lyapunov equation: non-zero poles
-    mirrored in the imaginary axis.  lyap-p and lyap-q raise it too, as
-    they run on that plan; Van Loan and the oracle take mirrored poles."""
 
 
 class MethodNotApplicableError(SdeDiscError, RuntimeError):

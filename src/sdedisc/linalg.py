@@ -314,18 +314,18 @@ def quasi_tri_eigvalues(t: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=np.complex128)
 
 
-def _classify_blocks(t: np.ndarray, tau_zero: float):
-    """(start, size, is_zero) for each diagonal block of a standardized
-    quasi-triangular t, where is_zero means the block's eigenvalues have
-    modulus <= tau_zero: a standardized 2x2 block has an equal diagonal
-    and holds a conjugate pair, whose two moduli are equal."""
+def _classify_blocks(t: np.ndarray, margin: float):
+    """(start, size, selected) for each diagonal block of a standardized
+    quasi-triangular t, where selected means the block's eigenvalues have
+    Re(lambda) >= -margin: a standardized 2x2 block has an equal diagonal
+    and holds a conjugate pair, whose two real parts are equal."""
     n = t.shape[0]
-    moduli = np.abs(quasi_tri_eigvalues(t))
+    real = quasi_tri_eigvalues(t).real
     blocks = []
     i = 0
     while i < n:
         size = 2 if (i < n - 1 and t[i + 1, i] != 0.0) else 1
-        blocks.append((i, size, bool(moduli[i] <= tau_zero)))
+        blocks.append((i, size, bool(real[i] >= -margin)))
         i += size
     return blocks
 
@@ -346,61 +346,49 @@ def _swap_adjacent_blocks(hu, i, p1, p2):
     hu[i + p2:k, i:i + p2] = 0.0
 
 
-def order_schur_zeros_last(u: np.ndarray, t: np.ndarray, tau_zero: float):
-    """Reorder a real Schur pair so all eigenvalues with modulus <= tau_zero
-    trail, returning the reordered factors and the split index as
-    (u, t, split): the eigenvalues classified as zero fill the trailing
+def order_schur_zeros_last(u: np.ndarray, t: np.ndarray, margin: float):
+    """Reorder a real Schur pair so all eigenvalues with Re(lambda) >=
+    -margin trail (zeros, undamped pairs and unstable poles for a small
+    margin), returning the reordered factors and the split index as
+    (u, t, split): the selected eigenvalues fill the trailing
     (n - split) x (n - split) block of t.
 
-    One stable pass over the blocks, classified once: each non-zero block
-    moves up past the run of zero blocks above it by adjacent swaps, so the
-    non-zero blocks keep their order and so do the zero blocks.  A pass
-    that swaps standardizes the swapped blocks and classifies again to
-    check the result; a pass with no swap returns t unchanged, so t must
-    come standardized, as real_schur leaves it."""
+    One stable pass over the blocks, classified once: each unselected
+    block moves up past the run of selected blocks above it by adjacent
+    swaps, so the unselected blocks keep their order and so do the
+    selected ones.  A pass that swaps standardizes the swapped blocks and
+    classifies again to check the result; a pass with no swap returns t
+    unchanged, so t must come standardized, as real_schur leaves it."""
     n = t.shape[0]
     hu = np.concatenate([t, u])
-    blocks = _classify_blocks(hu[:n], tau_zero)
+    blocks = _classify_blocks(hu[:n], margin)
     # swaps never move a block below the current one, so the starts found
     # by the first classification stay valid through the pass
-    zero_run = []  # sizes of the zero blocks seen so far, top to bottom
+    run = []  # sizes of the selected blocks seen so far, top to bottom
     swapped = False
-    for start, size, zero in blocks:
-        if zero:
-            zero_run.append(size)
+    for start, size, selected in blocks:
+        if selected:
+            run.append(size)
             continue
         row = start
-        for zsize in reversed(zero_run):
-            row -= zsize
-            _swap_adjacent_blocks(hu, row, zsize, size)
+        for rsize in reversed(run):
+            row -= rsize
+            _swap_adjacent_blocks(hu, row, rsize, size)
             swapped = True
     if swapped:
         # a swap leaves its new 2x2 blocks unstandardized
         _kernels.standardize_quasi_triangular(hu)
-        blocks = _classify_blocks(hu[:n], tau_zero)
+        blocks = _classify_blocks(hu[:n], margin)
     split = 0
-    for _, size, zero in blocks:
-        if zero:
+    for _, size, selected in blocks:
+        if selected:
             break
         split += size
-    # all zero blocks must now trail
-    if any(start >= split and not zero for start, _, zero in blocks):
+    # all selected blocks must now trail
+    if any(start >= split and not selected for start, _, selected in blocks):
         raise ClassificationError(
-            "eigenvalue reordering failed to cluster the zero block")
+            "eigenvalue reordering failed to cluster the selected block")
     return hu[n:], hu[:n], split
-
-
-def _nearest_sum(ev) -> tuple:
-    """(|lambda_i + lambda_j|, lambda_i, lambda_j) for the pair of ev,
-    the first in row-major order, whose sum is nearest 0: a Sylvester or
-    Lyapunov equation on a matrix of spectrum ev has a unique solution
-    only if no such sum is 0.  An empty ev gives (nan, 0, 0), which no
-    threshold test passes, not even an infinite threshold's."""
-    if not ev.size:
-        return math.nan, 0j, 0j
-    sums = np.abs(ev[:, None] + ev[None, :])
-    i, j = np.unravel_index(np.argmin(sums), sums.shape)
-    return float(sums[i, j]), complex(ev[i]), complex(ev[j])
 
 
 def _sym(x: np.ndarray) -> np.ndarray:

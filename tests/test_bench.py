@@ -137,10 +137,15 @@ def test_each_cell_is_one_run_method_call_and_scores_its_report(monkeypatch):
 
 
 def test_failed_plan_fails_every_proposed_cell(monkeypatch):
-    # mirrored poles fail the proposed plan: that error is every proposed
-    # cell's, while each Van Loan cell scores its one-horizon report
+    # a Schur form that fails fails the proposed plan: that error is every
+    # proposed cell's, while each Van Loan cell scores its one-horizon
+    # report
     model = ContinuousModel(np.diag([1.0, -1.0]), np.eye(2))
     monkeypatch.setattr(bench, "gen_random_system", lambda spec, stream: model)
+
+    def fail(*args):
+        raise ConvergenceError("QR iteration did not converge")
+    monkeypatch.setattr(discretize, "real_schur", fail)
     cfg = small_cfg(methods=(Method.PROPOSED, Method.VANLOAN), runs=1)
     records = run_benchmark(cfg)
     assert [(r.t, r.method) for r in records] == \

@@ -13,8 +13,7 @@ from sdedisc import _kernels, discretize, linalg
 from sdedisc.bench import default_t_grid
 from sdedisc.errors import (ConvergenceError, MatrixOverflowError,
                             MethodNotApplicableError,
-                            NilpotencyError, NonFiniteError, SdeDiscError,
-                            UnsupportedSpectrumError)
+                            NilpotencyError, NonFiniteError, SdeDiscError)
 from sdedisc.models import (ContinuousModel, DiscreteModel, Method,
                             EXACT_METHODS)
 from sdedisc.modelgen import (EnsembleSpec, gen_random_system,
@@ -151,44 +150,35 @@ def test_empty_model_gives_empty_f_and_q(method):
     assert report.model.f.shape == report.model.q.shape == (0, 0)
 
 
-@pytest.mark.parametrize("tau_zero", [math.nan, -1.0])
-def test_bad_tau_zero_rejected(tau_zero):
-    m = constant_velocity()
-    with pytest.raises(ValueError, match="tau_zero"):
-        discretize_proposed(m, 1.0, tau_zero=tau_zero)
-
-
-def test_tau_zero_bounds_accepted():
-    # no eigenvalue modulus is <= 0 here, and every one is <= inf
-    report = discretize_proposed(stable_system(0), 1.0, tau_zero=0.0)
-    assert report.diagnostics["integrator_count"] == 0.0
-    report = discretize_proposed(constant_velocity(), 1.0, tau_zero=math.inf)
-    assert report.diagnostics["integrator_count"] == 2.0
-    assert rel_err(report.model.q, cv_reference(1.0)[1]) < 1e-15
-
-
 @pytest.mark.parametrize("tau_zero", [0.0, 1e-8])
 def test_small_tau_zero_still_finds_integrators(tau_zero):
-    # the rounding spread of the integrator pair's eigenvalues (1.8e-8) is
-    # above these thresholds, but the integrators are found by rank
-    # decisions, never by tau_zero
+    # the rounding spread of the integrator pair's LAPACK eigenvalues
+    # (1.8e-8) puts them above these moduli, so a split by moduli at
+    # either would find no integrator; the rank decisions find both
     m = mixed_system(0)
+    assert not (np.abs(np.linalg.eigvals(m.a)) <= tau_zero).any()
     for t in (0.01, 1.0, 100.0):
-        report = discretize_proposed(m, t, tau_zero=tau_zero)
+        report = discretize_proposed(m, t)
         assert report.diagnostics["integrator_count"] == 2.0
         assert rel_err(report.model.q, scipy_doubling_q(m, t)) <= 1e-9, t
 
 
 def test_tau_zero_just_above_a_chains_moduli():
     # an index-4 chain whose four LAPACK eigenvalues have moduli 1.350e-4,
-    # with tau_zero 1.01 times the least of them: a Schur form that put
-    # the chain's eigenvalues above tau_zero once left integrator_count 0
-    # and a Q wrong by 22 orders of magnitude; the rank decisions find
-    # all four integrators
+    # about the origin: a split by moduli just above them once left
+    # integrator_count 0 and a Q wrong by 22 orders of magnitude, and a
+    # split by real parts would cut the chain, as some of them lie right
+    # of -200 eps |A|_F and some left of it; the rank decisions find all
+    # four integrators, and the split is theirs
     m = gen_random_system(EnsembleSpec(8, 4, 4, seed=0), 14)
-    tau_zero = 1.01 * float(np.abs(np.linalg.eigvals(m.a)).min())
-    report = discretize_proposed(m, 1.0, tau_zero=tau_zero)
-    assert report.diagnostics["integrator_count"] == 4.0
+    ev = np.linalg.eigvals(m.a)
+    chain = ev[np.abs(ev) < 1e-3]
+    delta = 200.0 * np.finfo(float).eps * np.linalg.norm(m.a)
+    assert len(chain) == 4
+    assert (chain.real >= -delta).any() and (chain.real < -delta).any()
+    report = discretize_proposed(m, 1.0)
+    assert report.diagnostics == {"split_index": 4.0,
+                                  "integrator_count": 4.0}
     assert rel_err(report.model.q, scipy_doubling_q(m, 1.0)) <= 1e-9
 
 
@@ -335,50 +325,52 @@ def test_observer_canonical_proposed_matches_oracle():
 
 
 def test_mirrored_poles_unsupported_by_proposed():
-    a = np.diag([1.0, -1.0])
-    m = ContinuousModel(a, np.eye(2))
-    with pytest.raises((UnsupportedSpectrumError, MethodNotApplicableError)):
-        discretize_proposed(m, 1.0)
-    # the oracle still works there
+    # the pole at +1 joins the exponentiated block, so no Lyapunov solve
+    # sees the sum 1 + (-1) = 0: proposed answers, and lyap-q with it
+    poles = [1.0, -1.0]
+    m = ContinuousModel(np.diag(poles), np.eye(2))
+    for method in (discretize_proposed, discretize_lyap_q):
+        for t in (1.0, 10.0):
+            q = method(m, t).model.q
+            assert rel_err(q, diagonal_q(poles, t)) <= 1e-14, (method, t)
     q = q_oracle(m, 1.0)
     assert q[0, 0] == pytest.approx((math.exp(2.0) - 1.0) / 2.0, rel=1e-10)
 
 
 # drifts whose squared entries overflow the width, so that numpy's norm of
-# A is inf: (dtype, a, the error at T = 1), with S = I
+# A is inf, with S = I
 OVERFLOWING_NORMS = [
-    (dtype, a, error)
+    (dtype, a)
     for dtype, big in ((np.float64, 1e200), (np.float32, 1e20))
-    for a, error in ((np.array([[0.0, big], [0.0, 0.0]]), MatrixOverflowError),
-                     (np.diag([big, -big]), UnsupportedSpectrumError))]
+    for a in (np.array([[0.0, big], [0.0, 0.0]]), np.diag([big, -big]))]
 
 
-@pytest.mark.parametrize("dtype, a, error", OVERFLOWING_NORMS,
+@pytest.mark.parametrize("dtype, a", OVERFLOWING_NORMS,
                          ids=["chain-64", "mirrored-64", "chain-32",
                               "mirrored-32"])
-def test_overflowing_norm_is_refused_or_right(dtype, a, error):
+def test_overflowing_norm_is_refused_or_right(dtype, a):
     # the tolerances take |A|_F scaled by a power of two, so they stay
     # finite (an infinite one would count every eigenvalue an integrator
     # and zero A, giving Q = T I): at T = 1 the chain's Q (T + a^2 T^3 / 3)
-    # overflows and the mirrored pair is refused; at T = 1e-300 the chain's
-    # Q is T I to the width's rounding
+    # and the mirrored pair's exp(a T) overflow; at T = 1e-300 either Q is
+    # its closed form to the width's rounding, about T I
     m = ContinuousModel(a.astype(dtype), np.eye(2, dtype=dtype))
     assert math.isfinite(tau_zero_default(m.a))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(error):
+        with pytest.raises(MatrixOverflowError):
             cold(m, 1.0)
         for method in (discretize_lyap_p, discretize_lyap_q):
             with pytest.raises(SdeDiscError):
                 method(m, 1.0)
         t = 1e-300
-        if error is UnsupportedSpectrumError:
-            with pytest.raises(error):
-                cold(m, t)
-            return
         b = float(a[0, 1])
-        want = np.array([[t + (b * t) ** 2 * t / 3, b * t * t / 2],
-                         [b * t * t / 2, t]]).astype(dtype)
+        if b:
+            want = np.array([[t + (b * t) ** 2 * t / 3, b * t * t / 2],
+                             [b * t * t / 2, t]])
+        else:
+            want = diagonal_q(np.diagonal(a), t)
+        want = want.astype(dtype)
         got = cold(m, t).model.q
         np.testing.assert_allclose(got, want, rtol=4 * np.finfo(dtype).eps,
                                    atol=0.0)
@@ -391,16 +383,110 @@ def diagonal_q(poles, t):
 
 
 def test_coupled_poles_right_in_proposed():
-    # tau_zero = 1 splits -(1 + 2 eps) from +1: the leading and trailing
-    # blocks hold poles that sum to ~0, which no solve couples, since the
-    # trailing block column comes from the exponential
+    # the split puts +1 in the trailing block and -(1 + 2 eps) in the
+    # leading one: they hold poles that sum to ~0, which no solve couples,
+    # since the trailing block column comes from the exponential
     poles = [-(1.0 + 2 * np.finfo(float).eps), 1.0]
     m = ContinuousModel(np.diag(poles), np.eye(2))
     for t in (1.0, 50.0):
-        report = discretize_proposed(m, t, tau_zero=1.0)
+        report = discretize_proposed(m, t)
         assert report.diagnostics == {"split_index": 1.0,
                                       "integrator_count": 0.0}
         assert rel_err(report.model.q, diagonal_q(poles, t)) <= 1e-12, t
+
+
+def block_diagonal(*blocks):
+    """The block diagonal matrix of the given square blocks."""
+    n = sum(len(b) for b in blocks)
+    out, i = np.zeros((n, n)), 0
+    for b in blocks:
+        out[i:i + len(b), i:i + len(b)] = b
+        i += len(b)
+    return out
+
+
+def rotation(n, seed):
+    """A random orthogonal n x n matrix."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return q * np.sign(np.diagonal(r))
+
+
+def random_psd(n, seed):
+    g = np.random.default_rng(seed).standard_normal((n, n))
+    return g @ g.T / n
+
+
+OSCILLATOR = np.array([[0.0, 2.0], [-2.0, 0.0]])
+CV_CHAIN = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+# drifts with eigenvalues on, right of, or within binary32's
+# 200 eps |A|_F of the imaginary axis, in block form: (A, S, the seed of
+# the rotation applied to both, or None)
+AXIS_MODELS = {
+    "oscillator": (OSCILLATOR, np.diag([0.0, 1.0]), None),
+    "mirrored": (np.diag([1.0, -1.0]), np.eye(2), None),
+    # zeta = 1e-5: Re(lambda) = -2e-5, left of binary64's margin only
+    "light-damping": (np.array([[0.0, 1.0], [-4.0, -4e-5]]),
+                      np.diag([0.0, 1.0]), None),
+    "cv-oscillator": (block_diagonal(CV_CHAIN, OSCILLATOR), random_psd(4, 1),
+                      None),
+    "cv-oscillator-rotated": (block_diagonal(CV_CHAIN, OSCILLATOR),
+                              random_psd(4, 1), 2),
+    "pole-pair-cv": (block_diagonal([[-5.0]], OSCILLATOR, CV_CHAIN),
+                     random_psd(5, 3), None),
+    "pole-pair-cv-rotated": (block_diagonal([[-5.0]], OSCILLATOR, CV_CHAIN),
+                             random_psd(5, 3), 4),
+    "unstable-rotated": (np.diag([1.0, -1.0, -3.0, -0.5]), random_psd(4, 5),
+                         6),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("name", list(AXIS_MODELS))
+def test_proposed_right_on_and_right_of_the_axis(name, dtype):
+    # the eigenvalues with Re(lambda) >= -200 eps |A|_F join the
+    # integrators in the exponentiated block, so no Lyapunov solve sees a
+    # sum lambda_i + lambda_j near 0: every cell is right, or raises
+    # MatrixOverflowError where Q does not fit the width.  The truth is
+    # scipy's Van Loan on the block form, rotated: on the rotated drift
+    # its growing -A^T block cancels in G F^T, 2e3 off at T = 10
+    a, s, seed = AXIS_MODELS[name]
+    n = len(a)
+    u = np.eye(n) if seed is None else rotation(n, seed)
+    m = ContinuousModel(u @ a @ u.T, u @ s @ u.T).astype(dtype)
+    eps = np.finfo(dtype).eps
+    ev = np.linalg.eigvals(a)
+    kept = int(np.count_nonzero(ev.real < -200.0 * eps * np.linalg.norm(a)))
+    tol = {np.float64: 1e-6, np.float32: 1e-2}[dtype]
+    for t in (0.01, 0.1, 1.0, 10.0, 100.0):
+        want = u @ scipy_vanloan_q(ContinuousModel(a, s), t) @ u.T
+        try:
+            report = cold(m, t)
+        except MatrixOverflowError:
+            assert not np.abs(want).max() <= np.finfo(dtype).max, t
+            continue
+        assert report.diagnostics["split_index"] == kept
+        assert rel_err(report.model.q, want) <= tol, t
+        if not report.diagnostics["integrator_count"]:
+            got = discretize_lyap_q(m, t).model
+            assert got.f.tobytes() == report.model.f.tobytes()
+            assert got.q.tobytes() == report.model.q.tobytes()
+
+
+def test_proposed_swaps_an_unstable_pole_last(monkeypatch):
+    # the Schur form of this triangular drift is itself, +1 above -1: the
+    # reordering swaps +1 into the exponentiated block
+    swaps = []
+    swap = linalg._swap_adjacent_blocks
+    monkeypatch.setattr(linalg, "_swap_adjacent_blocks",
+                        lambda *args: swaps.append(1) or swap(*args))
+    m = ContinuousModel(np.array([[1.0, 1.0], [0.0, -1.0]]), np.eye(2))
+    for t in (0.01, 1.0, 10.0):
+        report = cold(m, t)
+        assert report.diagnostics == {"split_index": 1.0,
+                                      "integrator_count": 0.0}
+        assert rel_err(report.model.q, scipy_vanloan_q(m, t)) <= 1e-12, t
+    assert len(swaps) == 3
 
 
 # ----------------------------------------------------------- stationary
@@ -856,20 +942,20 @@ def _triangular_chain3():
     return ContinuousModel(a, g @ g.T / spectral_norm(g @ g.T))
 
 
-@pytest.mark.parametrize("m, tau_zero, p", [
-    (_triangular_chain3(), None, 3),
-    (observer_canonical([1.5, 0.7], [1.0, 0.2], p=3), None, 3),
-    (gen_random_system(EnsembleSpec(6, 3, 3, seed=0), stream=3), 1e-4, 3),
-    (gen_random_system(EnsembleSpec(7, 3, 4, seed=1)), 2e-3, 4),
+@pytest.mark.parametrize("m, p", [
+    (_triangular_chain3(), 3),
+    (observer_canonical([1.5, 0.7], [1.0, 0.2], p=3), 3),
+    (gen_random_system(EnsembleSpec(6, 3, 3, seed=0), stream=3), 3),
+    (gen_random_system(EnsembleSpec(7, 3, 4, seed=1)), 4),
 ], ids=["triangular-p3", "observer-p3", "rotated-p3", "rotated-p4"])
-def test_proposed_deep_integrator_chains(m, tau_zero, p):
+def test_proposed_deep_integrator_chains(m, p):
     # the coupling block F12 of three or more integrators: the rank
     # decisions leave a22 strictly upper triangular, full beyond its first
     # superdiagonal,
     # and F12 comes from the plan's exponential with F22
     expm = pytest.importorskip("scipy.linalg").expm
     for t in (0.1, 1.0, 10.0):
-        report = discretize_proposed(m, t, tau_zero=tau_zero)
+        report = discretize_proposed(m, t)
         assert report.diagnostics["integrator_count"] == p
         assert rel_err(report.model.f, expm(m.a * t)) <= 1e-12, t
         assert rel_err(report.model.q, scipy_vanloan_q(m, t)) <= 1e-9, t
@@ -891,14 +977,13 @@ def test_binary32_proposed_psd_at_paper_horizons(seed):
 
 def test_proposed_chain_left_in_leading_block_right_or_refused():
     # LAPACK puts the rotated index-4 chain of this system at moduli
-    # 1.350e-4: a split by moduli at tau_zero 1.01 times the smallest would
-    # leave the chain in the leading block, to the Lyapunov solve, while
-    # the rank decisions find it whatever tau_zero is.  The reference is
-    # built as perfbench/reference.py builds it.
+    # 1.350e-4: a split by moduli just above the smallest would leave the
+    # chain in the leading block, to the Lyapunov solve, while the rank
+    # decisions find it.  The reference is built as perfbench/reference.py
+    # builds it.
     m = gen_random_system(EnsembleSpec(8, 4, 4, seed=0), stream=14)
-    tau_zero = 1.01 * float(np.abs(np.linalg.eigvals(m.a)).min())
     try:
-        q = discretize_proposed(m, 1.0, tau_zero).model.q
+        q = discretize_proposed(m, 1.0).model.q
     except SdeDiscError:
         return
     assert rel_err(q, scipy_doubling_q(m, 1.0)) <= 1e-9
@@ -942,7 +1027,7 @@ def test_plan_keeps_the_split(spec, dtype):
         for stream in range(4):
             m = gen_random_system(EnsembleSpec(*spec, seed=seed),
                                   stream).astype(dtype)
-            plan = discretize._ProposedPlan(m, None, None)
+            plan = discretize._ProposedPlan(m)
             _, at, k = discretize._split(
                 m.a, 100.0 * np.finfo(dtype).eps * linalg._fro_norm(m.a))
             assert plan.k == k == n - p and plan.integrators == p
@@ -1185,10 +1270,10 @@ def test_proposed_float32_error_flat_in_horizon():
 HORIZONS = (1e-3, 0.05, 0.7, 3.0, 10.0)
 
 
-def cold(m, t, tau_zero=None):
+def cold(m, t):
     """discretize_proposed with no plan kept from an earlier call."""
     discretize._last_plan = None
-    return discretize_proposed(m, t, tau_zero)
+    return discretize_proposed(m, t)
 
 
 def same_bits(r1, r2):
@@ -1224,26 +1309,25 @@ def column_spans(sylv):
     return [(j0, j) for j0, j, _ in blocks]
 
 
-@pytest.mark.parametrize("model, tau_zero, q11_spans", [
-    (stable_system(0), None, None),  # p = 0: q11 in a11's eigenbasis
-    (constant_velocity(), None, []),  # k = 0
-    (mixed_system(2), None, [(0, 4)]),
-    (mixed_system(3).astype(np.float32), None, [(0, 4)]),
-    (mixed_system(0), None, [(0, 4)]),
+@pytest.mark.parametrize("model, q11_spans", [
+    (stable_system(0), None),  # p = 0: q11 in a11's eigenbasis
+    (constant_velocity(), []),  # k = 0
+    (mixed_system(2), [(0, 4)]),
+    (mixed_system(3).astype(np.float32), [(0, 4)]),
+    (mixed_system(0), [(0, 4)]),
     # a rotated index-3 chain, a22 strictly upper triangular
-    (gen_random_system(EnsembleSpec(6, 3, 3, seed=0), stream=3), 1e-3,
-     [(0, 3)]),
+    (gen_random_system(EnsembleSpec(6, 3, 3, seed=0), stream=3), [(0, 3)]),
     # k = 14: q11 in a11's eigenbasis at both widths
-    (gen_random_system(EnsembleSpec(16, 14, 2, seed=7)), None, None),
+    (gen_random_system(EnsembleSpec(16, 14, 2, seed=7)), None),
     (gen_random_system(EnsembleSpec(16, 14, 2, seed=7)).astype(np.float32),
-     None, None),
+     None),
 ], ids=["p0", "k0", "mixed", "binary32", "a22-pair", "chain3-tau", "eig-n16",
         "eig-n16-binary32"])
-def test_proposed_warm_equals_cold(model, tau_zero, q11_spans):
-    want = [cold(model, t, tau_zero) for t in HORIZONS]
+def test_proposed_warm_equals_cold(model, q11_spans):
+    want = [cold(model, t) for t in HORIZONS]
     discretize._last_plan = None
     for t, r in zip(HORIZONS, want):
-        assert same_bits(discretize_proposed(model, t, tau_zero), r), t
+        assert same_bits(discretize_proposed(model, t), r), t
     stacked = discretize._last_plan.reports(HORIZONS)
     assert all(same_bits(s, r) for s, r in zip(stacked, want, strict=True))
     # at n = 6 the narrowest blocks merge: the q11 solve is one block of at
@@ -1273,25 +1357,6 @@ def test_proposed_plan_makes_no_swaps(spec, monkeypatch):
     assert not swaps
 
 
-def test_proposed_caller_tau_zero_swaps_blocks(monkeypatch):
-    # a tau_zero just above the slowest stable pole, -0.135, moves it into
-    # the exponentiated block: the reordering swaps it past the complex
-    # pair that follows it in a11's Schur form
-    swaps = []
-    swap = linalg._swap_adjacent_blocks
-    monkeypatch.setattr(linalg, "_swap_adjacent_blocks",
-                        lambda *args: swaps.append(1) or swap(*args))
-    m = gen_random_system(EnsembleSpec(6, 4, 2, seed=0), stream=0)
-    # past the integrator pair's two moduli
-    tau_zero = 1.01 * float(np.sort(np.abs(np.linalg.eigvals(m.a)))[2])
-    for t in (0.01, 1.0, 100.0):
-        report = discretize_proposed(m, t, tau_zero)
-        assert report.diagnostics == {"split_index": 3.0,
-                                      "integrator_count": 2.0}
-        assert rel_err(report.model.q, scipy_doubling_q(m, t)) <= 1e-9, t
-    assert swaps
-
-
 def test_proposed_factors_once_for_many_horizons(schur_count):
     m = mixed_system(4)
     ts = np.geomspace(1e-3, 10.0, 16)
@@ -1316,30 +1381,23 @@ def test_proposed_refactors_on_any_change(schur_count):
     discretize._last_plan = None
     schur_count.clear()
     discretize_proposed(m, 1.0)
-    discretize_proposed(m, 1.0, tau_zero=1e-3)
+    discretize_proposed(m, 1.0)
     discretize_proposed(m.astype(np.float32), 1.0)
-    assert len(schur_count) == 3
+    assert len(schur_count) == 2
 
 
-def test_proposed_plan_failure_raises_every_call(schur_count):
+def test_proposed_plan_failure_raises_every_call(monkeypatch):
+    calls = []
+
+    def fail(*args):
+        calls.append(1)
+        raise ConvergenceError("QR iteration did not converge")
+    monkeypatch.setattr(discretize, "real_schur", fail)
     m = ContinuousModel(np.diag([1.0, -1.0]), np.eye(2))
     for t in (1.0, 2.0, 1.0):
-        with pytest.raises(UnsupportedSpectrumError):
+        with pytest.raises(ConvergenceError):
             discretize_proposed(m, t)
-    assert len(schur_count) == 3  # a failed plan is not kept
-
-
-def test_proposed_plan_exponentiates_a_slow_trailing_pole(schur_count):
-    # tau_zero puts the pole at -1e-3 in the trailing block, where the
-    # rank decisions find no integrator, and the exponential takes it
-    poles = [-1.0, -1e-3]
-    m = ContinuousModel(np.diag(poles), np.eye(2))
-    for t in (1.0, 2.0, 1.0):
-        report = discretize_proposed(m, t, tau_zero=1e-2)
-        assert report.diagnostics == {"split_index": 1.0,
-                                      "integrator_count": 0.0}
-        assert rel_err(report.model.q, diagonal_q(poles, t)) <= 1e-14, t
-    assert len(schur_count) == 1
+    assert len(calls) == 3  # a failed plan is not kept
 
 
 def test_proposed_prepares_solvers_once_per_plan(sylv_calls):
@@ -1381,7 +1439,7 @@ def test_normal_a11_solves_q11_in_its_eigenbasis(n, dtype):
     for stream in range(2):
         m = gen_random_system(EnsembleSpec(n, n - 2, 2, seed=stream),
                               stream).astype(dtype)
-        plan = discretize._ProposedPlan(m, None, None)
+        plan = discretize._ProposedPlan(m)
         assert plan.q11_sylv is None and plan.q11_eig is not None
         k, r = plan.k, np.ascontiguousarray(plan.a11.T)
         c = np.random.default_rng(stream).standard_normal((4, k, k))
@@ -1403,13 +1461,13 @@ def test_eigenbasis_gate_keeps_q_within_4x_of_trsylv(dtype, monkeypatch):
     taken = 0
     for n, kappa, seed in cells:
         m = coupled_system(n, kappa, seed).astype(dtype)
-        plan = discretize._ProposedPlan(m, None, None)
+        plan = discretize._ProposedPlan(m)
         if plan.q11_eig is None:
             continue
         taken += 1
         with monkeypatch.context() as patch:
             patch.setattr(discretize, "_Q11_EIG_GATE", 0.0)
-            fallback = discretize._ProposedPlan(m, None, None)
+            fallback = discretize._ProposedPlan(m)
         assert fallback.q11_eig is None
         ts = (0.01, 1.0, 10.0)
         for t, got, want in zip(ts, plan.reports(ts), fallback.reports(ts)):
@@ -1562,26 +1620,27 @@ def outcome(call, *args):
        dtype=st.sampled_from([np.float64, np.float32]),
        t=st.sampled_from([1e-3, 1.0, 10.0]))
 def test_lyap_methods_take_what_the_plan_decides(kinds, seed, dtype, t):
-    # lyap-q refuses exactly where proposed's plan has a trailing block
-    # (k < n), raises the plan's own error, or is proposed bit for bit;
-    # lyap-p returns only where k = n
+    # lyap-q refuses exactly where proposed's staircase found integrators,
+    # raises the plan's own error, or is proposed bit for bit; lyap-p
+    # returns only where the plan has no trailing block (k = n)
     m = spectrum_model(kinds, seed, dtype)
     discretize._last_plan = None
     try:
-        plan = discretize._proposed_plan(m, None)
+        plan = discretize._proposed_plan(m)
     except SdeDiscError as exc:
         plan = type(exc), str(exc)
     got_q = outcome(discretize_lyap_q, m, t)
     got_p = outcome(discretize_lyap_p, m, t)
     if isinstance(plan, tuple):
         assert got_q == got_p == plan
-    elif plan.k < m.n:
-        assert got_q[0] is MethodNotApplicableError
-        assert f"n - k = {m.n - plan.k} eigenvalues" in got_q[1]
-        assert got_p[0] is MethodNotApplicableError
+        return
+    if plan.integrators:
+        assert got_q == (MethodNotApplicableError,
+                         lyap_q_refusal(plan.integrators))
     else:
         assert got_q == outcome(cold, m, t)
-        assert got_p[0] is not UnsupportedSpectrumError
+    if plan.k < m.n:
+        assert got_p[0] is MethodNotApplicableError
 
 
 def lyap_p_refusal(tau, max_re):
@@ -1591,46 +1650,38 @@ def lyap_p_refusal(tau, max_re):
 
 
 def lyap_q_refusal(integrators):
-    return (f"lyap-q not applicable: n - k = {integrators} eigenvalues are "
+    return (f"lyap-q not applicable: {integrators} eigenvalues are "
             "integrators, and only proposed solves that trailing block")
 
 
-MIRRORED = ("non-zero poles mirrored in the imaginary axis: "
-            "1.000e+00+0.000e+00j and -1.000e+00+0.000e+00j")
-
-SLOW_POLES = [-1.0, -1e-9, -2.0]
-
-# the Lyapunov methods' refusal messages, pinned, for a model that the
-# plan refuses itself (mirrored poles), an integrator chain and a slow
-# pole, which lyap-q solves (None)
+# the Lyapunov methods' refusal messages, pinned, for mirrored poles, an
+# integrator chain and a slow pole, and the poles of the diagonal drifts
+# where lyap-q answers (its message None)
 LYAP_REFUSALS = [
-    (np.diag([1.0, -1.0]), np.eye(2), UnsupportedSpectrumError,
-     MIRRORED, MIRRORED),
-    (constant_velocity().a, constant_velocity().s, MethodNotApplicableError,
+    (np.diag([1.0, -1.0]), np.eye(2),
+     lyap_p_refusal("2.980e-07", "1.000e+00"), None),
+    (constant_velocity().a, constant_velocity().s,
      lyap_p_refusal("2.107e-07", "0.000e+00"), lyap_q_refusal(2)),
-    (np.diag(SLOW_POLES), np.eye(3), MethodNotApplicableError,
+    (np.diag([-1.0, -1e-9, -2.0]), np.eye(3),
      lyap_p_refusal("5.771e-07", "-1.000e-09"), None),
 ]
 
 
-@pytest.mark.parametrize("a, s, error, msg_p, msg_q", LYAP_REFUSALS,
+@pytest.mark.parametrize("a, s, msg_p, msg_q", LYAP_REFUSALS,
                          ids=["mirrored", "constant-velocity", "slow-pole"])
-def test_lyap_refusal_messages(a, s, error, msg_p, msg_q):
+def test_lyap_refusal_messages(a, s, msg_p, msg_q):
     m = ContinuousModel(a, s)
     for method, msg in ((discretize_lyap_p, msg_p),
                         (discretize_lyap_q, msg_q)):
         for warm in (False, True):
             discretize._last_plan = None
-            try:
-                if warm:  # checked on the plan proposed keeps, if any
-                    discretize_proposed(m, 1.0)
-            except UnsupportedSpectrumError:
-                pass
+            if warm:  # checked on the plan proposed keeps
+                discretize_proposed(m, 1.0)
             if msg is None:
                 q = method(m, 1.0).model.q
-                assert rel_err(q, diagonal_q(SLOW_POLES, 1.0)) <= 1e-14
+                assert rel_err(q, diagonal_q(np.diagonal(a), 1.0)) <= 1e-14
                 continue
-            with pytest.raises(error) as info:
+            with pytest.raises(MethodNotApplicableError) as info:
                 method(m, 1.0)
             assert str(info.value) == msg
 
@@ -1714,8 +1765,7 @@ def exp_error_bound(x, t, dtype):
 
 def test_plan_exponential_stacked_equals_one_horizon():
     for dtype in (np.float64, np.float32):
-        plan = discretize._ProposedPlan(mixed_system(2).astype(dtype), None,
-                                        None)
+        plan = discretize._ProposedPlan(mixed_system(2).astype(dtype))
         ts = (1e-3, 0.3, 2.0, 11.0, 40.0, 100.0)
         assert len({linalg._squarings(plan.exp[0], t) for t in ts}) >= 4
         stack, fm1, ok = linalg._exp_at(plan.exp, ts)
@@ -1733,7 +1783,7 @@ def test_plan_exponential_empty_huge_and_flagged():
         # exponential has a diagonal of exact ones at any horizon, and the
         # carried F - I one of exact zeros; at 1e300 its t^3 entries
         # overflow and are flagged
-        plan = discretize._ProposedPlan(constant_velocity(), None, None)
+        plan = discretize._ProposedPlan(constant_velocity())
         assert plan.k == 0
         with np.errstate(over="ignore", invalid="ignore"):
             stack, fm1, ok = linalg._exp_at(plan.exp, (1.0, 1e50, 1e300))
@@ -1747,7 +1797,7 @@ def test_plan_exponential_empty_huge_and_flagged():
             # 124 in binary32) give a finite exponential
             m = ContinuousModel(np.array([[-2.0]], dtype=dtype),
                                 np.array([[1.0]], dtype=dtype))
-            plan = discretize._ProposedPlan(m, None, None)
+            plan = discretize._ProposedPlan(m)
             assert plan.exp[0] == 2.0
             with np.errstate(over="ignore", invalid="ignore"):
                 stack, fm1, ok = linalg._exp_at(plan.exp, (huge / 4, huge))
@@ -1759,7 +1809,7 @@ def test_plan_exponential_empty_huge_and_flagged():
             # an exponential that overflows the width is flagged too
             m = ContinuousModel(np.array([[1.0]], dtype=dtype),
                                 np.array([[1.0]], dtype=dtype))
-            plan = discretize._ProposedPlan(m, None, None)
+            plan = discretize._ProposedPlan(m)
             t_over = 100.0 if dtype is np.float32 else 800.0
             good, bad = plan.reports((1.0, t_over))
             assert good.model.f[0, 0] == pytest.approx(
@@ -1784,7 +1834,7 @@ def test_plan_exponential_matches_scipy(n, p, seed, squarings, frac, dtype):
     assume(p < n)
     m = gen_random_system(EnsembleSpec(n, n - p, p, seed=seed))
     try:
-        plan = discretize._ProposedPlan(m.astype(dtype), None, None)
+        plan = discretize._ProposedPlan(m.astype(dtype))
     except SdeDiscError:
         assume(False)
     k = plan.k
@@ -1817,7 +1867,7 @@ def test_plan_exponential_gives_f_minus_i(spec, check, dtype):
     # binary64 and 1 in binary32 at t = 1e-10
     expm = pytest.importorskip("scipy.linalg").expm
     m = gen_random_system(spec).astype(dtype)
-    plan = discretize._ProposedPlan(m, None, None)
+    plan = discretize._ProposedPlan(m)
     if check:
         check(plan.ev, tau_zero_default(m.a))
     n = m.n

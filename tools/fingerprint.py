@@ -12,16 +12,17 @@ truths; it shows that the methods' bits stay when only the truths move.  A fifth
 A sixth, ``deep-chains``, hashes ``discretize_proposed``'s F, Q and
 exception type names on the four models of
 ``test_proposed_deep_integrator_chains`` (index-3 and index-4 integrator
-chains), with their
-``tau_zero``, at T in {0.1, 1, 10} and at both widths; it does not depend
-on ``--seed`` either.  A seventh, ``refusals``, hashes the type and
-message of every refusal below: mirrored poles ``diag(1, -1)`` under
-``proposed``, ``lyap-p`` and ``lyap-q`` at both widths; the binary32
-``EnsembleSpec(24, 24, 0, seed=2)`` stream 1, whose slowest pole is within
-lyap-p's margin, under ``lyap-p``; and ``discretize_proposed`` on four
-drifts whose squared entries overflow the width, with S = I: binary64
-``[[0, 1e200], [0, 0]]`` and ``diag(1e200, -1e200)``, binary32
-``[[0, 1e20], [0, 0]]`` and ``diag(1e20, -1e20)``; all at T = 1.  An
+chains) at T in {0.1, 1, 10} and at both widths; it does not depend on
+``--seed`` either.  A seventh, ``refusals``, hashes the F and Q, or the
+type and message of the refusal, of each call below: mirrored poles
+``diag(1, -1)`` under ``proposed``, ``lyap-p`` and ``lyap-q`` at both
+widths, which ``proposed`` and ``lyap-q`` answer and ``lyap-p`` refuses by
+its margin; the binary32 ``EnsembleSpec(24, 24, 0, seed=2)`` stream 1,
+whose slowest pole is within lyap-p's margin, under ``lyap-p``; and
+``discretize_proposed`` on four drifts whose squared entries overflow the
+width, with S = I: binary64 ``[[0, 1e200], [0, 0]]`` and
+``diag(1e200, -1e200)``, binary32 ``[[0, 1e20], [0, 0]]`` and
+``diag(1e20, -1e20)``; all at T = 1.  An
 eighth, ``foils``, hashes the ``naive-a`` and ``naive-b`` Q (or the type
 and message of what they raise) on the ``lyap-methods`` models at both
 widths and the same T, so that a change to the exponential's bits that
@@ -64,8 +65,8 @@ def triangular_chain3():
     return sdedisc.ContinuousModel(a, g @ g.T / sdedisc.spectral_norm(g @ g.T))
 
 
-# (call, model, method) of each refusal whose message is hashed, each
-# called at T = 1
+# (call, model, method) of each call whose result or refusal message is
+# hashed, each called at T = 1
 MIRRORED = sdedisc.ContinuousModel(np.diag([1.0, -1.0]), np.eye(2))
 WIDE32 = sdedisc.gen_random_system(sdedisc.EnsembleSpec(24, 24, 0, seed=2),
                                    1).astype(np.float32)
@@ -81,13 +82,12 @@ REFUSALS += [(sdedisc.run_method, sdedisc.ContinuousModel(
              for a in (np.array([[0.0, big], [0.0, 0.0]]),
                        np.diag([big, -big]))]
 
-# (model, tau_zero) of each deep integrator chain
+# the deep integrator chains
 CHAIN_MODELS = [
-    (triangular_chain3(), None),
-    (sdedisc.observer_canonical([1.5, 0.7], [1.0, 0.2], p=3), None),
-    (sdedisc.gen_random_system(sdedisc.EnsembleSpec(6, 3, 3, seed=0), 3),
-     1e-4),
-    (sdedisc.gen_random_system(sdedisc.EnsembleSpec(7, 3, 4, seed=1)), 2e-3),
+    triangular_chain3(),
+    sdedisc.observer_canonical([1.5, 0.7], [1.0, 0.2], p=3),
+    sdedisc.gen_random_system(sdedisc.EnsembleSpec(6, 3, 3, seed=0), 3),
+    sdedisc.gen_random_system(sdedisc.EnsembleSpec(7, 3, 4, seed=1)),
 ]
 
 
@@ -143,11 +143,11 @@ if __name__ == "__main__":
                                        t, method))
     print("lyap-methods", lyap.hexdigest())
     chains = hashlib.sha256()
-    for m, tau_zero in CHAIN_MODELS:
+    for m in CHAIN_MODELS:
         for dtype in (np.float64, np.float32):
             for t in (0.1, 1.0, 10.0):
                 feed(chains, attempt(sdedisc.discretize_proposed,
-                                     m.astype(dtype), t, tau_zero))
+                                     m.astype(dtype), t))
     print("deep-chains", chains.hexdigest())
     refused = hashlib.sha256()
     for call, m, arg in REFUSALS:

@@ -19,9 +19,7 @@ Schur forms from ``A``, their eigenvector bases being too
 ill-conditioned);
 ``discretize_proposed`` cold and warm on index-3 chains at n = 16
 (``EnsembleSpec(16, 13, 3, seed=1)``, four streams), whose 3x3 integrator
-block makes the plan's exponential 35 x 35, with ``tau_zero=1e-2``, which
-a split by moduli needed to find the chain and which selects none of
-these models' stable poles (the slowest is -0.065);
+block makes the plan's exponential 19 x 19;
 ``discretize_proposed`` cold and warm on tests/test_discretize.py's
 coupled drifts at n = 16 (``coupled_system(16, 0.3, seed)``, seeds
 0 .. 3), whose eigenvector bases are too ill-conditioned for the plan's
@@ -118,7 +116,7 @@ def rows(pkg):
               for s in range(STREAMS)]
     for warm in (False, True):
         out.append((f"proposed {'warm' if warm else 'cold'} p3 n=16",
-                    proposed(pkg, chains, warm, 1e-2)))
+                    proposed(pkg, chains, warm)))
     coupled = [coupled_system(pkg, 16, 0.3, seed) for seed in range(STREAMS)]
     for warm in (False, True):
         out.append((f"proposed {'warm' if warm else 'cold'} coupled n=16",
@@ -127,7 +125,7 @@ def rows(pkg):
     d = pkg.discretize
     for label, width, stacked in (
             ("proposed f32 reports", np.float32,
-             lambda m: d._ProposedPlan(m, None, None).reports(grid)),
+             lambda m: d._ProposedPlan(m).reports(grid)),
             ("vanloan f32 reports", np.float32,
              lambda m: d._vanloan_reports(m, grid)),
             ("oracle paper", np.float64,
@@ -141,7 +139,7 @@ def rows(pkg):
               for s in range(STREAMS)], (1.0,)),
             ("plan exp f32 paper", np.float32,
              paper_models(pkg, np.float32), grid)):
-        tables = [d._ProposedPlan(m.astype(width), None, None).exp
+        tables = [d._ProposedPlan(m.astype(width)).exp
                   for m in models]
         out.append((label, cycle([lambda x=x, ts=ts: linalg._exp_at(x, ts)
                                   for x in tables])))
@@ -238,19 +236,18 @@ def cycle(calls):
     return call
 
 
-def proposed(pkg, models, warm, tau_zero=None):
+def proposed(pkg, models, warm):
     """A cold call drops the kept plan first; a warm call evaluates the
     first model at the next of HORIZONS, with its plan kept (made again by
     an untimed call when another row replaced it, see sample)."""
     d = pkg.discretize
     if warm:
-        return cycle([lambda t=t: pkg.discretize_proposed(models[0], t,
-                                                          tau_zero)
+        return cycle([lambda t=t: pkg.discretize_proposed(models[0], t)
                       for t in HORIZONS])
 
     def cold(m):
         d._last_plan = None
-        pkg.discretize_proposed(m, 1.0, tau_zero)
+        pkg.discretize_proposed(m, 1.0)
     return cycle([lambda m=m: cold(m) for m in models])
 
 

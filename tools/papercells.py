@@ -37,8 +37,8 @@ def score(seed, grid):
     truths = _q_oracle_many(m, grid)
     ts = [t for t, q in zip(grid, truths) if not isinstance(q, SdeDiscError)]
     try:
-        reports = dict(zip(ts, _proposed_plan(m.astype(np.float32),
-                                              None).reports(ts)))
+        reports = dict(zip(ts, _proposed_plan(m.astype(np.float32))
+                           .reports(ts)))
     except SdeDiscError as exc:
         reports = dict.fromkeys(ts, exc)
     out = []
