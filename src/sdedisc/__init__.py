@@ -12,7 +12,7 @@ from .errors import (SdeDiscError, DimensionError, NonFiniteError,
                      ClassificationError, NilpotencyError,
                      MethodNotApplicableError)
 from .models import ContinuousModel, DiscreteModel, Method, MethodReport
-from .linalg import mat_exp, spectral_norm, tau_zero_default
+from .linalg import mat_exp, spectral_norm
 from .discretize import (discretize_lyap_p, discretize_lyap_q,
                          discretize_proposed, discretize_vanloan,
                          naive_q_a, naive_q_b, q_oracle, q_nilpotent,
@@ -29,7 +29,7 @@ __all__ = [
     "MatrixOverflowError", "ConvergenceError", "ClassificationError",
     "NilpotencyError", "MethodNotApplicableError",
     "ContinuousModel", "DiscreteModel", "Method", "MethodReport",
-    "mat_exp", "spectral_norm", "tau_zero_default",
+    "mat_exp", "spectral_norm",
     "discretize_lyap_p", "discretize_lyap_q", "discretize_proposed",
     "discretize_vanloan", "naive_q_a", "naive_q_b", "q_oracle",
     "q_nilpotent", "run_method", "lemma2_residual", "semigroup_residual",

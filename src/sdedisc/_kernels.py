@@ -111,7 +111,7 @@ def _roots(h11, h12, h21, h22):
     return mid + root, mid - root
 
 
-def francis_qr(hu, eps, anorm, max_sweeps, zeros, top):
+def francis_qr(hu, eps, anorm, max_sweeps, top):
     """Francis implicit double-shift QR on the upper Hessenberg top half T
     of hu, in place.
 
@@ -121,15 +121,10 @@ def francis_qr(hu, eps, anorm, max_sweeps, zeros, top):
     top .. n-1 are iterated on (LAPACK's ilo window): T's leading top
     columns must be quasi-upper triangular and zero from row top on.
 
-    Each iteration's double shift is, in this order of precedence: the
-    exceptional shift on every 10th iteration without a deflation at the
-    bottom of the active window; while fewer than 10 such iterations have
-    passed and the window's bottom row is one of the last ``zeros`` rows,
-    a double shift at 0; otherwise the Wilkinson pair, the eigenvalues of
-    the window's trailing 2x2 block.  Zero shifts deflate the eigenvalues
-    near 0 at the bottom, so integrators finish last; a window whose zero
-    shifts stall takes the Wilkinson pair from its first exceptional shift
-    on.
+    Each iteration's double shift is the Wilkinson pair, the eigenvalues
+    of the active window's trailing 2x2 block, except on every 10th
+    iteration without a deflation at the window's bottom, which takes the
+    exceptional shift to break limit cycles.
     """
     n = hu.shape[1]
     if n <= 2:
@@ -156,8 +151,6 @@ def francis_qr(hu, eps, anorm, max_sweeps, zeros, top):
             s = 0.75 * sx + h22
             trc = s + s
             det = s * s + 0.4375 * sx * sx
-        elif stall < 10 and hi >= n - zeros:
-            trc = det = 0.0
         else:
             trc = h11 + h22
             det = h11 * h22 - h12 * h21

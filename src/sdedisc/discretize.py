@@ -49,7 +49,6 @@ from .linalg import (
     quasi_tri_eigvalues,
     real_schur,
     spectral_norm,
-    tau_zero_default,
 )
 from .models import ContinuousModel, DiscreteModel, Method, MethodReport
 
@@ -109,20 +108,29 @@ def _unwrap(out):
     return out
 
 
+def _lyap_p_margin(a: np.ndarray) -> float:
+    """lyap-p's margin, sqrt(100 n eps) ||A||_F: lyap-p takes a drift
+    only if every eigenvalue's real part is below minus this.  Its P/2
+    solve loses about eps (||A|| / zeta)^2 for an eigenvalue zeta from
+    the imaginary axis, so a margin linear in eps would pass drifts whose
+    P keeps no digit; the square root holds that loss near 1 / (100 n).
+    The integrators are found by _split's rank decisions, not here."""
+    return math.sqrt(100.0 * a.shape[0] * eps_of(a)) * _fro_norm(a)
+
+
 def _lyap_p_check(ev, tau: float):
-    # Re(lambda) < -tau_zero_default(A) keeps every lambda_i + lambda_j off 0
     max_re = float(ev.real.max(initial=-math.inf))
     if max_re >= -tau:
         raise MethodNotApplicableError(
             f"lyap-p requires Re(lambda) < -{tau:.3e}, the margin "
-            "tau_zero_default(A), for every eigenvalue; max Re(lambda) = "
-            f"{max_re:.3e} is not below it")
+            "sqrt(100 n eps) ||A||_F, for every eigenvalue; max Re(lambda) "
+            f"= {max_re:.3e} is not below it")
 
 
 def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
     """Stationary-covariance method: A P + P A^T = -S, then
     Q = P - F P F^T.  Requires a strictly stable drift, every eigenvalue's
-    real part below -tau_zero_default(A), so the plan has no trailing
+    real part below -_lyap_p_margin(A), so the plan has no trailing
     block: P/2 comes from the q11 solver of discretize_proposed's plan,
     a11's eigenbasis or trsylv as the plan decided, and the plan keeps
     it.  With no trailing block, the plan's H is at alone, and
@@ -132,7 +140,7 @@ def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
         return _trivial_report(m, Method.LYAP_P)
     plan = _proposed_plan(m)
     if plan.p_half is None:  # a refused plan never sets it
-        _lyap_p_check(plan.ev, tau_zero_default(m.a))
+        _lyap_p_check(plan.ev, _lyap_p_margin(m.a))
         plan.p_half = plan.solve_q11(-plan.st_half)
     with np.errstate(over="ignore", invalid="ignore"):
         (e,), (fm1,), (ok,) = _exp_at(plan.exp, (t,))
@@ -277,7 +285,7 @@ class _ProposedPlan:
         n, eps, anorm = m.n, eps_of(m.a), _fro_norm(m.a)
         v, at, k = _split(m.a, 100.0 * eps * anorm)
         self.integrators = n - k
-        u, at = real_schur(at, 0.0)
+        u, at = real_schur(at)
         self.ev = quasi_tri_eigvalues(at)
         delta = 200.0 * eps * anorm
         if self.ev[:k].real.max(initial=-math.inf) >= -delta:

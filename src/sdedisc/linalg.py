@@ -1,5 +1,7 @@
 """Dense real linear-algebra layer: matrix exponential, real Schur form
-with eigenvalue reordering, and norms.  Its Sylvester/Lyapunov solvers
+with eigenvalue reordering, and norms.  The Schur form takes no
+threshold; the integrator split and lyap-p's margin are discretize's
+policy.  Its Sylvester/Lyapunov solvers
 (solve_sylvester, solve_lyapunov) have no caller in the package: the
 exact methods solve through _kernels.sylv_blocks and _kernels.trsylv.
 
@@ -44,21 +46,6 @@ def eps_of(arr_or_dtype) -> float:
     dtype = arr_or_dtype.dtype if isinstance(arr_or_dtype, np.ndarray) \
         else np.dtype(arr_or_dtype)
     return float(np.finfo(dtype).eps)
-
-
-def tau_zero_default(a: np.ndarray) -> float:
-    """lyap-p's margin: it takes a drift only if every eigenvalue's real
-    part is below -tau_zero_default(A), sqrt(100 n eps) ||A||_F.
-
-    Computed eigenvalues of a nilpotent block of index p carry rounding
-    noise on the order of ||A|| * eps^(1/p), so a margin linear in eps
-    would pass a transformed integrator pair.  The square-root scaling
-    covers that noise up to index 2 with a wide margin and keeps well
-    below any physical pole of magnitude >> sqrt(eps).  The integrators
-    themselves are found by rank decisions, not by this threshold.
-    """
-    n = a.shape[0]
-    return math.sqrt(100.0 * n * eps_of(a)) * _fro_norm(a)
 
 
 def _unit_scaled(x: np.ndarray) -> tuple:
@@ -222,7 +209,7 @@ def _scalings(nu: float, ts, limit: float) -> tuple:
             for i, t in enumerate(ts)], bad
 
 
-def _eigenvector_start(a, ev, vecs, tau_zero, anorm=None):
+def _eigenvector_start(a, ev, vecs, anorm):
     """(hu, top): the stacked hu = [t0; q] real_schur starts from, with q
     orthogonal and a = q t0 q^T up to the entries t0 drops, built from the
     eigenvectors vecs of a's eigenvalues ev (np.linalg.eig), and the
@@ -230,17 +217,17 @@ def _eigenvector_start(a, ev, vecs, tau_zero, anorm=None):
     those entries are too large, as they are for some ill-conditioned bases.
 
     q's leading columns are the QR factor of the real basis of the
-    eigenvalues of modulus > tau_zero, in LAPACK's order: v for a real
-    eigenvalue, [Re v, Im v] for a conjugate pair.  They span an invariant
-    subspace, so q^T a q is quasi-upper triangular there (a 2x2 block per
-    pair) and zero below it, to rounding times the basis's condition
-    number.  t0 is q^T a q with the entries below that structure zeroed,
-    provided their norm is at most _EIGVEC_START_TOL n eps ||a||_F, where
-    ||a||_F is anorm, or taken here if that is None."""
+    nonzero eigenvalues, in LAPACK's order: v for a real eigenvalue,
+    [Re v, Im v] for a conjugate pair.  They span an invariant subspace,
+    so q^T a q is quasi-upper triangular there (a 2x2 block per pair) and
+    zero below it, to rounding times the basis's condition number.  t0 is
+    q^T a q with the entries below that structure zeroed, provided their
+    norm is at most _EIGVEC_START_TOL n eps ||a||_F, where ||a||_F is
+    anorm."""
     n = a.shape[0]
     cols, pairs = [], []
     for i, lam in enumerate(ev.tolist()):
-        if abs(lam) <= tau_zero or lam.imag < 0.0:
+        if lam == 0.0 or lam.imag < 0.0:
             continue
         if lam.imag > 0.0:
             pairs.append(len(cols))
@@ -254,45 +241,41 @@ def _eigenvector_start(a, ev, vecs, tau_zero, anorm=None):
     below = np.tri(n, k=-1, dtype=bool)
     below[:, len(cols):] = False
     below[[j + 1 for j in pairs], pairs] = False
-    if anorm is None:
-        anorm = _fro_norm(a)
     if _fro_norm(t0[below]) > _EIGVEC_START_TOL * n * eps_of(a) * anorm:
         return None
     t0[below] = 0.0
     return np.concatenate([t0, q]), len(cols)
 
 
-def real_schur(a: np.ndarray, tau_zero: float):
+def real_schur(a: np.ndarray):
     """Real Schur decomposition a = u @ t @ u.T with u orthogonal and t
     quasi-upper triangular (standardized 1x1/2x2 diagonal blocks).
 
     The factorization starts from LAPACK's eigenvectors
     (``np.linalg.eig`` at a's width): the QR factor q of the real basis of
-    the eigenvalues of modulus > tau_zero reduces a to q^T a q, already
-    quasi-triangular over that basis, when what it leaves below that
-    structure is at most _EIGVEC_START_TOL n eps ||a||_F (the error of an
-    eigenvector basis grows with its condition number).  Then the
-    Hessenberg reduction and QR touch only the trailing window of the
-    eigenvalues of modulus <= tau_zero.  Otherwise, for instance for
-    defective eigenvalues, they reduce a itself.  Either way the QR
-    iteration takes double shifts at 0 while the window's bottom row lies
-    among the last as many rows as LAPACK counts eigenvalues of modulus
-    <= tau_zero, and Wilkinson shifts otherwise or once the zero shifts
-    stall (see _kernels.francis_qr).  The integrators come out trailing."""
+    the nonzero eigenvalues reduces a to q^T a q, already quasi-triangular
+    over that basis, when what it leaves below that structure is at most
+    _EIGVEC_START_TOL n eps ||a||_F (the error of an eigenvector basis
+    grows with its condition number).  Then the Hessenberg reduction and
+    QR touch only the trailing window of the exact zeros, such as those of
+    an exactly nilpotent trailing block, which LAPACK's balancing isolates.
+    Otherwise, for instance for defective eigenvalues, they reduce a
+    itself.  The QR iteration takes Wilkinson shifts (see
+    _kernels.francis_qr) and steers no eigenvalue to the bottom: the plan's
+    split puts the integrators last before this runs, and
+    order_schur_zeros_last reorders."""
     a = check_square(a, "real_schur input")
     dtype = a.dtype if a.dtype in (np.float32, np.float64) else np.float64
     n = a.shape[0]
     hu = np.concatenate([np.asarray(a, dtype=dtype), np.eye(n, dtype=dtype)])
-    zeros, top, anorm = 0, 0, _fro_norm(a)
+    top, anorm = 0, _fro_norm(a)
     if n > 2:  # francis_qr has no work below 3
-        ev, vecs = np.linalg.eig(hu[:n])
-        zeros = int(np.count_nonzero(np.abs(ev) <= tau_zero))
-        start = _eigenvector_start(hu[:n], ev, vecs, tau_zero, anorm)
+        start = _eigenvector_start(hu[:n], *np.linalg.eig(hu[:n]), anorm)
         if start is not None:
             hu, top = start
     _kernels.hessenberg(hu, top)
     iterations, ok = _kernels.francis_qr(hu, eps_of(dtype), anorm,
-                                         _MAX_QR_SWEEPS, zeros, top)
+                                         _MAX_QR_SWEEPS, top)
     if not ok:
         raise ConvergenceError(
             f"QR iteration did not converge within {_MAX_QR_SWEEPS * n} "

@@ -23,7 +23,7 @@ from sdedisc.discretize import (discretize_lyap_p, discretize_lyap_q,
                                 naive_q_a, naive_q_b, q_oracle, q_nilpotent,
                                 run_method, lemma2_residual,
                                 semigroup_residual)
-from sdedisc.linalg import mat_exp, spectral_norm, tau_zero_default
+from sdedisc.linalg import mat_exp, spectral_norm
 
 
 SCALAR = ContinuousModel(np.array([[-1.0]]), np.array([[2.0]]))
@@ -304,17 +304,33 @@ def test_integrator_lyap_q_not_applicable():
 
 def test_lyap_refusals_name_their_margin():
     # a stable drift without integrators: its slowest pole, -6.3e-2, lies
-    # within tau_zero_default(A) = 7.0e-2 of the imaginary axis at
-    # binary32, so lyap-p refuses it by that margin; lyap-q, whose plan
+    # within lyap-p's margin sqrt(100 n eps) |A|_F = 7.0e-2 of the
+    # imaginary axis at binary32, so lyap-p refuses it; lyap-q, whose plan
     # has no trailing block, solves it
     m64 = gen_random_system(EnsembleSpec(24, 24, 0, seed=2), 1)
     m = m64.astype(np.float32)
     with pytest.raises(MethodNotApplicableError) as info:
         discretize_lyap_p(m, 1.0)
-    assert f"-{tau_zero_default(m.a):.3e}, the margin tau_zero_default(A)" \
+    margin = discretize._lyap_p_margin(m.a)
+    assert f"-{margin:.3e}, the margin sqrt(100 n eps) ||A||_F" \
         in str(info.value)
     assert rel_err(discretize_lyap_q(m, 1.0).model.q, q_oracle(m64, 1.0)) \
         <= 1e-5
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP C: lyap-p's margin passes binary64 drifts "
+                          "whose Q misses the 1e-6 bar")
+@pytest.mark.parametrize("t", [1e-3, 1.0])
+def test_lyap_p_right_just_inside_its_margin(t):
+    # the pair -1e-6 +- 2i lies left of lyap-p's binary64 margin, 6.0e-7,
+    # so lyap-p answers, but its Q is off by 1.1e-5 at T = 1e-3 and 6.9e-6
+    # at T = 1, where proposed reads 2.5e-11 and 1.2e-10 and Van Loan
+    # 4e-16
+    m = ContinuousModel(np.array([[-1e-6, 2.0], [-2.0, -1e-6]]),
+                        np.diag([0.0, 1.0]))
+    q = discretize_lyap_p(m, t).model.q
+    assert rel_err(q, scipy_doubling_q(m, t)) <= 1e-6
 
 
 def test_observer_canonical_proposed_matches_oracle():
@@ -355,7 +371,7 @@ def test_overflowing_norm_is_refused_or_right(dtype, a):
     # and the mirrored pair's exp(a T) overflow; at T = 1e-300 either Q is
     # its closed form to the width's rounding, about T I
     m = ContinuousModel(a.astype(dtype), np.eye(2, dtype=dtype))
-    assert math.isfinite(tau_zero_default(m.a))
+    assert math.isfinite(discretize._lyap_p_margin(m.a))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(MatrixOverflowError):
@@ -1138,9 +1154,8 @@ def test_split_confirms_when_the_bound_is_within_twice_tol(svd_shapes):
 
 
 def test_binary32_proposed_counts_integrators_n16():
-    # a slow stable pole of these systems lies within the binary32
-    # tau_zero_default of 0; the rank decisions count the integrator pair
-    # alone
+    # a slow stable pole of these systems lies within lyap-p's binary32
+    # margin of 0; the rank decisions count the integrator pair alone
     expm = pytest.importorskip("scipy.linalg").expm
     for seed, t in ((3, 100.0), (5, 10.0)):
         m = gen_random_system(EnsembleSpec(16, 14, 2, seed=seed))
@@ -1151,8 +1166,8 @@ def test_binary32_proposed_counts_integrators_n16():
 
 @pytest.mark.parametrize("n", [24, 32, 48])
 def test_binary32_proposed_right_on_slow_stable_poles(n):
-    # stable models with no integrator whose slowest poles lie within the
-    # binary32 tau_zero_default of 0: no integrator is counted, and the
+    # stable models with no integrator whose slowest poles lie within
+    # lyap-p's binary32 margin of 0: no integrator is counted, and the
     # Lyapunov solve takes them
     for stream in range(4):
         m = gen_random_system(EnsembleSpec(n, n, 0, seed=2), stream)
@@ -1170,7 +1185,7 @@ def test_binary32_proposed_right_on_slow_stable_poles(n):
 def test_binary32_proposed_slow_pole_in_a22_at_long_horizons(spec, stream,
                                                              t):
     # the slowest stable poles of these models (-0.089 at n = 48) lie
-    # within the binary32 tau_zero_default of 0; in a22 they would be
+    # within lyap-p's binary32 margin of 0; in a22 they would be
     # carried as -a22^T, whose exponential overflows, so they must stay in
     # the Lyapunov solve.  q_oracle's Q has norm 1.8, 2.6 and 7.7e9, which
     # binary32 holds, and the same models come back within 2e-4 at T = 100
@@ -1574,7 +1589,7 @@ def spectrum_model(kinds, seed, dtype):
     """A drift with one diagonal block per kind, rotated by a random
     orthogonal matrix, and a random PSD noise intensity: a stable pole in
     [-2, -0.2]; a slow real pole of either sign, 0.5 to 2 times tau0, about
-    tau_zero_default(A) (tau0 takes the norm of the other blocks); a pair
+    lyap-p's margin (tau0 takes the norm of the other blocks); a pair
     -zeta +- i omega, omega in [0.5, 2], damped by zeta = 0.5 to 2 tau0;
     an integrator pair [[0, 1], [0, 0]]; and a mirrored pair +-lambda."""
     rng = np.random.default_rng(seed)
@@ -1645,8 +1660,8 @@ def test_lyap_methods_take_what_the_plan_decides(kinds, seed, dtype, t):
 
 def lyap_p_refusal(tau, max_re):
     return (f"lyap-p requires Re(lambda) < -{tau}, the margin "
-            "tau_zero_default(A), for every eigenvalue; max Re(lambda) = "
-            f"{max_re} is not below it")
+            "sqrt(100 n eps) ||A||_F, for every eigenvalue; max Re(lambda) "
+            f"= {max_re} is not below it")
 
 
 def lyap_q_refusal(integrators):
@@ -1869,7 +1884,7 @@ def test_plan_exponential_gives_f_minus_i(spec, check, dtype):
     m = gen_random_system(spec).astype(dtype)
     plan = discretize._ProposedPlan(m)
     if check:
-        check(plan.ev, tau_zero_default(m.a))
+        check(plan.ev, discretize._lyap_p_margin(m.a))
     n = m.n
     assert check is None or plan.k == n
     a = m.a.astype(np.float64)

@@ -17,8 +17,9 @@ chains) at T in {0.1, 1, 10} and at both widths; it does not depend on
 type and message of the refusal, of each call below: mirrored poles
 ``diag(1, -1)`` under ``proposed``, ``lyap-p`` and ``lyap-q`` at both
 widths, which ``proposed`` and ``lyap-q`` answer and ``lyap-p`` refuses by
-its margin; the binary32 ``EnsembleSpec(24, 24, 0, seed=2)`` stream 1,
-whose slowest pole is within lyap-p's margin, under ``lyap-p``; and
+its margin sqrt(100 n eps) ||A||_F, a formula its message names; the
+binary32 ``EnsembleSpec(24, 24, 0, seed=2)`` stream 1, whose slowest pole
+is within lyap-p's margin, under ``lyap-p``; and
 ``discretize_proposed`` on four drifts whose squared entries overflow the
 width, with S = I: binary64 ``[[0, 1e200], [0, 0]]`` and
 ``diag(1e200, -1e200)``, binary32 ``[[0, 1e20], [0, 0]]`` and

@@ -46,11 +46,12 @@ horizons of the warm ``proposed`` rows); the staircase of a cold plan
 alone (``discretize._split`` at the plan's tolerance, 100 eps ||A||_F) on
 ``EnsembleSpec(n, n - 2, 2, seed=7)``, four streams, at n in {16, 48}, and
 on the index-3 chains of the ``cold chains`` and ``p3`` rows, so that a
-change to the rank decisions shows at their layer; and ``real_schur`` at
-the default ``tau_zero`` on the drifts of tests/test_linalg.py's
-critically damped and coupled repeated pair families (rotated by seeds
-0-7 and 0-3) whose eigenvector bases are refused, so that each factors
-from ``A`` itself;
+change to the rank decisions shows at their layer; and ``real_schur(A)``
+on the drifts of tests/test_linalg.py's critically damped and coupled
+repeated pair families (rotated by seeds 0-7 and 0-3) whose eigenvector
+bases are refused, so that each factors from ``A`` itself (on a
+checkout whose ``real_schur`` still takes a threshold, at threshold 0,
+the plan's work);
 binary64 unless stated.
 A sample is the CPU time (``time.process_time``) per call over a fixed
 batch of calls, the batch sized once per row to take about
@@ -66,7 +67,8 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # one BLAS thread, as in the benchmark
 
-import argparse, importlib.util, statistics, sys, time  # noqa: E401, E402
+import argparse, importlib.util, inspect, statistics  # noqa: E401, E402
+import sys, time  # noqa: E401, E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -170,14 +172,14 @@ def rows(pkg):
         out.append((label, cycle(
             [lambda a=a: d._split(a, 100.0 * linalg.eps_of(a)
                                   * linalg._fro_norm(a)) for a in drifts])))
-    drifts = []
-    for a in fallback_drifts():
-        tau = linalg.tau_zero_default(a)
-        if linalg._eigenvector_start(a, *np.linalg.eig(a), tau) is None:
-            drifts.append((a, tau))
+    # a real_schur that still takes a threshold gets 0, as the plan passes
+    zero = (0.0,) if "tau_zero" in inspect.signature(
+        linalg.real_schur).parameters else ()
+    drifts = [a for a in fallback_drifts()
+              if linalg._eigenvector_start(a, *np.linalg.eig(a), *zero,
+                                           linalg._fro_norm(a)) is None]
     out.append(("real_schur fallback", cycle(
-        [lambda a=a, tau=tau: linalg.real_schur(a, tau)
-         for a, tau in drifts])))
+        [lambda a=a: linalg.real_schur(a, *zero) for a in drifts])))
     return out
 
 
