@@ -116,7 +116,8 @@ def francis_qr(hu, eps, anorm, max_sweeps, top):
     of hu, in place.
 
     Returns (iterations, converged).  On exit T is real quasi-upper
-    triangular (2x2 blocks not yet standardized) and the bottom half U
+    triangular, some of its 2x2 blocks possibly holding a real pair
+    (split_real_pairs splits those), and the bottom half U
     accumulates the orthogonal similarity.  Only rows and columns
     top .. n-1 are iterated on (LAPACK's ilo window): T's leading top
     columns must be quasi-upper triangular and zero from row top on.
@@ -167,15 +168,14 @@ def francis_qr(hu, eps, anorm, max_sweeps, top):
     return total, True
 
 
-def standardize_quasi_triangular(hu):
-    """Normalize the 2x2 diagonal blocks of the quasi-triangular top half T
-    of hu in place, accumulating the rotations into the bottom half U.
-
-    Blocks with real eigenvalues are rotated to upper triangular form;
-    complex-pair blocks are rotated so both diagonal entries are equal.  A
-    block whose discriminant is at rounding level can come out of that
-    rotation with off-diagonal entries of one sign, a real pair, and is
-    then triangularized as one.
+def split_real_pairs(hu):
+    """Split each 2x2 diagonal block of the quasi-triangular top half T of
+    hu whose eigenvalues are real, in place, accumulating the rotations
+    into the bottom half U: Francis QR can leave such blocks, and so can a
+    swap's rounding.  A block whose discriminant ((a - d)/2)^2 + b c,
+    computed at T's width, is negative holds a complex pair and is left
+    as it is, bit for bit: the Bartels-Stewart solves need no other form of
+    it (Bartels and Stewart, CACM 15, 1972).
     """
     n = hu.shape[1]
     i = 0
@@ -196,18 +196,6 @@ def standardize_quasi_triangular(hu):
             hu[i + 1, i] = 0.0
             i += 1
         else:
-            if a != d:
-                tau = (b + c) / (a - d)
-                # the smaller root of w^2 - 2 tau w - 1, without cancellation
-                off = np.sqrt(tau * tau + 1.0)
-                w = -1.0 / (tau + off if tau >= 0.0 else tau - off)
-                cs = 1.0 / np.sqrt(1.0 + w * w)
-                similarity(hu, i, np.array([[cs, -w * cs], [w * cs, cs]]))
-                mid = 0.5 * (hu[i, i] + hu[i + 1, i + 1])
-                hu[i, i] = mid
-                hu[i + 1, i + 1] = mid
-                if hu[i, i + 1] * hu[i + 1, i] >= 0.0:
-                    continue  # disc is now b c >= 0: the real branch
             i += 2
 
 

@@ -52,7 +52,9 @@ class BenchConfig:
         if np.dtype(self.width) not in (np.float32, np.float64):
             raise ValueError(f"width {self.width} is not float32 or float64")
         object.__setattr__(self, "t_grid", tuple(ts))
-        object.__setattr__(self, "methods", tuple(self.methods))
+        # a name such as "proposed" becomes its Method, and an unknown one
+        # raises ValueError here rather than mid-run
+        object.__setattr__(self, "methods", tuple(map(Method, self.methods)))
 
 
 @dataclass(frozen=True)

@@ -249,7 +249,9 @@ def _eigenvector_start(a, ev, vecs, anorm):
 
 def real_schur(a: np.ndarray):
     """Real Schur decomposition a = u @ t @ u.T with u orthogonal and t
-    quasi-upper triangular (standardized 1x1/2x2 diagonal blocks).
+    quasi-upper triangular: 1x1 diagonal blocks for the real eigenvalues
+    and 2x2 ones for the complex pairs, each 2x2 block as the
+    factorization leaves it (not standardized to an equal diagonal).
 
     The factorization starts from LAPACK's eigenvectors
     (``np.linalg.eig`` at a's width): the QR factor q of the real basis of
@@ -280,7 +282,7 @@ def real_schur(a: np.ndarray):
         raise ConvergenceError(
             f"QR iteration did not converge within {_MAX_QR_SWEEPS * n} "
             f"iterations ({_MAX_QR_SWEEPS} per row)", sweeps=iterations)
-    _kernels.standardize_quasi_triangular(hu)
+    _kernels.split_real_pairs(hu)
     return hu[n:], hu[:n]
 
 
@@ -298,10 +300,10 @@ def quasi_tri_eigvalues(t: np.ndarray) -> np.ndarray:
 
 
 def _classify_blocks(t: np.ndarray, margin: float):
-    """(start, size, selected) for each diagonal block of a standardized
-    quasi-triangular t, where selected means the block's eigenvalues have
-    Re(lambda) >= -margin: a standardized 2x2 block has an equal diagonal
-    and holds a conjugate pair, whose two real parts are equal."""
+    """(start, size, selected) for each diagonal block of a quasi-triangular
+    t whose 2x2 blocks hold complex pairs, where selected means the block's
+    eigenvalues have Re(lambda) >= -margin: quasi_tri_eigvalues gives both
+    roots of a 2x2 block [[a, b], [c, d]] the real part (a + d)/2."""
     n = t.shape[0]
     real = quasi_tri_eigvalues(t).real
     blocks = []
@@ -339,9 +341,10 @@ def order_schur_zeros_last(u: np.ndarray, t: np.ndarray, margin: float):
     One stable pass over the blocks, classified once: each unselected
     block moves up past the run of selected blocks above it by adjacent
     swaps, so the unselected blocks keep their order and so do the
-    selected ones.  A pass that swaps standardizes the swapped blocks and
-    classifies again to check the result; a pass with no swap returns t
-    unchanged, so t must come standardized, as real_schur leaves it."""
+    selected ones.  A pass that swaps splits the swapped 2x2 blocks that
+    hold real pairs and classifies again to check the result; a pass with
+    no swap returns t unchanged, so t's 2x2 blocks must hold complex pairs,
+    as real_schur leaves them."""
     n = t.shape[0]
     hu = np.concatenate([t, u])
     blocks = _classify_blocks(hu[:n], margin)
@@ -359,8 +362,8 @@ def order_schur_zeros_last(u: np.ndarray, t: np.ndarray, margin: float):
             _swap_adjacent_blocks(hu, row, rsize, size)
             swapped = True
     if swapped:
-        # a swap leaves its new 2x2 blocks unstandardized
-        _kernels.standardize_quasi_triangular(hu)
+        # a swap's rounding can leave a real pair in a new 2x2 block
+        _kernels.split_real_pairs(hu)
         blocks = _classify_blocks(hu[:n], margin)
     split = 0
     for _, size, selected in blocks:

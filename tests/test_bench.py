@@ -52,6 +52,11 @@ def test_config_validation():
     for width in (np.int32, np.float16, np.bool_):
         with pytest.raises(ValueError, match="width"):
             small_cfg(width=width)
+    # a method name it cannot score is refused before any cell runs
+    with pytest.raises(ValueError, match="bogus"):
+        small_cfg(methods=("bogus",))
+    assert small_cfg(methods=("proposed", "vanloan")).methods == (
+        Method.PROPOSED, Method.VANLOAN)
 
 
 def test_single_scalar_cell():
@@ -79,6 +84,12 @@ def test_record_count_and_order():
 def test_determinism():
     cfg = small_cfg()
     assert run_benchmark(cfg) == run_benchmark(cfg)
+    # method names give the enum config's records, which summarize and
+    # records_to_csv accept
+    named = run_benchmark(small_cfg(methods=("proposed", "vanloan")))
+    assert named == run_benchmark(
+        small_cfg(methods=(Method.PROPOSED, Method.VANLOAN)))
+    assert summarize(named) and records_to_csv(named)
 
 
 def test_binary64_debug_width_is_exact():

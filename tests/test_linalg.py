@@ -281,7 +281,8 @@ def check_real_schur(a):
     """real_schur(a) against its contract, to 64 n eps ||a|| (times each
     eigenvalue's condition number for the eigenvalues): u orthogonal,
     u t u^T = a, t quasi-upper triangular whose 2x2 blocks hold complex
-    pairs with equal diagonal, and the eigenvalues of np.linalg.eig."""
+    pairs (a negative discriminant at t's width), and the eigenvalues of
+    np.linalg.eig."""
     n = a.shape[0]
     u, t = real_schur(a)
     assert u.dtype == t.dtype == a.dtype
@@ -292,8 +293,9 @@ def check_real_schur(a):
     assert np.linalg.norm(u64 @ t64 @ u64.T - a64, 2) <= tol * norm
     assert _quasi_upper_loop(t)
     for i in np.flatnonzero(np.diagonal(t, -1)):
-        assert t[i, i] == t[i + 1, i + 1]
-        assert t[i, i + 1] * t[i + 1, i] < 0.0
+        (a, b), (c, d) = t[i:i + 2, i:i + 2]
+        half = 0.5 * (a - d)
+        assert half * half + b * c < 0.0
     want, x = np.linalg.eig(a64)
     # an exactly defective eigenvalue, as of the plan's split N, has a
     # singular basis: its kappa is inf, and the nearest computed
@@ -394,43 +396,45 @@ def test_deflate_matches_scalar_loop(seed, n, dtype, data):
     assert np.array_equal(h, want)
 
 
-def test_standardize_near_equal_diagonal_backward_stable():
-    # a - d = 5.7e-9 = 0.4 sqrt(eps): the rotation's root, formed with
-    # cancellation, once gave a backward error of 3e7 eps here
-    t0 = np.array([[0.5 + 5.746434968715974e-09, 1.0], [-0.25, 0.5]])
-    hu = np.concatenate([t0, np.eye(2)])
-    _kernels.standardize_quasi_triangular(hu)
-    t, u = hu[:2], hu[2:]
-    assert t[0, 0] == t[1, 1] and t[1, 0] != 0.0
-    err = np.linalg.norm(u @ t @ u.T - t0, 2)
-    assert err <= 64 * 2 * np.finfo(np.float64).eps * np.linalg.norm(t0, 2)
+def test_real_schur_keeps_complex_pair_block():
+    # a 2x2 complex-pair block is already a Schur form: no rotation
+    # equalizes its diagonal
+    for dtype in (np.float64, np.float32):
+        a = np.array([[0.3, 2.0], [-1.5, -0.7]], dtype=dtype)
+        u, t = real_schur(a)
+        assert t.tobytes() == a.tobytes()
+        assert u.tobytes() == np.eye(2, dtype=dtype).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_standardize_near_nilpotent_blocks(dtype):
     # rotated nilpotent blocks rounded to the width: the discriminant is at
-    # rounding level, and where it is negative the rotation that equalizes
-    # the diagonal can leave off-diagonals of one sign, a real pair
+    # rounding level, of either sign.  split_real_pairs splits a block
+    # whose discriminant is >= 0, backward stably, and leaves the others,
+    # complex pairs, bit for bit
     rng = np.random.default_rng(30)
     eps = np.finfo(dtype).eps
-    checked = 0
+    split = kept = 0
     for theta, scale in zip(rng.uniform(0.0, np.pi, 1000),
                             rng.uniform(0.1, 10.0, 1000)):
         rot = np.array([[np.cos(theta), -np.sin(theta)],
                         [np.sin(theta), np.cos(theta)]])
         t0 = (rot @ [[0.0, scale], [0.0, 0.0]] @ rot.T).astype(dtype)
         (a, b), (c, d) = t0
-        if 0.25 * (a - d) * (a - d) + b * c >= 0.0:
-            continue
+        half = 0.5 * (a - d)
         hu = np.concatenate([t0, np.eye(2, dtype=dtype)])
-        _kernels.standardize_quasi_triangular(hu)
+        before = hu.copy()
+        _kernels.split_real_pairs(hu)
+        if half * half + b * c < 0.0:
+            assert hu.tobytes() == before.tobytes()
+            kept += 1
+            continue
         t, u = hu[:2].astype(np.float64), hu[2:].astype(np.float64)
-        if t[1, 0] != 0.0:
-            assert t[0, 0] == t[1, 1] and t[0, 1] * t[1, 0] < 0.0
+        assert t[1, 0] == 0.0
         err = np.linalg.norm(u @ t @ u.T - t0, 2)
         assert err <= 64 * 2 * eps * np.linalg.norm(t0.astype(np.float64), 2)
-        checked += 1
-    assert checked > 100
+        split += 1
+    assert split > 100 and kept > 100
 
 
 def test_quasi_tri_eigvalues_exact_on_small_blocks():
@@ -883,7 +887,7 @@ def test_solve_sylvester_random_residuals():
 
 
 def quasi_upper(rng, m, pairs):
-    """A random standardized m x m quasi-upper triangular matrix with a
+    """A random m x m quasi-upper triangular matrix with a
     complex-pair 2x2 block at rows 0, 3, .. (pairs of them) and every
     eigenvalue's real part in [-3, -1]."""
     t = np.triu(0.5 * rng.standard_normal((m, m)), 1)
