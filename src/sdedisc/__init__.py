@@ -15,8 +15,9 @@ from .models import ContinuousModel, DiscreteModel, Method, MethodReport
 from .linalg import mat_exp, spectral_norm
 from .discretize import (discretize_lyap_p, discretize_lyap_q,
                          discretize_proposed, discretize_vanloan,
-                         naive_q_a, naive_q_b, q_oracle, q_nilpotent,
-                         run_method, lemma2_residual, semigroup_residual)
+                         discretize_many, naive_q_a, naive_q_b, q_oracle,
+                         q_nilpotent, run_method, lemma2_residual,
+                         semigroup_residual)
 from .modelgen import (EnsembleSpec, gen_random_system, constant_velocity,
                        observer_canonical)
 from .bench import (BenchConfig, BenchRecord, CellStatus, SummaryRow,
@@ -31,8 +32,9 @@ __all__ = [
     "ContinuousModel", "DiscreteModel", "Method", "MethodReport",
     "mat_exp", "spectral_norm",
     "discretize_lyap_p", "discretize_lyap_q", "discretize_proposed",
-    "discretize_vanloan", "naive_q_a", "naive_q_b", "q_oracle",
-    "q_nilpotent", "run_method", "lemma2_residual", "semigroup_residual",
+    "discretize_vanloan", "discretize_many", "naive_q_a", "naive_q_b",
+    "q_oracle", "q_nilpotent", "run_method", "lemma2_residual",
+    "semigroup_residual",
     "EnsembleSpec", "gen_random_system", "constant_velocity",
     "observer_canonical",
     "BenchConfig", "BenchRecord", "CellStatus", "SummaryRow",

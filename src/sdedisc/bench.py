@@ -12,9 +12,7 @@ from .errors import (SdeDiscError, MatrixOverflowError,
                      MethodNotApplicableError, NonFiniteError)
 from .models import Method
 from .modelgen import EnsembleSpec, gen_random_system
-from . import discretize
-from .discretize import (_proposed_plan, _q_oracle_many, _unwrap,
-                         _vanloan_reports)
+from .discretize import _q_oracle_many, _unwrap, discretize_many
 from .linalg import _spectral_norms
 
 
@@ -66,18 +64,15 @@ class BenchRecord:
     status: CellStatus
 
 
-def run_method(m, t, method, ahead=None):
-    """One benchmark cell's report: ``ahead``, the report or error computed
-    ahead for the cell, is returned or raised; without it the cell is
-    discretize.run_method(m, t, method).  Every cell is one call of this
-    function, so a wrapper of ``bench.run_method`` sees each cell's
-    report."""
-    if ahead is None:
-        return discretize.run_method(m, t, method)
+def run_method(m, t, method, ahead):
+    """One benchmark cell's report: ``ahead``, the entry of
+    discretize.discretize_many computed ahead for the cell, returned or
+    raised.  Every cell is one call of this function, so a wrapper of
+    ``bench.run_method`` sees each cell's report."""
     return _unwrap(ahead)
 
 
-def _run_cell(model_w, t, method, ahead=None):
+def _run_cell(model_w, t, method, ahead):
     """Run one method at the benchmark width: (report, OK), or (None, the
     failure's status).  Failures become statuses, never exceptions."""
     try:
@@ -91,18 +86,6 @@ def _run_cell(model_w, t, method, ahead=None):
         return None, CellStatus.ERROR
 
 
-def _stacked(model_w, ts, method) -> list:
-    """Proposed or Van Loan at every horizon of ts in one stacked pass: a
-    report or error per horizon.  A model whose proposed plan fails has
-    that error at every horizon."""
-    try:
-        if method is Method.PROPOSED:
-            return _proposed_plan(model_w).reports(ts)
-        return _vanloan_reports(model_w, ts)
-    except (SdeDiscError, np.linalg.LinAlgError) as exc:
-        return [exc] * len(ts)
-
-
 def run_benchmark(cfg: BenchConfig) -> list:
     """Evaluate every (system, t, method) cell.
 
@@ -111,9 +94,9 @@ def run_benchmark(cfg: BenchConfig) -> list:
     binary64, computed once per system over the whole grid and shared
     across methods; if the oracle fails at some t, every method's cell
     at that (system, t) is an error record.  Each other cell is one
-    run_method call, in (t, method) order; proposed and Van Loan cells are
-    handed the entry of one stacked pass per system over the horizons
-    that have a truth.
+    run_method call, in (t, method) order, handed its entry of one
+    discretize_many call per system and method over the horizons that
+    have a truth.
     A system's truths and scored Q_hat - Q_true fill one binary64 stack,
     normed by one symmetric eigensolve (linalg._spectral_norms).
     Record order is (system_id, t, method); identical configs yield
@@ -129,8 +112,7 @@ def run_benchmark(cfg: BenchConfig) -> list:
         ts = [t for t, q in zip(cfg.t_grid, truths)
               if not isinstance(q, SdeDiscError)]
         ahead = {(method, t): out for method in cfg.methods
-                 if method in (Method.PROPOSED, Method.VANLOAN)
-                 for t, out in zip(ts, _stacked(model_w, ts, method))}
+                 for t, out in zip(ts, discretize_many(model_w, ts, method))}
         cells = []  # (t, method, report, status, the truth's grid index)
         for i, (t, q_true) in enumerate(zip(cfg.t_grid, truths)):
             for method in cfg.methods:
@@ -139,7 +121,7 @@ def run_benchmark(cfg: BenchConfig) -> list:
                     report, status = None, CellStatus.ERROR
                 else:
                     report, status = _run_cell(model_w, t, method,
-                                               ahead.get((method, t)))
+                                               ahead[method, t])
                 cells.append((t, method, report, status, i))
         scored = [(report.model.q, i) for _, _, report, _, i in cells
                   if report is not None]

@@ -21,6 +21,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_METHOD = 3
 
+
 def _print_matrix(label: str, mat) -> None:
     print(label)
     for row in np.asarray(mat, dtype=np.float64):

@@ -18,6 +18,9 @@ the process-noise covariance Q = int_0^T exp(A tau) S exp(A^T tau) dtau:
 * ``q_oracle``            -- self-certifying reference, always computed in
   binary64: a fixed Taylor series over a short base step, doubled to T and
   checked by a second doubling chain.
+
+``discretize_many`` runs any of them at many horizons, each entry a report
+or the error its horizon raised; ``run_method`` is its one-horizon case.
 """
 
 import bisect
@@ -32,6 +35,7 @@ from .errors import (
     MethodNotApplicableError,
     NilpotencyError,
     NonFiniteError,
+    SdeDiscError,
 )
 from .linalg import (
     _exp_at,
@@ -77,9 +81,11 @@ def _check_horizon(t: float) -> float:
 
 
 def _trivial_report(m: ContinuousModel, method: Method) -> MethodReport:
-    n = m.n
-    model = DiscreteModel(f=np.eye(n, dtype=m.dtype),
-                          q=np.zeros((n, n), dtype=m.dtype), horizon=0.0)
+    """F = I and Q = 0 at horizon 0: binary64 for the oracle, as at every
+    horizon, the model's width otherwise."""
+    n, dtype = m.n, np.float64 if method is Method.ORACLE else m.dtype
+    model = DiscreteModel(f=np.eye(n, dtype=dtype),
+                          q=np.zeros((n, n), dtype=dtype), horizon=0.0)
     return MethodReport(model=model, method=method)
 
 
@@ -135,21 +141,24 @@ def discretize_lyap_p(m: ContinuousModel, t: float) -> MethodReport:
     a11's eigenbasis or trsylv as the plan decided, and the plan keeps
     it.  With no trailing block, the plan's H is at alone, and
     its exponential gives F and F - I with no I subtracted."""
-    t = _check_horizon(t)
-    if t == 0.0:
-        return _trivial_report(m, Method.LYAP_P)
+    return run_method(m, t, Method.LYAP_P)
+
+
+def _lyap_p_reports(m: ContinuousModel, ts) -> list:
+    """discretize_lyap_p at every positive horizon of ts, stacked over the
+    plan's exponential; a refused model raises."""
     plan = _proposed_plan(m)
     if plan.p_half is None:  # a refused plan never sets it
         _lyap_p_check(plan.ev, _lyap_p_margin(m.a))
         plan.p_half = plan.solve_q11(-plan.st_half)
     with np.errstate(over="ignore", invalid="ignore"):
-        (e,), (fm1,), (ok,) = _exp_at(plan.exp, (t,))
-        if not ok:
-            raise _exp_overflow(e.dtype, t)
+        e, fm1, ok = _exp_at(plan.exp, ts)
         # Q/2 = P/2 - f (P/2) f^T in Schur coordinates, from fm1 = f - I
         x = plan.u @ -_fxft_minus_x(fm1, plan.p_half) @ plan.u.T
         f = plan.u @ e @ plan.u_inv
-    return MethodReport(DiscreteModel(f, x + x.T, t), Method.LYAP_P)
+        q = x + x.mT
+    return [_report(f[i], q[i], t, Method.LYAP_P) if ok[i]
+            else _exp_overflow(e.dtype, t) for i, t in enumerate(ts)]
 
 
 def discretize_lyap_q(m: ContinuousModel, t: float) -> MethodReport:
@@ -159,16 +168,20 @@ def discretize_lyap_q(m: ContinuousModel, t: float) -> MethodReport:
     stable or not; the result is then proposed's, bit for bit, whose
     exponential takes the eigenvalues with Re(lambda) >= -delta, and a
     model the plan refuses raises its error."""
-    t = _check_horizon(t)
-    if t == 0.0:
-        return _trivial_report(m, Method.LYAP_Q)
+    return run_method(m, t, Method.LYAP_Q)
+
+
+def _lyap_q_reports(m: ContinuousModel, ts) -> list:
+    """discretize_lyap_q at every positive horizon of ts: the plan's
+    reports, relabelled; a model with integrators raises."""
     plan = _proposed_plan(m)
     if plan.integrators:
         raise MethodNotApplicableError(
             f"lyap-q not applicable: {plan.integrators} eigenvalues are "
             "integrators, and only proposed solves that trailing block")
-    (report,) = plan.reports((t,))
-    return MethodReport(_unwrap(report).model, Method.LYAP_Q)
+    return [r if isinstance(r, Exception)
+            else MethodReport(r.model, Method.LYAP_Q)
+            for r in plan.reports(ts)]
 
 
 def q_nilpotent(a22: np.ndarray, s22: np.ndarray, t: float) -> np.ndarray:
@@ -408,11 +421,11 @@ def discretize_proposed(m: ContinuousModel, t: float) -> MethodReport:
     200 eps |A|_F (undamped pairs, unstable poles), join the integrators in
     the trailing block, whose exponential grows no faster than
     exp(delta t) in -a22^T, so the Lyapunov equation is never singular; a
-    model with none runs no reordering pass.  The paper solves a Lyapunov equation for every
-    non-zero eigenvalue, which needs lambda_i + lambda_j != 0, couples the
-    blocks by Sylvester equations and sums the integrator block in closed
-    form (q_nilpotent); the exponential replaces the last two, and has no
-    1/sep(a11, a22) error.
+    model with none runs no reordering pass.  The paper solves a Lyapunov
+    equation for every non-zero eigenvalue, which needs lambda_i +
+    lambda_j != 0, couples the blocks by Sylvester equations and sums the
+    integrator block in closed form (q_nilpotent); the exponential
+    replaces the last two, and has no 1/sep(a11, a22) error.
 
     One block formula for every integrator count: the leading block a11
     is 0 x 0 when every eigenvalue is an integrator, and the trailing
@@ -428,11 +441,7 @@ def discretize_proposed(m: ContinuousModel, t: float) -> MethodReport:
     it factor afresh.  A call therefore evaluates only the horizon, as the
     one-horizon case of the plan's stacked evaluation.  Results are the
     same either way."""
-    t = _check_horizon(t)
-    if t == 0.0:
-        return _trivial_report(m, Method.PROPOSED)
-    (report,) = _proposed_plan(m).reports((t,))
-    return _unwrap(report)
+    return run_method(m, t, Method.PROPOSED)
 
 
 def discretize_vanloan(m: ContinuousModel, t: float) -> MethodReport:
@@ -446,11 +455,7 @@ def discretize_vanloan(m: ContinuousModel, t: float) -> MethodReport:
     tests/test_discretize.py's AXIS_MODELS).  MatrixOverflowError is raised
     only where the exponential overflows.  The one-horizon case of
     _vanloan_reports."""
-    t = _check_horizon(t)
-    if t == 0.0:
-        return _trivial_report(m, Method.VANLOAN)
-    (report,) = _vanloan_reports(m, (t,))
-    return _unwrap(report)
+    return run_method(m, t, Method.VANLOAN)
 
 
 def _vanloan_reports(m: ContinuousModel, ts) -> list:
@@ -643,30 +648,65 @@ def lemma2_residual(m: ContinuousModel, f: np.ndarray,
     return float(spectral_norm(defect) / max(scale, floor))
 
 
-def run_method(m: ContinuousModel, t: float, method: Method) -> MethodReport:
-    """Uniform dispatcher.  Foils and the oracle are wrapped into a
-    MethodReport using the true transition matrix F = exp(A t)."""
+# each stacked method's evaluator of many positive horizons, which raises
+# what fails them all: (m, ts) -> one report or error per horizon
+_STACKED = {
+    Method.PROPOSED: lambda m, ts: _proposed_plan(m).reports(ts),
+    Method.LYAP_Q: _lyap_q_reports,
+    Method.LYAP_P: _lyap_p_reports,
+    Method.VANLOAN: _vanloan_reports,
+}
+
+
+def _attempt(call, *args):
+    """call(*args), or the SdeDiscError or LinAlgError it raised."""
+    try:
+        return call(*args)
+    except (SdeDiscError, np.linalg.LinAlgError) as exc:
+        return exc
+
+
+def _one_horizon(m: ContinuousModel, t: float, method: Method):
+    """A foil's or the oracle's report at one positive horizon: its Q
+    beside the true F = exp(A t), both in binary64 for the oracle."""
+    if method is Method.ORACLE:
+        f = mat_exp(m.a.astype(np.float64), t)
+        return MethodReport(DiscreteModel(f, q_oracle(m, t), t), method)
+    q = naive_q_a(m, t) if method is Method.NAIVE_A else naive_q_b(m, t)
+    return MethodReport(DiscreteModel(mat_exp(m.a, t), q, t), method)
+
+
+def discretize_many(m: ContinuousModel, ts, method) -> list:
+    """``method`` (a Method or its name) at every horizon of ts: entry i is
+    the MethodReport at ts[i], or the SdeDiscError or LinAlgError that
+    horizon raised, bit for bit what run_method(m, ts[i], method) returns
+    or raises.  Proposed, lyap-q, lyap-p and Van Loan evaluate the positive
+    horizons in one stacked pass, each slice making one horizon's products
+    and solves; a model whose plan fails, or that the method refuses, has
+    that error at every positive horizon.  The foils and the oracle take
+    one horizon at a time.  A zero horizon gives F = I and Q = 0 and
+    evaluates nothing.  A horizon that is negative or not finite, or an
+    unknown method, raises ValueError for the whole call."""
     if not isinstance(method, Method):
         method = Method(method)
-    if method is Method.LYAP_P:
-        return discretize_lyap_p(m, t)
-    if method is Method.LYAP_Q:
-        return discretize_lyap_q(m, t)
-    if method is Method.PROPOSED:
-        return discretize_proposed(m, t)
-    if method is Method.VANLOAN:
-        return discretize_vanloan(m, t)
-    t = _check_horizon(t)
-    if method in (Method.NAIVE_A, Method.NAIVE_B):
-        if t == 0.0:
-            return _trivial_report(m, method)
-        q = naive_q_a(m, t) if method is Method.NAIVE_A else naive_q_b(m, t)
-        f = mat_exp(m.a, t)
-        return MethodReport(DiscreteModel(f, q, t), method)
-    if method is Method.ORACLE:  # binary64 at every horizon, 0 included
-        f = np.eye(m.n) if t == 0.0 else mat_exp(m.a.astype(np.float64), t)
-        return MethodReport(DiscreteModel(f, q_oracle(m, t), t), method)
-    raise ValueError(f"unknown method {method!r}")
+    ts = list(map(_check_horizon, ts))
+    live = [t for t in ts if t > 0.0]
+    stacked, out = _STACKED.get(method), []
+    if stacked is None:
+        out = [_attempt(_one_horizon, m, t, method) for t in live]
+    elif live:
+        out = _attempt(stacked, m, live)
+        out = [out] * len(live) if isinstance(out, Exception) else out
+    out = iter(out)
+    return [next(out) if t > 0.0 else _trivial_report(m, method) for t in ts]
+
+
+def run_method(m: ContinuousModel, t: float, method) -> MethodReport:
+    """``method`` at one horizon: discretize_many's one-slice case, its
+    entry returned or raised.  Foils and the oracle are wrapped into a
+    MethodReport using the true transition matrix F = exp(A t)."""
+    (report,) = discretize_many(m, (t,), method)
+    return _unwrap(report)
 
 
 def semigroup_residual(m: ContinuousModel, method: Method,
@@ -674,11 +714,7 @@ def semigroup_residual(m: ContinuousModel, method: Method,
     """Consistency under interval splitting:
     Q_{t1+t2} = F_{t2} Q_{t1} F_{t2}^T + Q_{t2} holds for every exact
     method; the naive foils violate it.  Returns the relative defect."""
-    t1 = _check_horizon(t1)
-    t2 = _check_horizon(t2)
-    r1 = run_method(m, t1, method)
-    r2 = run_method(m, t2, method)
-    r12 = run_method(m, t1 + t2, method)
+    r1, r2, r12 = map(_unwrap, discretize_many(m, (t1, t2, t1 + t2), method))
     q1 = r1.model.q.astype(np.float64)
     q2 = r2.model.q.astype(np.float64)
     q12 = r12.model.q.astype(np.float64)

@@ -14,7 +14,7 @@ from sdedisc import bench, discretize
 from sdedisc.bench import (BenchConfig, BenchRecord, CellStatus,
                            run_benchmark, summarize, records_to_csv,
                            summary_to_csv, default_t_grid)
-from sdedisc.discretize import q_oracle, run_method
+from sdedisc.discretize import discretize_many, q_oracle, run_method
 from sdedisc.errors import ConvergenceError, MatrixOverflowError
 from sdedisc.linalg import _spectral_norms
 from sdedisc.modelgen import EnsembleSpec, gen_random_system
@@ -114,7 +114,8 @@ def test_vanloan_non_finite_q_recorded_as_overflow():
     # refuses the covariance, and the cell is an overflow
     m = ContinuousModel(np.array([[1.0]], dtype=np.float32),
                         np.array([[1.0]], dtype=np.float32))
-    cell = bench._run_cell(m, 46.0, Method.VANLOAN)
+    (ahead,) = discretize_many(m, (46.0,), Method.VANLOAN)
+    cell = bench._run_cell(m, 46.0, Method.VANLOAN, ahead)
     assert cell == (None, CellStatus.OVERFLOW)
 
 

@@ -20,9 +20,9 @@ from sdedisc.modelgen import (EnsembleSpec, gen_random_system,
                               constant_velocity, observer_canonical)
 from sdedisc.discretize import (discretize_lyap_p, discretize_lyap_q,
                                 discretize_proposed, discretize_vanloan,
-                                naive_q_a, naive_q_b, q_oracle, q_nilpotent,
-                                run_method, lemma2_residual,
-                                semigroup_residual)
+                                discretize_many, naive_q_a, naive_q_b,
+                                q_oracle, q_nilpotent, run_method,
+                                lemma2_residual, semigroup_residual)
 from sdedisc.linalg import mat_exp, spectral_norm
 
 
@@ -130,6 +130,8 @@ HORIZON_TAKERS = {
     "q_oracle": lambda t: q_oracle(SCALAR, t),
     "q_nilpotent": lambda t: q_nilpotent(np.zeros((1, 1)), np.eye(1), t),
     "run_method": lambda t: run_method(SCALAR, t, Method.ORACLE),
+    "discretize_many": lambda t: discretize_many(SCALAR, (1.0, t),
+                                                 Method.PROPOSED),
     "semigroup_residual": lambda t: semigroup_residual(
         SCALAR, Method.PROPOSED, 1.0, t),
 }
@@ -150,20 +152,20 @@ def test_empty_model_gives_empty_f_and_q(method):
     assert report.model.f.shape == report.model.q.shape == (0, 0)
 
 
-@pytest.mark.parametrize("tau_zero", [0.0, 1e-8])
-def test_small_tau_zero_still_finds_integrators(tau_zero):
+@pytest.mark.parametrize("modulus", [0.0, 1e-8])
+def test_rank_decisions_find_integrators_above_small_moduli(modulus):
     # the rounding spread of the integrator pair's LAPACK eigenvalues
     # (1.8e-8) puts them above these moduli, so a split by moduli at
     # either would find no integrator; the rank decisions find both
     m = mixed_system(0)
-    assert not (np.abs(np.linalg.eigvals(m.a)) <= tau_zero).any()
+    assert not (np.abs(np.linalg.eigvals(m.a)) <= modulus).any()
     for t in (0.01, 1.0, 100.0):
         report = discretize_proposed(m, t)
         assert report.diagnostics["integrator_count"] == 2.0
         assert rel_err(report.model.q, scipy_doubling_q(m, t)) <= 1e-9, t
 
 
-def test_tau_zero_just_above_a_chains_moduli():
+def test_rank_decisions_find_an_index4_chain_off_the_origin():
     # an index-4 chain whose four LAPACK eigenvalues have moduli 1.350e-4,
     # about the origin: a split by moduli just above them once left
     # integrator_count 0 and a Q wrong by 22 orders of magnitude, and a
@@ -1029,6 +1031,44 @@ def test_deep_chains_right_or_refused(spec, dtype):
                     continue
                 assert rel_err(q, want) <= DEEP_CHAIN_TOL[dtype], \
                     (stream, t, method.__name__)
+
+
+def weak_link_chain(dtype):
+    """An exactly nilpotent index-5 integrator chain, A = 40 triu(ones, 1)
+    with one weak link A[0, 1] = 0.01, and S = I."""
+    a = 40.0 * np.triu(np.ones((5, 5)), 1)
+    a[0, 1] = 0.01
+    return ContinuousModel(a.astype(dtype), np.eye(5, dtype=dtype))
+
+
+WEAK_LINK_FAULT = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP G and C: the staircase keeps integrators of a chain "
+           "with a weak link in a11, and proposed's Q drifts with no error")
+
+
+@pytest.mark.parametrize("method, dtype, t", [
+    pytest.param(Method.PROPOSED, np.float64, 1e4, marks=WEAK_LINK_FAULT,
+                 id="proposed-f64-1e4"),
+    pytest.param(Method.PROPOSED, np.float32, 100.0, marks=WEAK_LINK_FAULT,
+                 id="proposed-f32-100"),
+    pytest.param(Method.VANLOAN, np.float64, 1e4, id="vanloan-f64-1e4"),
+    pytest.param(Method.VANLOAN, np.float32, 100.0, id="vanloan-f32-100"),
+])
+def test_weak_link_chain_right_or_refused(method, dtype, t):
+    # scored against the closed form in 40 digits on the model's values:
+    # Van Loan reads 1.8e-15 in binary64 and 6e-8 in binary32, proposed
+    # 4.4e-2 (integrator_count 2 of 5) and 6.1e3.  The staircase's third
+    # step reads sigma = 1.5e-11 against its binary64 tolerance
+    # 100 eps |A|_F = 2.7e-12: the weak link's singular value, 7.1e-3,
+    # amplifies the rounding, so three integrators stay in a11
+    m = weak_link_chain(dtype)
+    want = exact_q_nilpotent(m.a, m.s, t)
+    try:
+        q = run_method(m, t, method).model.q
+    except SdeDiscError:
+        return
+    assert rel_err(q, want) <= DEEP_CHAIN_TOL[dtype]
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -1933,3 +1973,68 @@ def test_run_method_accepts_string_names():
 def test_run_method_unknown_name():
     with pytest.raises(ValueError):
         run_method(SCALAR, 1.0, "simpson")
+
+
+# unsorted horizons with a zero, and the models each method answers or
+# refuses: mirrored poles diag(1, -1), which lyap-p refuses by its margin,
+# and the constant-velocity chain, whose integrators lyap-q refuses
+MANY_HORIZONS = (10.0, 0.0, 1e-3, 100.0, 1.0, 0.0)
+MANY_MODELS = {
+    "mixed": mixed_system(1),
+    "stable": stable_system(1),
+    "cv": constant_velocity(),
+    "mirrored": ContinuousModel(np.diag([1.0, -1.0]), np.eye(2)),
+}
+
+
+def one_horizon(m, t, method):
+    """run_method's report at t, or the exception it raised."""
+    try:
+        return run_method(m, t, method)
+    except Exception as exc:
+        return exc
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("method", list(Method))
+def test_discretize_many_is_run_method_at_each_horizon(method, dtype):
+    for name, m in MANY_MODELS.items():
+        m = m.astype(dtype)
+        many = discretize_many(m, MANY_HORIZONS, method)
+        assert len(many) == len(MANY_HORIZONS)
+        for t, got in zip(MANY_HORIZONS, many):
+            want = one_horizon(m, t, method)
+            if isinstance(want, Exception):
+                assert type(got) is type(want), (name, t)
+                assert str(got) == str(want), (name, t)
+            else:
+                assert got.method is want.method is method
+                assert got.model.horizon == want.model.horizon == t
+                assert got.model.q.dtype == want.model.q.dtype
+                assert same_bits(got, want), (name, t)
+
+
+def test_discretize_many_records_refusals_and_overflows():
+    ts = (1.0, 0.0, 2.0)
+    for m, method in ((constant_velocity(), Method.LYAP_Q),
+                      (MANY_MODELS["mirrored"], Method.LYAP_P)):
+        refused, zero, again = discretize_many(m, ts, method)
+        assert isinstance(refused, MethodNotApplicableError)
+        assert isinstance(again, MethodNotApplicableError)
+        assert not zero.model.q.any() and zero.model.horizon == 0.0
+    # exp(46) fits binary32 but Q, about exp(92) / 2, does not, and
+    # exp(100) does not fit: each horizon fails alone
+    m = ContinuousModel(np.array([[1.0]], dtype=np.float32),
+                        np.array([[1.0]], dtype=np.float32))
+    ok, non_finite, overflow = discretize_many(m, (1.0, 46.0, 100.0),
+                                               Method.VANLOAN)
+    assert ok.model.q.dtype == np.float32
+    assert isinstance(non_finite, NonFiniteError)
+    assert isinstance(overflow, MatrixOverflowError)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_discretize_many_bad_horizon_fails_the_call(method):
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="sampling interval"):
+            discretize_many(SCALAR, (1.0, 0.0, bad), method)

@@ -1092,7 +1092,7 @@ def test_asymmetric_spectral_norms_take_the_svd():
     assert linalg._spectral_norms(stack).tolist() == [1.0, 1.0, 1.0]
 
 
-def test_tau_zero_default_scales_with_norm():
+def test_lyap_p_margin_scales_with_norm():
     # lyap-p's margin, public as tau_zero_default before it moved into
     # discretize
     margin = discretize._lyap_p_margin

@@ -210,7 +210,8 @@ def test_cli_parse_failure_exit_2(tmp_path, capsys):
     (["bench", "--out", "{out}", "--tol", "1e-8"],
      "unrecognized arguments: --tol 1e-8"),
     (["discretize", "{cv}", "--t", "1", "--tol", "1e-12"],
-     "unrecognized arguments: --tol 1e-12"),    (["gen", "--out", "{out}", "--n", "0", "--m", "0", "--p", "0"],
+     "unrecognized arguments: --tol 1e-12"),
+    (["gen", "--out", "{out}", "--n", "0", "--m", "0", "--p", "0"],
      "need n = m + p >= 1"),
     (["bench", "--out", "{out}", "--n", "0", "--m", "0", "--p", "0",
       "--runs", "1"], "need n = m + p >= 1"),

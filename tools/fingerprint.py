@@ -4,8 +4,8 @@ status) its operations produce, each input run once:
 ``python3 tools/fingerprint.py --seed 1``.  A fourth line,
 ``paper-sweep-methods``, hashes paper-sweep's F, Q and exception type names
 without its benchmark records, whose scores also depend on the oracle's
-truths; it shows that the methods' bits stay when only the truths move.  A fifth,
-``lyap-methods``, hashes F, Q and exception type names of ``lyap-p`` and
+truths; it shows that the methods' bits stay when only the truths move.  A
+fifth, ``lyap-methods``, hashes F, Q and exception type names of ``lyap-p`` and
 ``lyap-q``, which no workload runs, on fixed stable models at both widths
 (``EnsembleSpec(6, 6, 0, seed=1)`` and ``EnsembleSpec(16, 16, 0, seed=3)``,
 4 streams each, T in {1e-3, 1, 100}); it does not depend on ``--seed``.

@@ -28,8 +28,9 @@ own row;
 paper-sweep's three stacked callers at the 20 paper horizons
 (``default_t_grid()``) on ``EnsembleSpec(6, 4, 2, seed=s)``, stream 0,
 s = 0 .. 3: at binary32 the proposed path (a fresh ``_ProposedPlan`` and
-its ``reports``) and ``_vanloan_reports``, and the oracle's
-``_q_oracle_many`` on the binary64 models, as paper-sweep runs it;
+its ``reports``) and Van Loan's ``discretize_many`` (``_vanloan_reports``
+on a checkout without it), and the oracle's ``_q_oracle_many`` on the
+binary64 models, as paper-sweep runs it;
 the plan's exponential alone (``linalg._exp_at`` on a kept
 ``_ProposedPlan``'s table): ``plan exp n=16`` at T = 1 on the tables of
 ``EnsembleSpec(16, 14, 2, seed=7)``, four streams in turn, and ``plan exp
@@ -53,6 +54,10 @@ bases are refused, so that each factors from ``A`` itself (on a
 checkout whose ``real_schur`` still takes a threshold, at threshold 0,
 the plan's work);
 binary64 unless stated.
+The rows that time the package's internals name its private functions
+(``_ProposedPlan``, ``_last_plan``, ``_split``, ``_exp_at``,
+``_eigenvector_start``, ``_fro_norm`` and ``_q_oracle_many``); the others
+call its public API.
 A sample is the CPU time (``time.process_time``) per call over a fixed
 batch of calls, the batch sized once per row to take about
 ``--sample-ms``.  Each row prints both
@@ -125,11 +130,13 @@ def rows(pkg):
                     proposed(pkg, coupled, warm)))
     grid = pkg.bench.default_t_grid()
     d = pkg.discretize
+    many = getattr(pkg, "discretize_many", None)
     for label, width, stacked in (
             ("proposed f32 reports", np.float32,
              lambda m: d._ProposedPlan(m).reports(grid)),
             ("vanloan f32 reports", np.float32,
-             lambda m: d._vanloan_reports(m, grid)),
+             (lambda m: many(m, grid, pkg.Method.VANLOAN)) if many
+             else (lambda m: d._vanloan_reports(m, grid))),
             ("oracle paper", np.float64,
              lambda m: d._q_oracle_many(m, grid))):
         out.append((label, cycle([lambda m=m, f=stacked: f(m)
